@@ -4,15 +4,42 @@ All losses carry the 1/n normalization: L(theta; D) = (1/n) sum_i l(theta; d_i).
 Lipschitz constants, curvature and Hessian eigenvalue bounds are derived for
 the built-in kinds; custom losses must declare their constants explicitly
 because noise calibration depends on them.
+
+A ``Dataset`` is read-only.  Its ``X`` and ``y`` are read-only views of the
+arrays it was built from (not copies), so writing into them raises; the
+caller must not write into the arrays it passed in either.  Statistics
+that depend only on the data are computed once per dataset, on first use,
+under a lock, so threads of one sweep share them:
+
+- ``fingerprint()``: sha256 of the shapes and bytes of (X, y), the oracle
+  cache key;
+- ``gram()``: G = X'X/n, b = X'y/n and c = y'y/(2n);
+- ``row_sq_norms()``: ||x_i||^2 for every record;
+- the Lipschitz constants of the built-in losses, per (loss parameters,
+  ``body.to_dict()``).
+
+Backend choice.  ``LossSpec.loss`` and ``LossSpec.grad`` are the only
+entry points; they call the ``_loss_on`` / ``_grad_on`` hooks.  For
+``SquaredError`` on data with p < n (a p x p Gram matrix is smaller than
+X) the hooks use the sufficient statistics: grad = G theta - b and
+loss = max(theta'G theta/2 - b'theta + c, 0), O(p^2) per call whatever n
+is.  The clamp only removes cancellation error, since the loss is >= 0.
+Its curvature bound reads G as well: v'Gv over the vertices, lambda_max(G)
+on an l2 ball and the largest lambda_max(G_ss) over the blocks of a
+grouped l1 ball.  ``Huber``, ``CustomLoss``, ``SquaredError`` with p >= n
+and the box curvature bound (|X| m) keep the O(n p) pass over the rows.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
+import json
 import math
 import struct
+import threading
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -23,13 +50,32 @@ _BINARY_MAGIC = b"DPRM"
 LASSO_DOMAIN_TOL = 1e-12
 
 
-@dataclass(eq=False)
+class GramStats(NamedTuple):
+    """Sufficient statistics of squared error: G = X'X/n, b = X'y/n, c = y'y/(2n)."""
+
+    G: np.ndarray
+    b: np.ndarray
+    c: float
+
+
+def _read_only(a) -> np.ndarray:
+    # A read-only view: the caller's float64 array is shared, not copied.
+    view = np.asarray(a, dtype=float).view()
+    view.flags.writeable = False
+    return view
+
+
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Feature matrix X (n, p), targets y (n,).
 
     With ``lasso_profile=True`` ingestion validates the sparse-regression
     domain ||x||_inf <= 1, |y| <= 1; out-of-range records are rejected, not
     clipped, because clipping would silently move the minimizer.
+
+    ``X`` and ``y`` are read-only views of the arrays passed in, and the
+    statistics below are memoised per dataset, so neither may change after
+    construction.
     """
 
     X: np.ndarray
@@ -38,13 +84,20 @@ class Dataset:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        X = np.asarray(self.X, dtype=float)
-        y = np.asarray(self.y, dtype=float)
+        X, y = _read_only(self.X), _read_only(self.y)
         if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
             raise ValueError("X must be (n, p) and y (n,) with matching n")
-        self.X, self.y = X, y
+        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "_stats", {})
+        # Reentrant: a statistic may be computed from another one.
+        object.__setattr__(self, "_stats_lock", threading.RLock())
         if self.lasso_profile:
             self._validate_lasso()
+
+    def __reduce__(self):
+        # The lock cannot be pickled; a copy starts with an empty memo.
+        return type(self), (self.X, self.y, self.lasso_profile, self.meta)
 
     def _validate_lasso(self) -> None:
         bad_x = np.abs(self.X).max(axis=1) > 1.0 + LASSO_DOMAIN_TOL
@@ -55,6 +108,53 @@ class Dataset:
                 f"record {bad[0]} violates the sparse-regression domain "
                 "(||x||_inf <= 1, |y| <= 1); records are rejected, not clipped"
             )
+
+    # -- statistics computed once per dataset --------------------------------
+
+    def _memo(self, key, compute):
+        """The statistic ``key``; ``compute()`` runs on first use only."""
+        # Entries are only ever added, so a hit needs no lock.
+        value = self._stats.get(key)
+        if value is None:
+            with self._stats_lock:
+                value = self._stats.get(key)
+                if value is None:
+                    value = self._stats[key] = compute()
+        return value
+
+    def fingerprint(self) -> str:
+        """sha256 over the shapes and bytes of X and y."""
+        def compute():
+            h = hashlib.sha256(repr((self.X.shape, self.y.shape)).encode())
+            h.update(np.ascontiguousarray(self.X))
+            h.update(np.ascontiguousarray(self.y))
+            return h.hexdigest()
+
+        return self._memo("fingerprint", compute)
+
+    def gram(self) -> GramStats:
+        """G = X'X/n, b = X'y/n, c = y'y/(2n), as read-only arrays."""
+        def compute():
+            n = self.n
+            G, b = self.X.T @ self.X / n, self.X.T @ self.y / n
+            G.flags.writeable = b.flags.writeable = False
+            return GramStats(G=G, b=b, c=0.5 * float(self.y @ self.y) / n)
+
+        return self._memo("gram", compute)
+
+    def row_sq_norms(self) -> np.ndarray:
+        """||x_i||_2^2 for every record, read-only."""
+        def compute():
+            sq = np.einsum("ij,ij->i", self.X, self.X)
+            sq.flags.writeable = False
+            return sq
+
+        return self._memo("row_sq_norms", compute)
+
+    @property
+    def prefers_gram(self) -> bool:
+        """Whether the p x p Gram matrix is smaller than X (p < n)."""
+        return self.p < self.n
 
     @property
     def n(self) -> int:
@@ -123,6 +223,15 @@ def _require_nonempty(data: Dataset) -> None:
         raise ValueError("dataset is empty")
 
 
+def require_matching_dimension(body: ConvexBody, data: Dataset) -> None:
+    """Reject a body whose dimension is not the data's p, before any work."""
+    if body.dimension != data.p:
+        raise ValueError(
+            f"body dimension {body.dimension} does not match the data "
+            f"dimension p = {data.p}"
+        )
+
+
 class LossSpec:
     """Convex per-record loss with derived (or declared) solver constants."""
 
@@ -133,16 +242,23 @@ class LossSpec:
 
     def loss(self, theta, data: Dataset) -> float:
         _require_nonempty(data)
-        theta = np.asarray(theta, dtype=float)
-        return self._loss_full(theta, data.X, data.y)
+        return self._loss_on(np.asarray(theta, dtype=float), data)
 
     def grad(self, theta, data: Dataset) -> np.ndarray:
         _require_nonempty(data)
-        theta = np.asarray(theta, dtype=float)
-        return self._grad_full(theta, data.X, data.y)
+        return self._grad_on(np.asarray(theta, dtype=float), data)
 
     def grad_single(self, theta, x, y: float) -> np.ndarray:
         raise NotImplementedError
+
+    # Backend hooks: a pass over the rows unless a subclass has a cheaper
+    # route through the dataset's statistics.
+
+    def _loss_on(self, theta, data: Dataset) -> float:
+        return self._loss_full(theta, data.X, data.y)
+
+    def _grad_on(self, theta, data: Dataset) -> np.ndarray:
+        return self._grad_full(theta, data.X, data.y)
 
     def _loss_full(self, theta, X, y) -> float:
         raise NotImplementedError
@@ -190,9 +306,32 @@ class LossSpec:
         raise NotImplementedError
 
 
-def _residual_bounds(body: ConvexBody, data: Dataset) -> np.ndarray:
-    # |<x_i, theta> - y_i| <= dual_norm(x_i) + |y_i| over the body.
-    return body._dual_norm_batch(data.X) + np.abs(data.y)
+def _body_key(body: ConvexBody) -> Optional[str]:
+    try:
+        return json.dumps(body.to_dict(), sort_keys=True)
+    except NotImplementedError:
+        return None
+
+
+def _lipschitz(key: str, body: ConvexBody, data: Dataset,
+               cap: Optional[float] = None) -> tuple[float, float]:
+    """(max_i r_i ||x_i||_inf, max_i r_i ||x_i||_2) with the residual bound
+    r_i = min(dual_norm(x_i) + |y_i|, cap), memoised per (loss key, body)."""
+    _require_nonempty(data)
+
+    def compute():
+        # |<x_i, theta> - y_i| <= dual_norm(x_i) + |y_i| over the body.
+        res = body._dual_norm_batch(data.X) + np.abs(data.y)
+        if cap is not None:
+            res = np.minimum(res, cap)
+        L1 = float(np.max(res * np.abs(data.X).max(axis=1), initial=0.0))
+        L2 = float(np.max(res * np.sqrt(data.row_sq_norms()), initial=0.0))
+        return L1, L2
+
+    body_key = _body_key(body)
+    if body_key is None:
+        return compute()
+    return data._memo(("lipschitz", key, body_key), compute)
 
 
 class SquaredError(LossSpec):
@@ -206,23 +345,32 @@ class SquaredError(LossSpec):
         r = X @ theta - y
         return (X.T @ r) / X.shape[0]
 
+    def _loss_on(self, theta, data) -> float:
+        if not data.prefers_gram:
+            return super()._loss_on(theta, data)
+        G, b, c = data.gram()
+        # The value is >= 0; the clamp removes cancellation error at f* = 0.
+        return max(0.5 * float(theta @ (G @ theta)) - float(b @ theta) + c, 0.0)
+
+    def _grad_on(self, theta, data) -> np.ndarray:
+        if not data.prefers_gram:
+            return super()._grad_on(theta, data)
+        G, b, _ = data.gram()
+        return G @ theta - b
+
     def grad_single(self, theta, x, y: float) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         return (float(x @ theta) - y) * x
 
     def lipschitz_constants(self, body, data) -> tuple[float, float]:
-        _require_nonempty(data)
-        res = _residual_bounds(body, data)
-        L1 = float(np.max(res * np.abs(data.X).max(axis=1), initial=0.0))
-        L2 = float(np.max(res * np.linalg.norm(data.X, axis=1), initial=0.0))
-        return L1, L2
+        return _lipschitz("squared_error", body, data)
 
     def curvature_bound(self, body, data) -> float:
         return _quadratic_curvature_bound(body, data, ridge=0.0)
 
     def hessian_eig_bounds(self, body, data) -> tuple[float, float]:
         _require_nonempty(data)
-        sq = np.sum(data.X * data.X, axis=1)
+        sq = data.row_sq_norms()
         lam_max = float(sq.max())
         lam_min = float(sq.min()) if data.p == 1 else 0.0
         return lam_min, lam_max
@@ -253,11 +401,7 @@ class Huber(LossSpec):
         return r * x
 
     def lipschitz_constants(self, body, data) -> tuple[float, float]:
-        _require_nonempty(data)
-        res = np.minimum(_residual_bounds(body, data), self.delta)
-        L1 = float(np.max(res * np.abs(data.X).max(axis=1), initial=0.0))
-        L2 = float(np.max(res * np.linalg.norm(data.X, axis=1), initial=0.0))
-        return L1, L2
+        return _lipschitz(f"huber:{self.delta!r}", body, data, cap=self.delta)
 
     def curvature_bound(self, body, data) -> float:
         # The Huber Hessian is dominated by the quadratic zone's x x^T.
@@ -266,8 +410,7 @@ class Huber(LossSpec):
     def hessian_eig_bounds(self, body, data) -> tuple[float, float]:
         # Piecewise bound: zero outside the quadratic zone.
         _require_nonempty(data)
-        sq = np.sum(data.X * data.X, axis=1)
-        return 0.0, float(sq.max())
+        return 0.0, float(data.row_sq_norms().max())
 
 
 class CustomLoss(LossSpec):
@@ -329,31 +472,41 @@ class CustomLoss(LossSpec):
 
 
 def _quadratic_curvature_bound(body: ConvexBody, data: Dataset, ridge: float) -> float:
-    """4 max over C of (||X theta||^2 / n + ridge ||theta||^2)."""
+    """4 max over C of (||X theta||^2 / n + ridge ||theta||^2).
+
+    With ``data.prefers_gram`` the quadratic form reads G = X'X/n:
+    ||X v||^2 / n = v'Gv and ||X_s||_2^2 / n = lambda_max(G_ss).
+    """
     _require_nonempty(data)
     X, n = data.X, data.n
-    from .geometry import Box, GroupedL1Ball, L1Ball, L2Ball
+    G = data.gram().G if data.prefers_gram else None
+    from .geometry import Box, GroupedL1Ball, L2Ball
 
-    def quad(theta):
-        v = X @ theta
-        return float(v @ v) / n + ridge * float(theta @ theta)
+    def top(cols) -> float:
+        # lambda_max(X_s' X_s / n) for the column block s.
+        if G is not None:
+            sub = G[cols, cols]
+            return max(float(np.linalg.eigvalsh(sub)[-1]), 0.0) if sub.size else 0.0
+        sub = X[:, cols]
+        s_max = float(np.linalg.norm(sub, 2)) if sub.size else 0.0
+        return s_max * s_max / n
 
     try:
         V = body.vertices()
     except ValueError:
         V = None
     if V is not None:
-        return 4.0 * max(quad(v) for v in V)
+        if G is not None:
+            xv2 = ((V @ G) * V).sum(axis=1)
+        else:
+            # One vertex at a time: X @ V.T would hold an n x k matrix.
+            xv2 = np.array([float(xv @ xv) / n for xv in (X @ v for v in V)])
+        return 4.0 * float((xv2 + ridge * (V * V).sum(axis=1)).max())
     if isinstance(body, L2Ball):
-        top = float(np.linalg.norm(X, 2)) if X.size else 0.0
-        return 4.0 * (body.radius ** 2) * (top * top / n + ridge)
+        return 4.0 * (body.radius ** 2) * (top(slice(None)) + ridge)
     if isinstance(body, GroupedL1Ball):
-        best = 0.0
-        for s in body._block_slices():
-            sub = X[:, s]
-            top = float(np.linalg.norm(sub, 2)) if sub.size else 0.0
-            best = max(best, top * top)
-        return 4.0 * (body.radius ** 2) * (best / n + ridge)
+        best = max(top(s) for s in body._block_slices())
+        return 4.0 * (body.radius ** 2) * (best + ridge)
     if isinstance(body, Box):
         if not body.is_symmetric:
             raise ValueError("curvature bound needs a symmetric body or a vertex list")
@@ -433,6 +586,19 @@ def _extreme_points(body: ConvexBody):
     if isinstance(body, Box):
         return [body.lo, body.hi]
     raise ValueError(f"no extreme-point list for {type(body).__name__}")
+
+
+def loss_key(loss: LossSpec) -> Optional[str]:
+    """A key that names a built-in loss by its parameters, or None.
+
+    Only the exact built-in types get one: a subclass or a ``CustomLoss``
+    can compute anything, so it is known only by its identity.
+    """
+    if type(loss) is SquaredError:
+        return "squared_error"
+    if type(loss) is Huber:
+        return f"huber:{loss.delta!r}"
+    return None
 
 
 _LOSS_TAGS = {

@@ -8,7 +8,6 @@ available as an independent cross-check.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import threading
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import ConvexBody, Polytope, Simplex
-from .losses import Dataset, LossSpec, SquaredError
+from .losses import Dataset, LossSpec, loss_key, require_matching_dimension
 
 DEFAULT_REL_TOL = 1e-9
 CHECK_EVERY = 10
@@ -65,7 +64,10 @@ def solve_exact(body: ConvexBody, loss: LossSpec, data: Dataset,
     tolerance.  A run that cannot certify (its best gap stops improving, or
     the step search underflows) raises ``RuntimeError`` naming the best gap,
     the target, the iteration count and the best value.
+
+    A body whose dimension is not the data's p raises ``ValueError`` first.
     """
+    require_matching_dimension(body, data)
     rel_tol = DEFAULT_REL_TOL if tol is None else tol
     if rel_tol <= 0:
         raise ValueError("tol must be positive")
@@ -284,29 +286,30 @@ def lasso_oracle_cd(data: Dataset, radius: float,
 # ---------------------------------------------------------------------------
 # Cache (per dataset/body/loss key)
 
-_cache: dict[str, OracleSolution] = {}
+# Each entry keeps its loss alive, so the id in a key cannot be reused.
+_cache: dict[str, tuple[LossSpec, OracleSolution]] = {}
 _cache_lock = threading.Lock()
 
 
 def _loss_key(loss: LossSpec) -> str:
-    if isinstance(loss, SquaredError):
-        return "squared_error"
-    params = getattr(loss, "delta", None) or getattr(loss, "name", type(loss).__name__)
-    return f"{type(loss).__name__}:{params}"
+    # Built-in losses by their parameters, any other loss by identity.
+    return loss_key(loss) or f"{type(loss).__name__}@{id(loss):x}"
 
 
 def cached_solve(body: ConvexBody, loss: LossSpec, data: Dataset,
                  tol: float | None = None) -> OracleSolution:
-    """``solve_exact`` with a per-(dataset, body, loss, tol) cache."""
-    h = hashlib.sha256()
-    h.update(data.X.tobytes())
-    h.update(data.y.tobytes())
-    key = f"{h.hexdigest()}|{json.dumps(body.to_dict(), sort_keys=True)}|{_loss_key(loss)}|{tol}"
+    """``solve_exact`` with a per-(dataset, body, loss, tol) cache.
+
+    The dataset is keyed by its fingerprint, which it computes once.
+    """
+    require_matching_dimension(body, data)
+    key = (f"{data.fingerprint()}|{json.dumps(body.to_dict(), sort_keys=True)}"
+           f"|{_loss_key(loss)}|{tol}")
     with _cache_lock:
         hit = _cache.get(key)
     if hit is not None:
-        return hit
+        return hit[1]
     sol = solve_exact(body, loss, data, tol=tol)
     with _cache_lock:
-        _cache[key] = sol
+        _cache[key] = (loss, sol)
     return sol

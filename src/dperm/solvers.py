@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .geometry import ConvexBody, Polytope, body_from_dict, gaussian_width_mc, symmetric_hull
-from .losses import Dataset, LossSpec, loss_from_dict
+from .losses import Dataset, LossSpec, loss_from_dict, require_matching_dimension
 from .potentials import Potential, SquaredL2, potential_from_dict
 from .privacy import (
     NoisePlan,
@@ -207,6 +207,7 @@ class ResolvedRun:
 
 def resolve_defaults(cfg: SolverConfig, data: Dataset) -> ResolvedRun:
     """Fill T, step schedules and noise scales; record every substitution."""
+    require_matching_dimension(cfg.body, data)
     eps, delta, n = cfg.budget.epsilon, cfg.budget.delta, data.n
     L1, L2 = cfg.loss.lipschitz_constants(cfg.body, data)
     alg = cfg.algorithm
@@ -615,4 +616,7 @@ _DISPATCH = {
 
 
 def run_solver(cfg: SolverConfig, data: Dataset) -> SolverReport:
+    """Run the configured algorithm; a body/data dimension mismatch raises
+    ``ValueError`` before any work starts."""
+    require_matching_dimension(cfg.body, data)
     return _DISPATCH[cfg.algorithm](cfg, data)

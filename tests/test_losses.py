@@ -1,7 +1,9 @@
+import pickle
+
 import numpy as np
 import pytest
 
-from dperm.geometry import Box, L1Ball, L2Ball, Simplex, sample_feasible
+from dperm.geometry import Box, GroupedL1Ball, L1Ball, L2Ball, Polytope, Simplex, sample_feasible
 from dperm.losses import (
     CustomLoss,
     Dataset,
@@ -10,6 +12,7 @@ from dperm.losses import (
     loss_from_dict,
     ridge_loss,
 )
+from dperm.oracle import solve_exact
 
 
 def lasso_dataset(rng, n=200, p=5):
@@ -253,3 +256,133 @@ class TestCustomAndRidge:
         assert isinstance(loss_from_dict({"kind": "huber", "delta": 0.3}), Huber)
         with pytest.raises(ValueError):
             loss_from_dict({"kind": "hinge"})
+
+
+# ---------------------------------------------------------------------------
+# Sufficient-statistics backend against the written-out row-pass formulas.
+
+REL = 1e-12  # |value - ref| <= REL * (1 + |ref|), fixed before the comparisons
+
+
+def close(value, ref) -> bool:
+    value, ref = np.asarray(value, dtype=float), np.asarray(ref, dtype=float)
+    return bool(np.all(np.abs(value - ref) <= REL * (1.0 + np.abs(ref))))
+
+
+def row_loss(theta, X, y):
+    r = X @ theta - y
+    return 0.5 * float(r @ r) / X.shape[0]
+
+
+def row_grad(theta, X, y):
+    return X.T @ (X @ theta - y) / X.shape[0]
+
+
+def row_curvature_vertices(V, X):
+    return 4.0 * max(float((X @ v) @ (X @ v)) / X.shape[0] for v in V)
+
+
+class TestGramBackend:
+    def test_loss_and_grad_match_row_pass(self, rng, monkeypatch):
+        # The row pass must not run at all when p < n.
+        monkeypatch.setattr(SquaredError, "_loss_full", None)
+        monkeypatch.setattr(SquaredError, "_grad_full", None)
+        sq = SquaredError()
+        for n, p in [(200, 5), (64, 12), (3, 2), (1000, 40)]:
+            data = lasso_dataset(rng, n=n, p=p)
+            for scale in (0.0, 0.3, 1.0, 5.0):
+                theta = scale * rng.standard_normal(p)
+                assert close(sq.loss(theta, data), row_loss(theta, data.X, data.y))
+                assert close(sq.grad(theta, data), row_grad(theta, data.X, data.y))
+
+    def test_p_at_least_n_takes_row_pass(self, rng, monkeypatch):
+        def no_gram(self):
+            raise AssertionError("Gram statistics built for p >= n")
+
+        monkeypatch.setattr(Dataset, "gram", no_gram)
+        sq = SquaredError()
+        for n, p in [(4, 4), (5, 9), (1, 3)]:
+            data = Dataset(X=rng.uniform(-1, 1, (n, p)), y=rng.uniform(-1, 1, n))
+            assert not data.prefers_gram
+            theta = rng.standard_normal(p)
+            assert sq.loss(theta, data) == row_loss(theta, data.X, data.y)
+            assert np.array_equal(sq.grad(theta, data), row_grad(theta, data.X, data.y))
+            assert close(sq.curvature_bound(L1Ball(1.0, p), data),
+                         row_curvature_vertices(L1Ball(1.0, p).vertices(), data.X))
+            assert close(sq.curvature_bound(L2Ball(2.0, p), data),
+                         16.0 * float(np.linalg.norm(data.X, 2)) ** 2 / n)
+
+    def test_noiseless_loss_is_nonnegative(self, rng):
+        # y = X theta0 exactly, so f(theta0) = 0 and the Gram form cancels
+        # to a rounding error of either sign.
+        sq = SquaredError()
+        raw_negative = 0
+        for _ in range(50):
+            p = int(rng.integers(2, 10))
+            X = rng.uniform(-1, 1, (200, p))
+            theta0 = rng.standard_normal(p)
+            data = Dataset(X=X, y=X @ theta0)
+            G, b, c = data.gram()
+            raw_negative += 0.5 * float(theta0 @ G @ theta0) - float(b @ theta0) + c < 0.0
+            assert 0.0 <= sq.loss(theta0, data) <= REL * (1.0 + c)
+        assert raw_negative > 0
+        theta0 /= np.abs(theta0).sum()
+        sol = solve_exact(L1Ball(1.0, p), sq, Dataset(X=X, y=X @ theta0))
+        assert sol.optimum_value >= 0.0
+
+    @pytest.mark.parametrize("make_body", [
+        lambda p: L1Ball(1.5, p),
+        lambda p: Simplex(p),
+        lambda p: Polytope(np.random.default_rng(3).standard_normal((7, p))),
+    ], ids=["l1ball", "simplex", "polytope"])
+    def test_curvature_on_vertices_matches_row_pass(self, rng, make_body):
+        data = lasso_dataset(rng, n=300, p=6)
+        body = make_body(6)
+        assert close(SquaredError().curvature_bound(body, data),
+                     row_curvature_vertices(body.vertices(), data.X))
+
+    def test_curvature_l2_and_grouped_match_spectral_norms(self, rng):
+        data = lasso_dataset(rng, n=300, p=10)
+        X, n = data.X, data.n
+        ref_l2 = 4.0 * 0.7 ** 2 * float(np.linalg.norm(X, 2)) ** 2 / n
+        assert close(SquaredError().curvature_bound(L2Ball(0.7, 10), data), ref_l2)
+        body = GroupedL1Ball(1.3, 4, 10)  # blocks of 4, 4 and 2 columns
+        top = max(float(np.linalg.norm(X[:, s], 2)) ** 2 for s in body._block_slices())
+        assert close(SquaredError().curvature_bound(body, data), 4.0 * 1.3 ** 2 * top / n)
+
+    def test_statistics_are_memoised(self, rng):
+        data = lasso_dataset(rng, n=50, p=3)
+        assert data.gram() is data.gram()
+        assert data.row_sq_norms() is data.row_sq_norms()
+        assert data.fingerprint() == Dataset(X=data.X.copy(), y=data.y.copy()).fingerprint()
+        assert data.fingerprint() != Dataset(X=data.X, y=-data.y).fingerprint()
+        body = L1Ball(1.0, 3)
+        assert SquaredError().lipschitz_constants(body, data) is \
+            SquaredError().lipschitz_constants(L1Ball(1.0, 3), data)
+        assert Huber(0.2).lipschitz_constants(body, data) != \
+            Huber(0.3).lipschitz_constants(body, data)
+
+    def test_arrays_are_read_only_views(self, rng):
+        X = rng.uniform(-1, 1, (20, 3))
+        y = rng.uniform(-1, 1, 20)
+        data = Dataset(X=X, y=y)
+        assert np.shares_memory(data.X, X) and np.shares_memory(data.y, y)
+        with pytest.raises(ValueError):
+            data.X[0, 0] = 0.5
+        with pytest.raises(ValueError):
+            data.y[0] = 0.5
+        for stat in (data.gram().G, data.gram().b, data.row_sq_norms()):
+            with pytest.raises(ValueError):
+                stat[0] = 0.5
+        with pytest.raises(AttributeError):
+            data.X = X
+
+    def test_pickle_round_trip_starts_a_fresh_memo(self, rng):
+        data = lasso_dataset(rng, n=30, p=3)
+        data.gram()
+        again = pickle.loads(pickle.dumps(data))
+        assert np.array_equal(again.X, data.X) and np.array_equal(again.y, data.y)
+        assert again.fingerprint() == data.fingerprint()
+        assert again.gram() is not data.gram()
+        with pytest.raises(ValueError):
+            again.X[0, 0] = 0.5

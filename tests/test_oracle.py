@@ -1,9 +1,12 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from dperm.geometry import Box, L1Ball, L2Ball, Polytope, Simplex
 from dperm.harness import generate_lasso
-from dperm.losses import Dataset, SquaredError
+from dperm.losses import CustomLoss, Dataset, Huber, SquaredError
 from dperm.oracle import (
     DEFAULT_REL_TOL,
     OracleSolution,
@@ -173,3 +176,54 @@ class TestCache:
         a = cached_solve(L1Ball(1.0, 4), SQ, data)
         c = cached_solve(L2Ball(1.0, 4), SQ, data)
         assert a is not c
+
+    def test_default_named_custom_losses_do_not_share_entries(self, rng):
+        # Each custom loss is a squared error against shifted targets; all
+        # carry the default name.  Each is built, solved and dropped in
+        # turn, so a cache keyed by name or by a reusable id would hand a
+        # later loss an earlier loss's optimum.
+        data = Dataset(X=rng.uniform(-1, 1, (40, 3)), y=rng.uniform(-1, 1, 40))
+        body = L1Ball(1.0, 3)
+        for shift in (0.0, 0.3, -0.6, 0.9):
+            loss = shifted_squared_error(shift)
+            cached = cached_solve(body, loss, data)
+            fresh = solve_exact(body, loss, data)
+            assert cached.optimum_value == pytest.approx(fresh.optimum_value, rel=1e-8)
+            alive = weakref.ref(loss)
+            del loss, cached, fresh
+            gc.collect()
+            # The entry keeps its loss, so no later loss can take its id.
+            assert alive() is not None
+
+    def test_built_in_losses_share_entries_by_value(self):
+        data = generate_lasso(50, 4, 2, 0.1, seed=9)
+        body = L1Ball(1.0, 4)
+        assert cached_solve(body, SquaredError(), data) is cached_solve(body, SQ, data)
+        assert cached_solve(body, Huber(0.5), data) is cached_solve(body, Huber(0.5), data)
+        assert cached_solve(body, Huber(0.5), data) is not cached_solve(body, Huber(0.25), data)
+
+
+def shifted_squared_error(shift: float) -> CustomLoss:
+    def loss_full(theta, X, y):
+        r = X @ theta - (y + shift)
+        return 0.5 * float(r @ r) / X.shape[0]
+
+    def grad_full(theta, X, y):
+        return X.T @ (X @ theta - (y + shift)) / X.shape[0]
+
+    return CustomLoss(lambda t, x, y: 0.5 * (float(x @ t) - y - shift) ** 2,
+                      lambda t, x, y: (float(x @ t) - y - shift) * x,
+                      constants={}, loss_full=loss_full, grad_full=grad_full)
+
+
+class TestDimensionMismatch:
+    def test_rejected_before_any_statistic(self, rng, monkeypatch):
+        data = Dataset(X=rng.uniform(-1, 1, (30, 6)), y=rng.uniform(-1, 1, 30))
+
+        def no_memo(self, key, compute):
+            raise AssertionError(f"statistic {key!r} computed before the check")
+
+        monkeypatch.setattr(Dataset, "_memo", no_memo)
+        for solve in (solve_exact, cached_solve):
+            with pytest.raises(ValueError, match=r"body dimension 5 .* p = 6"):
+                solve(L1Ball(1.0, 5), SQ, data)
