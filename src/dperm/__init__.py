@@ -28,7 +28,6 @@ from .privacy import (
     sample_gaussian_vec,
     sample_laplace,
     spawn_rng,
-    sub_gaussian_noise,
 )
 from .solvers import SolverConfig, SolverReport, resolve_defaults, run_solver
 
@@ -44,6 +43,6 @@ __all__ = [
     "GroupedL1", "NegativeEntropy", "PolytopeQNorm", "Potential", "SquaredL2",
     "NoisePlan", "PrivacyBudget", "fw_gaussian_sigma", "fw_laplace_scale",
     "md_sigma", "objpert_plan", "report_noisy_min", "sample_gaussian_vec",
-    "sample_laplace", "spawn_rng", "sub_gaussian_noise",
+    "sample_laplace", "spawn_rng",
     "SolverConfig", "SolverReport", "resolve_defaults", "run_solver",
 ]

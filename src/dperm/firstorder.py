@@ -1,0 +1,149 @@
+"""Certified accelerated projected gradient: the one first-order loop.
+
+``minimize`` minimizes a smooth convex f over a body and returns only a
+certified iterate.  The non-private oracle, the inner solve of objective
+perturbation and the generic mirror-descent prox all run it.
+
+Certificate: every ``CHECK_EVERY`` iterations the Frank-Wolfe gap
+grad f(x) . (x - lmo(grad f(x))), an upper bound on f(x) - min f over the
+body, is compared with the target: tol * (1 + |f(x)|) when f's value is
+given, tol otherwise.  The iterate is returned once the gap meets it.
+
+Step and restart decisions use gradients only, because near an optimum
+with f* > 0 the objective stops changing in floating point long before the
+certificate is met:
+
+- step test: a projected step x+ from z is accepted when
+  (grad f(x+) - grad f(z)) . (x+ - z) <= ||x+ - z||^2 / (2 step); for a
+  convex f this implies the descent-lemma bound
+  f(x+) <= f(z) + grad f(z) . (x+ - z) + ||x+ - z||^2 / (2 step).
+  The step halves until the test holds and grows by 10% per iteration;
+- restart: momentum is dropped when (z - x+) . (x+ - x) > 0, the
+  gradient restart of O'Donoghue & Candes (arXiv:1204.3982).
+
+Stall rule (there is no iteration cap): a run whose best gap has not
+improved for ``STALL_CHECKS`` checks, or whose step falls below
+``MIN_STEP``, raises ``NotCertifiedError`` carrying the best-gap iterate.
+
+A ``Polytope`` body runs over its simplex of vertex coefficients, which is
+projectable; f, its gradient and the gap are taken in ambient space.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Callable, NamedTuple, Optional
+
+import numpy as np
+
+from .geometry import ConvexBody, Polytope, Simplex
+
+CHECK_EVERY = 10
+STALL_CHECKS = 50
+MIN_STEP = 1e-18
+
+
+class Certified(NamedTuple):
+    """A certified minimizer: ``gap`` is its Frank-Wolfe gap; ``value`` is
+    f(x) when f's value was given, else None."""
+
+    x: np.ndarray
+    gap: float
+    value: Optional[float]
+    iterations: int
+
+
+class NotCertifiedError(RuntimeError):
+    """A run that could not certify, with its best-gap iterate."""
+
+    def __init__(self, reason: str, x: np.ndarray, gap: float, target: float,
+                 iterations: int, value: Optional[float]):
+        self.x, self.gap, self.target = x, gap, target
+        self.iterations, self.value = iterations, value
+        best = "" if value is None else f" (best value {value:.17g})"
+        super().__init__(
+            f"first-order solve did not certify optimality ({reason}): best gap {gap:.3e} "
+            f"above target {target:.3e} after {iterations} iterations{best}"
+        )
+
+
+def minimize(body: ConvexBody, fgrad: Callable[[np.ndarray], np.ndarray], tol: float,
+             fval: Optional[Callable[[np.ndarray], float]] = None,
+             x0: Optional[np.ndarray] = None) -> Certified:
+    """Minimize f over the body to a Frank-Wolfe gap certificate.
+
+    The target is relative, tol * (1 + |f(x)|), when ``fval`` is given and
+    absolute otherwise.  The run starts at the feasible point ``x0``, or at
+    the body's canonical point; a polytope always starts at its uniform
+    vertex coefficients, since a point has no unique coefficients.
+    """
+    if isinstance(body, Polytope):
+        V = body.vertex_array
+        run_body = Simplex(dimension=body.n_vertices)
+
+        def to_point(a):
+            return V.T @ a
+
+        def run_grad(a):
+            return V @ fgrad(V.T @ a)
+
+        x = run_body.canonical_point()
+    else:
+        run_body, run_grad = body, fgrad
+
+        def to_point(u):
+            return u
+
+        x = body.canonical_point() if x0 is None else np.array(x0, dtype=float)
+
+    def gap_at(u) -> float:
+        # u is feasible, so the true gap is nonnegative; a negative value
+        # is rounding at an optimum on the boundary.
+        pt = to_point(u)
+        g = fgrad(pt)
+        return max(float(g @ (pt - body.lmo(g))), 0.0)
+
+    def not_certified(reason: str) -> NotCertifiedError:
+        return NotCertifiedError(reason, to_point(best_x), best_gap, best_target, it,
+                                 best_value)
+
+    z = x.copy()
+    t_mom = 1.0
+    step = 1.0
+    best_x, best_gap, best_target, best_value = x, math.inf, math.nan, None
+    stale_checks = 0
+    it = 0
+    while True:
+        if it % CHECK_EVERY == 0:
+            gap = gap_at(x)
+            fx = None if fval is None else fval(to_point(x))
+            target = tol if fx is None else tol * (1.0 + abs(fx))
+            if gap <= target:
+                return Certified(to_point(x), gap, fx, it)
+            if gap < best_gap:
+                best_x, best_gap, best_target, best_value = x, gap, target, fx
+                stale_checks = 0
+            else:
+                stale_checks += 1
+                if stale_checks >= STALL_CHECKS:
+                    raise not_certified(f"gap stalled for {STALL_CHECKS} checks")
+        it += 1
+        gz = run_grad(z)
+        while True:
+            x_new = run_body.euclidean_project(z - step * gz)
+            diff = x_new - z
+            if float((run_grad(x_new) - gz) @ diff) <= float(diff @ diff) / (2 * step):
+                break
+            step *= 0.5
+            if step < MIN_STEP:
+                raise not_certified("step search underflow")
+        if float((z - x_new) @ (x_new - x)) > 0:  # gradient restart
+            z = x_new
+            t_mom = 1.0
+        else:
+            t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_mom * t_mom))
+            # Projected so that gradients are only taken at feasible points.
+            z = run_body.euclidean_project(x_new + ((t_mom - 1.0) / t_new) * (x_new - x))
+            t_mom = t_new
+        x = x_new
+        step *= 1.1

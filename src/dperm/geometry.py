@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -269,7 +270,7 @@ class Simplex(ConvexBody):
 
     def euclidean_project(self, x) -> np.ndarray:
         v = _as_vector(x, self.dimension)
-        return _project_simplex_exact(v)
+        return _project_simplex(v, 1.0)
 
     def canonical_point(self) -> np.ndarray:
         return np.full(self.dimension, 1.0 / self.dimension)
@@ -306,10 +307,11 @@ class Polytope(ConvexBody):
     def n_vertices(self) -> int:
         return self.vertex_array.shape[0]
 
-    @property
+    @cached_property
     def is_symmetric(self) -> bool:
         V = self.vertex_array
-        # Symmetric iff every vertex's negation is also in the hull.
+        # Symmetric iff every vertex's negation is also in the hull; one LP
+        # per vertex, so computed once per polytope.
         return all(self._in_hull(-v) for v in V)
 
     def contains(self, x) -> bool:
@@ -552,24 +554,16 @@ class Box(ConvexBody):
 # Exact projections
 
 
-def _project_simplex(v_nonneg: np.ndarray, total: float) -> np.ndarray:
-    """Project a nonnegative vector onto {w >= 0, sum w = total} given sum(v) > total.
+def _project_simplex(v: np.ndarray, total: float) -> np.ndarray:
+    """Project v onto {w >= 0, sum w = total}.
 
-    Sort-based threshold rule (Duchi et al.).  Also reused for the l1-ball
-    projection applied to |x|.
+    Sort-based threshold rule (Duchi et al.).  The simplex projection
+    passes vectors of any sign with total = 1; the l1-ball and grouped-ball
+    projections pass |x| (or block norms), nonnegative with sum above
+    ``total``.
     """
-    u = np.sort(v_nonneg)[::-1]
-    css = np.cumsum(u) - total
-    ks = np.arange(1, len(u) + 1)
-    cond = u - css / ks > 0
-    rho = int(np.nonzero(cond)[0][-1])
-    tau = css[rho] / (rho + 1.0)
-    return np.maximum(v_nonneg - tau, 0.0)
-
-
-def _project_simplex_exact(v: np.ndarray) -> np.ndarray:
     u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
+    css = np.cumsum(u) - total
     ks = np.arange(1, len(u) + 1)
     cond = u - css / ks > 0
     rho = int(np.nonzero(cond)[0][-1])

@@ -98,13 +98,6 @@ class RiskRecord:
                 repr(float(self.optimum)), self.T, repr(float(self.sigma)),
                 repr(float(self.laplace_scale)), repr(float(self.wall_ms))]
 
-    @classmethod
-    def from_row(cls, row: list[str]) -> "RiskRecord":
-        return cls(solver=row[0], n=int(row[1]), seed=int(row[2]),
-                   excess_risk=float(row[3]), optimum=float(row[4]),
-                   T=int(row[5]), sigma=float(row[6]),
-                   laplace_scale=float(row[7]), wall_ms=float(row[8]))
-
 
 @dataclass
 class ExperimentSpec:
@@ -258,16 +251,3 @@ def write_records_csv(records: list[RiskRecord], path) -> None:
         writer.writerow(RECORD_FIELDS)
         for r in records:
             writer.writerow(r.to_row())
-
-
-def read_records_csv(path) -> list[RiskRecord]:
-    out = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != RECORD_FIELDS:
-            raise ValueError(f"unexpected record header {header}")
-        for row in reader:
-            if row:
-                out.append(RiskRecord.from_row(row))
-    return out

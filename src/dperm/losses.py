@@ -236,7 +236,6 @@ class LossSpec:
     """Convex per-record loss with derived (or declared) solver constants."""
 
     strong_convexity: Optional[float] = None
-    strong_convexity_ref: Optional[str] = None
 
     # -- evaluation ---------------------------------------------------------
 
@@ -434,7 +433,6 @@ class CustomLoss(LossSpec):
         self.name = name
         self.constants = dict(constants)
         self.strong_convexity = self.constants.get("strong_convexity")
-        self.strong_convexity_ref = self.constants.get("strong_convexity_ref")
 
     def _loss_full(self, theta, X, y) -> float:
         if self._loss_batch is not None:
@@ -536,7 +534,6 @@ def ridge_loss(ridge: float, body: ConvexBody, data: Dataset) -> CustomLoss:
         "lambda_min": lam_min + ridge,
         "lambda_max": lam_max + ridge,
         "strong_convexity": ridge,
-        "strong_convexity_ref": "squared_l2",
     }
 
     def loss_full(theta, X, y):

@@ -1,9 +1,11 @@
 """Non-private baselines and excess empirical risk measurement.
 
 ``solve_exact`` produces the constrained optimum the private solvers are
-judged against, with a Frank-Wolfe duality-gap certificate.  For the
-sparse-regression instance a dedicated coordinate-descent path solve is
-available as an independent cross-check.
+judged against, with a Frank-Wolfe duality-gap certificate.  It runs the
+shared certified accelerated-gradient loop of ``firstorder`` with a
+relative target; that module states the certificate and the stall rule.
+For the sparse-regression instance a dedicated coordinate-descent path
+solve is available as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -16,13 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ConvexBody, Polytope, Simplex
+from .firstorder import minimize
+from .geometry import ConvexBody, Polytope
 from .losses import Dataset, LossSpec, loss_key, require_matching_dimension
 
 DEFAULT_REL_TOL = 1e-9
-CHECK_EVERY = 10
-STALL_CHECKS = 50
-MIN_STEP = 1e-18
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,22 +48,12 @@ def solve_exact(body: ConvexBody, loss: LossSpec, data: Dataset,
                 tol: float | None = None) -> OracleSolution:
     """Minimize the empirical loss over the body to a duality-gap certificate.
 
-    Projectable bodies run accelerated projected gradient; polytopes are
-    reformulated over their simplex of vertex coefficients (which is
-    projectable) so the same routine applies.  The relative tolerance
-    defaults to 1e-9 * (1 + |optimum|).
-
-    The accelerated loop takes its step and restart decisions from
-    gradients only: a step is accepted when
-    (grad f(x+) - grad f(z)) . (x+ - z) <= ||x+ - z||^2 / (2 step), and
-    momentum restarts when (z - x+) . (x+ - x) > 0.  It therefore keeps
-    making progress after the objective value stops changing in floating
-    point, which is where an interior optimum with f* > 0 must be certified.
-
-    The optimum is returned only once its Frank-Wolfe gap meets the
-    tolerance.  A run that cannot certify (its best gap stops improving, or
-    the step search underflows) raises ``RuntimeError`` naming the best gap,
-    the target, the iteration count and the best value.
+    Runs ``firstorder.minimize`` with a relative target, by default
+    1e-9 * (1 + |optimum|); polytopes run over their simplex of vertex
+    coefficients there.  The optimum is returned only once its Frank-Wolfe
+    gap meets the target.  A run that cannot certify raises
+    ``firstorder.NotCertifiedError`` (a ``RuntimeError``) naming the best
+    gap, the target, the iteration count and the best value.
 
     A body whose dimension is not the data's p raises ``ValueError`` first.
     """
@@ -71,120 +61,11 @@ def solve_exact(body: ConvexBody, loss: LossSpec, data: Dataset,
     rel_tol = DEFAULT_REL_TOL if tol is None else tol
     if rel_tol <= 0:
         raise ValueError("tol must be positive")
-
-    if isinstance(body, Polytope):
-        V = body.vertex_array
-        coeff_body = Simplex(dimension=body.n_vertices)
-
-        def fval(a):
-            return loss.loss(V.T @ a, data)
-
-        def fgrad(a):
-            return V @ loss.grad(V.T @ a, data)
-
-        a_star, value, gap = _fista(coeff_body, fval, fgrad, rel_tol,
-                                    gap_body=body, to_point=lambda a: V.T @ a,
-                                    point_grad=lambda a: loss.grad(V.T @ a, data))
-        theta = V.T @ a_star
-        method = "fista-coefficient"
-    else:
-        def fval(x):
-            return loss.loss(x, data)
-
-        def fgrad(x):
-            return loss.grad(x, data)
-
-        theta, value, gap = _fista(body, fval, fgrad, rel_tol)
-        method = "fista"
-    return OracleSolution(theta_star=theta, optimum_value=value,
-                          gap_certificate=gap, method=method, body=body)
-
-
-def _fista(body: ConvexBody, fval, fgrad, rel_tol: float,
-           gap_body: ConvexBody | None = None, to_point=None, point_grad=None):
-    """Accelerated projected gradient with a FW-gap stop rule.
-
-    Every step decision uses gradients only, because near an optimum with
-    f* > 0 the objective stops changing in floating point long before the
-    gap certificate is met:
-
-    - step test: a projected step x+ from z is accepted when
-      (grad f(x+) - grad f(z)) . (x+ - z) <= ||x+ - z||^2 / (2 step); for a
-      convex f this implies the descent-lemma bound
-      f(x+) <= f(z) + grad f(z) . (x+ - z) + ||x+ - z||^2 / (2 step).
-      The step halves until the test holds and grows by 10% per iteration;
-    - restart: momentum is dropped when (z - x+) . (x+ - x) > 0, the
-      gradient restart of O'Donoghue & Candes (arXiv:1204.3982).
-
-    Every ``CHECK_EVERY`` iterations the FW gap at x is compared with the
-    target ``rel_tol * (1 + |f(x)|)``; the iterate is returned only once the
-    target is met.  A run whose best gap has not improved for
-    ``STALL_CHECKS`` checks, or whose step falls below ``MIN_STEP``, raises
-    ``RuntimeError`` naming the best gap, the target, the iteration count
-    and the best value.
-
-    The gap is measured in the ambient space when a coefficient
-    reformulation is in play (``gap_body``/``to_point``/``point_grad``).
-    """
-    x = body.canonical_point()
-    z = x.copy()
-    t_mom = 1.0
-    step = 1.0
-
-    def ambient_gap(u) -> float:
-        # u is feasible, so the true gap is nonnegative; a negative value
-        # is rounding at an optimum on the boundary.
-        if gap_body is None:
-            g = fgrad(u)
-            return max(float(g @ (u - body.lmo(g))), 0.0)
-        g = point_grad(u)
-        pt = to_point(u)
-        return max(float(g @ (pt - gap_body.lmo(g))), 0.0)
-
-    def not_certified(reason: str) -> RuntimeError:
-        return RuntimeError(
-            f"oracle did not certify optimality ({reason}): best gap {best_gap:.3e} "
-            f"above target {best_target:.3e} after {it} iterations "
-            f"(best value {best_value:.17g})"
-        )
-
-    best_gap, best_target, best_value = math.inf, math.nan, math.nan
-    stale_checks = 0
-    it = 0
-    while True:
-        if it % CHECK_EVERY == 0:
-            gap = ambient_gap(x)
-            fx = fval(x)
-            target = rel_tol * (1.0 + abs(fx))
-            if gap <= target:
-                return x, fx, gap
-            if gap < best_gap:
-                best_gap, best_target, best_value = gap, target, fx
-                stale_checks = 0
-            else:
-                stale_checks += 1
-                if stale_checks >= STALL_CHECKS:
-                    raise not_certified(f"gap stalled for {STALL_CHECKS} checks")
-        it += 1
-        gz = fgrad(z)
-        while True:
-            x_new = body.euclidean_project(z - step * gz)
-            diff = x_new - z
-            if float((fgrad(x_new) - gz) @ diff) <= float(diff @ diff) / (2 * step):
-                break
-            step *= 0.5
-            if step < MIN_STEP:
-                raise not_certified("step search underflow")
-        if float((z - x_new) @ (x_new - x)) > 0:  # gradient restart
-            z = x_new
-            t_mom = 1.0
-        else:
-            t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_mom * t_mom))
-            # Projected so that gradients are only taken at feasible points.
-            z = body.euclidean_project(x_new + ((t_mom - 1.0) / t_new) * (x_new - x))
-            t_mom = t_new
-        x = x_new
-        step *= 1.1
+    sol = minimize(body, lambda x: loss.grad(x, data), rel_tol,
+                   fval=lambda x: loss.loss(x, data))
+    method = "fista-coefficient" if isinstance(body, Polytope) else "fista"
+    return OracleSolution(theta_star=sol.x, optimum_value=sol.value,
+                          gap_certificate=sol.gap, method=method, body=body)
 
 
 def excess_risk(theta, oracle: OracleSolution, loss: LossSpec, data: Dataset) -> float:

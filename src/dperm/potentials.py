@@ -19,6 +19,7 @@ from typing import Optional
 
 import numpy as np
 
+from .firstorder import NotCertifiedError, minimize
 from .geometry import (
     ConvexBody,
     GroupedL1Ball,
@@ -31,13 +32,12 @@ from .geometry import (
 
 ENTROPY_FLOOR = 1e-12
 
-# Inner prox solves stop at this variational-inequality residual.
+# The generic prox solve stops at this Frank-Wolfe gap.
 PROX_GAP_TOL = 1e-8
-PROX_MAX_ITERS = 10_000
 
 
 class MirrorStepError(RuntimeError):
-    """Raised when an inner prox solve does not reach its residual target."""
+    """Raised when the generic prox solve cannot certify its gap target."""
 
 
 class Potential:
@@ -78,9 +78,12 @@ class Potential:
         """argmin over the body of <eta*g, x> + B_Psi(x, x_t).
 
         ``g`` is the (already noised) gradient in the potential's iterate
-        space.  Closed forms are used where available; otherwise projected
-        gradient on the prox objective runs until the variational-inequality
-        residual drops below ``PROX_GAP_TOL``.
+        space.  The concrete potentials override this with closed forms.
+        Here the prox objective F(x) = <eta*g - grad Psi(x_t), x> + Psi(x)
+        is minimized by ``firstorder.minimize``, warm-started at x_t, to an
+        absolute Frank-Wolfe gap of ``PROX_GAP_TOL``; a solve that cannot
+        certify raises ``MirrorStepError`` naming its gap and iteration
+        count.
         """
         if eta <= 0:
             raise ValueError("step size eta must be positive")
@@ -88,57 +91,11 @@ class Potential:
         g = np.asarray(g, dtype=float)
         if not np.all(np.isfinite(g)):
             raise ValueError("gradient must be finite")
-        return self._prox_solve(body, x_t, g, eta)
-
-    def _prox_solve(self, body: ConvexBody, x_t: np.ndarray, g: np.ndarray,
-                    eta: float) -> np.ndarray:
-        # Prox objective F(x) = <c, x> + Psi(x), c = eta*g - grad Psi(x_t),
-        # minimized by accelerated projected gradient with restarts.
         c = eta * g - self.grad(x_t)
-
-        def fval(x):
-            return float(c @ x) + self.value(x)
-
-        def fgrad(x):
-            return c + self.grad(x)
-
-        x = x_t.copy()
-        z = x.copy()
-        t_mom = 1.0
-        step = 1.0
-        fx = fval(x)
-        it = 0
-        while it < PROX_MAX_ITERS:
-            it += 1
-            gx = fgrad(x)
-            gap = float(gx @ (x - body.lmo(gx)))
-            if gap <= PROX_GAP_TOL:
-                return x
-            gz = fgrad(z)
-            fz = fval(z)
-            while True:
-                x_new = body.euclidean_project(z - step * gz)
-                diff = x_new - z
-                f_new = fval(x_new)
-                if f_new <= fz + float(gz @ diff) + float(diff @ diff) / (2 * step):
-                    break
-                step *= 0.5
-                if step < 1e-16:
-                    raise MirrorStepError("prox line search underflow")
-            if f_new > fx:  # restart momentum when the objective backtracks
-                z = x.copy()
-                t_mom = 1.0
-                continue
-            t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_mom * t_mom))
-            z = body.euclidean_project(x_new + ((t_mom - 1.0) / t_new) * (x_new - x))
-            x, fx, t_mom = x_new, f_new, t_new
-            step *= 1.2
-        gx = fgrad(x)
-        gap = float(gx @ (x - body.lmo(gx)))
-        raise MirrorStepError(
-            f"mirror-step inner solve did not converge within {PROX_MAX_ITERS} "
-            f"iterations (residual {gap:.3e} > {PROX_GAP_TOL:.0e})"
-        )
+        try:
+            return minimize(body, lambda x: c + self.grad(x), PROX_GAP_TOL, x0=x_t).x
+        except NotCertifiedError as exc:
+            raise MirrorStepError(f"mirror-step inner solve: {exc}") from exc
 
     # -- constants ----------------------------------------------------------
 

@@ -197,34 +197,6 @@ def report_noisy_min(scores, scale: float, rng: np.random.Generator) -> int:
     return int(np.argmin(scores))
 
 
-def sub_gaussian_noise(p: int, covariance, rng: np.random.Generator) -> np.ndarray:
-    """Gaussian sample with the given covariance (diagonal vector or full matrix).
-
-    Used only by the non-private noisy-gradient mirror-descent mode.
-    """
-    cov = np.asarray(covariance, dtype=float)
-    if cov.ndim == 1:
-        if cov.shape[0] != p:
-            raise ValueError("diagonal covariance dimension mismatch")
-        if np.any(cov < 0):
-            raise ValueError("covariance must be positive semi-definite")
-        if np.all(cov == 0.0):
-            return np.zeros(p)
-        return np.sqrt(cov) * rng.standard_normal(p)
-    if cov.shape != (p, p):
-        raise ValueError("covariance must be (p,) or (p, p)")
-    if np.all(cov == 0.0):
-        return np.zeros(p)
-    try:
-        root = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        vals, vecs = np.linalg.eigh(cov)
-        if vals.min() < -1e-10 * max(vals.max(), 1.0):
-            raise ValueError("covariance must be positive semi-definite")
-        root = vecs * np.sqrt(np.clip(vals, 0.0, None))
-    return root @ rng.standard_normal(p)
-
-
 def spawn_rng(master_seed: int, stream_id: int) -> np.random.Generator:
     """Documented split function: stream ``stream_id`` of a master seed.
 

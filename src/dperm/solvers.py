@@ -20,7 +20,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .geometry import ConvexBody, Polytope, body_from_dict, gaussian_width_mc, symmetric_hull
+from .firstorder import NotCertifiedError, minimize
+from .geometry import ConvexBody, body_from_dict, gaussian_width_mc, symmetric_hull
 from .losses import Dataset, LossSpec, loss_from_dict, require_matching_dimension
 from .potentials import Potential, SquaredL2, potential_from_dict
 from .privacy import (
@@ -42,7 +43,6 @@ _STREAM_NOISE = 0
 _STREAM_WIDTH = 1
 
 OBJPERT_INNER_TOL = 1e-8
-OBJPERT_INNER_CAP = 100_000
 
 
 @dataclass
@@ -414,7 +414,13 @@ def strongly_convex_md(cfg: SolverConfig, data: Dataset) -> SolverReport:
 
 
 def objective_perturbation(cfg: SolverConfig, data: Dataset) -> SolverReport:
-    """One-shot privatization: minimize L + (zeta/2)||theta - theta0||^2 + <b, theta>."""
+    """One-shot privatization: minimize L + (zeta/2)||theta - theta0||^2 + <b, theta>.
+
+    The inner minimization runs ``firstorder.minimize`` to an absolute
+    Frank-Wolfe gap of ``OBJPERT_INNER_TOL``.  When it cannot certify (its
+    stall rule fires), the best-gap iterate is returned with
+    ``inner_converged = False`` and a warning naming the gap.
+    """
     if cfg.algorithm != "obj_pert":
         raise ValueError("config algorithm mismatch")
     from .losses import Huber
@@ -430,15 +436,14 @@ def objective_perturbation(cfg: SolverConfig, data: Dataset) -> SolverReport:
     theta0 = run.theta0
     zeta = run.zeta
 
-    def fval(theta):
-        d = theta - theta0
-        return cfg.loss.loss(theta, data) + 0.5 * zeta * float(d @ d) + float(b @ theta)
-
     def fgrad(theta):
         return cfg.loss.grad(theta, data) + zeta * (theta - theta0) + b
 
-    theta, converged, gap, iters = _inner_minimize(cfg.body, fval, fgrad)
-    if not converged:
+    try:
+        sol = minimize(cfg.body, fgrad, OBJPERT_INNER_TOL)
+        theta, gap, iters, converged = sol.x, sol.gap, sol.iterations, True
+    except NotCertifiedError as exc:
+        theta, gap, iters, converged = exc.x, exc.gap, exc.iterations, False
         warnings.warn(
             f"objective-perturbation inner solve stopped at gap {gap:.3e} "
             f"after {iters} iterations; returning the best iterate",
@@ -456,74 +461,6 @@ def objective_perturbation(cfg: SolverConfig, data: Dataset) -> SolverReport:
     report.extras["inner_converged"] = converged
     report.extras["inner_gap"] = gap
     return report
-
-
-def _inner_minimize(body: ConvexBody, fval, fgrad,
-                    tol: float = OBJPERT_INNER_TOL,
-                    cap: int = OBJPERT_INNER_CAP):
-    """Accelerated projected gradient; polytopes run over vertex coefficients.
-
-    The plain Frank-Wolfe inner solver the source suggests for polytopes
-    cannot certify a 1e-8 gap within the iteration cap (its gap decays like
-    1/T), so the coefficient reformulation is used instead.
-    """
-    from .geometry import Simplex
-
-    if isinstance(body, Polytope):
-        V = body.vertex_array
-        coeff = Simplex(dimension=body.n_vertices)
-        a, converged, gap, iters = _apg(coeff, lambda a: fval(V.T @ a),
-                                        lambda a: V @ fgrad(V.T @ a), tol, cap,
-                                        gap_fn=lambda a: _fw_gap(body, V.T @ a, fgrad))
-        return V.T @ a, converged, gap, iters
-    return _apg(body, fval, fgrad, tol, cap,
-                gap_fn=lambda x: _fw_gap(body, x, fgrad))
-
-
-def _fw_gap(body: ConvexBody, x: np.ndarray, fgrad) -> float:
-    g = fgrad(x)
-    return float(g @ (x - body.lmo(g)))
-
-
-def _apg(body, fval, fgrad, tol, cap, gap_fn):
-    x = body.canonical_point()
-    z = x.copy()
-    t_mom = 1.0
-    step = 1.0
-    fx = fval(x)
-    stalls = 0
-    it = 0
-    while it < cap:
-        it += 1
-        if it % 10 == 1:
-            gap = gap_fn(x)
-            if gap <= tol:
-                return x, True, gap, it
-        g = fgrad(z)
-        fz = fval(z)
-        while True:
-            x_new = body.euclidean_project(z - step * g)
-            diff = x_new - z
-            f_new = fval(x_new)
-            if f_new <= fz + float(g @ diff) + float(diff @ diff) / (2 * step):
-                break
-            step *= 0.5
-            if step < 1e-18:
-                return x, False, gap_fn(x), it
-        if f_new > fx:
-            z = x.copy()
-            t_mom = 1.0
-            stalls += 1
-            if stalls > 200:  # rounding floor
-                break
-            continue
-        stalls = 0
-        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_mom * t_mom))
-        z = body.euclidean_project(x_new + ((t_mom - 1.0) / t_new) * (x_new - x))
-        x, fx, t_mom = x_new, f_new, t_new
-        step *= 1.1
-    gap = gap_fn(x)
-    return x, gap <= tol, gap, it
 
 
 def private_fw_polytope(cfg: SolverConfig, data: Dataset) -> SolverReport:

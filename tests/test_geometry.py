@@ -311,6 +311,26 @@ class TestSymmetricHull:
         for v in TRIANGLE:
             assert hull.contains(v) and hull.contains(-v)
 
+    def test_polytope_symmetry_solves_its_lps_once(self, monkeypatch):
+        import dperm.geometry as geometry
+
+        calls = []
+        real = geometry.linprog
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(geometry, "linprog", counting)
+        poly = Polytope(CROSS)
+        assert poly.is_symmetric
+        assert len(calls) == len(CROSS)  # one hull LP per vertex
+        assert poly.is_symmetric
+        assert symmetric_hull(poly) is poly
+        assert len(calls) == len(CROSS)
+        poly.minkowski_norm([0.5, 0.0])
+        assert len(calls) == len(CROSS) + 1  # the norm's own coefficient LP
+
 
 class TestSerialization:
     def test_round_trip(self):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import dperm.potentials as potentials
 from dperm.geometry import (
     GroupedL1Ball,
     L1Ball,
@@ -24,6 +25,17 @@ from dperm.potentials import (
 )
 
 CROSS = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+
+
+class HalfSquared(Potential):
+    """0.5 ||x||^2 through the base class's generic prox."""
+
+    def value(self, x) -> float:
+        x = np.asarray(x, dtype=float)
+        return 0.5 * float(x @ x)
+
+    def grad(self, x) -> np.ndarray:
+        return np.array(x, dtype=float)
 
 
 def make_cases(rng):
@@ -144,6 +156,27 @@ class TestMirrorStep:
                 g = rng.standard_normal(x.size)
                 res = pot.mirror_step(body, x, g, 0.1)
                 assert float(g @ (res - x)) <= 1e-10
+
+    def test_generic_prox_matches_projection(self, rng):
+        # Only value and grad: the prox runs the shared certified solver.
+        # F is 1-strongly convex, so a gap of PROX_GAP_TOL puts the output
+        # within sqrt(2 PROX_GAP_TOL) of the exact prox.
+        pot, body = HalfSquared(), L1Ball(1.0, 6)
+        for _ in range(20):
+            x = sample_feasible(body, rng)
+            g = rng.standard_normal(6) * rng.uniform(0.1, 10.0)
+            eta = float(rng.uniform(0.01, 2.0))
+            out = pot.mirror_step(body, x, g, eta)
+            ref = body.euclidean_project(x - eta * g)
+            assert np.linalg.norm(out - ref) <= math.sqrt(2.0 * potentials.PROX_GAP_TOL)
+
+    def test_generic_prox_unreachable_tol_raises(self, rng, monkeypatch):
+        monkeypatch.setattr(potentials, "PROX_GAP_TOL", 1e-30)
+        body = L1Ball(1.0, 6)
+        x = 0.5 * sample_feasible(body, rng)
+        with pytest.raises(MirrorStepError,
+                           match=r"best gap \d\.\d+e[-+]\d+ .* after \d+ iterations"):
+            HalfSquared().mirror_step(body, x, 0.01 * rng.standard_normal(6), 1.0)
 
     def test_eta_must_be_positive(self):
         with pytest.raises(ValueError):

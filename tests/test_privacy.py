@@ -14,7 +14,6 @@ from dperm.privacy import (
     sample_gaussian_vec,
     sample_laplace,
     spawn_rng,
-    sub_gaussian_noise,
 )
 
 
@@ -198,37 +197,6 @@ class TestReportNoisyMin:
         g = np.random.default_rng(21)
         wins = sum(report_noisy_min([0.0, 10.0], 1.0, g) == 0 for _ in range(10 ** 4))
         assert wins / 10 ** 4 >= 0.99
-
-
-class TestSubGaussianNoise:
-    def test_spherical_reduces_to_gaussian_vec(self):
-        g1 = np.random.default_rng(3)
-        g2 = np.random.default_rng(3)
-        a = sub_gaussian_noise(5, np.full(5, 4.0), g1)
-        b = sample_gaussian_vec(5, 2.0, g2)
-        assert np.allclose(a, b)
-
-    def test_zero_covariance(self):
-        out = sub_gaussian_noise(4, np.zeros((4, 4)), np.random.default_rng(0))
-        assert np.array_equal(out, np.zeros(4))
-
-    def test_empirical_covariance(self):
-        cov = np.array([[2.0, 0.8], [0.8, 1.0]])
-        rng = np.random.default_rng(17)
-        draws = np.array([sub_gaussian_noise(2, cov, rng) for _ in range(10 ** 5)])
-        emp = np.cov(draws.T)
-        # Entrywise within 3 standard errors (se ~ sqrt(2/m) * scale).
-        for i in range(2):
-            for j in range(2):
-                se = math.sqrt((cov[i, i] * cov[j, j] + cov[i, j] ** 2) / 10 ** 5)
-                assert abs(emp[i, j] - cov[i, j]) <= 3 * se
-
-    def test_non_psd_rejected(self):
-        with pytest.raises(ValueError):
-            sub_gaussian_noise(2, np.array([[1.0, 2.0], [2.0, 1.0]]),
-                               np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            sub_gaussian_noise(2, np.array([-1.0, 1.0]), np.random.default_rng(0))
 
 
 class TestNoisePlan:

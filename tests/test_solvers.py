@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from dperm.geometry import L1Ball, L2Ball, Polytope, Simplex
+import dperm.solvers as solvers
+from dperm.geometry import Box, L1Ball, L2Ball, Polytope, Simplex
 from dperm.harness import generate_lasso
 from dperm.losses import CustomLoss, Dataset, Huber, SquaredError, ridge_loss
 from dperm.oracle import cached_solve, excess_risk, solve_exact
@@ -245,6 +247,33 @@ class TestObjectivePerturbation:
         oracle = solve_exact(body, SQ, small_lasso)
         assert abs(SQ.loss(rep.theta_priv, small_lasso) - oracle.optimum_value) <= 1e-6
         assert rep.extras["inner_converged"]
+
+    def test_box_inner_solve_certifies(self):
+        # Interior optimum on a box, where the objective stops changing in
+        # floating point before the gap target is met.
+        data = generate_lasso(n=100, p=20, sparsity=5, noise_level=0.1, seed=5)
+        body = Box(lo=-5.0 * np.ones(20), hi=5.0 * np.ones(20))
+        cfg = SolverConfig(algorithm="obj_pert", body=body, loss=SQ,
+                           budget=PrivacyBudget(1.0, 1e-6), seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = objective_perturbation(cfg, data)
+        assert rep.extras["inner_converged"]
+        assert rep.extras["inner_gap"] <= solvers.OBJPERT_INNER_TOL
+        assert rep.feasible
+
+    def test_unreachable_tol_warns_and_returns_best_iterate(self, monkeypatch):
+        data = generate_lasso(n=100, p=20, sparsity=5, noise_level=0.1, seed=5)
+        body = Box(lo=-5.0 * np.ones(20), hi=5.0 * np.ones(20))
+        cfg = SolverConfig(algorithm="obj_pert", body=body, loss=SQ,
+                           budget=PrivacyBudget(1.0, 1e-6), seed=1)
+        monkeypatch.setattr(solvers, "OBJPERT_INNER_TOL", 1e-30)
+        with pytest.warns(UserWarning, match=r"objective-perturbation inner solve stopped "
+                                             r"at gap \d\.\d+e[-+]\d+ after \d+ iterations"):
+            rep = objective_perturbation(cfg, data)
+        assert rep.extras["inner_converged"] is False
+        assert 0.0 < rep.extras["inner_gap"] <= 1e-8
+        assert rep.iterations > 0 and rep.feasible
 
     def test_huber_rejected(self, small_lasso):
         cfg = SolverConfig(algorithm="obj_pert", body=L1Ball(1.0, 12),
