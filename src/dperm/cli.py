@@ -4,14 +4,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from .geometry import body_from_dict, gaussian_width_mc
-from .harness import ExperimentSpec, run_sweep, summarize, write_records_csv
+from .harness import ExperimentSpec, run_sweep, summarize
 from .losses import Dataset
 from .oracle import cached_solve, excess_risk
-from .privacy import PrivacyBudget
 from .solvers import SolverConfig, run_solver
 
 
@@ -100,8 +98,6 @@ def _cmd_bench(args) -> int:
     records, failures = run_sweep(spec)
     summary = summarize(records)
     summary["failures"] = failures
-    if spec.output and not args.output:
-        pass  # run_sweep already wrote CSV + summary next to spec.output
     print(json.dumps(summary, indent=2))
     return 0 if not failures else 1
 

@@ -12,7 +12,6 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linprog

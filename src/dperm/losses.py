@@ -36,16 +36,13 @@ import csv
 import hashlib
 import json
 import math
-import struct
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .geometry import ConvexBody, FEAS_TOL
-
-_BINARY_MAGIC = b"DPRM"
+from .geometry import ConvexBody
 
 LASSO_DOMAIN_TOL = 1e-12
 
@@ -189,33 +186,6 @@ class Dataset:
         if data.ndim != 2 or data.shape[1] < 2:
             raise ValueError("CSV must have at least one feature column and a target column")
         return cls(X=data[:, :-1], y=data[:, -1], lasso_profile=lasso_profile)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"x_{j + 1}" for j in range(self.p)] + ["y"])
-            for i in range(self.n):
-                writer.writerow([repr(float(v)) for v in self.X[i]]
-                                + [repr(float(self.y[i]))])
-
-    @classmethod
-    def from_binary(cls, path, lasso_profile: bool = False) -> "Dataset":
-        with open(path, "rb") as fh:
-            magic = fh.read(4)
-            if magic != _BINARY_MAGIC:
-                raise ValueError("not a dataset binary file")
-            n, p = struct.unpack("<QQ", fh.read(16))
-            flat = np.fromfile(fh, dtype="<f8", count=n * (p + 1))
-        if flat.size != n * (p + 1):
-            raise ValueError("truncated dataset binary file")
-        rows = flat.reshape(n, p + 1)
-        return cls(X=rows[:, :p], y=rows[:, p], lasso_profile=lasso_profile)
-
-    def to_binary(self, path) -> None:
-        with open(path, "wb") as fh:
-            fh.write(_BINARY_MAGIC)
-            fh.write(struct.pack("<QQ", self.n, self.p))
-            np.hstack([self.X, self.y[:, None]]).astype("<f8").tofile(fh)
 
 
 def _require_nonempty(data: Dataset) -> None:
@@ -559,7 +529,7 @@ def ridge_loss(ridge: float, body: ConvexBody, data: Dataset) -> CustomLoss:
 
 def _extreme_points(body: ConvexBody):
     """Points spanning the body for norm maxima (vertices or ball axes)."""
-    from .geometry import Box, GroupedL1Ball, L1Ball, L2Ball
+    from .geometry import Box, GroupedL1Ball, L2Ball
 
     try:
         return list(body.vertices())

@@ -14,7 +14,7 @@ polytope itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -60,6 +60,16 @@ class Potential:
     def _check_body(self, body: ConvexBody) -> None:
         pass
 
+    def _step_args(self, x_t, g, eta: float):
+        """Check a mirror step's arguments; return x_t and g as float arrays."""
+        if eta <= 0:
+            raise ValueError("step size eta must be positive")
+        x_t = np.asarray(x_t, dtype=float)
+        g = np.asarray(g, dtype=float)
+        if not np.all(np.isfinite(g)):
+            raise ValueError("gradient must be finite")
+        return x_t, g
+
     # -- core interface ----------------------------------------------------
 
     def value(self, x) -> float:
@@ -85,12 +95,7 @@ class Potential:
         certify raises ``MirrorStepError`` naming its gap and iteration
         count.
         """
-        if eta <= 0:
-            raise ValueError("step size eta must be positive")
-        x_t = np.asarray(x_t, dtype=float)
-        g = np.asarray(g, dtype=float)
-        if not np.all(np.isfinite(g)):
-            raise ValueError("gradient must be finite")
+        x_t, g = self._step_args(x_t, g, eta)
         c = eta * g - self.grad(x_t)
         try:
             return minimize(body, lambda x: c + self.grad(x), PROX_GAP_TOL, x0=x_t).x
@@ -141,12 +146,7 @@ class SquaredL2(Potential):
         return np.asarray(x, dtype=float) - self._c()
 
     def mirror_step(self, body: ConvexBody, x_t, g, eta: float) -> np.ndarray:
-        if eta <= 0:
-            raise ValueError("step size eta must be positive")
-        x_t = np.asarray(x_t, dtype=float)
-        g = np.asarray(g, dtype=float)
-        if not np.all(np.isfinite(g)):
-            raise ValueError("gradient must be finite")
+        x_t, g = self._step_args(x_t, g, eta)
         # The center cancels in the Bregman divergence: exactly projected GD.
         return body.euclidean_project(x_t - eta * g)
 
@@ -197,13 +197,9 @@ class NegativeEntropy(Potential):
         return np.log(v) + 1.0
 
     def mirror_step(self, body: ConvexBody, x_t, g, eta: float) -> np.ndarray:
-        if eta <= 0:
-            raise ValueError("step size eta must be positive")
         self._check_body(body)
+        x_t, g = self._step_args(x_t, g, eta)
         x_t = self._floored(x_t)
-        g = np.asarray(g, dtype=float)
-        if not np.all(np.isfinite(g)):
-            raise ValueError("gradient must be finite")
         # Multiplicative-weights update, stabilized against overflow.
         z = np.log(x_t) - eta * g
         z -= z.max()
@@ -296,12 +292,7 @@ class PolytopeQNorm(Potential):
         2(q-1) ||b(lam)||_q^(q-2) sum b(lam) = 1, bracketed and bisected to
         machine precision, after which a = b / sum b.
         """
-        if eta <= 0:
-            raise ValueError("step size eta must be positive")
-        x_t = np.asarray(x_t, dtype=float)
-        g = np.asarray(g, dtype=float)
-        if not np.all(np.isfinite(g)):
-            raise ValueError("gradient must be finite")
+        x_t, g = self._step_args(x_t, g, eta)
         c = eta * g - self.grad(x_t)
         q = self.q
         expo = 1.0 / (q - 1.0)
@@ -358,10 +349,9 @@ class PolytopeQNorm(Potential):
                        constraints=[{"type": "eq", "fun": lambda a: V.T @ a - theta,
                                      "jac": lambda a: V.T}],
                        options={"maxiter": 500, "ftol": 1e-14})
+        res_fun = res.fun
         if not res.success and res.fun > obj(a0):
-            res_x, res_fun = a0, obj(a0)
-        else:
-            res_fun = res.fun
+            res_fun = obj(a0)
         return float(res_fun) ** (1.0 / q)
 
     @property
@@ -454,13 +444,8 @@ class GroupedL1(Potential):
         problem: t_j(lam) = (xi (||c_j|| - lam)_+)^(1/(M-1)), with lam
         bisected so the norms sum to the radius (lam = 0 if already inside).
         """
-        if eta <= 0:
-            raise ValueError("step size eta must be positive")
         self._check_body(body)
-        x_t = np.asarray(x_t, dtype=float)
-        g = np.asarray(g, dtype=float)
-        if not np.all(np.isfinite(g)):
-            raise ValueError("gradient must be finite")
+        x_t, g = self._step_args(x_t, g, eta)
         c = eta * g - self.grad(x_t)
         slices = self._block_slices()
         a = np.array([np.linalg.norm(c[s]) for s in slices])

@@ -1,6 +1,18 @@
 """Private solvers: noisy mirror descent, objective perturbation, Frank-Wolfe.
 
-Every solver is deterministic given (config, data, seed): noise injection
+``run_solver`` is the one entry point.  It resolves the step count, step
+schedule and noise scales (``resolve_defaults``), then runs the loop of the
+algorithm's family:
+
+- mirror descent (``noisy_md``, ``strongly_convex_md``): T-1 prox steps on
+  Gaussian-noised gradients, returning the average of the first T iterates;
+- objective perturbation (``obj_pert``): one certified minimization of
+  L + (zeta/2)||theta - theta0||^2 + <b, theta> with Gaussian b;
+- Frank-Wolfe (``fw_polytope``, ``fw_general``): T-1 steps toward a private
+  target, the vertex with the report-noisy-min score for ``fw_polytope``
+  and the LMO of the Gaussian-noised gradient for ``fw_general``.
+
+Every run is deterministic given (config, data, seed): noise injection
 is the only stochastic element, and the zero-scale samplers leave the
 generator untouched, so a non-private run reproduces its classical
 counterpart's iterate sequence bit for bit.
@@ -22,8 +34,8 @@ import numpy as np
 
 from .firstorder import NotCertifiedError, minimize
 from .geometry import ConvexBody, body_from_dict, gaussian_width_mc, symmetric_hull
-from .losses import Dataset, LossSpec, loss_from_dict, require_matching_dimension
-from .potentials import Potential, SquaredL2, potential_from_dict
+from .losses import Dataset, Huber, LossSpec, loss_from_dict, require_matching_dimension
+from .potentials import Potential, potential_from_dict
 from .privacy import (
     NoisePlan,
     PrivacyBudget,
@@ -43,6 +55,9 @@ _STREAM_NOISE = 0
 _STREAM_WIDTH = 1
 
 OBJPERT_INNER_TOL = 1e-8
+
+# Monte-Carlo samples behind a default-T Gaussian width.
+WIDTH_SAMPLES = 20_000
 
 
 @dataclass
@@ -67,7 +82,6 @@ class SolverConfig:
     seed: int = 0
     t_cap: int = 10 ** 6
     gaussian_width: Optional[float] = None
-    width_samples: int = 20_000
     record_iterates: bool = False
 
     def __post_init__(self):
@@ -79,12 +93,14 @@ class SolverConfig:
             raise ValueError(f"{self.algorithm} requires a potential")
         if self.algorithm == "fw_polytope":
             try:
-                self.body.vertices()
+                n_vertices = self.body.vertices().shape[0]
             except ValueError as exc:
                 raise ValueError(
                     "fw_polytope requires a vertex-enumerable body "
                     "(polytope, l1 ball, or simplex)"
                 ) from exc
+            if n_vertices > 10 ** 6:
+                raise ValueError("vertex count above 10^6 makes score enumeration infeasible")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SolverConfig":
@@ -107,7 +123,6 @@ class SolverConfig:
             seed=int(doc.get("seed", 0)),
             t_cap=int(doc.get("t_cap", 10 ** 6)),
             gaussian_width=doc.get("gaussian_width"),
-            width_samples=int(doc.get("width_samples", 20_000)),
         )
 
 
@@ -150,21 +165,6 @@ def _jsonable(v) -> bool:
 # Default resolution
 
 
-def _clamp_steps(raw: float, cap: int, plan: NoisePlan, context: str) -> int:
-    if math.isinf(raw):
-        plan.log(f"T formula diverges in non-private mode; capped at {cap}")
-        return cap
-    if raw < 1.0:
-        raise ValueError(
-            f"{context}: default step count resolves to {raw:.3g} < 1; "
-            "increase n or epsilon, or supply T explicitly"
-        )
-    T = min(int(raw), cap)
-    if T < raw:
-        plan.log(f"T = min(floor({raw:.6g}), cap {cap}) = {T}")
-    return T
-
-
 def _q_body_for(cfg: SolverConfig) -> ConvexBody:
     if cfg.q_body is not None:
         return cfg.q_body
@@ -180,7 +180,7 @@ def _width_of(cfg: SolverConfig, body: ConvexBody, plan: NoisePlan, label: str) 
     if cfg.gaussian_width is not None:
         plan.log(f"{label} = {cfg.gaussian_width} (user-supplied)")
         return float(cfg.gaussian_width)
-    est = gaussian_width_mc(body, cfg.width_samples, seed_from(cfg.seed, _STREAM_WIDTH))
+    est = gaussian_width_mc(body, WIDTH_SAMPLES, seed_from(cfg.seed, _STREAM_WIDTH))
     plan.log(f"{label} = {est.mean:.6g} (Monte Carlo, {est.samples} samples, "
              f"se {est.std_error:.2g})")
     return est.mean
@@ -198,9 +198,6 @@ class ResolvedRun:
     plan: NoisePlan
     eta: Optional[Callable[[int], float]] = None  # MD step for index t (1-based)
     mu: Optional[Callable[[int], float]] = None   # FW mixing weight at step t
-    L1: float = 0.0
-    L2: float = 0.0
-    curvature: float = 0.0
     zeta: float = 0.0
     theta0: Optional[np.ndarray] = None
 
@@ -211,55 +208,7 @@ def resolve_defaults(cfg: SolverConfig, data: Dataset) -> ResolvedRun:
     eps, delta, n = cfg.budget.epsilon, cfg.budget.delta, data.n
     L1, L2 = cfg.loss.lipschitz_constants(cfg.body, data)
     alg = cfg.algorithm
-
-    if alg == "noisy_md":
-        plan = NoisePlan(mechanism="gaussian_per_step", steps=0)
-        plan.log(f"L2 = {L2:.6g}, n = {n}, eps = {eps}, delta = {delta}")
-        q_body = _q_body_for(cfg)
-        q_diam = q_body.l2_diameter()
-        if cfg.T > 0:
-            T = cfg.T
-            plan.log(f"T = {T} (user-supplied)")
-        else:
-            g_q = _width_of(cfg, q_body, plan, "G_Q")
-            raw = (q_diam ** 2 * eps ** 2 * n ** 2) / (L2 ** 2 * math.log(n / delta) ** 2 * g_q ** 2) \
-                if L2 > 0 and math.isfinite(eps) else math.inf
-            plan.log("T formula: ||Q||_2^2 eps^2 n^2 / (L2^2 ln^2(n/delta) G_Q^2) "
-                     f"= {raw:.6g}")
-            T = _clamp_steps(raw, cfg.t_cap, plan, "noisy_md")
-        sigma = md_sigma(L2, T, cfg.budget, n)
-        plan.steps = T
-        plan.sigma = sigma
-        plan.log(f"sigma = sqrt(32 L2^2 T) ln(T/delta)/(eps n) = {sigma:.6g}")
-        eta = _md_eta(cfg, L2, q_diam, T, plan)
-        return ResolvedRun(T=T, plan=plan, eta=eta, L1=L1, L2=L2)
-
-    if alg == "strongly_convex_md":
-        delta_sc = cfg.loss.strong_convexity
-        if not delta_sc or delta_sc <= 0:
-            raise ValueError("strongly_convex_md requires a loss with strong_convexity > 0")
-        plan = NoisePlan(mechanism="gaussian_per_step", steps=0)
-        plan.log(f"L2 = {L2:.6g}, Delta = {delta_sc}, n = {n}, eps = {eps}, delta = {delta}")
-        if cfg.T > 0:
-            T = cfg.T
-            plan.log(f"T = {T} (user-supplied)")
-        else:
-            g_c = _width_of(cfg, cfg.body, plan, "G_C")
-            raw = (cfg.body.l2_diameter() * n * eps) ** 2 / g_c ** 2 \
-                if math.isfinite(eps) else math.inf
-            plan.log(f"T formula: (||C||_2 n eps)^2 / G_C^2 = {raw:.6g}")
-            T = _clamp_steps(raw, cfg.t_cap, plan, "strongly_convex_md")
-        sigma = md_sigma(L2, T, cfg.budget, n)
-        plan.steps = T
-        plan.sigma = sigma
-        plan.log(f"sigma = sqrt(32 L2^2 T) ln(T/delta)/(eps n) = {sigma:.6g}")
-        if cfg.schedule is not None:
-            eta = cfg.schedule
-            plan.log("eta: user-supplied schedule")
-        else:
-            eta = sc_step_schedule(delta_sc)
-            plan.log(f"eta_t = 2/(Delta t) with Delta = {delta_sc}")
-        return ResolvedRun(T=T, plan=plan, eta=eta, L1=L1, L2=L2)
+    private = math.isfinite(eps)
 
     if alg == "obj_pert":
         lam_min, lam_max = cfg.loss.hessian_eig_bounds(cfg.body, data)
@@ -270,53 +219,99 @@ def resolve_defaults(cfg: SolverConfig, data: Dataset) -> ResolvedRun:
                  f"n = {n}, eps = {eps}, delta = {delta}")
         plan.log(f"sigma = L2 sqrt(2 ln(1/delta))/(n eps) = {sigma:.6g}")
         plan.log(f"zeta = max(2 lambda_max/(n eps) - lambda_min, 0) = {zeta:.6g}")
-        theta0 = cfg.body.canonical_point()
-        return ResolvedRun(T=1, plan=plan, L1=L1, L2=L2, zeta=zeta, theta0=theta0)
+        return ResolvedRun(T=1, plan=plan, zeta=zeta, theta0=cfg.body.canonical_point())
 
-    if alg == "fw_polytope":
+    plan = NoisePlan(mechanism="laplace_per_score" if alg == "fw_polytope"
+                     else "gaussian_per_step", steps=0)
+
+    def steps(text: str, raw: Callable[[], float]) -> int:
+        # The user's T verbatim; else the formula ``text``, evaluated (width
+        # included) by ``raw``, floored at 1 and capped at t_cap.
+        if cfg.T > 0:
+            plan.log(f"T = {cfg.T} (user-supplied)")
+            return cfg.T
+        value = raw()
+        plan.log(f"T formula: {text} = {value:.6g}")
+        if math.isinf(value):
+            plan.log(f"T formula diverges in non-private mode; capped at {cfg.t_cap}")
+            return cfg.t_cap
+        if value < 1.0:
+            raise ValueError(
+                f"{alg}: default step count resolves to {value:.3g} < 1; "
+                "increase n or epsilon, or supply T explicitly"
+            )
+        T = min(int(value), cfg.t_cap)
+        if T < value:
+            plan.log(f"T = min(floor({value:.6g}), cap {cfg.t_cap}) = {T}")
+        return T
+
+    if alg == "noisy_md":
+        plan.log(f"L2 = {L2:.6g}, n = {n}, eps = {eps}, delta = {delta}")
+        q_body = _q_body_for(cfg)
+        q_diam = q_body.l2_diameter()
+
+        def raw() -> float:
+            g_q = _width_of(cfg, q_body, plan, "G_Q")
+            return (q_diam ** 2 * eps ** 2 * n ** 2) / (L2 ** 2 * math.log(n / delta) ** 2 * g_q ** 2) \
+                if L2 > 0 and private else math.inf
+
+        T = steps("||Q||_2^2 eps^2 n^2 / (L2^2 ln^2(n/delta) G_Q^2)", raw)
+    elif alg == "strongly_convex_md":
+        delta_sc = cfg.loss.strong_convexity
+        if not delta_sc or delta_sc <= 0:
+            raise ValueError("strongly_convex_md requires a loss with strong_convexity > 0")
+        plan.log(f"L2 = {L2:.6g}, Delta = {delta_sc}, n = {n}, eps = {eps}, delta = {delta}")
+
+        def raw() -> float:
+            g_c = _width_of(cfg, cfg.body, plan, "G_C")
+            return (cfg.body.l2_diameter() * n * eps) ** 2 / g_c ** 2 if private else math.inf
+
+        T = steps("(||C||_2 n eps)^2 / G_C^2", raw)
+    elif alg == "fw_polytope":
         gamma = cfg.loss.curvature_bound(cfg.body, data)
         c_l1 = cfg.body.l1_radius()
-        plan = NoisePlan(mechanism="laplace_per_score", steps=0)
         plan.log(f"L1 = {L1:.6g}, ||C||_1 = {c_l1:.6g}, Gamma = {gamma:.6g}, "
                  f"n = {n}, eps = {eps}, delta = {delta}")
-        if cfg.T > 0:
-            T = cfg.T
-            plan.log(f"T = {T} (user-supplied)")
-        else:
-            raw = (gamma ** (2 / 3) * (n * eps) ** (2 / 3) / (L1 * c_l1) ** (2 / 3)) \
-                if L1 * c_l1 > 0 and math.isfinite(eps) else math.inf
-            plan.log(f"T formula: Gamma^(2/3) (n eps)^(2/3) / (L1 ||C||_1)^(2/3) = {raw:.6g}")
-            T = _clamp_steps(raw, cfg.t_cap, plan, "fw_polytope")
+        T = steps("Gamma^(2/3) (n eps)^(2/3) / (L1 ||C||_1)^(2/3)",
+                  lambda: (gamma ** (2 / 3) * (n * eps) ** (2 / 3) / (L1 * c_l1) ** (2 / 3))
+                  if L1 * c_l1 > 0 and private else math.inf)
+    else:
+        gamma = cfg.loss.curvature_bound(cfg.body, data)
+        plan.log(f"L2 = {L2:.6g}, Gamma = {gamma:.6g}, n = {n}, eps = {eps}, delta = {delta}")
+
+        def raw() -> float:
+            g_c = _width_of(cfg, cfg.body, plan, "G_C")
+            return (gamma ** (2 / 3) * (n * eps) ** (2 / 3) / (L2 * g_c) ** (2 / 3)) \
+                if L2 * g_c > 0 and private else math.inf
+
+        T = steps("Gamma^(2/3) (n eps)^(2/3) / (L2 G_C)^(2/3)", raw)
+    plan.steps = T
+
+    if alg == "fw_polytope":
         scale = fw_laplace_scale(L1, c_l1, T, cfg.budget, n)
-        plan.steps = T
         plan.laplace_scale = scale
         plan.log(f"laplace scale = L1 ||C||_1 sqrt(8 T ln(1/delta))/(n eps) = {scale:.6g}")
         plan.log("scores use the 1/n-normalized gradient, paired with the "
                  "per-record sensitivity scale above")
-        mu = _fw_mu(cfg, T, plan)
-        return ResolvedRun(T=T, plan=plan, mu=mu, L1=L1, L2=L2, curvature=gamma)
+        return ResolvedRun(T=T, plan=plan, mu=_fw_mu(cfg, T, plan))
+    if alg == "fw_general":
+        sigma = fw_gaussian_sigma(L2, T, cfg.budget, n)
+        plan.sigma = sigma
+        plan.log(f"sigma = sqrt(32 L2 T) ln(n/delta)/(n eps) = {sigma:.6g} "
+                 "(source display is linear in L2 and logs n/delta, unlike the "
+                 "mirror-descent scale; implemented verbatim)")
+        return ResolvedRun(T=T, plan=plan, mu=_fw_mu(cfg, T, plan))
 
-    # fw_general
-    gamma = cfg.loss.curvature_bound(cfg.body, data)
-    plan = NoisePlan(mechanism="gaussian_per_step", steps=0)
-    plan.log(f"L2 = {L2:.6g}, Gamma = {gamma:.6g}, n = {n}, eps = {eps}, delta = {delta}")
-    if cfg.T > 0:
-        T = cfg.T
-        plan.log(f"T = {T} (user-supplied)")
-    else:
-        g_c = _width_of(cfg, cfg.body, plan, "G_C")
-        raw = (gamma ** (2 / 3) * (n * eps) ** (2 / 3) / (L2 * g_c) ** (2 / 3)) \
-            if L2 * g_c > 0 and math.isfinite(eps) else math.inf
-        plan.log(f"T formula: Gamma^(2/3) (n eps)^(2/3) / (L2 G_C)^(2/3) = {raw:.6g}")
-        T = _clamp_steps(raw, cfg.t_cap, plan, "fw_general")
-    sigma = fw_gaussian_sigma(L2, T, cfg.budget, n)
-    plan.steps = T
+    sigma = md_sigma(L2, T, cfg.budget, n)
     plan.sigma = sigma
-    plan.log(f"sigma = sqrt(32 L2 T) ln(n/delta)/(n eps) = {sigma:.6g} "
-             "(source display is linear in L2 and logs n/delta, unlike the "
-             "mirror-descent scale; implemented verbatim)")
-    mu = _fw_mu(cfg, T, plan)
-    return ResolvedRun(T=T, plan=plan, mu=mu, L1=L1, L2=L2, curvature=gamma)
+    plan.log(f"sigma = sqrt(32 L2^2 T) ln(T/delta)/(eps n) = {sigma:.6g}")
+    if alg == "noisy_md":
+        return ResolvedRun(T=T, plan=plan, eta=_md_eta(cfg, L2, q_diam, T, plan))
+    if cfg.schedule is not None:
+        plan.log("eta: user-supplied schedule")
+        return ResolvedRun(T=T, plan=plan, eta=cfg.schedule)
+    plan.log(f"eta_t = 2/(Delta t) with Delta = {delta_sc}")
+    return ResolvedRun(T=T, plan=plan, eta=sc_step_schedule(delta_sc))
 
 
 def _md_eta(cfg: SolverConfig, L2: float, q_diam: float, T: int,
@@ -361,27 +356,19 @@ def sc_step_schedule(delta_sc: float) -> Callable[[int], float]:
 
 
 # ---------------------------------------------------------------------------
-# Solvers
+# Loops: each returns (theta_priv, iterations, extras) and appends its
+# iterates to ``trace`` when that is a list.
 
 
-def noisy_mirror_descent(cfg: SolverConfig, data: Dataset) -> SolverReport:
-    """Mirror descent with per-step Gaussian gradient noise; averaged output.
-
-    Runs T-1 prox steps and returns the average of the first T iterates
-    (the T-th step of the source loop cannot affect the averaged output and
-    is skipped).
-    """
-    if cfg.algorithm not in ("noisy_md", "strongly_convex_md"):
-        raise ValueError("config algorithm mismatch")
-    run = resolve_defaults(cfg, data)
+def _mirror_descent(cfg: SolverConfig, data: Dataset, run: ResolvedRun, rng, trace):
+    # The T-th step of the source loop cannot affect the averaged output and
+    # is skipped.
     pot = cfg.potential
     it_body = pot.iterate_body(cfg.body)
-    rng = spawn_rng(cfg.seed, _STREAM_NOISE)
-    start = time.perf_counter()
-
     x = it_body.canonical_point()
     acc = x.copy()
-    trace = [pot.to_point(x)] if cfg.record_iterates else None
+    if trace is not None:
+        trace.append(pot.to_point(x))
     p = cfg.body.dimension
     for t in range(1, run.T):
         theta_t = pot.to_point(x)
@@ -390,51 +377,15 @@ def noisy_mirror_descent(cfg: SolverConfig, data: Dataset) -> SolverReport:
         acc += x
         if trace is not None:
             trace.append(pot.to_point(x))
-    theta_priv = pot.to_point(acc / run.T)
-
-    report = SolverReport(
-        algorithm=cfg.algorithm,
-        theta_priv=theta_priv,
-        iterations=run.T,
-        noise_plan=run.plan,
-        seed=cfg.seed,
-        wall_time_s=time.perf_counter() - start,
-        feasible=cfg.body.contains(theta_priv),
-    )
-    if trace is not None:
-        report.extras["iterates"] = trace
-    return report
+    return pot.to_point(acc / run.T), run.T, {}
 
 
-def strongly_convex_md(cfg: SolverConfig, data: Dataset) -> SolverReport:
-    """Noisy mirror descent with the 2/(Delta t) schedule and its default T."""
-    if cfg.algorithm != "strongly_convex_md":
-        raise ValueError("config algorithm mismatch")
-    return noisy_mirror_descent(cfg, data)
-
-
-def objective_perturbation(cfg: SolverConfig, data: Dataset) -> SolverReport:
-    """One-shot privatization: minimize L + (zeta/2)||theta - theta0||^2 + <b, theta>.
-
-    The inner minimization runs ``firstorder.minimize`` to an absolute
-    Frank-Wolfe gap of ``OBJPERT_INNER_TOL``.  When it cannot certify (its
-    stall rule fires), the best-gap iterate is returned with
-    ``inner_converged = False`` and a warning naming the gap.
-    """
-    if cfg.algorithm != "obj_pert":
-        raise ValueError("config algorithm mismatch")
-    from .losses import Huber
-
-    if isinstance(cfg.loss, Huber):
-        raise ValueError("objective perturbation needs a twice continuously "
-                         "differentiable loss; the Huber loss is not C^2")
-    run = resolve_defaults(cfg, data)
-    rng = spawn_rng(cfg.seed, _STREAM_NOISE)
-    start = time.perf_counter()
-    p = cfg.body.dimension
-    b = sample_gaussian_vec(p, run.plan.sigma, rng)
-    theta0 = run.theta0
-    zeta = run.zeta
+def _objective_perturbation(cfg: SolverConfig, data: Dataset, run: ResolvedRun, rng, trace):
+    # The inner minimization runs to an absolute Frank-Wolfe gap of
+    # OBJPERT_INNER_TOL; when it cannot certify, the best-gap iterate is
+    # returned with inner_converged = False and a warning naming the gap.
+    b = sample_gaussian_vec(cfg.body.dimension, run.plan.sigma, rng)
+    theta0, zeta = run.theta0, run.zeta
 
     def fgrad(theta):
         return cfg.loss.grad(theta, data) + zeta * (theta - theta0) + b
@@ -447,113 +398,89 @@ def objective_perturbation(cfg: SolverConfig, data: Dataset) -> SolverReport:
         warnings.warn(
             f"objective-perturbation inner solve stopped at gap {gap:.3e} "
             f"after {iters} iterations; returning the best iterate",
-            stacklevel=2,
+            stacklevel=3,
         )
-    report = SolverReport(
-        algorithm=cfg.algorithm,
-        theta_priv=theta,
-        iterations=iters,
-        noise_plan=run.plan,
-        seed=cfg.seed,
-        wall_time_s=time.perf_counter() - start,
-        feasible=cfg.body.contains(theta),
-    )
-    report.extras["inner_converged"] = converged
-    report.extras["inner_gap"] = gap
-    return report
+    return theta, iters, {"inner_converged": converged, "inner_gap": gap}
 
 
-def private_fw_polytope(cfg: SolverConfig, data: Dataset) -> SolverReport:
-    """Frank-Wolfe over an explicit vertex list with noisy per-vertex scores.
+def _frank_wolfe(cfg: SolverConfig, data: Dataset, run: ResolvedRun, rng, trace):
+    # theta_T after exactly T-1 steps toward a private target.  For
+    # fw_polytope the output is a convex combination of the start point and
+    # at most T-1 selected vertices; that ledger is replayed from the picks.
+    if cfg.algorithm == "fw_polytope":
+        V = cfg.body.vertices()
+        picks: list[int] = []
 
-    Exactly T-1 report-noisy-min selections; the output is theta_T, a convex
-    combination of the start point and at most T-1 selected vertices (the
-    combination ledger is kept in the report extras).
-    """
-    if cfg.algorithm != "fw_polytope":
-        raise ValueError("config algorithm mismatch")
-    V = cfg.body.vertices()
-    if V.shape[0] > 10 ** 6:
-        raise ValueError("vertex count above 10^6 makes score enumeration infeasible")
-    run = resolve_defaults(cfg, data)
-    rng = spawn_rng(cfg.seed, _STREAM_NOISE)
-    start = time.perf_counter()
+        def target(g):
+            idx = report_noisy_min(V @ g, run.plan.laplace_scale, rng)
+            picks.append(idx)
+            return V[idx]
+    else:
+        p = cfg.body.dimension
+
+        def target(g):
+            return cfg.body.lmo(g + sample_gaussian_vec(p, run.plan.sigma, rng))
 
     theta = cfg.body.canonical_point()
-    weights: dict[object, float] = {"start": 1.0}
-    trace = [theta.copy()] if cfg.record_iterates else None
+    if trace is not None:
+        trace.append(theta.copy())
     for t in range(1, run.T):
-        g = cfg.loss.grad(theta, data)
-        scores = V @ g
-        idx = report_noisy_min(scores, run.plan.laplace_scale, rng)
+        s = target(cfg.loss.grad(theta, data))
         mu = run.mu(t)
-        theta = (1.0 - mu) * theta + mu * V[idx]
+        theta = (1.0 - mu) * theta + mu * s
+        if trace is not None:
+            trace.append(theta.copy())
+    if cfg.algorithm != "fw_polytope":
+        return theta, run.T, {}
+
+    weights: dict[object, float] = {"start": 1.0}
+    for t, idx in enumerate(picks, start=1):
+        mu = run.mu(t)
         for k in weights:
             weights[k] *= 1.0 - mu
         weights[idx] = weights.get(idx, 0.0) + mu
-        if trace is not None:
-            trace.append(theta.copy())
-
-    report = SolverReport(
-        algorithm=cfg.algorithm,
-        theta_priv=theta,
-        iterations=run.T,
-        noise_plan=run.plan,
-        seed=cfg.seed,
-        wall_time_s=time.perf_counter() - start,
-        feasible=cfg.body.contains(theta),
-    )
-    report.extras["vertex_weights"] = {str(k): v for k, v in weights.items()}
-    report.extras["support_size"] = sum(1 for v in weights.values() if v > 0)
-    if trace is not None:
-        report.extras["iterates"] = trace
-    return report
+    return theta, run.T, {
+        "vertex_weights": {str(k): v for k, v in weights.items()},
+        "support_size": sum(1 for v in weights.values() if v > 0),
+    }
 
 
-def private_fw_general(cfg: SolverConfig, data: Dataset) -> SolverReport:
-    """Frank-Wolfe with one Gaussian vector added to the gradient before the LMO."""
-    if cfg.algorithm != "fw_general":
-        raise ValueError("config algorithm mismatch")
-    run = resolve_defaults(cfg, data)
-    rng = spawn_rng(cfg.seed, _STREAM_NOISE)
-    start = time.perf_counter()
-    p = cfg.body.dimension
-
-    theta = cfg.body.canonical_point()
-    trace = [theta.copy()] if cfg.record_iterates else None
-    for t in range(1, run.T):
-        g = cfg.loss.grad(theta, data) + sample_gaussian_vec(p, run.plan.sigma, rng)
-        target = cfg.body.lmo(g)
-        mu = run.mu(t)
-        theta = (1.0 - mu) * theta + mu * target
-        if trace is not None:
-            trace.append(theta.copy())
-
-    report = SolverReport(
-        algorithm=cfg.algorithm,
-        theta_priv=theta,
-        iterations=run.T,
-        noise_plan=run.plan,
-        seed=cfg.seed,
-        wall_time_s=time.perf_counter() - start,
-        feasible=cfg.body.contains(theta),
-    )
-    if trace is not None:
-        report.extras["iterates"] = trace
-    return report
-
-
-_DISPATCH = {
-    "noisy_md": noisy_mirror_descent,
-    "strongly_convex_md": strongly_convex_md,
-    "obj_pert": objective_perturbation,
-    "fw_polytope": private_fw_polytope,
-    "fw_general": private_fw_general,
+_LOOPS = {
+    "noisy_md": _mirror_descent,
+    "strongly_convex_md": _mirror_descent,
+    "obj_pert": _objective_perturbation,
+    "fw_polytope": _frank_wolfe,
+    "fw_general": _frank_wolfe,
 }
 
 
 def run_solver(cfg: SolverConfig, data: Dataset) -> SolverReport:
-    """Run the configured algorithm; a body/data dimension mismatch raises
-    ``ValueError`` before any work starts."""
+    """Run the configured algorithm.
+
+    A body/data dimension mismatch, or a Huber loss under objective
+    perturbation, raises ``ValueError`` before any work starts.  With
+    ``record_iterates`` the step loops keep their T iterates in
+    ``extras["iterates"]``.
+    """
     require_matching_dimension(cfg.body, data)
-    return _DISPATCH[cfg.algorithm](cfg, data)
+    if cfg.algorithm == "obj_pert" and isinstance(cfg.loss, Huber):
+        raise ValueError("objective perturbation needs a twice continuously "
+                         "differentiable loss; the Huber loss is not C^2")
+    run = resolve_defaults(cfg, data)
+    rng = spawn_rng(cfg.seed, _STREAM_NOISE)
+    trace = [] if cfg.record_iterates else None
+    start = time.perf_counter()
+    theta, iterations, extras = _LOOPS[cfg.algorithm](cfg, data, run, rng, trace)
+    report = SolverReport(
+        algorithm=cfg.algorithm,
+        theta_priv=theta,
+        iterations=iterations,
+        noise_plan=run.plan,
+        seed=cfg.seed,
+        wall_time_s=time.perf_counter() - start,
+        feasible=cfg.body.contains(theta),
+        extras=extras,
+    )
+    if trace:
+        report.extras["iterates"] = trace
+    return report

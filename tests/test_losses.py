@@ -1,3 +1,4 @@
+import csv
 import pickle
 
 import numpy as np
@@ -38,7 +39,11 @@ class TestDataset:
     def test_csv_round_trip(self, tmp_path, rng):
         data = lasso_dataset(rng, n=17, p=3)
         path = tmp_path / "data.csv"
-        data.to_csv(path)
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([f"x_{j + 1}" for j in range(data.p)] + ["y"])
+            for x, y in data.records():
+                writer.writerow([repr(float(v)) for v in x] + [repr(y)])
         again = Dataset.from_csv(path, lasso_profile=True)
         assert np.array_equal(again.X, data.X) and np.array_equal(again.y, data.y)
 
@@ -47,19 +52,6 @@ class TestDataset:
         path.write_text("0.5,0.25,1.0\n-0.5,0.75,0.0\n")
         data = Dataset.from_csv(path)
         assert data.n == 2 and data.p == 2
-
-    def test_binary_round_trip(self, tmp_path, rng):
-        data = lasso_dataset(rng, n=9, p=4)
-        path = tmp_path / "data.bin"
-        data.to_binary(path)
-        again = Dataset.from_binary(path)
-        assert np.array_equal(again.X, data.X) and np.array_equal(again.y, data.y)
-
-    def test_binary_bad_magic(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(ValueError):
-            Dataset.from_binary(path)
 
 
 class TestSquaredErrorEvaluation:

@@ -13,14 +13,9 @@ from dperm.potentials import NegativeEntropy, PolytopeQNorm, SquaredL2
 from dperm.privacy import PrivacyBudget
 from dperm.solvers import (
     SolverConfig,
-    noisy_mirror_descent,
-    objective_perturbation,
-    private_fw_general,
-    private_fw_polytope,
     resolve_defaults,
     run_solver,
     sc_step_schedule,
-    strongly_convex_md,
 )
 
 NON_PRIVATE = PrivacyBudget.non_private()
@@ -138,7 +133,7 @@ class TestNoisyMirrorDescent:
         cfg = SolverConfig(algorithm="noisy_md", body=L1Ball(1.0, 12), loss=SQ,
                            budget=PrivacyBudget(1.0, 1e-6), potential=SquaredL2(12),
                            T=1, seed=3)
-        rep = noisy_mirror_descent(cfg, small_lasso)
+        rep = run_solver(cfg, small_lasso)
         assert np.array_equal(rep.theta_priv, L1Ball(1.0, 12).canonical_point())
 
     def test_zero_noise_matches_reference_pgd_bitwise(self, small_lasso):
@@ -146,7 +141,7 @@ class TestNoisyMirrorDescent:
         cfg = SolverConfig(algorithm="noisy_md", body=body, loss=SQ,
                            budget=NON_PRIVATE, potential=SquaredL2(12), T=50,
                            step_size=0.5, seed=9)
-        rep = noisy_mirror_descent(cfg, small_lasso)
+        rep = run_solver(cfg, small_lasso)
         ref = reference_pgd_averaged(body, SQ, small_lasso, 50, 0.5)
         assert np.array_equal(rep.theta_priv, ref)
 
@@ -155,7 +150,7 @@ class TestNoisyMirrorDescent:
         cfg = SolverConfig(algorithm="noisy_md", body=body, loss=SQ,
                            budget=NON_PRIVATE, potential=NegativeEntropy(12), T=40,
                            step_size=0.3, seed=9)
-        rep = noisy_mirror_descent(cfg, small_lasso)
+        rep = run_solver(cfg, small_lasso)
         ref = reference_entropy_md_averaged(body, SQ, small_lasso, 40, 0.3)
         assert np.array_equal(rep.theta_priv, ref)
 
@@ -163,7 +158,7 @@ class TestNoisyMirrorDescent:
         cfg = SolverConfig(algorithm="noisy_md", body=L1Ball(1.0, 12), loss=SQ,
                            budget=PrivacyBudget(1.0, 1e-6), potential=SquaredL2(12),
                            T=25, seed=4, record_iterates=True)
-        rep = noisy_mirror_descent(cfg, small_lasso)
+        rep = run_solver(cfg, small_lasso)
         iterates = np.array(rep.extras["iterates"])
         assert iterates.shape[0] == 25
         assert np.abs(np.mean(iterates, axis=0) - rep.theta_priv).max() <= 1e-12
@@ -174,7 +169,7 @@ class TestNoisyMirrorDescent:
                            budget=PrivacyBudget(1.0, 1e-6),
                            potential=NegativeEntropy(12), T=30, seed=8,
                            record_iterates=True)
-        rep = noisy_mirror_descent(cfg, small_lasso)
+        rep = run_solver(cfg, small_lasso)
         for theta in rep.extras["iterates"]:
             assert body.contains(theta)
         assert rep.feasible
@@ -184,7 +179,7 @@ class TestNoisyMirrorDescent:
             cfg = SolverConfig(algorithm="noisy_md", body=L1Ball(1.0, 12), loss=SQ,
                                budget=PrivacyBudget(1.0, 1e-6),
                                potential=SquaredL2(12), T=20, seed=77)
-            return noisy_mirror_descent(cfg, small_lasso).theta_priv
+            return run_solver(cfg, small_lasso).theta_priv
 
         assert np.array_equal(run_once(), run_once())
 
@@ -195,7 +190,7 @@ class TestNoisyMirrorDescent:
         cfg = SolverConfig(algorithm="noisy_md", body=body, loss=SQ,
                            budget=NON_PRIVATE, potential=pot, T=30,
                            step_size=0.05, seed=1)
-        rep = noisy_mirror_descent(cfg, small_lasso)
+        rep = run_solver(cfg, small_lasso)
         assert rep.feasible
         start_risk = SQ.loss(body.canonical_point(), small_lasso)
         assert SQ.loss(rep.theta_priv, small_lasso) <= start_risk + 1e-12
@@ -206,7 +201,7 @@ class TestNoisyMirrorDescent:
                            budget=NON_PRIVATE, potential=SquaredL2(12), T=5,
                            step_size=0.1)
         with pytest.raises((ValueError, NotImplementedError)):
-            noisy_mirror_descent(cfg, small_lasso)
+            run_solver(cfg, small_lasso)
 
 
 class TestStronglyConvexMd:
@@ -223,7 +218,7 @@ class TestStronglyConvexMd:
         cfg = SolverConfig(algorithm="strongly_convex_md", body=L1Ball(1.0, 12),
                            loss=SQ, budget=NON_PRIVATE, potential=SquaredL2(12), T=5)
         with pytest.raises(ValueError, match="strong_convexity"):
-            strongly_convex_md(cfg, small_lasso)
+            run_solver(cfg, small_lasso)
 
     def test_nonprivate_log_t_over_t_improvement(self, small_lasso):
         body = L2Ball(1.0, 12)
@@ -233,7 +228,7 @@ class TestStronglyConvexMd:
         for T in [128, 512]:
             cfg = SolverConfig(algorithm="strongly_convex_md", body=body, loss=loss,
                                budget=NON_PRIVATE, potential=SquaredL2(12), T=T)
-            rep = strongly_convex_md(cfg, small_lasso)
+            rep = run_solver(cfg, small_lasso)
             risks[T] = excess_risk(rep.theta_priv, oracle, loss, small_lasso)
         assert risks[512] < risks[128] / 3.0
 
@@ -243,7 +238,7 @@ class TestObjectivePerturbation:
         body = L1Ball(1.0, 12)
         cfg = SolverConfig(algorithm="obj_pert", body=body, loss=SQ,
                            budget=NON_PRIVATE, seed=0)
-        rep = objective_perturbation(cfg, small_lasso)
+        rep = run_solver(cfg, small_lasso)
         oracle = solve_exact(body, SQ, small_lasso)
         assert abs(SQ.loss(rep.theta_priv, small_lasso) - oracle.optimum_value) <= 1e-6
         assert rep.extras["inner_converged"]
@@ -257,7 +252,7 @@ class TestObjectivePerturbation:
                            budget=PrivacyBudget(1.0, 1e-6), seed=1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rep = objective_perturbation(cfg, data)
+            rep = run_solver(cfg, data)
         assert rep.extras["inner_converged"]
         assert rep.extras["inner_gap"] <= solvers.OBJPERT_INNER_TOL
         assert rep.feasible
@@ -270,7 +265,7 @@ class TestObjectivePerturbation:
         monkeypatch.setattr(solvers, "OBJPERT_INNER_TOL", 1e-30)
         with pytest.warns(UserWarning, match=r"objective-perturbation inner solve stopped "
                                              r"at gap \d\.\d+e[-+]\d+ after \d+ iterations"):
-            rep = objective_perturbation(cfg, data)
+            rep = run_solver(cfg, data)
         assert rep.extras["inner_converged"] is False
         assert 0.0 < rep.extras["inner_gap"] <= 1e-8
         assert rep.iterations > 0 and rep.feasible
@@ -279,7 +274,7 @@ class TestObjectivePerturbation:
         cfg = SolverConfig(algorithm="obj_pert", body=L1Ball(1.0, 12),
                            loss=Huber(0.5), budget=NON_PRIVATE)
         with pytest.raises(ValueError, match="twice"):
-            objective_perturbation(cfg, small_lasso)
+            run_solver(cfg, small_lasso)
 
     def test_zeta_pulls_toward_center(self, small_lasso):
         # Same seed => same linear perturbation b; declared lambda_max scans
@@ -298,7 +293,7 @@ class TestObjectivePerturbation:
                 loss_full=SQ._loss_full, grad_full=SQ._grad_full)
             cfg = SolverConfig(algorithm="obj_pert", body=body, loss=loss,
                                budget=PrivacyBudget(1.0, 1e-6), seed=5)
-            rep = objective_perturbation(cfg, small_lasso)
+            rep = run_solver(cfg, small_lasso)
             dists.append(float(np.linalg.norm(rep.theta_priv - theta0)))
         for a, b in zip(dists, dists[1:]):
             assert b <= a + 1e-7
@@ -328,7 +323,7 @@ class TestObjectivePerturbation:
             for s in range(50):
                 cfg = SolverConfig(algorithm="obj_pert", body=body, loss=loss,
                                    budget=PrivacyBudget(eps, 1e-6), seed=s)
-                rep = objective_perturbation(cfg, data)
+                rep = run_solver(cfg, data)
                 sigma = rep.noise_plan.sigma
                 risks.append(excess_risk(rep.theta_priv, oracle, loss, data))
             ratios.append(np.mean(risks) / sigma)
@@ -339,7 +334,7 @@ class TestFwPolytope:
     def test_t_equals_one_returns_start(self, small_lasso):
         cfg = SolverConfig(algorithm="fw_polytope", body=L1Ball(1.0, 12), loss=SQ,
                            budget=PrivacyBudget(1.0, 1e-6), T=1, seed=0)
-        rep = private_fw_polytope(cfg, small_lasso)
+        rep = run_solver(cfg, small_lasso)
         assert np.array_equal(rep.theta_priv, np.zeros(12))
 
     @pytest.mark.parametrize("rule,mu_fn", [
@@ -351,14 +346,14 @@ class TestFwPolytope:
         T = 60
         cfg = SolverConfig(algorithm="fw_polytope", body=body, loss=SQ,
                            budget=NON_PRIVATE, T=T, step_rule=rule, seed=2)
-        rep = private_fw_polytope(cfg, small_lasso)
+        rep = run_solver(cfg, small_lasso)
         ref = reference_fw(body, SQ, small_lasso, T, mu_fn(T))
         assert np.array_equal(rep.theta_priv, ref)
 
     def test_weight_ledger_is_convex_combination(self, small_lasso):
         cfg = SolverConfig(algorithm="fw_polytope", body=L1Ball(1.0, 12), loss=SQ,
                            budget=PrivacyBudget(1.0, 1e-6), T=40, seed=6)
-        rep = private_fw_polytope(cfg, small_lasso)
+        rep = run_solver(cfg, small_lasso)
         weights = rep.extras["vertex_weights"]
         vals = np.array(list(weights.values()))
         assert vals.min() >= 0.0
@@ -375,7 +370,7 @@ class TestFwPolytope:
         cfg = SolverConfig(algorithm="fw_polytope", body=body, loss=SQ,
                            budget=NON_PRIVATE, T=50, step_rule="decaying", seed=0,
                            record_iterates=True)
-        rep = private_fw_polytope(cfg, small_lasso)
+        rep = run_solver(cfg, small_lasso)
         for theta in rep.extras["iterates"]:
             g = SQ.grad(theta, small_lasso)
             gap = float(g @ (np.asarray(theta) - body.lmo(g)))
@@ -386,7 +381,7 @@ class TestFwPolytope:
         cfg = SolverConfig(algorithm="fw_polytope", body=body, loss=SQ,
                            budget=PrivacyBudget(1.0, 1e-6), T=30, seed=1,
                            record_iterates=True)
-        rep = private_fw_polytope(cfg, small_lasso)
+        rep = run_solver(cfg, small_lasso)
         assert all(body.contains(t) for t in rep.extras["iterates"])
 
     def test_requires_vertex_enumerable_body(self, small_lasso):
@@ -399,7 +394,7 @@ class TestFwPolytope:
             cfg = SolverConfig(algorithm="fw_polytope", body=L1Ball(1.0, 12),
                                loss=SQ, budget=PrivacyBudget(1.0, 1e-6), T=25,
                                seed=123)
-            return private_fw_polytope(cfg, small_lasso).theta_priv
+            return run_solver(cfg, small_lasso).theta_priv
 
         assert np.array_equal(once(), once())
 
@@ -409,8 +404,8 @@ class TestFwGeneral:
         body = L1Ball(1.0, 12)
         kw = dict(body=body, loss=SQ, budget=NON_PRIVATE, T=45,
                   step_rule="decaying", seed=11)
-        a = private_fw_general(SolverConfig(algorithm="fw_general", **kw), small_lasso)
-        b = private_fw_polytope(SolverConfig(algorithm="fw_polytope", **kw), small_lasso)
+        a = run_solver(SolverConfig(algorithm="fw_general", **kw), small_lasso)
+        b = run_solver(SolverConfig(algorithm="fw_polytope", **kw), small_lasso)
         assert np.array_equal(a.theta_priv, b.theta_priv)
 
     def test_noisy_lmo_on_l2_ball_closed_form(self, small_lasso):
@@ -420,7 +415,7 @@ class TestFwGeneral:
         cfg = SolverConfig(algorithm="fw_general", body=body, loss=SQ,
                            budget=PrivacyBudget(1.0, 1e-6), T=2, seed=42,
                            record_iterates=True)
-        rep = private_fw_general(cfg, small_lasso)
+        rep = run_solver(cfg, small_lasso)
         run_sigma = rep.noise_plan.sigma
         rng = spawn_rng(42, 0)
         g = SQ.grad(body.canonical_point(), small_lasso) + sample_gaussian_vec(12, run_sigma, rng)
@@ -443,7 +438,7 @@ class TestFwGeneral:
 
         cfg = SolverConfig(algorithm="fw_general", body=GroupedL1Ball(1.0, 3, 12),
                            loss=SQ, budget=PrivacyBudget(1.0, 1e-6), T=20, seed=0)
-        rep = private_fw_general(cfg, small_lasso)
+        rep = run_solver(cfg, small_lasso)
         assert rep.feasible
 
 
@@ -451,7 +446,7 @@ class TestReportAndConfig:
     def test_report_serializes(self, small_lasso):
         cfg = SolverConfig(algorithm="fw_polytope", body=L1Ball(1.0, 12), loss=SQ,
                            budget=PrivacyBudget(1.0, 1e-6), T=10, seed=0)
-        rep = private_fw_polytope(cfg, small_lasso)
+        rep = run_solver(cfg, small_lasso)
         doc = rep.to_dict()
         assert doc["algorithm"] == "fw_polytope"
         assert doc["noise_plan"]["laplace_scale"] > 0
@@ -486,3 +481,20 @@ class TestReportAndConfig:
                            budget=NON_PRIVATE, seed=0)
         rep = run_solver(cfg, small_lasso)
         assert rep.algorithm == "obj_pert"
+
+    @pytest.mark.parametrize("algorithm", solvers.ALGORITHMS)
+    def test_record_iterates_keeps_the_step_iterates(self, small_lasso, algorithm):
+        body, loss = L1Ball(1.0, 12), SQ
+        if algorithm == "strongly_convex_md":
+            body = L2Ball(1.0, 12)
+            loss = ridge_loss(0.5, body, small_lasso)
+        potential = SquaredL2(12) if algorithm.endswith("_md") else None
+        cfg = SolverConfig(algorithm=algorithm, body=body, loss=loss,
+                           budget=PrivacyBudget(1.0, 1e-6), potential=potential,
+                           T=7, seed=2, record_iterates=True)
+        rep = run_solver(cfg, small_lasso)
+        if algorithm == "obj_pert":
+            assert "iterates" not in rep.extras
+        else:
+            assert rep.iterations == 7 and len(rep.extras["iterates"]) == 7
+            assert all(body.contains(theta) for theta in rep.extras["iterates"])
