@@ -14,7 +14,7 @@ from .geometry import (
     symmetric_hull,
 )
 from .harness import ExperimentSpec, RiskRecord, generate_lasso, run_sweep, summarize
-from .losses import CustomLoss, Dataset, Huber, LossSpec, SquaredError, ridge_loss
+from .losses import CustomLoss, Dataset, Huber, LossSpec, SquaredError
 from .oracle import OracleSolution, cached_solve, excess_risk, solve_exact
 from .potentials import GroupedL1, NegativeEntropy, PolytopeQNorm, Potential, SquaredL2
 from .privacy import (
@@ -38,7 +38,7 @@ __all__ = [
     "Simplex", "WidthEstimate", "body_from_dict", "gaussian_width_mc",
     "symmetric_hull",
     "ExperimentSpec", "RiskRecord", "generate_lasso", "run_sweep", "summarize",
-    "CustomLoss", "Dataset", "Huber", "LossSpec", "SquaredError", "ridge_loss",
+    "CustomLoss", "Dataset", "Huber", "LossSpec", "SquaredError",
     "OracleSolution", "cached_solve", "excess_risk", "solve_exact",
     "GroupedL1", "NegativeEntropy", "PolytopeQNorm", "Potential", "SquaredL2",
     "NoisePlan", "PrivacyBudget", "fw_gaussian_sigma", "fw_laplace_scale",

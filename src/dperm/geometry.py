@@ -8,7 +8,6 @@ disjoint seeds.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -39,8 +38,8 @@ class ConvexBody:
     """Base class for constraint sets.
 
     Subclasses implement membership, the linear minimization oracle (LMO),
-    the Minkowski gauge and its dual, diameters, and (where supported)
-    Euclidean projection.
+    the Minkowski gauge and its dual (row-batched, as ``dual_norms``),
+    diameters, and (where supported) Euclidean projection.
     """
 
     dimension: int
@@ -69,6 +68,11 @@ class ConvexBody:
 
     def dual_norm(self, v) -> float:
         """max over w in C of |<w, v>|."""
+        v = _as_vector(v, self.dimension, "v")
+        return float(self.dual_norms(v[None, :])[0])
+
+    def dual_norms(self, G: np.ndarray) -> np.ndarray:
+        """The dual norm of each row of G (k, p): max over w in C of |<w, g>|."""
         raise NotImplementedError
 
     def l2_diameter(self) -> float:
@@ -90,11 +94,6 @@ class ConvexBody:
     def vertices(self) -> np.ndarray:
         """Explicit vertex list (k, p) for vertex-enumerable bodies."""
         raise ValueError(f"{type(self).__name__} has no finite vertex list")
-
-    # -- batch helper for the width estimator ----------------------------
-
-    def _dual_norm_batch(self, G: np.ndarray) -> np.ndarray:
-        return np.array([self.dual_norm(g) for g in G])
 
     # -- serialization ----------------------------------------------------
 
@@ -133,11 +132,7 @@ class L2Ball(ConvexBody):
         _check_finite(v, "v")
         return float(np.linalg.norm(v)) / self.radius
 
-    def dual_norm(self, v) -> float:
-        v = _as_vector(v, self.dimension, "v")
-        return self.radius * float(np.linalg.norm(v))
-
-    def _dual_norm_batch(self, G: np.ndarray) -> np.ndarray:
+    def dual_norms(self, G: np.ndarray) -> np.ndarray:
         return self.radius * np.linalg.norm(G, axis=1)
 
     def l2_diameter(self) -> float:
@@ -199,11 +194,7 @@ class L1Ball(ConvexBody):
         _check_finite(v, "v")
         return float(np.abs(v).sum()) / self.radius
 
-    def dual_norm(self, v) -> float:
-        v = _as_vector(v, self.dimension, "v")
-        return self.radius * float(np.abs(v).max())
-
-    def _dual_norm_batch(self, G: np.ndarray) -> np.ndarray:
+    def dual_norms(self, G: np.ndarray) -> np.ndarray:
         return self.radius * np.abs(G).max(axis=1)
 
     def l2_diameter(self) -> float:
@@ -254,11 +245,7 @@ class Simplex(ConvexBody):
     def minkowski_norm(self, v) -> float:
         raise ValueError("the simplex is not centrally symmetric; its gauge is undefined")
 
-    def dual_norm(self, v) -> float:
-        v = _as_vector(v, self.dimension, "v")
-        return float(np.abs(v).max())
-
-    def _dual_norm_batch(self, G: np.ndarray) -> np.ndarray:
+    def dual_norms(self, G: np.ndarray) -> np.ndarray:
         return np.abs(G).max(axis=1)
 
     def l2_diameter(self) -> float:
@@ -356,11 +343,7 @@ class Polytope(ConvexBody):
         _check_finite(v, "v")
         return _coefficient_l1_lp(self.vertex_array, v)
 
-    def dual_norm(self, v) -> float:
-        v = _as_vector(v, self.dimension, "v")
-        return float(np.abs(self.vertex_array @ v).max())
-
-    def _dual_norm_batch(self, G: np.ndarray) -> np.ndarray:
+    def dual_norms(self, G: np.ndarray) -> np.ndarray:
         return np.abs(G @ self.vertex_array.T).max(axis=1)
 
     def l2_diameter(self) -> float:
@@ -377,10 +360,6 @@ class Polytope(ConvexBody):
 
     def vertices(self) -> np.ndarray:
         return self.vertex_array
-
-    @classmethod
-    def from_csv(cls, path) -> "Polytope":
-        return cls(load_vertices_csv(path))
 
     def to_dict(self) -> dict:
         return {"kind": "polytope", "vertices": self.vertex_array.tolist()}
@@ -441,11 +420,7 @@ class GroupedL1Ball(ConvexBody):
         _check_finite(v, "v")
         return self.grouped_norm(v) / self.radius
 
-    def dual_norm(self, v) -> float:
-        v = _as_vector(v, self.dimension, "v")
-        return self.radius * float(self._block_norms(v).max())
-
-    def _dual_norm_batch(self, G: np.ndarray) -> np.ndarray:
+    def dual_norms(self, G: np.ndarray) -> np.ndarray:
         block_norms = np.stack(
             [np.linalg.norm(G[:, s], axis=1) for s in self._block_slices()], axis=1
         )
@@ -526,11 +501,11 @@ class Box(ConvexBody):
                               np.where(np.abs(v) > 0, np.inf, 0.0))
         return float(ratios.max())
 
-    def dual_norm(self, v) -> float:
-        v = _as_vector(v, self.dimension, "v")
-        hi_val = np.where(v > 0, self.hi * v, self.lo * v).sum()
-        lo_val = np.where(v > 0, self.lo * v, self.hi * v).sum()
-        return float(max(abs(hi_val), abs(lo_val)))
+    def dual_norms(self, G: np.ndarray) -> np.ndarray:
+        # The largest and the smallest <w, g> over the box, per row.
+        hi_val = np.where(G > 0, self.hi * G, self.lo * G).sum(axis=1)
+        lo_val = np.where(G > 0, self.lo * G, self.hi * G).sum(axis=1)
+        return np.maximum(np.abs(hi_val), np.abs(lo_val))
 
     def l2_diameter(self) -> float:
         return float(np.linalg.norm(self.hi - self.lo))
@@ -619,7 +594,7 @@ def gaussian_width_mc(body: ConvexBody, samples: int, seed: int,
     while remaining > 0:
         m = min(batch, remaining)
         G = rng.standard_normal((m, body.dimension))
-        vals = body._dual_norm_batch(G)
+        vals = body.dual_norms(G)
         total += float(vals.sum())
         total_sq += float((vals * vals).sum())
         remaining -= m
@@ -714,13 +689,3 @@ def body_from_dict(doc: dict) -> ConvexBody:
         raise ValueError(f"unknown body kind {kind!r}; expected one of {sorted(_KIND_TAGS)}")
     return _KIND_TAGS[kind](doc)
 
-
-def load_vertices_csv(path) -> np.ndarray:
-    """Load a vertex list from CSV, one vertex per row."""
-    rows: list[list[float]] = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row:
-                continue
-            rows.append([float(c) for c in row])
-    return np.asarray(rows, dtype=float)

@@ -15,8 +15,8 @@ under a lock, so threads of one sweep share them:
   cache key;
 - ``gram()``: G = X'X/n, b = X'y/n and c = y'y/(2n);
 - ``row_sq_norms()``: ||x_i||^2 for every record;
-- the Lipschitz constants of the built-in losses, per (loss parameters,
-  ``body.to_dict()``).
+- the Lipschitz constants of the built-in losses (without a ridge term),
+  per (loss parameters, ``body.to_dict()``).
 
 Backend choice.  ``LossSpec.loss`` and ``LossSpec.grad`` are the only
 entry points; they call the ``_loss_on`` / ``_grad_on`` hooks.  For
@@ -24,6 +24,8 @@ entry points; they call the ``_loss_on`` / ``_grad_on`` hooks.  For
 X) the hooks use the sufficient statistics: grad = G theta - b and
 loss = max(theta'G theta/2 - b'theta + c, 0), O(p^2) per call whatever n
 is.  The clamp only removes cancellation error, since the loss is >= 0.
+``SquaredError(ridge=lam)`` adds lam/2 ||theta||^2 on either backend, so
+ridge regression runs on G too.
 Its curvature bound reads G as well: v'Gv over the vertices, lambda_max(G)
 on an l2 ball and the largest lambda_max(G_ss) over the blocks of a
 grouped l1 ball.  ``Huber``, ``CustomLoss``, ``SquaredError`` with p >= n
@@ -290,7 +292,7 @@ def _lipschitz(key: str, body: ConvexBody, data: Dataset,
 
     def compute():
         # |<x_i, theta> - y_i| <= dual_norm(x_i) + |y_i| over the body.
-        res = body._dual_norm_batch(data.X) + np.abs(data.y)
+        res = body.dual_norms(data.X) + np.abs(data.y)
         if cap is not None:
             res = np.minimum(res, cap)
         L1 = float(np.max(res * np.abs(data.X).max(axis=1), initial=0.0))
@@ -304,7 +306,14 @@ def _lipschitz(key: str, body: ConvexBody, data: Dataset,
 
 
 class SquaredError(LossSpec):
-    """l(theta; (x, y)) = 0.5 (<x, theta> - y)^2."""
+    """l(theta; (x, y)) = 0.5 (<x, theta> - y)^2 + (ridge/2) ||theta||^2,
+    ``ridge``-strongly convex w.r.t. l2; with ridge = 0 no ridge term is added."""
+
+    def __init__(self, ridge: float = 0.0):
+        if not 0.0 <= ridge < math.inf:
+            raise ValueError(f"ridge must be finite and nonnegative, got {ridge!r}")
+        self.ridge = float(ridge)
+        self.strong_convexity = self.ridge or None
 
     def _loss_full(self, theta, X, y) -> float:
         r = X @ theta - y
@@ -315,34 +324,45 @@ class SquaredError(LossSpec):
         return (X.T @ r) / X.shape[0]
 
     def _loss_on(self, theta, data) -> float:
-        if not data.prefers_gram:
-            return super()._loss_on(theta, data)
-        G, b, c = data.gram()
-        # The value is >= 0; the clamp removes cancellation error at f* = 0.
-        return max(0.5 * float(theta @ (G @ theta)) - float(b @ theta) + c, 0.0)
+        if data.prefers_gram:
+            G, b, c = data.gram()
+            # The value is >= 0; the clamp removes cancellation error at f* = 0.
+            value = max(0.5 * float(theta @ (G @ theta)) - float(b @ theta) + c, 0.0)
+        else:
+            value = super()._loss_on(theta, data)
+        return value + 0.5 * self.ridge * float(theta @ theta) if self.ridge else value
 
     def _grad_on(self, theta, data) -> np.ndarray:
-        if not data.prefers_gram:
-            return super()._grad_on(theta, data)
-        G, b, _ = data.gram()
-        return G @ theta - b
+        if data.prefers_gram:
+            G, b, _ = data.gram()
+            g = G @ theta - b
+        else:
+            g = super()._grad_on(theta, data)
+        return g + self.ridge * theta if self.ridge else g
 
     def grad_single(self, theta, x, y: float) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        return (float(x @ theta) - y) * x
+        g = (float(x @ theta) - y) * x
+        return g + self.ridge * np.asarray(theta, dtype=float) if self.ridge else g
 
     def lipschitz_constants(self, body, data) -> tuple[float, float]:
-        return _lipschitz("squared_error", body, data)
+        L = _lipschitz("squared_error", body, data)
+        if not self.ridge:
+            return L
+        # The ridge gradient is ridge * theta, largest at an extreme point.
+        points = _extreme_points(body)
+        return (L[0] + self.ridge * max(float(np.abs(v).max()) for v in points),
+                L[1] + self.ridge * max(float(np.linalg.norm(v)) for v in points))
 
     def curvature_bound(self, body, data) -> float:
-        return _quadratic_curvature_bound(body, data, ridge=0.0)
+        return _quadratic_curvature_bound(body, data, ridge=self.ridge)
 
     def hessian_eig_bounds(self, body, data) -> tuple[float, float]:
         _require_nonempty(data)
         sq = data.row_sq_norms()
         lam_max = float(sq.max())
         lam_min = float(sq.min()) if data.p == 1 else 0.0
-        return lam_min, lam_max
+        return lam_min + self.ridge, lam_max + self.ridge
 
 
 class Huber(LossSpec):
@@ -484,49 +504,6 @@ def _quadratic_curvature_bound(body: ConvexBody, data: Dataset, ridge: float) ->
     raise ValueError(f"curvature bound not implemented for {type(body).__name__}")
 
 
-def ridge_loss(ridge: float, body: ConvexBody, data: Dataset) -> CustomLoss:
-    """Squared error plus (ridge/2)||theta||^2, with constants derived for the body.
-
-    The ridge term makes the loss ``ridge``-strongly convex w.r.t. l2, which
-    is what the strongly-convex mirror-descent variant requires.
-    """
-    if ridge < 0:
-        raise ValueError("ridge must be nonnegative")
-    base = SquaredError()
-    L1, L2 = base.lipschitz_constants(body, data)
-    max_l2 = max(float(np.linalg.norm(v)) for v in _extreme_points(body))
-    max_linf = max(float(np.abs(v).max()) for v in _extreme_points(body))
-    lam_min, lam_max = base.hessian_eig_bounds(body, data)
-    constants = {
-        "l1_lipschitz": L1 + ridge * max_linf,
-        "l2_lipschitz": L2 + ridge * max_l2,
-        "curvature": _quadratic_curvature_bound(body, data, ridge=ridge),
-        "lambda_min": lam_min + ridge,
-        "lambda_max": lam_max + ridge,
-        "strong_convexity": ridge,
-    }
-
-    def loss_full(theta, X, y):
-        r = X @ theta - y
-        return 0.5 * float(r @ r) / X.shape[0] + 0.5 * ridge * float(theta @ theta)
-
-    def grad_full(theta, X, y):
-        r = X @ theta - y
-        return (X.T @ r) / X.shape[0] + ridge * np.asarray(theta, dtype=float)
-
-    def loss_single(theta, x, y):
-        r = float(np.asarray(x) @ theta) - y
-        return 0.5 * r * r + 0.5 * ridge * float(np.asarray(theta) @ np.asarray(theta))
-
-    def grad_single(theta, x, y):
-        x = np.asarray(x, dtype=float)
-        return (float(x @ theta) - y) * x + ridge * np.asarray(theta, dtype=float)
-
-    return CustomLoss(loss_single, grad_single, constants,
-                      loss_full=loss_full, grad_full=grad_full,
-                      name=f"ridge({ridge})")
-
-
 def _extreme_points(body: ConvexBody):
     """Points spanning the body for norm maxima (vertices or ball axes)."""
     from .geometry import Box, GroupedL1Ball, L2Ball
@@ -562,14 +539,14 @@ def loss_key(loss: LossSpec) -> Optional[str]:
     can compute anything, so it is known only by its identity.
     """
     if type(loss) is SquaredError:
-        return "squared_error"
+        return f"squared_error:ridge={loss.ridge!r}" if loss.ridge else "squared_error"
     if type(loss) is Huber:
         return f"huber:{loss.delta!r}"
     return None
 
 
 _LOSS_TAGS = {
-    "squared_error": lambda d: SquaredError(),
+    "squared_error": lambda d: SquaredError(ridge=float(d.get("ridge", 0.0))),
     "huber": lambda d: Huber(delta=float(d["delta"])),
 }
 

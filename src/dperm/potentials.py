@@ -9,6 +9,9 @@ space: iterates are simplex vectors a with theta = V^T a, the q-norm
 applied to a, and gradients pulled back through the vertex matrix.  Its
 ``iterate_body`` is therefore a simplex over the vertex count, not the
 polytope itself.
+
+The q-norm and grouped prox steps find their multiplier with one
+bisection, ``_bisect``, which stops at convergence (at most 200 halvings).
 """
 
 from __future__ import annotations
@@ -222,6 +225,21 @@ class NegativeEntropy(Potential):
         return {"kind": "negative_entropy"}
 
 
+def _bisect(above, lo: float, hi: float) -> float:
+    """The upper end of [lo, hi] after bisecting it, with ``above(lo)`` false
+    and ``above(hi)`` true throughout.  It stops once the midpoint equals an
+    end, where every further halving would leave the bracket unchanged."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if above(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def default_q_exponent(n_vertices: int) -> float:
     """q = log k / (log k - 1) for k >= 8, clamped to 2 below that."""
     if n_vertices < 8:
@@ -260,9 +278,9 @@ class PolytopeQNorm(Potential):
         return Simplex(dimension=self.n_vertices)
 
     def _check_body(self, body: ConvexBody) -> None:
-        if not isinstance(body, Polytope) or body is not self.polytope:
-            if not isinstance(body, Polytope) or body.n_vertices != self.n_vertices:
-                raise ValueError("body must be the polytope this potential was built for")
+        if not (isinstance(body, Polytope)
+                and np.array_equal(body.vertex_array, self.polytope.vertex_array)):
+            raise ValueError("body must be the polytope this potential was built for")
 
     def to_point(self, a: np.ndarray) -> np.ndarray:
         return self.polytope.vertex_array.T @ np.asarray(a, dtype=float)
@@ -308,18 +326,13 @@ class PolytopeQNorm(Potential):
             nq = float(np.sum(b ** q)) ** (1.0 / q)
             return 2.0 * (q - 1.0) * nq ** (q - 2.0) * total
 
+        # gee(min c) = 0; double the bracket until gee reaches 1.
         lo = float(c.min())
         span = max(float(c.max() - c.min()), 1.0)
         hi = lo + span
         while gee(hi) < 1.0:
             hi = lo + 2.0 * (hi - lo)
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if gee(mid) < 1.0:
-                lo = mid
-            else:
-                hi = mid
-        b = beta(hi)
+        b = beta(_bisect(lambda lam: not gee(lam) < 1.0, lo, hi))
         return b / b.sum()
 
     def value_at_point(self, theta) -> float:
@@ -458,14 +471,8 @@ class GroupedL1(Potential):
         r = body.radius
         t = norms_at(0.0)
         if t.sum() > r:
-            lo, hi = 0.0, float(a.max())
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                if norms_at(mid).sum() > r:
-                    lo = mid
-                else:
-                    hi = mid
-            t = norms_at(hi)
+            # The norms vanish at lam = max_j ||c_j||, which brackets the root.
+            t = norms_at(_bisect(lambda lam: not norms_at(lam).sum() > r, 0.0, float(a.max())))
         out = np.zeros_like(x_t)
         for s, aj, tj in zip(slices, a, t):
             if aj > 0.0 and tj > 0.0:

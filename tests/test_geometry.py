@@ -13,7 +13,6 @@ from dperm.geometry import (
     Simplex,
     body_from_dict,
     gaussian_width_mc,
-    load_vertices_csv,
     sample_feasible,
     symmetric_hull,
 )
@@ -179,10 +178,26 @@ class TestDualNorm:
                   Box(lo=-np.ones(4), hi=3 * np.ones(4))]
         for body in bodies:
             p = body.dimension
-            for _ in range(25):
-                v = rng.standard_normal(p)
+            G = rng.standard_normal((25, p))
+            rows = body.dual_norms(G)
+            assert rows.shape == (25,)
+            for v, row in zip(G, rows):
                 via_lmo = max(abs(float(v @ body.lmo(v))), abs(float(v @ body.lmo(-v))))
                 assert body.dual_norm(v) == pytest.approx(via_lmo, rel=1e-10, abs=1e-12)
+                assert row == pytest.approx(via_lmo, rel=1e-10, abs=1e-12)
+
+    def test_box_rows_match_row_loop(self, rng):
+        # The vectorised box form sums each row in the same order as the
+        # one-row formula it replaced, so the values are equal, not close.
+        body = Box(lo=-rng.uniform(0.5, 2.0, 300), hi=rng.uniform(0.5, 2.0, 300))
+        G = rng.standard_normal((40, 300))
+
+        def one_row(v):
+            hi_val = np.where(v > 0, body.hi * v, body.lo * v).sum()
+            lo_val = np.where(v > 0, body.lo * v, body.hi * v).sum()
+            return float(max(abs(hi_val), abs(lo_val)))
+
+        assert np.array_equal(body.dual_norms(G), [one_row(v) for v in G])
 
 
 class TestDiametersAndRadii:
@@ -344,14 +359,6 @@ class TestSerialization:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             body_from_dict({"kind": "moebius"})
-
-    def test_vertex_csv(self, tmp_path):
-        path = tmp_path / "verts.csv"
-        path.write_text("1.0,0.0\n0.0,1.0\n-1.0,-1.0\n")
-        V = load_vertices_csv(path)
-        assert np.allclose(V, TRIANGLE)
-        body = Polytope.from_csv(path)
-        assert body.n_vertices == 3
 
 
 class TestValidation:

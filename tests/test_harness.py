@@ -66,6 +66,22 @@ class TestDimensionMismatch:
             in failures[0]["error"]
 
 
+class TestRidgeDocument:
+    def test_strongly_convex_md_and_obj_pert_run(self):
+        # A ridge loss from a document reaches the strongly convex solver.
+        common = {"body": {"kind": "l2_ball", "radius": 1.0, "dimension": 6},
+                  "loss": {"kind": "squared_error", "ridge": 0.5}, "budget": BUDGET}
+        solvers = [
+            {"id": "sc_md", "algorithm": "strongly_convex_md", "t_cap": 30,
+             "gaussian_width": 2.0, "potential": {"kind": "squared_l2"}, **common},
+            {"id": "obj_pert", "algorithm": "obj_pert", **common},
+        ]
+        records, failures = run_sweep(spec_for(6, solvers, [0, 1]))
+        assert failures == []
+        assert sorted((r.solver, r.seed) for r in records) == [
+            ("obj_pert", 0), ("obj_pert", 1), ("sc_md", 0), ("sc_md", 1)]
+
+
 class TestParallelSweep:
     def test_shared_statistics_under_threads(self, monkeypatch):
         # More workers than processors, every cell on one dataset: each

@@ -1,11 +1,14 @@
-"""Source hygiene: every name a module imports is used in that module."""
+"""Source hygiene: every name a module imports is used in that module, and
+every name the benchmark's tracer patches still exists."""
 
 import ast
+import types
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "dperm"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "dperm"
 # ``__init__.py`` imports names only to re-export them.
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
@@ -59,3 +62,17 @@ def test_scan_sees_function_scope():
         "    return loads\n"
     )
     assert unused_imports(tree) == ["path (line 2)", "loads (line 4)"]
+
+
+def test_benchmark_tracer_names_exist():
+    # ``perfbench/spans.py`` patches functions by module and class
+    # attribute; a name moved or removed by a refactor raises KeyError.
+    # The file is executed from its text, so nothing is written next to it.
+    path = ROOT / "perfbench" / "spans.py"
+    spans = types.ModuleType("perfbench_spans")
+    exec(compile(path.read_text(), str(path), "exec"), spans.__dict__)
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()

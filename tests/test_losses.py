@@ -11,7 +11,7 @@ from dperm.losses import (
     Huber,
     SquaredError,
     loss_from_dict,
-    ridge_loss,
+    loss_key,
 )
 from dperm.oracle import solve_exact
 
@@ -224,7 +224,7 @@ class TestCustomAndRidge:
     def test_ridge_matches_hand_formula(self, rng):
         data = lasso_dataset(rng, n=30, p=3)
         body = L1Ball(1.0, 3)
-        spec = ridge_loss(0.5, body, data)
+        spec = SquaredError(ridge=0.5)
         theta = 0.2 * rng.standard_normal(3)
         base = SquaredError()
         assert spec.loss(theta, data) == pytest.approx(
@@ -237,7 +237,7 @@ class TestCustomAndRidge:
 
     def test_ridge_batch_matches_singles(self, rng):
         data = lasso_dataset(rng, n=12, p=3)
-        spec = ridge_loss(0.1, L1Ball(1.0, 3), data)
+        spec = SquaredError(ridge=0.1)
         theta = 0.1 * rng.standard_normal(3)
         singles = np.mean([spec.grad_single(theta, x, y) for x, y in data.records()],
                           axis=0)
@@ -248,6 +248,16 @@ class TestCustomAndRidge:
         assert isinstance(loss_from_dict({"kind": "huber", "delta": 0.3}), Huber)
         with pytest.raises(ValueError):
             loss_from_dict({"kind": "hinge"})
+
+    def test_loss_from_dict_ridge(self):
+        plain = loss_from_dict({"kind": "squared_error"})
+        ridge = loss_from_dict({"kind": "squared_error", "ridge": 0.5})
+        assert plain.ridge == 0.0 and plain.strong_convexity is None
+        assert ridge.ridge == 0.5 and ridge.strong_convexity == 0.5
+        assert loss_key(plain) == "squared_error"
+        assert loss_key(ridge) != loss_key(plain)
+        with pytest.raises(ValueError, match="ridge"):
+            loss_from_dict({"kind": "squared_error", "ridge": -0.1})
 
 
 # ---------------------------------------------------------------------------

@@ -187,6 +187,113 @@ class TestMirrorStep:
             SquaredL2(2).mirror_step(L2Ball(1.0, 2), [0.0, 0.0], [np.nan, 0.0], 0.1)
 
 
+def qnorm_step_200(pot, x, g, eta):
+    """The q-norm prox step with exactly 200 halvings, written out."""
+    c = eta * g - pot.grad(x)
+    q = pot.q
+    expo = 1.0 / (q - 1.0)
+
+    def beta(lam):
+        return np.maximum(lam - c, 0.0) ** expo
+
+    def gee(lam):
+        b = beta(lam)
+        total = b.sum()
+        if total == 0.0:
+            return 0.0
+        nq = float(np.sum(b ** q)) ** (1.0 / q)
+        return 2.0 * (q - 1.0) * nq ** (q - 2.0) * total
+
+    lo = float(c.min())
+    hi = lo + max(float(c.max() - c.min()), 1.0)
+    while gee(hi) < 1.0:
+        hi = lo + 2.0 * (hi - lo)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if gee(mid) < 1.0:
+            lo = mid
+        else:
+            hi = mid
+    b = beta(hi)
+    return b / b.sum()
+
+
+def grouped_step_200(pot, body, x, g, eta):
+    """The grouped prox step with exactly 200 halvings, written out.
+
+    Returns the step and whether it bisected (the unconstrained block
+    norms summed above the radius).
+    """
+    c = eta * g - pot.grad(x)
+    slices = pot._block_slices()
+    a = np.array([np.linalg.norm(c[s]) for s in slices])
+    M, xi = pot.exponent, pot.scale_xi
+
+    def norms_at(lam):
+        return (xi * np.maximum(a - lam, 0.0)) ** (1.0 / (M - 1.0))
+
+    t = norms_at(0.0)
+    bisected = bool(t.sum() > body.radius)
+    if bisected:
+        lo, hi = 0.0, float(a.max())
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if norms_at(mid).sum() > body.radius:
+                lo = mid
+            else:
+                hi = mid
+        t = norms_at(hi)
+    out = np.zeros_like(x)
+    for s, aj, tj in zip(slices, a, t):
+        if aj > 0.0 and tj > 0.0:
+            out[s] = -(tj / aj) * c[s]
+    return out, bisected
+
+
+class TestBisection:
+    """The prox steps stop bisecting at convergence, with the same bits as
+    a fixed 200 halvings."""
+
+    def test_qnorm_steps_match_200_halvings(self, rng):
+        for _ in range(200):
+            k = int(rng.integers(2, 49))
+            p = int(rng.integers(1, 8))
+            pot = PolytopeQNorm(Polytope(rng.standard_normal((k, p))))
+            x = rng.dirichlet(np.ones(k))
+            g = rng.standard_normal(k) * 10.0 ** rng.uniform(-2, 2)
+            eta = float(10.0 ** rng.uniform(-2, 1))
+            body = pot.iterate_body(pot.polytope)
+            assert np.array_equal(pot.mirror_step(body, x, g, eta),
+                                  qnorm_step_200(pot, x, g, eta))
+
+    def test_grouped_steps_match_200_halvings(self, rng):
+        # Run until 200 steps have bisected; the others stay inside the ball.
+        bisected = steps = 0
+        while bisected < 200 and steps < 1000:
+            steps += 1
+            p = int(rng.integers(1, 13))
+            gs = int(rng.integers(1, p + 1))
+            body = GroupedL1Ball(float(rng.uniform(0.2, 3.0)), gs, p)
+            pot = GroupedL1(p, gs)
+            x = sample_feasible(body, rng)
+            g = rng.standard_normal(p) * 10.0 ** rng.uniform(-2, 2)
+            eta = float(10.0 ** rng.uniform(-2, 1))
+            ref, did = grouped_step_200(pot, body, x, g, eta)
+            bisected += did
+            assert np.array_equal(pot.mirror_step(body, x, g, eta), ref)
+        assert bisected == 200
+
+    def test_stops_once_the_bracket_cannot_shrink(self):
+        calls = []
+
+        def above(x):
+            calls.append(x)
+            return x >= 0.3
+
+        assert potentials._bisect(above, 0.0, 1.0) == 0.3
+        assert len(calls) < 64
+
+
 class TestMaxOverDomain:
     def test_squared_l2_on_unit_ball(self):
         assert SquaredL2(3).max_over_domain(L2Ball(1.0, 3)) == pytest.approx(2.0)

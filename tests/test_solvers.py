@@ -7,7 +7,7 @@ import pytest
 import dperm.solvers as solvers
 from dperm.geometry import Box, L1Ball, L2Ball, Polytope, Simplex
 from dperm.harness import generate_lasso
-from dperm.losses import CustomLoss, Dataset, Huber, SquaredError, ridge_loss
+from dperm.losses import CustomLoss, Dataset, Huber, SquaredError
 from dperm.oracle import cached_solve, excess_risk, solve_exact
 from dperm.potentials import NegativeEntropy, PolytopeQNorm, SquaredL2
 from dperm.privacy import PrivacyBudget
@@ -195,6 +195,16 @@ class TestNoisyMirrorDescent:
         start_risk = SQ.loss(body.canonical_point(), small_lasso)
         assert SQ.loss(rep.theta_priv, small_lasso) <= start_risk + 1e-12
 
+    def test_qnorm_bound_to_another_polytope_rejected(self, small_lasso):
+        # Same vertex count, other vertices: the coefficients would map
+        # into the wrong polytope.
+        V = np.vstack([np.eye(12), -np.eye(12)])
+        cfg = SolverConfig(algorithm="noisy_md", body=Polytope(V), loss=SQ,
+                           budget=NON_PRIVATE, potential=PolytopeQNorm(Polytope(2.0 * V)),
+                           T=5, step_size=0.05, seed=1)
+        with pytest.raises(ValueError, match="built for"):
+            run_solver(cfg, small_lasso)
+
     def test_squared_l2_on_polytope_rejected(self, small_lasso):
         body = Polytope(np.vstack([np.eye(12), -np.eye(12)]))
         cfg = SolverConfig(algorithm="noisy_md", body=body, loss=SQ,
@@ -222,7 +232,7 @@ class TestStronglyConvexMd:
 
     def test_nonprivate_log_t_over_t_improvement(self, small_lasso):
         body = L2Ball(1.0, 12)
-        loss = ridge_loss(0.5, body, small_lasso)
+        loss = SquaredError(ridge=0.5)
         oracle = solve_exact(body, loss, small_lasso)
         risks = {}
         for T in [128, 512]:
@@ -487,7 +497,7 @@ class TestReportAndConfig:
         body, loss = L1Ball(1.0, 12), SQ
         if algorithm == "strongly_convex_md":
             body = L2Ball(1.0, 12)
-            loss = ridge_loss(0.5, body, small_lasso)
+            loss = SquaredError(ridge=0.5)
         potential = SquaredL2(12) if algorithm.endswith("_md") else None
         cfg = SolverConfig(algorithm=algorithm, body=body, loss=loss,
                            budget=PrivacyBudget(1.0, 1e-6), potential=potential,
