@@ -4,13 +4,20 @@ Every body is closed, convex and bounded.  The operations here are pure
 functions of their inputs and safe to call concurrently; the Monte-Carlo
 width estimator takes its seed explicitly so parallel replicas can use
 disjoint seeds.
+
+A quantity of the public body alone (its Gaussian width, a polytope's
+symmetry) is computed once per process by ``memo_by_body``, keyed by
+``body_key``, the sorted JSON of ``body.to_dict()``.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.optimize import linprog
@@ -20,6 +27,9 @@ FEAS_TOL = 1e-9
 
 # Polytopes above this vertex count would make the coefficient LPs too slow.
 MAX_POLYTOPE_VERTICES = 10_000
+
+# Rows of |G| formed at a time by ``row_abs_max``.
+ROW_BLOCK = 8192
 
 
 def _as_vector(x, dim: int, name: str = "x") -> np.ndarray:
@@ -32,6 +42,15 @@ def _as_vector(x, dim: int, name: str = "x") -> np.ndarray:
 def _check_finite(v: np.ndarray, name: str = "direction") -> None:
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{name} must be finite")
+
+
+def row_abs_max(G: np.ndarray) -> np.ndarray:
+    """max_j |G_ij| for every row i.  |G| is formed one block of rows at a
+    time, which needs less memory and, in cache, less time than whole."""
+    out = np.empty(G.shape[0])
+    for i in range(0, G.shape[0], ROW_BLOCK):
+        np.abs(G[i:i + ROW_BLOCK]).max(axis=1, out=out[i:i + ROW_BLOCK])
+    return out
 
 
 class ConvexBody:
@@ -195,7 +214,7 @@ class L1Ball(ConvexBody):
         return float(np.abs(v).sum()) / self.radius
 
     def dual_norms(self, G: np.ndarray) -> np.ndarray:
-        return self.radius * np.abs(G).max(axis=1)
+        return self.radius * row_abs_max(G)
 
     def l2_diameter(self) -> float:
         return 2.0 * self.radius
@@ -246,7 +265,7 @@ class Simplex(ConvexBody):
         raise ValueError("the simplex is not centrally symmetric; its gauge is undefined")
 
     def dual_norms(self, G: np.ndarray) -> np.ndarray:
-        return np.abs(G).max(axis=1)
+        return row_abs_max(G)
 
     def l2_diameter(self) -> float:
         return math.sqrt(2.0) if self.dimension > 1 else 0.0
@@ -295,10 +314,10 @@ class Polytope(ConvexBody):
 
     @cached_property
     def is_symmetric(self) -> bool:
-        V = self.vertex_array
         # Symmetric iff every vertex's negation is also in the hull; one LP
-        # per vertex, so computed once per polytope.
-        return all(self._in_hull(-v) for v in V)
+        # per vertex, so computed once per vertex list.
+        return memo_by_body(self, "is_symmetric",
+                            lambda: all(self._in_hull(-v) for v in self.vertex_array))
 
     def contains(self, x) -> bool:
         v = _as_vector(x, self.dimension)
@@ -522,6 +541,48 @@ class Box(ConvexBody):
 
     def to_dict(self) -> dict:
         return {"kind": "box", "lo": self.lo.tolist(), "hi": self.hi.tolist()}
+
+
+# ---------------------------------------------------------------------------
+# Per-body memo
+
+
+def body_key(body: ConvexBody) -> Optional[str]:
+    """The sorted JSON of ``body.to_dict()``, or None for a body without one."""
+    try:
+        return json.dumps(body.to_dict(), sort_keys=True)
+    except NotImplementedError:
+        return None
+
+
+class Memo:
+    """Values computed once per key.  Entries are only ever added, so a hit
+    reads without the lock; a miss computes under it (reentrant: a value
+    may be computed from another one)."""
+
+    def __init__(self):
+        self._values: dict = {}
+        self._lock = threading.RLock()
+
+    def get(self, key, compute: Callable[[], object]):
+        """The value of ``key``; ``compute()`` runs on first use only."""
+        value = self._values.get(key)
+        if value is None:
+            with self._lock:
+                value = self._values.get(key)
+                if value is None:
+                    value = self._values[key] = compute()
+        return value
+
+
+_body_memo = Memo()
+
+
+def memo_by_body(body: ConvexBody, name: str, compute: Callable[[], object]):
+    """The quantity ``name`` of ``body``, computed once per body key (every
+    time for a body without a key)."""
+    key = body_key(body)
+    return compute() if key is None else _body_memo.get((name, key), compute)
 
 
 # ---------------------------------------------------------------------------

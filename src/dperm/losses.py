@@ -16,7 +16,7 @@ under a lock, so threads of one sweep share them:
 - ``gram()``: G = X'X/n, b = X'y/n and c = y'y/(2n);
 - ``row_sq_norms()``: ||x_i||^2 for every record;
 - the Lipschitz constants of the built-in losses (without a ridge term),
-  per (loss parameters, ``body.to_dict()``).
+  per (loss parameters, ``geometry.body_key(body)``).
 
 Backend choice.  ``LossSpec.loss`` and ``LossSpec.grad`` are the only
 entry points; they call the ``_loss_on`` / ``_grad_on`` hooks.  For
@@ -36,15 +36,13 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import json
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .geometry import ConvexBody
+from .geometry import ConvexBody, Memo, body_key, row_abs_max
 
 LASSO_DOMAIN_TOL = 1e-12
 
@@ -88,9 +86,7 @@ class Dataset:
             raise ValueError("X must be (n, p) and y (n,) with matching n")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
-        object.__setattr__(self, "_stats", {})
-        # Reentrant: a statistic may be computed from another one.
-        object.__setattr__(self, "_stats_lock", threading.RLock())
+        object.__setattr__(self, "_stats", Memo())
         if self.lasso_profile:
             self._validate_lasso()
 
@@ -99,7 +95,7 @@ class Dataset:
         return type(self), (self.X, self.y, self.lasso_profile, self.meta)
 
     def _validate_lasso(self) -> None:
-        bad_x = np.abs(self.X).max(axis=1) > 1.0 + LASSO_DOMAIN_TOL
+        bad_x = row_abs_max(self.X) > 1.0 + LASSO_DOMAIN_TOL
         bad_y = np.abs(self.y) > 1.0 + LASSO_DOMAIN_TOL
         bad = np.nonzero(bad_x | bad_y)[0]
         if bad.size:
@@ -112,14 +108,7 @@ class Dataset:
 
     def _memo(self, key, compute):
         """The statistic ``key``; ``compute()`` runs on first use only."""
-        # Entries are only ever added, so a hit needs no lock.
-        value = self._stats.get(key)
-        if value is None:
-            with self._stats_lock:
-                value = self._stats.get(key)
-                if value is None:
-                    value = self._stats[key] = compute()
-        return value
+        return self._stats.get(key, compute)
 
     def fingerprint(self) -> str:
         """sha256 over the shapes and bytes of X and y."""
@@ -277,13 +266,6 @@ class LossSpec:
         raise NotImplementedError
 
 
-def _body_key(body: ConvexBody) -> Optional[str]:
-    try:
-        return json.dumps(body.to_dict(), sort_keys=True)
-    except NotImplementedError:
-        return None
-
-
 def _lipschitz(key: str, body: ConvexBody, data: Dataset,
                cap: Optional[float] = None) -> tuple[float, float]:
     """(max_i r_i ||x_i||_inf, max_i r_i ||x_i||_2) with the residual bound
@@ -295,14 +277,12 @@ def _lipschitz(key: str, body: ConvexBody, data: Dataset,
         res = body.dual_norms(data.X) + np.abs(data.y)
         if cap is not None:
             res = np.minimum(res, cap)
-        L1 = float(np.max(res * np.abs(data.X).max(axis=1), initial=0.0))
+        L1 = float(np.max(res * row_abs_max(data.X), initial=0.0))
         L2 = float(np.max(res * np.sqrt(data.row_sq_norms()), initial=0.0))
         return L1, L2
 
-    body_key = _body_key(body)
-    if body_key is None:
-        return compute()
-    return data._memo(("lipschitz", key, body_key), compute)
+    bkey = body_key(body)
+    return compute() if bkey is None else data._memo(("lipschitz", key, bkey), compute)
 
 
 class SquaredError(LossSpec):
@@ -528,7 +508,8 @@ def _extreme_points(body: ConvexBody):
             out.append(v2)
         return out
     if isinstance(body, Box):
-        return [body.lo, body.hi]
+        # The farthest corner maximizes both norms.
+        return [np.where(np.abs(body.lo) > np.abs(body.hi), body.lo, body.hi)]
     raise ValueError(f"no extreme-point list for {type(body).__name__}")
 
 

@@ -10,7 +10,6 @@ solve is available as an independent cross-check.
 
 from __future__ import annotations
 
-import json
 import math
 import threading
 import warnings
@@ -19,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .firstorder import minimize
-from .geometry import ConvexBody, Polytope
+from .geometry import ConvexBody, Polytope, body_key
 from .losses import Dataset, LossSpec, loss_key, require_matching_dimension
 
 DEFAULT_REL_TOL = 1e-9
@@ -93,17 +92,15 @@ def excess_risk(theta, oracle: OracleSolution, loss: LossSpec, data: Dataset) ->
 # Coordinate-descent cross-check for the sparse-regression instance
 
 
-def lasso_cd_penalized(X: np.ndarray, y: np.ndarray, lam: float,
+def lasso_cd_penalized(G: np.ndarray, b: np.ndarray, lam: float,
                        theta0: np.ndarray | None = None,
                        tol: float = 1e-13, max_passes: int = 50_000) -> np.ndarray:
     """Coordinate descent for (1/2n)||X theta - y||^2 + lam ||theta||_1.
 
-    Runs on the Gram matrix, so a full pass costs O(p^2) after the one-time
-    O(n p^2) setup.
+    Takes the Gram statistics G = X'X/n and b = X'y/n, so a full pass
+    costs O(p^2) whatever n is.
     """
-    n, p = X.shape
-    G = (X.T @ X) / n
-    b = (X.T @ y) / n
+    p = b.shape[0]
     theta = np.zeros(p) if theta0 is None else theta0.copy()
     diag = np.diag(G).copy()
     grad_lin = G @ theta  # G theta, updated incrementally
@@ -144,13 +141,15 @@ def lasso_oracle_cd(data: Dataset, radius: float,
     if np.abs(theta_ls).sum() <= radius:
         return theta_ls, value(theta_ls)
 
-    lam_hi = float(np.abs(X.T @ y).max()) / n  # theta = 0 beyond this
+    # Built here, not read from ``data.gram()``, to keep the check independent.
+    G, b = (X.T @ X) / n, (X.T @ y) / n
+    lam_hi = float(np.abs(b).max())  # theta = 0 beyond this
     lam_lo = 0.0
     theta = np.zeros(X.shape[1])
     theta_hi = theta.copy()
     for _ in range(bisect_iters):
         lam = 0.5 * (lam_lo + lam_hi)
-        theta = lasso_cd_penalized(X, y, lam, theta0=theta)
+        theta = lasso_cd_penalized(G, b, lam, theta0=theta)
         if np.abs(theta).sum() > radius:
             lam_lo = lam
         else:
@@ -181,11 +180,14 @@ def cached_solve(body: ConvexBody, loss: LossSpec, data: Dataset,
                  tol: float | None = None) -> OracleSolution:
     """``solve_exact`` with a per-(dataset, body, loss, tol) cache.
 
-    The dataset is keyed by its fingerprint, which it computes once.
+    The dataset is keyed by its fingerprint, which it computes once, and
+    the body by ``body_key``; a body without a key is solved uncached.
     """
     require_matching_dimension(body, data)
-    key = (f"{data.fingerprint()}|{json.dumps(body.to_dict(), sort_keys=True)}"
-           f"|{_loss_key(loss)}|{tol}")
+    bkey = body_key(body)
+    if bkey is None:
+        return solve_exact(body, loss, data, tol=tol)
+    key = f"{data.fingerprint()}|{bkey}|{_loss_key(loss)}|{tol}"
     with _cache_lock:
         hit = _cache.get(key)
     if hit is not None:

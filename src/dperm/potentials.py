@@ -46,8 +46,6 @@ class MirrorStepError(RuntimeError):
 class Potential:
     """Base mirror map: value, gradient, Bregman divergence, prox step."""
 
-    coefficient_space = False
-
     # -- iterate-space mapping (identity except for coefficient potentials)
 
     def iterate_body(self, body: ConvexBody) -> ConvexBody:
@@ -266,8 +264,6 @@ class PolytopeQNorm(Potential):
         if not (1.0 < qv <= 2.0):
             raise ValueError(f"q must lie in (1, 2], got {qv}")
         object.__setattr__(self, "q", float(qv))
-
-    coefficient_space = True
 
     @property
     def n_vertices(self) -> int:

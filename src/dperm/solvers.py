@@ -1,7 +1,7 @@
 """Private solvers: noisy mirror descent, objective perturbation, Frank-Wolfe.
 
 ``run_solver`` is the one entry point.  It resolves the step count, step
-schedule and noise scales (``resolve_defaults``), then runs the loop of the
+sizes and noise scales (``resolve_defaults``), then runs the loop of the
 algorithm's family:
 
 - mirror descent (``noisy_md``, ``strongly_convex_md``): T-1 prox steps on
@@ -17,9 +17,9 @@ is the only stochastic element, and the zero-scale samplers leave the
 generator untouched, so a non-private run reproduces its classical
 counterpart's iterate sequence bit for bit.
 
-Step-size defaults follow the source algorithms; ``step_rule`` /
-``schedule`` / ``step_size`` in the config override them (the classical
-decaying Frank-Wolfe schedule 2/(t+2) is available as ``step_rule="decaying"``).
+Step-size defaults follow the source algorithms; ``step_rule`` and
+``step_size`` in the config override them (the classical decaying
+Frank-Wolfe schedule 2/(t+2) is available as ``step_rule="decaying"``).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .firstorder import NotCertifiedError, minimize
-from .geometry import ConvexBody, body_from_dict, gaussian_width_mc, symmetric_hull
+from .geometry import ConvexBody, body_from_dict, gaussian_width_mc, memo_by_body, symmetric_hull
 from .losses import Dataset, Huber, LossSpec, loss_from_dict, require_matching_dimension
 from .potentials import Potential, potential_from_dict
 from .privacy import (
@@ -50,14 +50,20 @@ from .privacy import (
 
 ALGORITHMS = ("noisy_md", "strongly_convex_md", "obj_pert", "fw_polytope", "fw_general")
 
-# Stream ids for the documented rng split.
+# Stream id of the noise generator in the documented rng split.
 _STREAM_NOISE = 0
-_STREAM_WIDTH = 1
 
 OBJPERT_INNER_TOL = 1e-8
 
-# Monte-Carlo samples behind a default-T Gaussian width.
+# Monte-Carlo samples and public seed of the Gaussian width in a default T,
+# computed once per body, so every seed of one config resolves the same T.
 WIDTH_SAMPLES = 20_000
+WIDTH_SEED = 0
+
+# The keys of a config document: the fields ``from_dict`` reads, the sweep's
+# solver ``id`` and the ``lasso_profile`` that ``dperm solve`` reads.
+_DOC_KEYS = frozenset({"algorithm", "body", "loss", "budget", "potential", "q_body", "T",
+                       "step_rule", "step_size", "seed", "t_cap", "id", "lasso_profile"})
 
 
 @dataclass
@@ -65,8 +71,7 @@ class SolverConfig:
     """Everything a solver run needs besides the dataset.
 
     ``T = 0`` resolves the step count from the algorithm's own default
-    formula (floored at 1, capped at ``t_cap``).  ``gaussian_width``
-    short-circuits the Monte-Carlo width estimate with an analytic value.
+    formula (floored at 1, capped at ``t_cap``).
     """
 
     algorithm: str
@@ -78,10 +83,8 @@ class SolverConfig:
     T: int = 0
     step_rule: str = "paper"
     step_size: Optional[float] = None
-    schedule: Optional[Callable[[int], float]] = None
     seed: int = 0
     t_cap: int = 10 ** 6
-    gaussian_width: Optional[float] = None
     record_iterates: bool = False
 
     def __post_init__(self):
@@ -104,6 +107,11 @@ class SolverConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SolverConfig":
+        """Build a config from its document; an unknown key raises ``ValueError``."""
+        unknown = sorted(set(doc) - _DOC_KEYS)
+        if unknown:
+            raise ValueError(f"unknown solver config key(s) {unknown}; "
+                             f"expected some of {sorted(_DOC_KEYS)}")
         body = body_from_dict(doc["body"])
         loss = loss_from_dict(doc["loss"])
         potential = None
@@ -122,7 +130,6 @@ class SolverConfig:
             step_size=doc.get("step_size"),
             seed=int(doc.get("seed", 0)),
             t_cap=int(doc.get("t_cap", 10 ** 6)),
-            gaussian_width=doc.get("gaussian_width"),
         )
 
 
@@ -176,13 +183,11 @@ def _q_body_for(cfg: SolverConfig) -> ConvexBody:
     return symmetric_hull(cfg.body)
 
 
-def _width_of(cfg: SolverConfig, body: ConvexBody, plan: NoisePlan, label: str) -> float:
-    if cfg.gaussian_width is not None:
-        plan.log(f"{label} = {cfg.gaussian_width} (user-supplied)")
-        return float(cfg.gaussian_width)
-    est = gaussian_width_mc(body, WIDTH_SAMPLES, seed_from(cfg.seed, _STREAM_WIDTH))
+def _width_of(body: ConvexBody, plan: NoisePlan, label: str) -> float:
+    est = memo_by_body(body, "gaussian_width",
+                       lambda: gaussian_width_mc(body, WIDTH_SAMPLES, WIDTH_SEED))
     plan.log(f"{label} = {est.mean:.6g} (Monte Carlo, {est.samples} samples, "
-             f"se {est.std_error:.2g})")
+             f"seed {est.seed}, se {est.std_error:.2g})")
     return est.mean
 
 
@@ -203,7 +208,7 @@ class ResolvedRun:
 
 
 def resolve_defaults(cfg: SolverConfig, data: Dataset) -> ResolvedRun:
-    """Fill T, step schedules and noise scales; record every substitution."""
+    """Fill T, step sizes and noise scales; record every substitution."""
     require_matching_dimension(cfg.body, data)
     eps, delta, n = cfg.budget.epsilon, cfg.budget.delta, data.n
     L1, L2 = cfg.loss.lipschitz_constants(cfg.body, data)
@@ -251,7 +256,7 @@ def resolve_defaults(cfg: SolverConfig, data: Dataset) -> ResolvedRun:
         q_diam = q_body.l2_diameter()
 
         def raw() -> float:
-            g_q = _width_of(cfg, q_body, plan, "G_Q")
+            g_q = _width_of(q_body, plan, "G_Q")
             return (q_diam ** 2 * eps ** 2 * n ** 2) / (L2 ** 2 * math.log(n / delta) ** 2 * g_q ** 2) \
                 if L2 > 0 and private else math.inf
 
@@ -263,7 +268,7 @@ def resolve_defaults(cfg: SolverConfig, data: Dataset) -> ResolvedRun:
         plan.log(f"L2 = {L2:.6g}, Delta = {delta_sc}, n = {n}, eps = {eps}, delta = {delta}")
 
         def raw() -> float:
-            g_c = _width_of(cfg, cfg.body, plan, "G_C")
+            g_c = _width_of(cfg.body, plan, "G_C")
             return (cfg.body.l2_diameter() * n * eps) ** 2 / g_c ** 2 if private else math.inf
 
         T = steps("(||C||_2 n eps)^2 / G_C^2", raw)
@@ -280,7 +285,7 @@ def resolve_defaults(cfg: SolverConfig, data: Dataset) -> ResolvedRun:
         plan.log(f"L2 = {L2:.6g}, Gamma = {gamma:.6g}, n = {n}, eps = {eps}, delta = {delta}")
 
         def raw() -> float:
-            g_c = _width_of(cfg, cfg.body, plan, "G_C")
+            g_c = _width_of(cfg.body, plan, "G_C")
             return (gamma ** (2 / 3) * (n * eps) ** (2 / 3) / (L2 * g_c) ** (2 / 3)) \
                 if L2 * g_c > 0 and private else math.inf
 
@@ -307,18 +312,12 @@ def resolve_defaults(cfg: SolverConfig, data: Dataset) -> ResolvedRun:
     plan.log(f"sigma = sqrt(32 L2^2 T) ln(T/delta)/(eps n) = {sigma:.6g}")
     if alg == "noisy_md":
         return ResolvedRun(T=T, plan=plan, eta=_md_eta(cfg, L2, q_diam, T, plan))
-    if cfg.schedule is not None:
-        plan.log("eta: user-supplied schedule")
-        return ResolvedRun(T=T, plan=plan, eta=cfg.schedule)
     plan.log(f"eta_t = 2/(Delta t) with Delta = {delta_sc}")
     return ResolvedRun(T=T, plan=plan, eta=sc_step_schedule(delta_sc))
 
 
 def _md_eta(cfg: SolverConfig, L2: float, q_diam: float, T: int,
             plan: NoisePlan) -> Callable[[int], float]:
-    if cfg.schedule is not None:
-        plan.log("eta: user-supplied schedule")
-        return cfg.schedule
     if cfg.step_size is not None:
         eta = float(cfg.step_size)
         plan.log(f"eta = {eta} (user-supplied constant)")
@@ -337,9 +336,6 @@ def _md_eta(cfg: SolverConfig, L2: float, q_diam: float, T: int,
 
 
 def _fw_mu(cfg: SolverConfig, T: int, plan: NoisePlan) -> Callable[[int], float]:
-    if cfg.schedule is not None:
-        plan.log("mu: user-supplied schedule")
-        return cfg.schedule
     if cfg.step_rule == "decaying":
         plan.log("mu_t = 2/(t+2) (classical decaying schedule)")
         return lambda t: 2.0 / (t + 2.0)

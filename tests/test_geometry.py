@@ -5,6 +5,7 @@ import pytest
 from scipy.special import gammaln
 
 from dperm.geometry import (
+    ROW_BLOCK,
     Box,
     GroupedL1Ball,
     L1Ball,
@@ -12,7 +13,10 @@ from dperm.geometry import (
     Polytope,
     Simplex,
     body_from_dict,
+    body_key,
     gaussian_width_mc,
+    memo_by_body,
+    row_abs_max,
     sample_feasible,
     symmetric_hull,
 )
@@ -337,6 +341,7 @@ class TestSymmetricHull:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(geometry, "linprog", counting)
+        monkeypatch.setattr(geometry, "_body_memo", geometry.Memo())  # as in a fresh process
         poly = Polytope(CROSS)
         assert poly.is_symmetric
         assert len(calls) == len(CROSS)  # one hull LP per vertex
@@ -345,6 +350,37 @@ class TestSymmetricHull:
         assert len(calls) == len(CROSS)
         poly.minkowski_norm([0.5, 0.0])
         assert len(calls) == len(CROSS) + 1  # the norm's own coefficient LP
+        # Another polytope with the same vertex list reads the memo.
+        again = Polytope(CROSS.copy())
+        assert again.is_symmetric and symmetric_hull(again) is again
+        assert len(calls) == len(CROSS) + 1
+
+
+class TestBodyKey:
+    def test_equal_bodies_share_a_key(self):
+        assert body_key(L1Ball(1.0, 3)) == body_key(body_from_dict(L1Ball(1.0, 3).to_dict()))
+        assert body_key(L1Ball(1.0, 3)) != body_key(L1Ball(2.0, 3))
+        assert body_key(Polytope(CROSS)) != body_key(Polytope(-CROSS))
+
+    def test_body_without_a_document_is_not_memoised(self):
+        class Bare(L2Ball):
+            def to_dict(self):
+                raise NotImplementedError
+
+        calls = []
+        body = Bare(1.0, 2)
+        assert body_key(body) is None
+        for _ in range(2):
+            assert memo_by_body(body, "test", lambda: calls.append(1) or 7) == 7
+        assert len(calls) == 2
+
+    def test_row_abs_max_matches_abs_max(self, rng):
+        # Three blocks of rows, the last one short.
+        G = rng.standard_normal((2 * ROW_BLOCK + 5, 3))
+        G[3] = 0.0
+        G[-1] = -2.0
+        assert np.array_equal(row_abs_max(G), np.abs(G).max(axis=1))
+        assert row_abs_max(G[:0]).shape == (0,)
 
 
 class TestSerialization:

@@ -5,8 +5,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import dperm.geometry as geometry
 import dperm.oracle as oracle
-from dperm.geometry import L1Ball
+import dperm.solvers as solvers
+from dperm.geometry import L1Ball, body_key
 from dperm.harness import ExperimentSpec, generate_lasso, run_sweep
 from dperm.losses import Dataset, SquaredError
 from dperm.privacy import PrivacyBudget
@@ -21,9 +23,8 @@ def lasso_configs(p: int) -> list[dict]:
     common = {"body": body, "loss": SQ, "budget": BUDGET}
     return [
         {"id": "fw_polytope", "algorithm": "fw_polytope", "T": 30, **common},
-        {"id": "fw_general", "algorithm": "fw_general", "t_cap": 30,
-         "gaussian_width": 2.0, **common},
-        {"id": "noisy_md", "algorithm": "noisy_md", "t_cap": 30, "gaussian_width": 2.0,
+        {"id": "fw_general", "algorithm": "fw_general", "t_cap": 30, **common},
+        {"id": "noisy_md", "algorithm": "noisy_md", "t_cap": 30,
          "potential": {"kind": "squared_l2"}, **common},
         {"id": "obj_pert", "algorithm": "obj_pert", **common},
     ]
@@ -66,6 +67,39 @@ class TestDimensionMismatch:
             in failures[0]["error"]
 
 
+class TestConfigDocument:
+    def test_unknown_key_fails_its_cells_by_name(self):
+        solvers = [{**lasso_configs(6)[1], "gaussian_width": 2.0}]
+        records, failures = run_sweep(spec_for(6, solvers, [0, 1]))
+        assert records == [] and len(failures) == 2
+        assert all("unknown solver config key(s) ['gaussian_width']" in f["error"]
+                   for f in failures)
+
+    def test_sweep_and_cli_keys_are_accepted(self):
+        doc = {**lasso_configs(6)[0], "lasso_profile": True}
+        assert SolverConfig.from_dict(doc).T == 30
+
+
+class TestWidthMemo:
+    @pytest.mark.parametrize("parallelism", [1, 4])
+    def test_width_runs_once_per_body(self, monkeypatch, parallelism):
+        # fw_general needs the width of the l1 ball and noisy_md that of its
+        # squared-l2 body; 8 seeds of each share the two estimates.
+        calls = Counter()
+        real = solvers.gaussian_width_mc
+
+        def counting(body, samples, seed):
+            calls[body_key(body)] += 1
+            return real(body, samples, seed)
+
+        monkeypatch.setattr(solvers, "gaussian_width_mc", counting)
+        monkeypatch.setattr(geometry, "_body_memo", geometry.Memo())  # as in a fresh process
+        records, failures = run_sweep(spec_for(8, lasso_configs(8)[1:3], range(8),
+                                               parallelism))
+        assert failures == [] and len(records) == 16
+        assert len(calls) == 2 and set(calls.values()) == {1}, calls
+
+
 class TestRidgeDocument:
     def test_strongly_convex_md_and_obj_pert_run(self):
         # A ridge loss from a document reaches the strongly convex solver.
@@ -73,7 +107,7 @@ class TestRidgeDocument:
                   "loss": {"kind": "squared_error", "ridge": 0.5}, "budget": BUDGET}
         solvers = [
             {"id": "sc_md", "algorithm": "strongly_convex_md", "t_cap": 30,
-             "gaussian_width": 2.0, "potential": {"kind": "squared_l2"}, **common},
+             "potential": {"kind": "squared_l2"}, **common},
             {"id": "obj_pert", "algorithm": "obj_pert", **common},
         ]
         records, failures = run_sweep(spec_for(6, solvers, [0, 1]))

@@ -243,6 +243,15 @@ class TestCustomAndRidge:
                           axis=0)
         assert np.allclose(spec.grad(theta, data), singles, atol=1e-12)
 
+    def test_ridge_lipschitz_on_asymmetric_box_uses_the_farthest_corner(self):
+        # With all-zero data only the ridge part is left: lam max ||theta||
+        # over the box, reached at the corner (-3, 3).
+        data = Dataset(X=np.zeros((5, 2)), y=np.zeros(5))
+        body = Box(lo=np.array([-3.0, -1.0]), hi=np.array([1.0, 3.0]))
+        L1, L2 = SquaredError(ridge=0.5).lipschitz_constants(body, data)
+        assert L2 == pytest.approx(0.5 * np.sqrt(18.0))
+        assert L1 == pytest.approx(0.5 * 3.0)
+
     def test_loss_from_dict(self):
         assert isinstance(loss_from_dict({"kind": "squared_error"}), SquaredError)
         assert isinstance(loss_from_dict({"kind": "huber", "delta": 0.3}), Huber)

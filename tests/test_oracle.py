@@ -136,7 +136,7 @@ class TestCoordinateDescentCrossCheck:
         X = rng.uniform(-1, 1, size=(80, 6))
         y = rng.uniform(-1, 1, size=80)
         lam = 0.05
-        theta = lasso_cd_penalized(X, y, lam)
+        theta = lasso_cd_penalized(X.T @ X / 80, X.T @ y / 80, lam)
         grad = X.T @ (X @ theta - y) / 80
         for j in range(6):
             if theta[j] != 0.0:
@@ -194,6 +194,17 @@ class TestCache:
             gc.collect()
             # The entry keeps its loss, so no later loss can take its id.
             assert alive() is not None
+
+    def test_body_without_a_document_is_solved_uncached(self):
+        class Bare(L1Ball):
+            def to_dict(self):
+                raise NotImplementedError
+
+        data = generate_lasso(50, 4, 2, 0.1, seed=9)
+        a = cached_solve(Bare(1.0, 4), SQ, data)
+        b = cached_solve(Bare(1.0, 4), SQ, data)
+        assert a is not b
+        assert a.optimum_value == cached_solve(L1Ball(1.0, 4), SQ, data).optimum_value
 
     def test_built_in_losses_share_entries_by_value(self):
         data = generate_lasso(50, 4, 2, 0.1, seed=9)

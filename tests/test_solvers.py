@@ -96,11 +96,23 @@ class TestResolveDefaults:
         run_md = resolve_defaults(cfg_md, small_lasso)
         assert run_md.T == 300 and run_md.plan.sigma == 0.0
 
+    def test_seeds_of_one_config_resolve_the_same_t(self):
+        # The width depends on the public body alone, so the default T and
+        # the noise scale cannot move with the solver seed.
+        data = generate_lasso(n=32_000, p=20, sparsity=3, noise_level=0.1, seed=5)
+        for algorithm, potential in (("noisy_md", SquaredL2(20)), ("fw_general", None)):
+            runs = [resolve_defaults(SolverConfig(
+                algorithm=algorithm, body=L1Ball(1.0, 20), loss=SQ,
+                budget=PrivacyBudget(1.0, 1e-6), potential=potential, seed=seed), data)
+                for seed in range(8)]
+            assert 1 < runs[0].T < 10 ** 6  # the formula, not the floor or the cap
+            assert {run.T for run in runs} == {runs[0].T}
+            assert {run.plan.sigma for run in runs} == {runs[0].plan.sigma}
+
     def test_degenerate_t_raises_with_advice(self):
         data = Dataset(X=np.ones((4, 2)), y=np.ones(4))
         cfg = SolverConfig(algorithm="noisy_md", body=L2Ball(1.0, 2), loss=SQ,
-                           budget=PrivacyBudget(0.01, 1e-6), potential=SquaredL2(2),
-                           gaussian_width=1.2)
+                           budget=PrivacyBudget(0.01, 1e-6), potential=SquaredL2(2))
         with pytest.raises(ValueError, match="increase n or epsilon"):
             resolve_defaults(cfg, data)
 
