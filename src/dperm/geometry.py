@@ -731,22 +731,31 @@ def symmetric_hull(body: ConvexBody) -> ConvexBody:
     return body
 
 
+# Each builder reads its document's fields through ``field(key)``.
 _KIND_TAGS = {
-    "l2_ball": lambda d: L2Ball(radius=float(d["radius"]), dimension=int(d["dimension"])),
-    "l1_ball": lambda d: L1Ball(radius=float(d["radius"]), dimension=int(d["dimension"])),
-    "simplex": lambda d: Simplex(dimension=int(d["dimension"])),
-    "polytope": lambda d: Polytope(np.asarray(d["vertices"], dtype=float)),
-    "grouped_l1_ball": lambda d: GroupedL1Ball(
-        radius=float(d["radius"]), group_size=int(d["group_size"]),
-        dimension=int(d["dimension"])),
-    "box": lambda d: Box(lo=np.asarray(d["lo"], dtype=float),
-                         hi=np.asarray(d["hi"], dtype=float)),
+    "l2_ball": lambda field: L2Ball(radius=float(field("radius")),
+                                    dimension=int(field("dimension"))),
+    "l1_ball": lambda field: L1Ball(radius=float(field("radius")),
+                                    dimension=int(field("dimension"))),
+    "simplex": lambda field: Simplex(dimension=int(field("dimension"))),
+    "polytope": lambda field: Polytope(np.asarray(field("vertices"), dtype=float)),
+    "grouped_l1_ball": lambda field: GroupedL1Ball(
+        radius=float(field("radius")), group_size=int(field("group_size")),
+        dimension=int(field("dimension"))),
+    "box": lambda field: Box(lo=np.asarray(field("lo"), dtype=float),
+                             hi=np.asarray(field("hi"), dtype=float)),
 }
+
+
+def doc_field(doc: dict, key: str, kind: str):
+    """``doc[key]``; a missing key raises ``ValueError`` naming ``kind`` and the key."""
+    if key not in doc:
+        raise ValueError(f"{kind} document has no {key!r} key")
+    return doc[key]
 
 
 def body_from_dict(doc: dict) -> ConvexBody:
     kind = doc.get("kind")
     if kind not in _KIND_TAGS:
         raise ValueError(f"unknown body kind {kind!r}; expected one of {sorted(_KIND_TAGS)}")
-    return _KIND_TAGS[kind](doc)
-
+    return _KIND_TAGS[kind](lambda key: doc_field(doc, key, f"{kind} body"))

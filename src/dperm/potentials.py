@@ -30,6 +30,7 @@ from .geometry import (
     L2Ball,
     Polytope,
     Simplex,
+    doc_field,
     symmetric_hull,
 )
 
@@ -117,9 +118,6 @@ class Potential:
         """Finite upper bound on Psi over the body (tight for the closed forms)."""
         raise NotImplementedError
 
-    def to_dict(self) -> dict:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True, eq=False)
 class SquaredL2(Potential):
@@ -161,10 +159,6 @@ class SquaredL2(Potential):
     def max_over_domain(self, body: ConvexBody) -> float:
         # Assumes the center lies in the body.
         return 0.5 * body.l2_diameter() ** 2
-
-    def to_dict(self) -> dict:
-        return {"kind": "squared_l2",
-                "center": None if self.center is None else self.center.tolist()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,9 +212,6 @@ class NegativeEntropy(Potential):
     def max_over_domain(self, body: ConvexBody) -> float:
         self._check_body(body)
         return math.log(self.dimension)
-
-    def to_dict(self) -> dict:
-        return {"kind": "negative_entropy"}
 
 
 def _bisect(above, lo: float, hi: float) -> float:
@@ -380,9 +371,6 @@ class PolytopeQNorm(Potential):
         # On the simplex ||a||_q <= ||a||_1 = 1.
         return 1.0 / (4.0 * (self.q - 1.0))
 
-    def to_dict(self) -> dict:
-        return {"kind": "polytope_q_norm", "q": self.q}
-
 
 @dataclass(frozen=True, eq=False)
 class GroupedL1(Potential):
@@ -489,9 +477,6 @@ class GroupedL1(Potential):
         # sum ||theta_j||^M <= (sum ||theta_j||)^M <= r^M on the radius-r ball.
         return body.radius ** M / (M * xi)
 
-    def to_dict(self) -> dict:
-        return {"kind": "grouped_l1", "group_size": self.group_size}
-
 
 def potential_from_dict(doc: dict, body: ConvexBody) -> Potential:
     """Build a potential from its config document, bound to a body."""
@@ -507,5 +492,6 @@ def potential_from_dict(doc: dict, body: ConvexBody) -> Potential:
             raise ValueError("polytope_q_norm requires a polytope body")
         return PolytopeQNorm(polytope=body, q=doc.get("q"))
     if kind == "grouped_l1":
-        return GroupedL1(dimension=body.dimension, group_size=int(doc["group_size"]))
+        return GroupedL1(dimension=body.dimension,
+                         group_size=int(doc_field(doc, "group_size", "grouped_l1 potential")))
     raise ValueError(f"unknown potential kind {kind!r}")

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -38,9 +37,6 @@ class PrivacyBudget:
     @classmethod
     def non_private(cls) -> "PrivacyBudget":
         return cls(epsilon=math.inf, delta=1e-6)
-
-    def to_dict(self) -> dict:
-        return {"epsilon": self.epsilon, "delta": self.delta}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PrivacyBudget":
@@ -158,20 +154,26 @@ def _check_positive(**kwargs) -> None:
 # Samplers
 
 
-def sample_gaussian_vec(p: int, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """i.i.d. N(0, sigma^2) coordinates; sigma = 0 returns zeros without touching rng."""
+def sample_gaussian_vec(shape, sigma: float, rng: np.random.Generator) -> np.ndarray:
+    """i.i.d. N(0, sigma^2) entries in an array of ``shape`` (an int or a tuple).
+
+    sigma = 0 returns zeros without touching rng.  A ``(m, p)`` block holds
+    the same values as m consecutive draws of shape ``p``.
+    """
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
     if sigma == 0.0:
-        return np.zeros(p)
-    return sigma * rng.standard_normal(p)
+        return np.zeros(shape)
+    return sigma * rng.standard_normal(shape)
 
 
-def sample_laplace(scale: float, rng: np.random.Generator, size: Optional[int] = None):
+def sample_laplace(scale: float, rng: np.random.Generator, size=None):
     """Laplace draw(s) by inverse CDF from one uniform per sample.
 
-    scale = 0 returns exact zeros without consuming generator state, so a
-    zero-noise run is bit-identical to its noiseless counterpart.
+    ``size`` is None (one float), an int or a shape tuple; a ``(m, k)``
+    block holds the same values as m consecutive draws of size k.  scale = 0
+    returns exact zeros without consuming generator state, so a zero-noise
+    run is bit-identical to its noiseless counterpart.
     """
     if scale < 0:
         raise ValueError("scale must be nonnegative")
@@ -182,19 +184,24 @@ def sample_laplace(scale: float, rng: np.random.Generator, size: Optional[int] =
     return float(vals) if size is None else vals
 
 
-def report_noisy_min(scores, scale: float, rng: np.random.Generator) -> int:
-    """Index of the minimum after independent Laplace noise on every score.
+def report_noisy_min(scores, noise) -> int:
+    """Index of the minimum of ``scores + noise``.
 
-    Ties break to the lowest index; with scale = 0 this is the exact argmin.
+    ``noise`` is this selection's independent Laplace draw per score, from
+    ``sample_laplace`` (zeros at scale 0, where this is the exact argmin).
+    Ties break to the lowest index.
     """
     scores = np.asarray(scores, dtype=float)
     if scores.ndim != 1 or scores.size == 0:
         raise ValueError("scores must be a nonempty vector")
-    if np.any(np.isnan(scores)):
+    if np.shape(noise) != scores.shape:
+        raise ValueError(f"noise of shape {np.shape(noise)} for {scores.size} scores")
+    noisy = scores + noise
+    idx = int(np.argmin(noisy))
+    # argmin returns the first NaN when there is one, and the noise is finite.
+    if math.isnan(noisy[idx]):
         raise ValueError("scores must not contain NaN")
-    if scale > 0.0:
-        scores = scores + sample_laplace(scale, rng, size=scores.size)
-    return int(np.argmin(scores))
+    return idx
 
 
 def spawn_rng(master_seed: int, stream_id: int) -> np.random.Generator:

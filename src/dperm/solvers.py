@@ -33,7 +33,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .firstorder import NotCertifiedError, minimize
-from .geometry import ConvexBody, body_from_dict, gaussian_width_mc, memo_by_body, symmetric_hull
+from .geometry import (ConvexBody, body_from_dict, doc_field, gaussian_width_mc, memo_by_body,
+                       symmetric_hull)
 from .losses import Dataset, Huber, LossSpec, loss_from_dict, require_matching_dimension
 from .potentials import Potential, potential_from_dict
 from .privacy import (
@@ -45,6 +46,7 @@ from .privacy import (
     objpert_plan,
     report_noisy_min,
     sample_gaussian_vec,
+    sample_laplace,
     spawn_rng,
 )
 
@@ -54,6 +56,11 @@ ALGORITHMS = ("noisy_md", "strongly_convex_md", "obj_pert", "fw_polytope", "fw_g
 _STREAM_NOISE = 0
 
 OBJPERT_INNER_TOL = 1e-8
+
+# The step loops draw their noise in blocks of consecutive rows, each block at
+# most this many bytes, so memory stays flat whatever T is.  A block holds the
+# same values as the per-step draws it replaces.
+NOISE_BLOCK_BYTES = 1 << 20
 
 # Monte-Carlo samples and public seed of the Gaussian width in a default T,
 # computed once per body, so every seed of one config resolves the same T.
@@ -112,14 +119,14 @@ class SolverConfig:
         if unknown:
             raise ValueError(f"unknown solver config key(s) {unknown}; "
                              f"expected some of {sorted(_DOC_KEYS)}")
-        body = body_from_dict(doc["body"])
-        loss = loss_from_dict(doc["loss"])
+        body = body_from_dict(doc_field(doc, "body", "solver config"))
+        loss = loss_from_dict(doc_field(doc, "loss", "solver config"))
         potential = None
         if doc.get("potential") is not None:
             potential = potential_from_dict(doc["potential"], body)
         q_body = body_from_dict(doc["q_body"]) if doc.get("q_body") else None
         return cls(
-            algorithm=doc["algorithm"],
+            algorithm=doc_field(doc, "algorithm", "solver config"),
             body=body,
             loss=loss,
             budget=PrivacyBudget.from_dict(doc.get("budget", {})),
@@ -356,6 +363,20 @@ def sc_step_schedule(delta_sc: float) -> Callable[[int], float]:
 # iterates to ``trace`` when that is a list.
 
 
+def _noise_rows(draw: Callable[[tuple], np.ndarray], steps: int, width: int):
+    """``steps`` noise rows of ``width`` entries, drawn by ``draw(shape)`` in
+    blocks of at most ``NOISE_BLOCK_BYTES``."""
+    rows = max(1, NOISE_BLOCK_BYTES // (8 * width))
+    for start in range(0, steps, rows):
+        yield from draw((min(rows, steps - start), width))
+
+
+def _gaussian_rows(cfg: SolverConfig, run: ResolvedRun, rng):
+    # One N(0, sigma^2 I_p) row per step.
+    return _noise_rows(lambda shape: sample_gaussian_vec(shape, run.plan.sigma, rng),
+                       run.T - 1, cfg.body.dimension)
+
+
 def _mirror_descent(cfg: SolverConfig, data: Dataset, run: ResolvedRun, rng, trace):
     # The T-th step of the source loop cannot affect the averaged output and
     # is skipped.
@@ -365,10 +386,9 @@ def _mirror_descent(cfg: SolverConfig, data: Dataset, run: ResolvedRun, rng, tra
     acc = x.copy()
     if trace is not None:
         trace.append(pot.to_point(x))
-    p = cfg.body.dimension
-    for t in range(1, run.T):
+    for t, z in zip(range(1, run.T), _gaussian_rows(cfg, run, rng)):
         theta_t = pot.to_point(x)
-        g = cfg.loss.grad(theta_t, data) + sample_gaussian_vec(p, run.plan.sigma, rng)
+        g = cfg.loss.grad(theta_t, data) + z
         x = pot.mirror_step(it_body, x, pot.pull_back(g), run.eta(t + 1))
         acc += x
         if trace is not None:
@@ -405,23 +425,25 @@ def _frank_wolfe(cfg: SolverConfig, data: Dataset, run: ResolvedRun, rng, trace)
     # at most T-1 selected vertices; that ledger is replayed from the picks.
     if cfg.algorithm == "fw_polytope":
         V = cfg.body.vertices()
+        noise = _noise_rows(lambda shape: sample_laplace(run.plan.laplace_scale, rng, size=shape),
+                            run.T - 1, V.shape[0])
         picks: list[int] = []
 
-        def target(g):
-            idx = report_noisy_min(V @ g, run.plan.laplace_scale, rng)
+        def target(g, z):
+            idx = report_noisy_min(V @ g, z)
             picks.append(idx)
             return V[idx]
     else:
-        p = cfg.body.dimension
+        noise = _gaussian_rows(cfg, run, rng)
 
-        def target(g):
-            return cfg.body.lmo(g + sample_gaussian_vec(p, run.plan.sigma, rng))
+        def target(g, z):
+            return cfg.body.lmo(g + z)
 
     theta = cfg.body.canonical_point()
     if trace is not None:
         trace.append(theta.copy())
-    for t in range(1, run.T):
-        s = target(cfg.loss.grad(theta, data))
+    for t, z in zip(range(1, run.T), noise):
+        s = target(cfg.loss.grad(theta, data), z)
         mu = run.mu(t)
         theta = (1.0 - mu) * theta + mu * s
         if trace is not None:
@@ -429,15 +451,20 @@ def _frank_wolfe(cfg: SolverConfig, data: Dataset, run: ResolvedRun, rng, trace)
     if cfg.algorithm != "fw_polytope":
         return theta, run.T, {}
 
-    weights: dict[object, float] = {"start": 1.0}
+    # Slot k of the ledger is the start point; the keys are the start, then
+    # the vertices in the order they were first picked.
+    k = V.shape[0]
+    w = np.zeros(k + 1)
+    w[k] = 1.0
     for t, idx in enumerate(picks, start=1):
         mu = run.mu(t)
-        for k in weights:
-            weights[k] *= 1.0 - mu
-        weights[idx] = weights.get(idx, 0.0) + mu
+        w *= 1.0 - mu
+        w[idx] += mu
+    weights = w.tolist()
+    ledger = {"start": weights[k], **{str(i): weights[i] for i in dict.fromkeys(picks)}}
     return theta, run.T, {
-        "vertex_weights": {str(k): v for k, v in weights.items()},
-        "support_size": sum(1 for v in weights.values() if v > 0),
+        "vertex_weights": ledger,
+        "support_size": sum(1 for v in ledger.values() if v > 0),
     }
 
 

@@ -75,6 +75,28 @@ class TestConfigDocument:
         assert all("unknown solver config key(s) ['gaussian_width']" in f["error"]
                    for f in failures)
 
+    def test_missing_keys_fail_by_kind_and_name(self):
+        base = lasso_configs(6)
+        body = {k: v for k, v in base[0]["body"].items() if k != "dimension"}
+        solvers = [
+            {**base[0], "body": body},
+            {**base[2], "id": "grouped", "body": {"kind": "grouped_l1_ball", "radius": 1.0,
+                                                  "group_size": 2, "dimension": 6},
+             "potential": {"kind": "grouped_l1"}},
+            *({"id": f"no_{key}", **{k: v for k, v in base[1].items() if k not in (key, "id")}}
+              for key in ("algorithm", "body", "loss")),
+        ]
+        records, failures = run_sweep(spec_for(6, solvers, [0, 1]))
+        assert records == [] and len(failures) == 2 * len(solvers)
+        expected = {
+            "fw_polytope": "l1_ball body document has no 'dimension' key",
+            "grouped": "grouped_l1 potential document has no 'group_size' key",
+            "no_algorithm": "solver config document has no 'algorithm' key",
+            "no_body": "solver config document has no 'body' key",
+            "no_loss": "solver config document has no 'loss' key",
+        }
+        assert {(f["solver"], f["error"]) for f in failures} == set(expected.items())
+
     def test_sweep_and_cli_keys_are_accepted(self):
         doc = {**lasso_configs(6)[0], "lasso_profile": True}
         assert SolverConfig.from_dict(doc).T == 30

@@ -380,7 +380,6 @@ class TestConfig:
         body2 = Polytope(CROSS)
         pot2 = potential_from_dict(pot2_doc := {"kind": "polytope_q_norm", "q": 1.5}, body2)
         assert isinstance(pot2, PolytopeQNorm) and pot2.q == 1.5
-        assert pot2.to_dict()["q"] == 1.5
         pot3 = potential_from_dict({"kind": "squared_l2", "center": [0.1, 0.2]},
                                    L2Ball(1.0, 2))
         assert isinstance(pot3, SquaredL2)

@@ -157,6 +157,21 @@ class TestSamplers:
         with pytest.raises(ValueError):
             sample_laplace(-1.0, np.random.default_rng(0))
 
+    def test_block_draws_equal_consecutive_single_draws(self):
+        m, k, p = 9, 5, 7
+        block_rng, step_rng = spawn_rng(3, 0), spawn_rng(3, 0)
+        laplace = sample_laplace(0.8, block_rng, size=(m, k))
+        gauss = sample_gaussian_vec((m, p), 1.3, block_rng)
+        assert np.array_equal(laplace, [sample_laplace(0.8, step_rng, size=k) for _ in range(m)])
+        assert np.array_equal(gauss, [sample_gaussian_vec(p, 1.3, step_rng) for _ in range(m)])
+
+    def test_zero_scale_blocks_leave_generator_untouched(self):
+        g = spawn_rng(3, 0)
+        state = g.bit_generator.state
+        assert np.array_equal(sample_laplace(0.0, g, size=(4, 3)), np.zeros((4, 3)))
+        assert np.array_equal(sample_gaussian_vec((4, 3), 0.0, g), np.zeros((4, 3)))
+        assert g.bit_generator.state == state
+
     def test_deterministic_streams(self):
         a = sample_laplace(1.0, spawn_rng(99, 0), size=32)
         b = sample_laplace(1.0, spawn_rng(99, 0), size=32)
@@ -174,20 +189,21 @@ class TestReportNoisyMin:
         g = np.random.default_rng(0)
         for _ in range(200):
             scores = rng.standard_normal(int(rng.integers(1, 20)))
-            assert report_noisy_min(scores, 0.0, g) == int(np.argmin(scores))
+            noise = sample_laplace(0.0, g, size=scores.size)
+            assert report_noisy_min(scores, noise) == int(np.argmin(scores))
 
     def test_tie_breaks_to_lowest_index(self):
         g = np.random.default_rng(0)
-        assert report_noisy_min([3.0, 1.0, 2.0], 0.0, g) == 1
-        assert report_noisy_min([1.0, 1.0, 2.0], 0.0, g) == 0
+        assert report_noisy_min([3.0, 1.0, 2.0], sample_laplace(0.0, g, size=3)) == 1
+        assert report_noisy_min([1.0, 1.0, 2.0], sample_laplace(0.0, g, size=3)) == 0
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
-            report_noisy_min([0.0, np.nan], 0.0, np.random.default_rng(0))
+            report_noisy_min([0.0, np.nan], np.zeros(2))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            report_noisy_min([], 0.0, np.random.default_rng(0))
+            report_noisy_min([], np.zeros(0))
 
     def test_large_margin_rarely_flipped(self):
         # P[Lap1 - Lap2 > 10] = e^(-10)(2 + 10)/4 = 3 e^(-10) ~ 1.4e-4 by the
@@ -195,7 +211,8 @@ class TestReportNoisyMin:
         analytic_flip = math.exp(-10.0) * (2.0 + 10.0) / 4.0
         assert analytic_flip < 0.01
         g = np.random.default_rng(21)
-        wins = sum(report_noisy_min([0.0, 10.0], 1.0, g) == 0 for _ in range(10 ** 4))
+        wins = sum(report_noisy_min([0.0, 10.0], sample_laplace(1.0, g, size=2)) == 0
+                   for _ in range(10 ** 4))
         assert wins / 10 ** 4 >= 0.99
 
 

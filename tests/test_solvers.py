@@ -10,7 +10,7 @@ from dperm.harness import generate_lasso
 from dperm.losses import CustomLoss, Dataset, Huber, SquaredError
 from dperm.oracle import cached_solve, excess_risk, solve_exact
 from dperm.potentials import NegativeEntropy, PolytopeQNorm, SquaredL2
-from dperm.privacy import PrivacyBudget
+from dperm.privacy import PrivacyBudget, sample_gaussian_vec, sample_laplace, spawn_rng
 from dperm.solvers import (
     SolverConfig,
     resolve_defaults,
@@ -60,6 +60,54 @@ def reference_fw(body, loss, data, T, mu_fn):
         target = body.lmo(g)
         theta = (1 - mu_fn(t)) * theta + mu_fn(t) * target
     return theta
+
+
+def reference_step_loop(cfg, data):
+    """The noisy_md, fw_general and fw_polytope loops with one sampler call
+    per step and the vertex ledger kept in a dict.
+
+    Returns (theta, iterates, vertex_weights); the weights are None except
+    for fw_polytope.
+    """
+    run = resolve_defaults(cfg, data)
+    rng = spawn_rng(cfg.seed, solvers._STREAM_NOISE)
+    p = cfg.body.dimension
+    if cfg.algorithm == "noisy_md":
+        pot = cfg.potential
+        it_body = pot.iterate_body(cfg.body)
+        x = it_body.canonical_point()
+        acc = x.copy()
+        iterates = [pot.to_point(x)]
+        for t in range(1, run.T):
+            g = cfg.loss.grad(pot.to_point(x), data) + sample_gaussian_vec(p, run.plan.sigma, rng)
+            x = pot.mirror_step(it_body, x, pot.pull_back(g), run.eta(t + 1))
+            acc += x
+            iterates.append(pot.to_point(x))
+        return pot.to_point(acc / run.T), iterates, None
+
+    V = cfg.body.vertices() if cfg.algorithm == "fw_polytope" else None
+    theta = cfg.body.canonical_point()
+    iterates = [theta.copy()]
+    weights = {"start": 1.0}
+    for t in range(1, run.T):
+        g = cfg.loss.grad(theta, data)
+        mu = run.mu(t)
+        if V is not None:
+            scores = V @ g
+            if run.plan.laplace_scale > 0.0:
+                scores = scores + sample_laplace(run.plan.laplace_scale, rng, size=len(V))
+            idx = int(np.argmin(scores))
+            s = V[idx]
+            for k in weights:
+                weights[k] *= 1.0 - mu
+            weights[idx] = weights.get(idx, 0.0) + mu
+        else:
+            s = cfg.body.lmo(g + sample_gaussian_vec(p, run.plan.sigma, rng))
+        theta = (1.0 - mu) * theta + mu * s
+        iterates.append(theta.copy())
+    if cfg.algorithm != "fw_polytope":
+        return theta, iterates, None
+    return theta, iterates, {str(k): v for k, v in weights.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -520,3 +568,33 @@ class TestReportAndConfig:
         else:
             assert rep.iterations == 7 and len(rep.extras["iterates"]) == 7
             assert all(body.contains(theta) for theta in rep.extras["iterates"])
+
+
+class TestBlockNoise:
+    """The step loops draw their noise in blocks and replay the vertex
+    ledger in an array, with the same bits as per-step draws and a dict."""
+
+    @pytest.mark.parametrize("algorithm", ["noisy_md", "fw_general", "fw_polytope"])
+    @pytest.mark.parametrize("budget", [PrivacyBudget(1.0, 1e-6), NON_PRIVATE],
+                             ids=["private", "non_private"])
+    @pytest.mark.parametrize("block_bytes", [None, 500], ids=["1MiB", "500B"])
+    def test_matches_per_step_reference(self, small_lasso, monkeypatch, algorithm, budget,
+                                        block_bytes):
+        # 500 bytes hold 5 Gaussian rows (p = 12) or 2 Laplace rows (24
+        # vertices), so 22 steps cross several blocks and end in a short one.
+        if block_bytes is not None:
+            monkeypatch.setattr(solvers, "NOISE_BLOCK_BYTES", block_bytes)
+        potential = SquaredL2(12) if algorithm == "noisy_md" else None
+        for seed in (0, 1, 2):
+            cfg = SolverConfig(algorithm=algorithm, body=L1Ball(1.0, 12), loss=SQ,
+                               budget=budget, potential=potential, T=23, seed=seed,
+                               record_iterates=True)
+            rep = run_solver(cfg, small_lasso)
+            theta, iterates, weights = reference_step_loop(cfg, small_lasso)
+            assert np.array_equal(rep.theta_priv, theta)
+            assert len(rep.extras["iterates"]) == len(iterates) == 23
+            assert all(np.array_equal(a, b) for a, b in zip(rep.extras["iterates"], iterates))
+            if algorithm == "fw_polytope":
+                ledger = rep.extras["vertex_weights"]
+                assert ledger == weights and list(ledger) == list(weights)
+                assert rep.extras["support_size"] == sum(1 for v in weights.values() if v > 0)
