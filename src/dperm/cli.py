@@ -7,10 +7,9 @@ import json
 import sys
 
 from .geometry import body_from_dict, gaussian_width_mc
-from .harness import ExperimentSpec, run_sweep, summarize
+from .harness import ExperimentSpec, run_sweep, score_cell, summarize
 from .losses import Dataset
-from .oracle import cached_solve, excess_risk
-from .solvers import SolverConfig, run_solver
+from .solvers import SolverConfig
 
 
 def main(argv=None) -> int:
@@ -35,7 +34,6 @@ def main(argv=None) -> int:
     p_bench = sub.add_parser("bench", help="run an experiment sweep")
     p_bench.add_argument("experiment_json")
     p_bench.add_argument("--output", default=None)
-    p_bench.add_argument("--parallelism", type=int, default=None)
     p_bench.add_argument("--seed", type=int, default=None,
                          help="replace the seed list with this single seed")
     p_bench.add_argument("--non-private", action="store_true")
@@ -76,18 +74,12 @@ def _cmd_solve(args) -> int:
     cfg = SolverConfig.from_dict(doc)
     data = Dataset.from_csv(args.data_csv,
                             lasso_profile=doc.get("lasso_profile", False))
-    report = run_solver(cfg, data)
-    oracle = cached_solve(cfg.body, cfg.loss, data)
-    report.excess_risk = excess_risk(report.theta_priv, oracle, cfg.loss, data)
-    report.optimum = oracle.optimum_value
-    _emit(report.to_dict(), args.output)
+    _emit(score_cell(cfg, data).to_dict(), args.output)
     return 0
 
 
 def _cmd_bench(args) -> int:
     spec = ExperimentSpec.from_json(args.experiment_json)
-    if args.parallelism is not None:
-        spec.parallelism = args.parallelism
     if args.seed is not None:
         spec.seeds = [args.seed]
     if args.non_private:

@@ -2,8 +2,7 @@
 
 Every body is closed, convex and bounded.  The operations here are pure
 functions of their inputs and safe to call concurrently; the Monte-Carlo
-width estimator takes its seed explicitly so parallel replicas can use
-disjoint seeds.
+width estimator takes its seed explicitly, so an estimate is reproducible.
 
 A quantity of the public body alone (its Gaussian width, a polytope's
 symmetry) is computed once per process by ``memo_by_body``, keyed by
@@ -30,6 +29,9 @@ MAX_POLYTOPE_VERTICES = 10_000
 
 # Rows of |G| formed at a time by ``row_abs_max``.
 ROW_BLOCK = 8192
+
+# Gaussian vectors drawn at a time by ``gaussian_width_mc``.
+WIDTH_BATCH = 4096
 
 
 def _as_vector(x, dim: int, name: str = "x") -> np.ndarray:
@@ -639,8 +641,7 @@ class WidthEstimate:
             raise ValueError("mean and std_error must be nonnegative")
 
 
-def gaussian_width_mc(body: ConvexBody, samples: int, seed: int,
-                      batch: int = 4096) -> WidthEstimate:
+def gaussian_width_mc(body: ConvexBody, samples: int, seed: int) -> WidthEstimate:
     """Estimate the Gaussian width of a body by Monte Carlo.
 
     Averages the dual norm (the absolute-value form sup |<g, w>|) of i.i.d.
@@ -653,7 +654,7 @@ def gaussian_width_mc(body: ConvexBody, samples: int, seed: int,
     total_sq = 0.0
     remaining = samples
     while remaining > 0:
-        m = min(batch, remaining)
+        m = min(WIDTH_BATCH, remaining)
         G = rng.standard_normal((m, body.dimension))
         vals = body.dual_norms(G)
         total += float(vals.sum())

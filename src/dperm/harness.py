@@ -1,9 +1,9 @@
 """Synthetic data generation, experiment sweeps, and result emission.
 
-A sweep cell is one (solver config, n, seed) triple.  Cells are
-self-contained: each derives its own generator from the cell seed, reads
-the oracle cache, and never mutates shared state, so the record set is
-identical no matter how many workers run the sweep.
+A sweep cell is one (solver config, n, seed) triple.  Cells run one
+after another on one thread; each derives its own generator from the
+cell seed and reads the oracle cache, so a cell's record does not depend
+on the cells run before it.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import csv
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from .losses import Dataset
 from .oracle import cached_solve, excess_risk
-from .solvers import SolverConfig, run_solver, seed_from
+from .solvers import SolverConfig, SolverReport, run_solver, seed_from
 
 SCHEMA_VERSION = 1
 
@@ -37,8 +36,7 @@ def generate_lasso(n: int, p: int, sparsity: int, noise_level: float, seed: int,
     Features are uniform on [-1, 1]^p; the planted model has ``sparsity``
     nonzeros scaled to l1 norm ``l1_norm`` (<= 1); targets are the clean
     inner products plus Gaussian noise.  Records with |y| > 1 are resampled
-    rather than clipped so the domain stays exact.  Deterministic per seed;
-    the planted model is stashed in ``meta["theta_star"]``.
+    rather than clipped so the domain stays exact.  Deterministic per seed.
     """
     if not (1 <= sparsity <= p):
         raise ValueError("need 1 <= sparsity <= p")
@@ -70,9 +68,7 @@ def generate_lasso(n: int, p: int, sparsity: int, noise_level: float, seed: int,
                 f"record {i} still out of range after {RESAMPLE_ATTEMPTS} resamples; "
                 "the noise level is too large for the |y| <= 1 domain"
             )
-    return Dataset(X=X, y=y, lasso_profile=True,
-                   meta={"theta_star": theta_star, "seed": seed,
-                         "noise_level": noise_level})
+    return Dataset(X=X, y=y, lasso_profile=True)
 
 
 @dataclass
@@ -108,15 +104,12 @@ class ExperimentSpec:
     seeds: list[int]
     dataset: dict
     output: Optional[str] = None
-    parallelism: int = 1
 
     def __post_init__(self):
         if not self.solvers:
             raise ValueError("at least one solver config is required")
         if not self.n_sweep or not self.seeds:
             raise ValueError("n_sweep and seeds must be nonempty")
-        if self.parallelism < 1:
-            raise ValueError("parallelism must be >= 1")
         if "path" in self.dataset and not os.path.exists(self.dataset["path"]):
             raise ValueError(f"dataset file {self.dataset['path']} does not exist")
         for i, doc in enumerate(self.solvers):
@@ -129,7 +122,7 @@ class ExperimentSpec:
             doc = json.load(fh)
         return cls(solvers=doc["solvers"], n_sweep=[int(v) for v in doc["n_sweep"]],
                    seeds=[int(v) for v in doc["seeds"]], dataset=doc["dataset"],
-                   output=doc.get("output"), parallelism=int(doc.get("parallelism", 1)))
+                   output=doc.get("output"))
 
 
 def _dataset_for(spec: ExperimentSpec, n: int) -> Dataset:
@@ -151,16 +144,21 @@ def _dataset_for(spec: ExperimentSpec, n: int) -> Dataset:
     )
 
 
-def _run_cell(doc: dict, data: Dataset, n: int, seed: int):
-    cfg = SolverConfig.from_dict({**doc, "seed": seed})
+def score_cell(cfg: SolverConfig, data: Dataset) -> SolverReport:
+    """Run one config and score it: the report carries its excess risk
+    over the certified optimum and that optimum."""
     report = run_solver(cfg, data)
     oracle = cached_solve(cfg.body, cfg.loss, data)
-    risk = excess_risk(report.theta_priv, oracle, cfg.loss, data)
-    report.excess_risk = risk
+    report.excess_risk = excess_risk(report.theta_priv, oracle, cfg.loss, data)
     report.optimum = oracle.optimum_value
+    return report
+
+
+def _run_cell(doc: dict, data: Dataset, n: int, seed: int) -> RiskRecord:
+    report = score_cell(SolverConfig.from_dict({**doc, "seed": seed}), data)
     return RiskRecord(
-        solver=doc["id"], n=n, seed=seed, excess_risk=risk,
-        optimum=oracle.optimum_value, T=report.iterations,
+        solver=doc["id"], n=n, seed=seed, excess_risk=report.excess_risk,
+        optimum=report.optimum, T=report.iterations,
         sigma=report.noise_plan.sigma,
         laplace_scale=report.noise_plan.laplace_scale,
         wall_ms=report.wall_time_s * 1000.0,
@@ -168,35 +166,22 @@ def _run_cell(doc: dict, data: Dataset, n: int, seed: int):
 
 
 def run_sweep(spec: ExperimentSpec) -> tuple[list[RiskRecord], list[dict]]:
-    """Run every cell; failures are recorded per-cell and the sweep continues.
+    """Run every cell in order; failures are recorded per-cell and the
+    sweep continues.
 
-    Returns (records, failures) with records sorted by (solver, n, seed) so
-    the output is identical for any worker count.
+    Returns (records, failures), each sorted by (solver, n, seed).
     """
     datasets = {n: _dataset_for(spec, n) for n in sorted(set(spec.n_sweep))}
-    cells = [(doc, n, seed) for doc in spec.solvers
-             for n in spec.n_sweep for seed in spec.seeds]
-
     records: list[RiskRecord] = []
     failures: list[dict] = []
-
-    def work(cell):
-        doc, n, seed = cell
-        try:
-            return _run_cell(doc, datasets[n], n, seed), None
-        except Exception as exc:  # noqa: BLE001 - per-cell isolation is the contract
-            return None, {"solver": doc["id"], "n": n, "seed": seed, "error": str(exc)}
-
-    if spec.parallelism > 1:
-        with ThreadPoolExecutor(max_workers=spec.parallelism) as pool:
-            outcomes = list(pool.map(work, cells))
-    else:
-        outcomes = [work(c) for c in cells]
-    for rec, fail in outcomes:
-        if rec is not None:
-            records.append(rec)
-        else:
-            failures.append(fail)
+    for doc in spec.solvers:
+        for n in spec.n_sweep:
+            for seed in spec.seeds:
+                try:
+                    records.append(_run_cell(doc, datasets[n], n, seed))
+                except Exception as exc:  # noqa: BLE001 - per-cell isolation is the contract
+                    failures.append({"solver": doc["id"], "n": n, "seed": seed,
+                                     "error": str(exc)})
     records.sort(key=lambda r: (r.solver, r.n, r.seed))
     failures.sort(key=lambda f: (f["solver"], f["n"], f["seed"]))
 

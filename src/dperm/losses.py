@@ -9,12 +9,13 @@ A ``Dataset`` is read-only.  Its ``X`` and ``y`` are read-only views of the
 arrays it was built from (not copies), so writing into them raises; the
 caller must not write into the arrays it passed in either.  Statistics
 that depend only on the data are computed once per dataset, on first use,
-under a lock, so threads of one sweep share them:
+under a lock, and shared by every cell and every thread that reads it:
 
 - ``fingerprint()``: sha256 of the shapes and bytes of (X, y), the oracle
   cache key;
 - ``gram()``: G = X'X/n, b = X'y/n and c = y'y/(2n);
 - ``row_sq_norms()``: ||x_i||^2 for every record;
+- ``row_abs_max()``: ||x_i||_inf for every record;
 - the Lipschitz constants of the built-in losses (without a ridge term),
   per (loss parameters, ``geometry.body_key(body)``).
 
@@ -37,7 +38,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -78,7 +79,6 @@ class Dataset:
     X: np.ndarray
     y: np.ndarray
     lasso_profile: bool = False
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         X, y = _read_only(self.X), _read_only(self.y)
@@ -92,10 +92,10 @@ class Dataset:
 
     def __reduce__(self):
         # The lock cannot be pickled; a copy starts with an empty memo.
-        return type(self), (self.X, self.y, self.lasso_profile, self.meta)
+        return type(self), (self.X, self.y, self.lasso_profile)
 
     def _validate_lasso(self) -> None:
-        bad_x = row_abs_max(self.X) > 1.0 + LASSO_DOMAIN_TOL
+        bad_x = self.row_abs_max() > 1.0 + LASSO_DOMAIN_TOL
         bad_y = np.abs(self.y) > 1.0 + LASSO_DOMAIN_TOL
         bad = np.nonzero(bad_x | bad_y)[0]
         if bad.size:
@@ -138,6 +138,15 @@ class Dataset:
             return sq
 
         return self._memo("row_sq_norms", compute)
+
+    def row_abs_max(self) -> np.ndarray:
+        """||x_i||_inf for every record, read-only."""
+        def compute():
+            m = row_abs_max(self.X)
+            m.flags.writeable = False
+            return m
+
+        return self._memo("row_abs_max", compute)
 
     @property
     def prefers_gram(self) -> bool:
@@ -277,7 +286,7 @@ def _lipschitz(key: str, body: ConvexBody, data: Dataset,
         res = body.dual_norms(data.X) + np.abs(data.y)
         if cap is not None:
             res = np.minimum(res, cap)
-        L1 = float(np.max(res * row_abs_max(data.X), initial=0.0))
+        L1 = float(np.max(res * data.row_abs_max(), initial=0.0))
         L2 = float(np.max(res * np.sqrt(data.row_sq_norms()), initial=0.0))
         return L1, L2
 

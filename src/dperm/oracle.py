@@ -11,14 +11,13 @@ solve is available as an independent cross-check.
 from __future__ import annotations
 
 import math
-import threading
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .firstorder import minimize
-from .geometry import ConvexBody, Polytope, body_key
+from .geometry import ConvexBody, Memo, Polytope, body_key
 from .losses import Dataset, LossSpec, loss_key, require_matching_dimension
 
 DEFAULT_REL_TOL = 1e-9
@@ -167,8 +166,7 @@ def lasso_oracle_cd(data: Dataset, radius: float,
 # Cache (per dataset/body/loss key)
 
 # Each entry keeps its loss alive, so the id in a key cannot be reused.
-_cache: dict[str, tuple[LossSpec, OracleSolution]] = {}
-_cache_lock = threading.Lock()
+_cache = Memo()
 
 
 def _loss_key(loss: LossSpec) -> str:
@@ -176,9 +174,8 @@ def _loss_key(loss: LossSpec) -> str:
     return loss_key(loss) or f"{type(loss).__name__}@{id(loss):x}"
 
 
-def cached_solve(body: ConvexBody, loss: LossSpec, data: Dataset,
-                 tol: float | None = None) -> OracleSolution:
-    """``solve_exact`` with a per-(dataset, body, loss, tol) cache.
+def cached_solve(body: ConvexBody, loss: LossSpec, data: Dataset) -> OracleSolution:
+    """``solve_exact`` with a per-(dataset, body, loss) cache.
 
     The dataset is keyed by its fingerprint, which it computes once, and
     the body by ``body_key``; a body without a key is solved uncached.
@@ -186,13 +183,6 @@ def cached_solve(body: ConvexBody, loss: LossSpec, data: Dataset,
     require_matching_dimension(body, data)
     bkey = body_key(body)
     if bkey is None:
-        return solve_exact(body, loss, data, tol=tol)
-    key = f"{data.fingerprint()}|{bkey}|{_loss_key(loss)}|{tol}"
-    with _cache_lock:
-        hit = _cache.get(key)
-    if hit is not None:
-        return hit[1]
-    sol = solve_exact(body, loss, data, tol=tol)
-    with _cache_lock:
-        _cache[key] = (loss, sol)
-    return sol
+        return solve_exact(body, loss, data)
+    key = f"{data.fingerprint()}|{bkey}|{_loss_key(loss)}"
+    return _cache.get(key, lambda: (loss, solve_exact(body, loss, data)))[1]

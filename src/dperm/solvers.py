@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -67,11 +67,6 @@ NOISE_BLOCK_BYTES = 1 << 20
 WIDTH_SAMPLES = 20_000
 WIDTH_SEED = 0
 
-# The keys of a config document: the fields ``from_dict`` reads, the sweep's
-# solver ``id`` and the ``lasso_profile`` that ``dperm solve`` reads.
-_DOC_KEYS = frozenset({"algorithm", "body", "loss", "budget", "potential", "q_body", "T",
-                       "step_rule", "step_size", "seed", "t_cap", "id", "lasso_profile"})
-
 
 @dataclass
 class SolverConfig:
@@ -86,7 +81,6 @@ class SolverConfig:
     loss: LossSpec
     budget: PrivacyBudget
     potential: Optional[Potential] = None
-    q_body: Optional[ConvexBody] = None
     T: int = 0
     step_rule: str = "paper"
     step_size: Optional[float] = None
@@ -124,20 +118,24 @@ class SolverConfig:
         potential = None
         if doc.get("potential") is not None:
             potential = potential_from_dict(doc["potential"], body)
-        q_body = body_from_dict(doc["q_body"]) if doc.get("q_body") else None
         return cls(
             algorithm=doc_field(doc, "algorithm", "solver config"),
             body=body,
             loss=loss,
             budget=PrivacyBudget.from_dict(doc.get("budget", {})),
             potential=potential,
-            q_body=q_body,
             T=int(doc.get("T", 0)),
             step_rule=doc.get("step_rule", "paper"),
             step_size=doc.get("step_size"),
             seed=int(doc.get("seed", 0)),
             t_cap=int(doc.get("t_cap", 10 ** 6)),
         )
+
+
+# The keys of a config document: the fields ``from_dict`` reads, the sweep's
+# solver ``id`` and the ``lasso_profile`` that ``dperm solve`` reads.
+_DOC_KEYS = frozenset({f.name for f in fields(SolverConfig) if f.name != "record_iterates"}
+                      | {"id", "lasso_profile"})
 
 
 @dataclass
@@ -180,8 +178,6 @@ def _jsonable(v) -> bool:
 
 
 def _q_body_for(cfg: SolverConfig) -> ConvexBody:
-    if cfg.q_body is not None:
-        return cfg.q_body
     if cfg.potential is not None:
         # The potential knows the symmetric body its strong convexity is
         # stated against; the blanket symmetric hull would mispair e.g. a

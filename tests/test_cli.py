@@ -1,0 +1,100 @@
+import csv
+import json
+import math
+
+import pytest
+
+import dperm.harness as harness
+from dperm.cli import main
+from dperm.geometry import L1Ball, gaussian_width_mc
+from dperm.harness import generate_lasso
+from dperm.losses import SquaredError
+from dperm.oracle import cached_solve
+
+BODY = {"kind": "l1_ball", "radius": 1.0, "dimension": 5}
+CONFIG = {"id": "fw", "algorithm": "fw_polytope", "T": 20, "body": BODY,
+          "loss": {"kind": "squared_error"}, "budget": {"epsilon": 1.0, "delta": 1e-6}}
+
+
+def write_json(path, doc):
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.fixture
+def lasso_csv(tmp_path):
+    data = generate_lasso(200, 5, 2, 0.1, seed=1)
+    path = tmp_path / "data.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"x{j}" for j in range(1, 6)] + ["y"])
+        for x, y in data.records():
+            writer.writerow([*x.tolist(), y])
+    return str(path), data
+
+
+class TestWidth:
+    def test_matches_the_estimator(self, tmp_path):
+        body = write_json(tmp_path / "body.json", BODY)
+        out = tmp_path / "width.json"
+        assert main(["width", body, "--samples", "500", "--seed", "3",
+                     "--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        est = gaussian_width_mc(L1Ball(1.0, 5), 500, 3)
+        assert doc == {"mean": est.mean, "std_error": est.std_error,
+                       "samples": 500, "seed": 3}
+
+
+class TestSolve:
+    def test_scores_against_the_oracle(self, tmp_path, lasso_csv):
+        path, data = lasso_csv
+        config = write_json(tmp_path / "config.json", {**CONFIG, "lasso_profile": True})
+        out = tmp_path / "report.json"
+        assert main(["solve", config, path, "--seed", "2", "--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        oracle = cached_solve(L1Ball(1.0, 5), SquaredError(), data)
+        assert doc["algorithm"] == "fw_polytope" and doc["seed"] == 2
+        assert doc["optimum"] == oracle.optimum_value
+        assert math.isfinite(doc["excess_risk"])
+        assert doc["excess_risk"] >= -oracle.gap_certificate
+
+    def test_scores_through_the_harness(self, tmp_path, lasso_csv, monkeypatch):
+        # The tracer patches the scoring steps where the harness looks them up.
+        path, _ = lasso_csv
+        calls = []
+        real = harness.cached_solve
+
+        def counting(body, loss, data):
+            calls.append(data.n)
+            return real(body, loss, data)
+
+        monkeypatch.setattr(harness, "cached_solve", counting)
+        config = write_json(tmp_path / "config.json", CONFIG)
+        assert main(["solve", config, path, "--non-private",
+                     "--output", str(tmp_path / "report.json")]) == 0
+        assert calls == [200]
+
+
+class TestBench:
+    def experiment(self, tmp_path):
+        return write_json(tmp_path / "experiment.json", {
+            "solvers": [CONFIG], "n_sweep": [100, 200], "seeds": [0, 1],
+            "dataset": {"generator": {"p": 5, "sparsity": 2, "noise_level": 0.1}},
+        })
+
+    def test_runs_the_sweep(self, tmp_path, capsys):
+        out = tmp_path / "records.csv"
+        assert main(["bench", self.experiment(tmp_path), "--seed", "4",
+                     "--output", str(out)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["failures"] == []
+        assert [(c["n"], c["seeds"]) for c in summary["cells"]] == [(100, 1), (200, 1)]
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["n"], r["seed"]) for r in rows] == [("100", "4"), ("200", "4")]
+        assert json.loads((tmp_path / "records_summary.json").read_text())["failures"] == []
+
+    def test_parallelism_is_not_an_option(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", self.experiment(tmp_path), "--parallelism", "2"])
+        assert exc.value.code == 2

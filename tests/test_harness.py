@@ -1,12 +1,9 @@
-import sys
-import threading
 from collections import Counter
 
 import numpy as np
 import pytest
 
 import dperm.geometry as geometry
-import dperm.oracle as oracle
 import dperm.solvers as solvers
 from dperm.geometry import L1Ball, body_key
 from dperm.harness import ExperimentSpec, generate_lasso, run_sweep
@@ -30,17 +27,10 @@ def lasso_configs(p: int) -> list[dict]:
     ]
 
 
-def spec_for(p: int, solvers: list[dict], seeds, parallelism: int = 1,
-             n: int = 600) -> ExperimentSpec:
+def spec_for(p: int, solvers: list[dict], seeds, n: int = 600) -> ExperimentSpec:
     return ExperimentSpec(solvers=solvers, n_sweep=[n], seeds=list(seeds),
                           dataset={"generator": {"p": p, "sparsity": 3, "noise_level": 0.1,
-                                                 "data_seed": 4}},
-                          parallelism=parallelism)
-
-
-def without_wall_time(records):
-    return [(r.solver, r.n, r.seed, r.excess_risk, r.optimum, r.T, r.sigma,
-             r.laplace_scale) for r in records]
+                                                 "data_seed": 4}})
 
 
 class TestDimensionMismatch:
@@ -69,11 +59,13 @@ class TestDimensionMismatch:
 
 class TestConfigDocument:
     def test_unknown_key_fails_its_cells_by_name(self):
-        solvers = [{**lasso_configs(6)[1], "gaussian_width": 2.0}]
-        records, failures = run_sweep(spec_for(6, solvers, [0, 1]))
-        assert records == [] and len(failures) == 2
-        assert all("unknown solver config key(s) ['gaussian_width']" in f["error"]
-                   for f in failures)
+        q_body = {"kind": "l2_ball", "radius": 1.0, "dimension": 6}
+        for key, value in (("gaussian_width", 2.0), ("q_body", q_body)):
+            solvers = [{**lasso_configs(6)[1], key: value}]
+            records, failures = run_sweep(spec_for(6, solvers, [0, 1]))
+            assert records == [] and len(failures) == 2
+            assert all(f"unknown solver config key(s) [{key!r}]" in f["error"]
+                       for f in failures)
 
     def test_missing_keys_fail_by_kind_and_name(self):
         base = lasso_configs(6)
@@ -103,8 +95,7 @@ class TestConfigDocument:
 
 
 class TestWidthMemo:
-    @pytest.mark.parametrize("parallelism", [1, 4])
-    def test_width_runs_once_per_body(self, monkeypatch, parallelism):
+    def test_width_runs_once_per_body(self, monkeypatch):
         # fw_general needs the width of the l1 ball and noisy_md that of its
         # squared-l2 body; 8 seeds of each share the two estimates.
         calls = Counter()
@@ -116,8 +107,7 @@ class TestWidthMemo:
 
         monkeypatch.setattr(solvers, "gaussian_width_mc", counting)
         monkeypatch.setattr(geometry, "_body_memo", geometry.Memo())  # as in a fresh process
-        records, failures = run_sweep(spec_for(8, lasso_configs(8)[1:3], range(8),
-                                               parallelism))
+        records, failures = run_sweep(spec_for(8, lasso_configs(8)[1:3], range(8)))
         assert failures == [] and len(records) == 16
         assert len(calls) == 2 and set(calls.values()) == {1}, calls
 
@@ -136,53 +126,3 @@ class TestRidgeDocument:
         assert failures == []
         assert sorted((r.solver, r.seed) for r in records) == [
             ("obj_pert", 0), ("obj_pert", 1), ("sc_md", 0), ("sc_md", 1)]
-
-
-class TestParallelSweep:
-    def test_shared_statistics_under_threads(self, monkeypatch):
-        # More workers than processors, every cell on one dataset: each
-        # statistic must still be computed exactly once per dataset, and
-        # the records must not depend on the worker count.  At n = 20000
-        # hashing and the BLAS calls take long enough, with the GIL
-        # released, for the cells to overlap inside them.
-        computed = Counter()
-        memo = Dataset._memo
-
-        def counting(self, key, compute):
-            def counted():
-                computed[id(self), key] += 1
-                return compute()
-
-            return memo(self, key, counted)
-
-        monkeypatch.setattr(Dataset, "_memo", counting)
-        outcome = {}
-
-        def sweep(parallelism):
-            computed.clear()
-            with oracle._cache_lock:
-                oracle._cache.clear()
-            records, failures = run_sweep(spec_for(50, lasso_configs(50), range(6), parallelism,
-                                                  n=20_000))
-            return records, failures, dict(computed)
-
-        def both():
-            outcome["serial"] = sweep(1)
-            outcome["threads"] = sweep(4)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            worker = threading.Thread(target=both, daemon=True)
-            worker.start()
-            worker.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not worker.is_alive(), "parallel sweep did not finish within 120 s"
-        for name in ("serial", "threads"):
-            records, failures, counts = outcome[name]
-            assert failures == [] and len(records) == 24
-            keys = {key for _, key in counts}
-            assert {"fingerprint", "gram", "row_sq_norms"} <= keys
-            assert set(counts.values()) == {1}, counts
-        assert without_wall_time(outcome["threads"][0]) == without_wall_time(outcome["serial"][0])

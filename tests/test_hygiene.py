@@ -1,5 +1,6 @@
-"""Source hygiene: every name a module imports is used in that module, and
-every name the benchmark's tracer patches still exists."""
+"""Source hygiene: every name a module imports is used in that module,
+every module-level name of the package is named somewhere else, and every
+name the benchmark's tracer patches still exists."""
 
 import ast
 import types
@@ -11,6 +12,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "dperm"
 # ``__init__.py`` imports names only to re-export them.
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+# Every file that may name a package definition.
+READERS = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -62,6 +65,82 @@ def test_scan_sees_function_scope():
         "    return loads\n"
     )
     assert unused_imports(tree) == ["path (line 2)", "loads (line 4)"]
+
+
+def module_definitions(tree: ast.Module) -> dict[str, ast.AST]:
+    """The functions, classes and assigned names at module level, by name
+    (dunder names such as ``__all__`` excluded)."""
+    defs = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defs[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    defs[target.id] = node
+    return {name: node for name, node in defs.items() if not name.startswith("__")}
+
+
+def named(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Every name read in ``tree`` outside the subtree ``skip``: variables,
+    attributes, imported names and identifier strings (``getattr`` and
+    ``setattr`` take a name as a string)."""
+    out = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            out.add(node.value)
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def unreferenced(modules: dict[str, ast.Module], readers: list[ast.Module]) -> list[str]:
+    """``module.name`` for each definition of ``modules`` that no other
+    reader names, nor its own module outside the definition."""
+    names = [(tree, named(tree)) for tree in readers]
+    out = []
+    for module, tree in modules.items():
+        elsewhere = set().union(*(seen for t, seen in names if t is not tree))
+        for name, node in module_definitions(tree).items():
+            if name not in elsewhere and name not in named(tree, skip=node):
+                out.append(f"{module}.{name}")
+    return out
+
+
+def test_every_definition_is_named_elsewhere():
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in READERS}
+    modules = {path.stem: trees[path] for path in MODULES}
+    assert unreferenced(modules, list(trees.values())) == []
+
+
+def test_definition_scan_ignores_self_reference():
+    mod = ast.parse(
+        "LIMIT = 3\n"
+        "_TABLE = {}\n"
+        "def walk(n):\n"
+        "    return walk(n - 1) if n else LIMIT\n"
+        "def used(): pass\n"
+        "def by_string(): pass\n"
+        "class Shape: pass\n"
+    )
+    reader = ast.parse(
+        "from pkg.mod import used\n"
+        "import pkg.mod as m\n"
+        "m.Shape\n"
+        "getattr(m, 'by_string')\n"
+    )
+    assert unreferenced({"mod": mod}, [mod, reader]) == ["mod._TABLE", "mod.walk"]
 
 
 def test_benchmark_tracer_names_exist():

@@ -1,5 +1,8 @@
 import csv
 import pickle
+import sys
+import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -365,6 +368,8 @@ class TestGramBackend:
         data = lasso_dataset(rng, n=50, p=3)
         assert data.gram() is data.gram()
         assert data.row_sq_norms() is data.row_sq_norms()
+        assert data.row_abs_max() is data.row_abs_max()
+        assert np.array_equal(data.row_abs_max(), np.abs(data.X).max(axis=1))
         assert data.fingerprint() == Dataset(X=data.X.copy(), y=data.y.copy()).fingerprint()
         assert data.fingerprint() != Dataset(X=data.X, y=-data.y).fingerprint()
         body = L1Ball(1.0, 3)
@@ -382,7 +387,7 @@ class TestGramBackend:
             data.X[0, 0] = 0.5
         with pytest.raises(ValueError):
             data.y[0] = 0.5
-        for stat in (data.gram().G, data.gram().b, data.row_sq_norms()):
+        for stat in (data.gram().G, data.gram().b, data.row_sq_norms(), data.row_abs_max()):
             with pytest.raises(ValueError):
                 stat[0] = 0.5
         with pytest.raises(AttributeError):
@@ -397,3 +402,53 @@ class TestGramBackend:
         assert again.gram() is not data.gram()
         with pytest.raises(ValueError):
             again.X[0, 0] = 0.5
+
+
+class TestSharedStatistics:
+    def test_statistics_computed_once_under_threads(self, rng, monkeypatch):
+        # Four threads read every statistic of one dataset at once: each is
+        # computed exactly once and all threads get the same objects.  At
+        # n = 20000 hashing and the BLAS calls take long enough, with the
+        # GIL released, for the threads to overlap inside them.
+        computed = Counter()
+        memo = Dataset._memo
+
+        def counting(self, key, compute):
+            def counted():
+                computed[key] += 1
+                return compute()
+
+            return memo(self, key, counted)
+
+        monkeypatch.setattr(Dataset, "_memo", counting)
+        data = Dataset(X=rng.uniform(-1, 1, (20_000, 50)), y=rng.uniform(-1, 1, 20_000),
+                       lasso_profile=True)
+        start = threading.Barrier(4)
+        seen, errors = [], []
+
+        def read():
+            try:
+                start.wait()
+                seen.append((data.fingerprint(), data.gram(), data.row_sq_norms(),
+                             SquaredError().lipschitz_constants(L1Ball(1.0, 50), data)))
+            except Exception as exc:  # noqa: BLE001 - reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, daemon=True) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads), "readers did not finish within 60 s"
+        assert errors == [] and len(seen) == 4
+        # The four named statistics and one Lipschitz pair.
+        assert {"fingerprint", "gram", "row_sq_norms", "row_abs_max"} < set(computed)
+        assert len(computed) == 5
+        assert set(computed.values()) == {1}, computed
+        for stats in seen[1:]:
+            assert all(a is b for a, b in zip(stats, seen[0]))
