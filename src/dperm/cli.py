@@ -9,7 +9,7 @@ import sys
 from .geometry import body_from_dict, gaussian_width_mc
 from .harness import ExperimentSpec, run_sweep, score_cell, summarize
 from .losses import Dataset
-from .solvers import SolverConfig
+from .solvers import WIDTH_SAMPLES, WIDTH_SEED, SolverConfig
 
 
 def main(argv=None) -> int:
@@ -17,10 +17,11 @@ def main(argv=None) -> int:
                                      description="Private ERM solvers and benchmarks")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_width = sub.add_parser("width", help="Monte-Carlo Gaussian width of a body")
+    p_width = sub.add_parser("width", help="Monte-Carlo Gaussian width of a body "
+                                           "(by default the estimate the solvers use)")
     p_width.add_argument("body_json", help="body description document")
-    p_width.add_argument("--samples", type=int, default=100_000)
-    p_width.add_argument("--seed", type=int, default=0)
+    p_width.add_argument("--samples", type=int, default=WIDTH_SAMPLES)
+    p_width.add_argument("--seed", type=int, default=WIDTH_SEED)
     p_width.add_argument("--output", default=None)
 
     p_solve = sub.add_parser("solve", help="run one solver config on a dataset")

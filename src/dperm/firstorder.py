@@ -1,8 +1,8 @@
 """Certified accelerated projected gradient: the one first-order loop.
 
 ``minimize`` minimizes a smooth convex f over a body and returns only a
-certified iterate.  The non-private oracle, the inner solve of objective
-perturbation and the generic mirror-descent prox all run it.
+certified iterate.  The non-private oracle and the inner solve of
+objective perturbation both run it.
 
 Certificate: every ``CHECK_EVERY`` iterations the Frank-Wolfe gap
 grad f(x) . (x - lmo(grad f(x))), an upper bound on f(x) - min f over the
@@ -68,14 +68,12 @@ class NotCertifiedError(RuntimeError):
 
 
 def minimize(body: ConvexBody, fgrad: Callable[[np.ndarray], np.ndarray], tol: float,
-             fval: Optional[Callable[[np.ndarray], float]] = None,
-             x0: Optional[np.ndarray] = None) -> Certified:
+             fval: Optional[Callable[[np.ndarray], float]] = None) -> Certified:
     """Minimize f over the body to a Frank-Wolfe gap certificate.
 
     The target is relative, tol * (1 + |f(x)|), when ``fval`` is given and
-    absolute otherwise.  The run starts at the feasible point ``x0``, or at
-    the body's canonical point; a polytope always starts at its uniform
-    vertex coefficients, since a point has no unique coefficients.
+    absolute otherwise.  The run starts at the canonical point of the body
+    it runs over: a polytope at its uniform vertex coefficients.
     """
     if isinstance(body, Polytope):
         V = body.vertex_array
@@ -86,15 +84,13 @@ def minimize(body: ConvexBody, fgrad: Callable[[np.ndarray], np.ndarray], tol: f
 
         def run_grad(a):
             return V @ fgrad(V.T @ a)
-
-        x = run_body.canonical_point()
     else:
         run_body, run_grad = body, fgrad
 
         def to_point(u):
             return u
 
-        x = body.canonical_point() if x0 is None else np.array(x0, dtype=float)
+    x = run_body.canonical_point()
 
     def gap_at(u) -> float:
         # u is feasible, so the true gap is nonnegative; a negative value

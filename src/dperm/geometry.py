@@ -386,6 +386,11 @@ class Polytope(ConvexBody):
         return {"kind": "polytope", "vertices": self.vertex_array.tolist()}
 
 
+def block_slices(dimension: int, group_size: int) -> list[slice]:
+    """The contiguous blocks of ``group_size`` coordinates; the last may be shorter."""
+    return [slice(i, min(i + group_size, dimension)) for i in range(0, dimension, group_size)]
+
+
 @dataclass(frozen=True, eq=False)
 class GroupedL1Ball(ConvexBody):
     """Ball of the grouped l1 norm: sum over blocks of the block l2 norm.
@@ -405,16 +410,9 @@ class GroupedL1Ball(ConvexBody):
         if not (1 <= self.group_size <= self.dimension):
             raise ValueError("group size must be in [1, dimension]")
 
-    @property
-    def n_blocks(self) -> int:
-        return -(-self.dimension // self.group_size)
-
-    def _block_slices(self):
-        g = self.group_size
-        return [slice(i * g, min((i + 1) * g, self.dimension)) for i in range(self.n_blocks)]
-
     def _block_norms(self, v: np.ndarray) -> np.ndarray:
-        return np.array([np.linalg.norm(v[s]) for s in self._block_slices()])
+        return np.array([np.linalg.norm(v[s]) for s in block_slices(self.dimension,
+                                                                    self.group_size)])
 
     def grouped_norm(self, v) -> float:
         v = _as_vector(v, self.dimension, "v")
@@ -432,7 +430,7 @@ class GroupedL1Ball(ConvexBody):
         out = np.zeros(self.dimension)
         if norms[j] == 0.0:
             return out
-        s = self._block_slices()[j]
+        s = block_slices(self.dimension, self.group_size)[j]
         out[s] = -(self.radius / norms[j]) * d[s]
         return out
 
@@ -443,7 +441,8 @@ class GroupedL1Ball(ConvexBody):
 
     def dual_norms(self, G: np.ndarray) -> np.ndarray:
         block_norms = np.stack(
-            [np.linalg.norm(G[:, s], axis=1) for s in self._block_slices()], axis=1
+            [np.linalg.norm(G[:, s], axis=1)
+             for s in block_slices(self.dimension, self.group_size)], axis=1
         )
         return self.radius * block_norms.max(axis=1)
 
@@ -451,8 +450,7 @@ class GroupedL1Ball(ConvexBody):
         return 2.0 * self.radius
 
     def l1_radius(self) -> float:
-        g_max = max(s.stop - s.start for s in self._block_slices())
-        return self.radius * math.sqrt(g_max)
+        return self.radius * math.sqrt(self.group_size)
 
     def euclidean_project(self, x) -> np.ndarray:
         v = _as_vector(x, self.dimension)
@@ -461,7 +459,7 @@ class GroupedL1Ball(ConvexBody):
             return v.copy()
         shrunk = _project_simplex(norms, self.radius)
         out = v.copy()
-        for s, n, m in zip(self._block_slices(), norms, shrunk):
+        for s, n, m in zip(block_slices(self.dimension, self.group_size), norms, shrunk):
             out[s] = 0.0 if n == 0.0 else v[s] * (m / n)
         return out
 
@@ -692,7 +690,7 @@ def sample_feasible(body: ConvexBody, rng: np.random.Generator) -> np.ndarray:
         w = rng.dirichlet(np.ones(body.n_vertices))
         return body.vertex_array.T @ w
     if isinstance(body, GroupedL1Ball):
-        slices = body._block_slices()
+        slices = block_slices(body.dimension, body.group_size)
         alloc = rng.dirichlet(np.ones(len(slices))) * body.radius * rng.random()
         out = np.zeros(p)
         for s, a in zip(slices, alloc):
@@ -732,19 +730,21 @@ def symmetric_hull(body: ConvexBody) -> ConvexBody:
     return body
 
 
-# Each builder reads its document's fields through ``field(key)``.
+# Each kind's document keys besides "kind", and its builder, which takes
+# them as keyword arguments.
 _KIND_TAGS = {
-    "l2_ball": lambda field: L2Ball(radius=float(field("radius")),
-                                    dimension=int(field("dimension"))),
-    "l1_ball": lambda field: L1Ball(radius=float(field("radius")),
-                                    dimension=int(field("dimension"))),
-    "simplex": lambda field: Simplex(dimension=int(field("dimension"))),
-    "polytope": lambda field: Polytope(np.asarray(field("vertices"), dtype=float)),
-    "grouped_l1_ball": lambda field: GroupedL1Ball(
-        radius=float(field("radius")), group_size=int(field("group_size")),
-        dimension=int(field("dimension"))),
-    "box": lambda field: Box(lo=np.asarray(field("lo"), dtype=float),
-                             hi=np.asarray(field("hi"), dtype=float)),
+    "l2_ball": (("radius", "dimension"), lambda radius, dimension: L2Ball(
+        radius=float(radius), dimension=int(dimension))),
+    "l1_ball": (("radius", "dimension"), lambda radius, dimension: L1Ball(
+        radius=float(radius), dimension=int(dimension))),
+    "simplex": (("dimension",), lambda dimension: Simplex(dimension=int(dimension))),
+    "polytope": (("vertices",), lambda vertices: Polytope(np.asarray(vertices, dtype=float))),
+    "grouped_l1_ball": (("radius", "group_size", "dimension"),
+                        lambda radius, group_size, dimension: GroupedL1Ball(
+                            radius=float(radius), group_size=int(group_size),
+                            dimension=int(dimension))),
+    "box": (("lo", "hi"), lambda lo, hi: Box(lo=np.asarray(lo, dtype=float),
+                                             hi=np.asarray(hi, dtype=float))),
 }
 
 
@@ -755,8 +755,18 @@ def doc_field(doc: dict, key: str, kind: str):
     return doc[key]
 
 
+def check_keys(doc: dict, allowed, kind: str) -> None:
+    """Raise ``ValueError`` naming ``kind`` and every key of ``doc`` outside ``allowed``."""
+    unknown = sorted(set(doc) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown {kind} key(s) {unknown}; expected some of {sorted(allowed)}")
+
+
 def body_from_dict(doc: dict) -> ConvexBody:
     kind = doc.get("kind")
     if kind not in _KIND_TAGS:
         raise ValueError(f"unknown body kind {kind!r}; expected one of {sorted(_KIND_TAGS)}")
-    return _KIND_TAGS[kind](lambda key: doc_field(doc, key, f"{kind} body"))
+    keys, build = _KIND_TAGS[kind]
+    label = f"{kind} body"
+    check_keys(doc, {"kind", *keys}, label)
+    return build(**{key: doc_field(doc, key, label) for key in keys})

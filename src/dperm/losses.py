@@ -43,7 +43,8 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .geometry import ConvexBody, Memo, body_key, row_abs_max
+from .geometry import (ConvexBody, Memo, block_slices, body_key, check_keys, doc_field,
+                       row_abs_max)
 
 LASSO_DOMAIN_TOL = 1e-12
 
@@ -482,7 +483,7 @@ def _quadratic_curvature_bound(body: ConvexBody, data: Dataset, ridge: float) ->
     if isinstance(body, L2Ball):
         return 4.0 * (body.radius ** 2) * (top(slice(None)) + ridge)
     if isinstance(body, GroupedL1Ball):
-        best = max(top(s) for s in body._block_slices())
+        best = max(top(s) for s in block_slices(body.dimension, body.group_size))
         return 4.0 * (body.radius ** 2) * (best + ridge)
     if isinstance(body, Box):
         if not body.is_symmetric:
@@ -507,7 +508,7 @@ def _extreme_points(body: ConvexBody):
         return [body.radius * np.ones(p) / math.sqrt(p), body.radius * np.eye(p)[0]]
     if isinstance(body, GroupedL1Ball):
         out = []
-        for s in body._block_slices():
+        for s in block_slices(body.dimension, body.group_size):
             v = np.zeros(p)
             width = s.stop - s.start
             v[s] = body.radius / math.sqrt(width)
@@ -535,14 +536,16 @@ def loss_key(loss: LossSpec) -> Optional[str]:
     return None
 
 
-_LOSS_TAGS = {
-    "squared_error": lambda d: SquaredError(ridge=float(d.get("ridge", 0.0))),
-    "huber": lambda d: Huber(delta=float(d["delta"])),
-}
-
-
 def loss_from_dict(doc: dict) -> LossSpec:
+    """Build a built-in loss from its document: ``squared_error`` with an
+    optional ``ridge``, or ``huber`` with its ``delta``.  Any other key
+    raises ``ValueError``."""
     kind = doc.get("kind")
-    if kind not in _LOSS_TAGS:
-        raise ValueError(f"unknown loss kind {kind!r} (custom losses are built in code)")
-    return _LOSS_TAGS[kind](doc)
+    label = f"{kind} loss"
+    if kind == "squared_error":
+        check_keys(doc, {"kind", "ridge"}, label)
+        return SquaredError(ridge=float(doc.get("ridge", 0.0)))
+    if kind == "huber":
+        check_keys(doc, {"kind", "delta"}, label)
+        return Huber(delta=float(doc_field(doc, "delta", label)))
+    raise ValueError(f"unknown loss kind {kind!r} (custom losses are built in code)")

@@ -2,7 +2,8 @@
 
 Each potential declares the symmetric body Q whose gauge it is strongly
 convex against, plus a closed-form bound on its maximum over the feasible
-set.  Potentials are immutable after construction; all operations are pure.
+set, and takes its prox step in closed form.  Potentials are immutable
+after construction; all operations are pure.
 
 The polytope q-norm potential is evaluated and stepped in coefficient
 space: iterates are simplex vectors a with theta = V^T a, the q-norm
@@ -18,11 +19,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .firstorder import NotCertifiedError, minimize
 from .geometry import (
     ConvexBody,
     GroupedL1Ball,
@@ -30,18 +29,13 @@ from .geometry import (
     L2Ball,
     Polytope,
     Simplex,
+    block_slices,
+    check_keys,
     doc_field,
     symmetric_hull,
 )
 
 ENTROPY_FLOOR = 1e-12
-
-# The generic prox solve stops at this Frank-Wolfe gap.
-PROX_GAP_TOL = 1e-8
-
-
-class MirrorStepError(RuntimeError):
-    """Raised when the generic prox solve cannot certify its gap target."""
 
 
 class Potential:
@@ -87,22 +81,12 @@ class Potential:
         return self.value(a) - self.value(b) - float(self.grad(b) @ (a - b))
 
     def mirror_step(self, body: ConvexBody, x_t, g, eta: float) -> np.ndarray:
-        """argmin over the body of <eta*g, x> + B_Psi(x, x_t).
+        """argmin over the body of <eta*g, x> + B_Psi(x, x_t), in closed form.
 
         ``g`` is the (already noised) gradient in the potential's iterate
-        space.  The concrete potentials override this with closed forms.
-        Here the prox objective F(x) = <eta*g - grad Psi(x_t), x> + Psi(x)
-        is minimized by ``firstorder.minimize``, warm-started at x_t, to an
-        absolute Frank-Wolfe gap of ``PROX_GAP_TOL``; a solve that cannot
-        certify raises ``MirrorStepError`` naming its gap and iteration
-        count.
+        space.
         """
-        x_t, g = self._step_args(x_t, g, eta)
-        c = eta * g - self.grad(x_t)
-        try:
-            return minimize(body, lambda x: c + self.grad(x), PROX_GAP_TOL, x0=x_t).x
-        except NotCertifiedError as exc:
-            raise MirrorStepError(f"mirror-step inner solve: {exc}") from exc
+        raise NotImplementedError
 
     # -- constants ----------------------------------------------------------
 
@@ -121,32 +105,23 @@ class Potential:
 
 @dataclass(frozen=True, eq=False)
 class SquaredL2(Potential):
-    """Psi(theta) = 0.5 ||theta - center||_2^2; 1-strongly convex w.r.t. l2."""
+    """Psi(theta) = 0.5 ||theta||_2^2; 1-strongly convex w.r.t. l2.
+
+    Its Bregman divergence is half the squared distance, so the prox step is
+    a projected gradient step.
+    """
 
     dimension: int
-    center: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        c = self.center
-        if c is not None:
-            c = np.asarray(c, dtype=float)
-            if c.shape != (self.dimension,):
-                raise ValueError("center dimension mismatch")
-        object.__setattr__(self, "center", c)
-
-    def _c(self) -> np.ndarray:
-        return self.center if self.center is not None else np.zeros(self.dimension)
 
     def value(self, x) -> float:
-        d = np.asarray(x, dtype=float) - self._c()
-        return 0.5 * float(d @ d)
+        x = np.asarray(x, dtype=float)
+        return 0.5 * float(x @ x)
 
     def grad(self, x) -> np.ndarray:
-        return np.asarray(x, dtype=float) - self._c()
+        return np.asarray(x, dtype=float)
 
     def mirror_step(self, body: ConvexBody, x_t, g, eta: float) -> np.ndarray:
         x_t, g = self._step_args(x_t, g, eta)
-        # The center cancels in the Bregman divergence: exactly projected GD.
         return body.euclidean_project(x_t - eta * g)
 
     @property
@@ -157,7 +132,6 @@ class SquaredL2(Potential):
         return L2Ball(radius=1.0, dimension=self.dimension)
 
     def max_over_domain(self, body: ConvexBody) -> float:
-        # Assumes the center lies in the body.
         return 0.5 * body.l2_diameter() ** 2
 
 
@@ -243,22 +217,19 @@ class PolytopeQNorm(Potential):
 
     Iterates are nonnegative representation coefficients on the simplex over
     the vertex list; ``to_point``/``pull_back`` translate between coefficient
-    and ambient space.  ``value_at_point`` evaluates the underlying norm of an
-    ambient vector by solving the nonnegative representation program.
+    and ambient space.  The exponent q is ``default_q_exponent`` of the
+    vertex count.
     """
 
     polytope: Polytope
-    q: Optional[float] = None
-
-    def __post_init__(self):
-        qv = self.q if self.q is not None else default_q_exponent(self.polytope.n_vertices)
-        if not (1.0 < qv <= 2.0):
-            raise ValueError(f"q must lie in (1, 2], got {qv}")
-        object.__setattr__(self, "q", float(qv))
 
     @property
     def n_vertices(self) -> int:
         return self.polytope.n_vertices
+
+    @property
+    def q(self) -> float:
+        return default_q_exponent(self.n_vertices)
 
     def iterate_body(self, body: ConvexBody) -> ConvexBody:
         self._check_body(body)
@@ -322,38 +293,6 @@ class PolytopeQNorm(Potential):
         b = beta(_bisect(lambda lam: not gee(lam) < 1.0, lo, hi))
         return b / b.sum()
 
-    def value_at_point(self, theta) -> float:
-        """Psi at an ambient point via the nonnegative representation program."""
-        norm = self.representation_norm(theta)
-        return norm * norm / (4.0 * (self.q - 1.0))
-
-    def representation_norm(self, theta) -> float:
-        """min ||a||_q over a >= 0 with sum a_i v_i = theta."""
-        from scipy.optimize import minimize, nnls
-
-        V = self.polytope.vertex_array
-        theta = np.asarray(theta, dtype=float)
-        a0, residual = nnls(V.T, theta)
-        if residual > 1e-7 * (1.0 + np.linalg.norm(theta)):
-            raise ValueError("theta has no nonnegative representation over the vertices")
-        q = self.q
-
-        def obj(a):
-            return float(np.sum(np.maximum(a, 0.0) ** q))
-
-        def jac(a):
-            return q * np.maximum(a, 0.0) ** (q - 1.0)
-
-        res = minimize(obj, a0, jac=jac, method="SLSQP",
-                       bounds=[(0.0, None)] * V.shape[0],
-                       constraints=[{"type": "eq", "fun": lambda a: V.T @ a - theta,
-                                     "jac": lambda a: V.T}],
-                       options={"maxiter": 500, "ftol": 1e-14})
-        res_fun = res.fun
-        if not res.success and res.fun > obj(a0):
-            res_fun = obj(a0)
-        return float(res_fun) ** (1.0 / q)
-
     @property
     def strong_convexity_modulus(self) -> float:
         # ||a||_q^2/(4(q-1)) is (1/2)-strongly convex w.r.t. ||a||_q (the
@@ -379,7 +318,8 @@ class GroupedL1(Potential):
     The exponent M and scale xi follow the block-count table: M = 2 with
     xi in {1, 1/2} for one or two blocks, else M = 1 + 1/ln(p/g) and
     xi = 1/(e ln(p/g)).  Ratios p/g below e fall back to the two-block
-    branch so M stays in (1, 2].
+    branch so M stays in (1, 2]; two blocks mean p/g <= 2 < e, so the
+    ratio alone picks the branch.
     """
 
     dimension: int
@@ -390,40 +330,33 @@ class GroupedL1(Potential):
             raise ValueError("group size must be in [1, dimension]")
 
     @property
-    def n_blocks(self) -> int:
-        return -(-self.dimension // self.group_size)
-
-    @property
     def exponent(self) -> float:
         ratio = self.dimension / self.group_size
-        if self.n_blocks <= 2 or math.log(ratio) < 1.0:
+        if math.log(ratio) < 1.0:
             return 2.0
         return 1.0 + 1.0 / math.log(ratio)
 
     @property
     def scale_xi(self) -> float:
         ratio = self.dimension / self.group_size
-        if self.n_blocks == 1:
+        if self.group_size == self.dimension:
             return 1.0
-        if self.n_blocks == 2 or math.log(ratio) < 1.0:
+        if math.log(ratio) < 1.0:
             return 0.5
         return 1.0 / (math.e * math.log(ratio))
-
-    def _block_slices(self):
-        g = self.group_size
-        return [slice(i * g, min((i + 1) * g, self.dimension)) for i in range(self.n_blocks)]
 
     def value(self, x) -> float:
         v = np.asarray(x, dtype=float)
         M, xi = self.exponent, self.scale_xi
-        total = sum(float(np.linalg.norm(v[s])) ** M for s in self._block_slices())
+        total = sum(float(np.linalg.norm(v[s])) ** M
+                    for s in block_slices(self.dimension, self.group_size))
         return total / (M * xi)
 
     def grad(self, x) -> np.ndarray:
         v = np.asarray(x, dtype=float)
         M, xi = self.exponent, self.scale_xi
         out = np.zeros_like(v)
-        for s in self._block_slices():
+        for s in block_slices(self.dimension, self.group_size):
             nrm = float(np.linalg.norm(v[s]))
             if nrm > 0.0:
                 out[s] = (nrm ** (M - 2.0) / xi) * v[s]
@@ -444,7 +377,7 @@ class GroupedL1(Potential):
         self._check_body(body)
         x_t, g = self._step_args(x_t, g, eta)
         c = eta * g - self.grad(x_t)
-        slices = self._block_slices()
+        slices = block_slices(self.dimension, self.group_size)
         a = np.array([np.linalg.norm(c[s]) for s in slices])
         M, xi = self.exponent, self.scale_xi
         expo = 1.0 / (M - 1.0)
@@ -479,19 +412,24 @@ class GroupedL1(Potential):
 
 
 def potential_from_dict(doc: dict, body: ConvexBody) -> Potential:
-    """Build a potential from its config document, bound to a body."""
+    """Build a potential from its config document, bound to a body.
+
+    Only ``grouped_l1`` takes a key besides ``kind`` (``group_size``); any
+    other key raises ``ValueError``.
+    """
     kind = doc.get("kind")
+    label = f"{kind} potential"
+    if kind == "grouped_l1":
+        check_keys(doc, {"kind", "group_size"}, label)
+        return GroupedL1(dimension=body.dimension,
+                         group_size=int(doc_field(doc, "group_size", label)))
+    if kind not in ("squared_l2", "negative_entropy", "polytope_q_norm"):
+        raise ValueError(f"unknown potential kind {kind!r}")
+    check_keys(doc, {"kind"}, label)
     if kind == "squared_l2":
-        center = doc.get("center")
-        return SquaredL2(dimension=body.dimension,
-                         center=None if center is None else np.asarray(center, dtype=float))
+        return SquaredL2(dimension=body.dimension)
     if kind == "negative_entropy":
         return NegativeEntropy(dimension=body.dimension)
-    if kind == "polytope_q_norm":
-        if not isinstance(body, Polytope):
-            raise ValueError("polytope_q_norm requires a polytope body")
-        return PolytopeQNorm(polytope=body, q=doc.get("q"))
-    if kind == "grouped_l1":
-        return GroupedL1(dimension=body.dimension,
-                         group_size=int(doc_field(doc, "group_size", "grouped_l1 potential")))
-    raise ValueError(f"unknown potential kind {kind!r}")
+    if not isinstance(body, Polytope):
+        raise ValueError("polytope_q_norm requires a polytope body")
+    return PolytopeQNorm(polytope=body)

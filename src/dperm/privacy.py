@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .geometry import check_keys, doc_field
+
 
 @dataclass(frozen=True)
 class PrivacyBudget:
@@ -40,9 +42,13 @@ class PrivacyBudget:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PrivacyBudget":
-        eps = doc.get("epsilon", math.inf)
-        if eps in (None, "inf"):
-            eps = math.inf
+        """Read a budget document: ``epsilon`` is required and ``delta``
+        defaults to 1e-6.  The string "inf" is the one epsilon of a
+        non-private run; an unknown key raises ``ValueError``."""
+        check_keys(doc, {"epsilon", "delta"}, "budget")
+        eps = doc_field(doc, "epsilon", "budget")
+        if eps != "inf" and not (isinstance(eps, (int, float)) and math.isfinite(eps)):
+            raise ValueError(f'budget epsilon must be a finite number or "inf", got {eps!r}')
         return cls(epsilon=float(eps), delta=float(doc.get("delta", 1e-6)))
 
 

@@ -17,9 +17,11 @@ is the only stochastic element, and the zero-scale samplers leave the
 generator untouched, so a non-private run reproduces its classical
 counterpart's iterate sequence bit for bit.
 
-Step-size defaults follow the source algorithms; ``step_rule`` and
-``step_size`` in the config override them (the classical decaying
-Frank-Wolfe schedule 2/(t+2) is available as ``step_rule="decaying"``).
+Step-size defaults follow the source algorithms.  ``noisy_md`` takes a
+constant ``step_size``, or ``step_rule="theorem"`` for the theorem
+statement's step; the Frank-Wolfe loops take ``step_rule="decaying"`` for
+the classical schedule 2/(t+2).  A setting the algorithm would not read
+is rejected.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .firstorder import NotCertifiedError, minimize
-from .geometry import (ConvexBody, body_from_dict, doc_field, gaussian_width_mc, memo_by_body,
-                       symmetric_hull)
+from .geometry import (ConvexBody, body_from_dict, check_keys, doc_field, gaussian_width_mc,
+                       memo_by_body, symmetric_hull)
 from .losses import Dataset, Huber, LossSpec, loss_from_dict, require_matching_dimension
 from .potentials import Potential, potential_from_dict
 from .privacy import (
@@ -51,6 +53,13 @@ from .privacy import (
 )
 
 ALGORITHMS = ("noisy_md", "strongly_convex_md", "obj_pert", "fw_polytope", "fw_general")
+
+# The algorithms that read each ``step_rule`` value.
+STEP_RULES = {
+    "paper": ALGORITHMS,
+    "theorem": ("noisy_md",),
+    "decaying": ("fw_polytope", "fw_general"),
+}
 
 # Stream id of the noise generator in the documented rng split.
 _STREAM_NOISE = 0
@@ -95,6 +104,14 @@ class SolverConfig:
             raise ValueError("T must be >= 0 (0 = use the default formula)")
         if self.algorithm in ("noisy_md", "strongly_convex_md") and self.potential is None:
             raise ValueError(f"{self.algorithm} requires a potential")
+        if self.step_rule not in STEP_RULES:
+            raise ValueError(f"unknown step_rule {self.step_rule!r}; "
+                             f"expected one of {sorted(STEP_RULES)}")
+        if self.algorithm not in STEP_RULES[self.step_rule]:
+            raise ValueError(f"step_rule {self.step_rule!r} applies only to "
+                             f"{', '.join(STEP_RULES[self.step_rule])}, not {self.algorithm}")
+        if self.step_size is not None and self.algorithm != "noisy_md":
+            raise ValueError(f"step_size applies only to noisy_md, not {self.algorithm}")
         if self.algorithm == "fw_polytope":
             try:
                 n_vertices = self.body.vertices().shape[0]
@@ -108,11 +125,10 @@ class SolverConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SolverConfig":
-        """Build a config from its document; an unknown key raises ``ValueError``."""
-        unknown = sorted(set(doc) - _DOC_KEYS)
-        if unknown:
-            raise ValueError(f"unknown solver config key(s) {unknown}; "
-                             f"expected some of {sorted(_DOC_KEYS)}")
+        """Build a config from its document; an unknown or missing key raises
+        ``ValueError``.  ``algorithm``, ``body``, ``loss`` and ``budget`` are
+        required."""
+        check_keys(doc, _DOC_KEYS, "solver config")
         body = body_from_dict(doc_field(doc, "body", "solver config"))
         loss = loss_from_dict(doc_field(doc, "loss", "solver config"))
         potential = None
@@ -122,7 +138,7 @@ class SolverConfig:
             algorithm=doc_field(doc, "algorithm", "solver config"),
             body=body,
             loss=loss,
-            budget=PrivacyBudget.from_dict(doc.get("budget", {})),
+            budget=PrivacyBudget.from_dict(doc_field(doc, "budget", "solver config")),
             potential=potential,
             T=int(doc.get("T", 0)),
             step_rule=doc.get("step_rule", "paper"),

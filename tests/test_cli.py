@@ -10,6 +10,7 @@ from dperm.geometry import L1Ball, gaussian_width_mc
 from dperm.harness import generate_lasso
 from dperm.losses import SquaredError
 from dperm.oracle import cached_solve
+from dperm.solvers import WIDTH_SAMPLES, WIDTH_SEED
 
 BODY = {"kind": "l1_ball", "radius": 1.0, "dimension": 5}
 CONFIG = {"id": "fw", "algorithm": "fw_polytope", "T": 20, "body": BODY,
@@ -43,6 +44,16 @@ class TestWidth:
         est = gaussian_width_mc(L1Ball(1.0, 5), 500, 3)
         assert doc == {"mean": est.mean, "std_error": est.std_error,
                        "samples": 500, "seed": 3}
+
+
+    def test_defaults_are_the_solvers_width(self, tmp_path):
+        # Without flags, the estimate the solvers' step count uses.
+        body = write_json(tmp_path / "body.json", BODY)
+        out = tmp_path / "width.json"
+        assert main(["width", body, "--output", str(out)]) == 0
+        est = gaussian_width_mc(L1Ball(1.0, 5), WIDTH_SAMPLES, WIDTH_SEED)
+        assert json.loads(out.read_text()) == {"mean": est.mean, "std_error": est.std_error,
+                                               "samples": WIDTH_SAMPLES, "seed": WIDTH_SEED}
 
 
 class TestSolve:

@@ -12,6 +12,7 @@ from dperm.geometry import (
     L2Ball,
     Polytope,
     Simplex,
+    block_slices,
     body_from_dict,
     body_key,
     gaussian_width_mc,
@@ -381,6 +382,13 @@ class TestBodyKey:
         G[-1] = -2.0
         assert np.array_equal(row_abs_max(G), np.abs(G).max(axis=1))
         assert row_abs_max(G[:0]).shape == (0,)
+
+
+class TestBlockSlices:
+    def test_contiguous_blocks_with_a_short_last_one(self):
+        assert block_slices(10, 4) == [slice(0, 4), slice(4, 8), slice(8, 10)]
+        assert block_slices(6, 3) == [slice(0, 3), slice(3, 6)]
+        assert block_slices(5, 5) == [slice(0, 5)]
 
 
 class TestSerialization:

@@ -1,13 +1,17 @@
+import re
+import types
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dperm.geometry as geometry
 import dperm.solvers as solvers
-from dperm.geometry import L1Ball, body_key
+from dperm.geometry import L1Ball, body_from_dict, body_key
 from dperm.harness import ExperimentSpec, generate_lasso, run_sweep
-from dperm.losses import Dataset, SquaredError
+from dperm.losses import Dataset, SquaredError, loss_from_dict
+from dperm.potentials import potential_from_dict
 from dperm.privacy import PrivacyBudget
 from dperm.solvers import SolverConfig, run_solver
 
@@ -76,7 +80,7 @@ class TestConfigDocument:
                                                   "group_size": 2, "dimension": 6},
              "potential": {"kind": "grouped_l1"}},
             *({"id": f"no_{key}", **{k: v for k, v in base[1].items() if k not in (key, "id")}}
-              for key in ("algorithm", "body", "loss")),
+              for key in ("algorithm", "body", "loss", "budget")),
         ]
         records, failures = run_sweep(spec_for(6, solvers, [0, 1]))
         assert records == [] and len(failures) == 2 * len(solvers)
@@ -86,12 +90,77 @@ class TestConfigDocument:
             "no_algorithm": "solver config document has no 'algorithm' key",
             "no_body": "solver config document has no 'body' key",
             "no_loss": "solver config document has no 'loss' key",
+            "no_budget": "solver config document has no 'budget' key",
         }
         assert {(f["solver"], f["error"]) for f in failures} == set(expected.items())
 
     def test_sweep_and_cli_keys_are_accepted(self):
         doc = {**lasso_configs(6)[0], "lasso_profile": True}
         assert SolverConfig.from_dict(doc).T == 30
+
+
+# One valid document per kind, with the body a potential is bound to.
+BODY_DOCS = {
+    "l2_ball": {"kind": "l2_ball", "radius": 1.0, "dimension": 4},
+    "l1_ball": {"kind": "l1_ball", "radius": 1.0, "dimension": 4},
+    "simplex": {"kind": "simplex", "dimension": 4},
+    "polytope": {"kind": "polytope", "vertices": np.eye(4).tolist()},
+    "grouped_l1_ball": {"kind": "grouped_l1_ball", "radius": 1.0, "group_size": 2,
+                        "dimension": 4},
+    "box": {"kind": "box", "lo": [-1.0] * 4, "hi": [1.0] * 4},
+}
+LOSS_DOCS = {
+    "squared_error": {"kind": "squared_error", "ridge": 0.3},
+    "huber": {"kind": "huber", "delta": 0.5},
+}
+POTENTIAL_DOCS = {
+    "squared_l2": ({"kind": "squared_l2"}, "l2_ball"),
+    "negative_entropy": ({"kind": "negative_entropy"}, "simplex"),
+    "polytope_q_norm": ({"kind": "polytope_q_norm"}, "polytope"),
+    "grouped_l1": ({"kind": "grouped_l1", "group_size": 2}, "grouped_l1_ball"),
+}
+# Keys that some document kind reads or used to read.
+STRAY_KEYS = ("center", "q", "ridge")
+
+
+def document_builds():
+    """(label, document, build) for every body, loss and potential kind."""
+    for kind, doc in BODY_DOCS.items():
+        yield f"{kind} body", doc, body_from_dict
+    for kind, doc in LOSS_DOCS.items():
+        yield f"{kind} loss", doc, loss_from_dict
+    for kind, (doc, body_kind) in POTENTIAL_DOCS.items():
+        body = body_from_dict(BODY_DOCS[body_kind])
+        yield f"{kind} potential", doc, lambda d, body=body: potential_from_dict(d, body)
+
+
+DOCUMENT_BUILDS = [pytest.param(*case, id=case[0]) for case in document_builds()]
+
+
+class TestDocumentKeys:
+    def test_every_body_kind_is_covered(self):
+        assert set(BODY_DOCS) == set(geometry._KIND_TAGS)
+
+    @pytest.mark.parametrize("label,doc,build", DOCUMENT_BUILDS)
+    def test_unknown_key_is_rejected_by_name(self, label, doc, build):
+        build(doc)
+        stray = [k for k in STRAY_KEYS if k not in doc]
+        with pytest.raises(ValueError, match=re.escape(f"unknown {label} key(s) {stray}")):
+            build({**doc, **dict.fromkeys(stray, 0.3)})
+
+    def test_missing_huber_delta_names_the_key(self):
+        with pytest.raises(ValueError, match="huber loss document has no 'delta' key"):
+            loss_from_dict({"kind": "huber"})
+
+    def test_benchmark_documents_are_accepted(self):
+        # Every key the benchmark's workloads send.
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+        workloads = types.ModuleType("perfbench_workloads")
+        exec(compile(path.read_text(), str(path), "exec"), workloads.__dict__)
+        for make in workloads.WORKLOADS.values():
+            for sweep in make(7):
+                for doc in sweep["solvers"]:
+                    SolverConfig.from_dict({**doc, "seed": 0})
 
 
 class TestWidthMemo:

@@ -361,7 +361,8 @@ class TestGramBackend:
         ref_l2 = 4.0 * 0.7 ** 2 * float(np.linalg.norm(X, 2)) ** 2 / n
         assert close(SquaredError().curvature_bound(L2Ball(0.7, 10), data), ref_l2)
         body = GroupedL1Ball(1.3, 4, 10)  # blocks of 4, 4 and 2 columns
-        top = max(float(np.linalg.norm(X[:, s], 2)) ** 2 for s in body._block_slices())
+        blocks = (slice(0, 4), slice(4, 8), slice(8, 10))
+        top = max(float(np.linalg.norm(X[:, s], 2)) ** 2 for s in blocks)
         assert close(SquaredError().curvature_bound(body, data), 4.0 * 1.3 ** 2 * top / n)
 
     def test_statistics_are_memoised(self, rng):

@@ -35,6 +35,20 @@ class TestBudget:
         assert not PrivacyBudget.from_dict({"epsilon": "inf"}).is_private
         assert PrivacyBudget.from_dict({"epsilon": 2.0, "delta": 1e-5}).epsilon == 2.0
 
+    @pytest.mark.parametrize("doc,message", [
+        ({}, "budget document has no 'epsilon' key"),
+        ({"eps": 1.0}, r"unknown budget key\(s\) \['eps'\]"),
+        ({"epsilon": 1, "delt": 1e-3}, r"unknown budget key\(s\) \['delt'\]"),
+        ({"epsilon": None}, 'must be a finite number or "inf"'),
+        ({"epsilon": "infinity"}, 'must be a finite number or "inf"'),
+        ({"epsilon": math.inf}, 'must be a finite number or "inf"'),
+    ])
+    def test_from_dict_rejects_a_budget_that_is_not_the_one_configured(self, doc, message):
+        # Each of these documents used to run without noise or with a delta
+        # other than the one written.
+        with pytest.raises(ValueError, match=message):
+            PrivacyBudget.from_dict(doc)
+
 
 class TestMdSigma:
     def test_worked_example(self):

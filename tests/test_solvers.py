@@ -541,6 +541,27 @@ class TestReportAndConfig:
             SolverConfig(algorithm="sgd", body=L1Ball(1.0, 2), loss=SQ,
                          budget=NON_PRIVATE)
 
+    @pytest.mark.parametrize("algorithm,setting,message", [
+        ("noisy_md", {"step_rule": "decaing"}, "unknown step_rule 'decaing'"),
+        ("fw_polytope", {"step_rule": "theorem"},
+         "step_rule 'theorem' applies only to noisy_md, not fw_polytope"),
+        ("strongly_convex_md", {"step_rule": "theorem"},
+         "step_rule 'theorem' applies only to noisy_md, not strongly_convex_md"),
+        ("noisy_md", {"step_rule": "decaying"},
+         "step_rule 'decaying' applies only to fw_polytope, fw_general, not noisy_md"),
+        ("obj_pert", {"step_rule": "decaying"},
+         "step_rule 'decaying' applies only to fw_polytope, fw_general, not obj_pert"),
+        ("fw_general", {"step_size": 0.1}, "step_size applies only to noisy_md, not fw_general"),
+        ("obj_pert", {"step_size": 0.1}, "step_size applies only to noisy_md, not obj_pert"),
+        ("strongly_convex_md", {"step_size": 0.1},
+         "step_size applies only to noisy_md, not strongly_convex_md"),
+    ])
+    def test_step_setting_the_algorithm_would_not_read(self, algorithm, setting, message):
+        potential = SquaredL2(4) if algorithm.endswith("_md") else None
+        with pytest.raises(ValueError, match=message):
+            SolverConfig(algorithm=algorithm, body=L1Ball(1.0, 4), loss=SQ,
+                         budget=NON_PRIVATE, potential=potential, **setting)
+
     def test_md_requires_potential(self):
         with pytest.raises(ValueError, match="potential"):
             SolverConfig(algorithm="noisy_md", body=L1Ball(1.0, 2), loss=SQ,
