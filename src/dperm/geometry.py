@@ -316,10 +316,13 @@ class Polytope(ConvexBody):
 
     @cached_property
     def is_symmetric(self) -> bool:
-        # Symmetric iff every vertex's negation is also in the hull; one LP
-        # per vertex, so computed once per vertex list.
-        return memo_by_body(self, "is_symmetric",
-                            lambda: all(self._in_hull(-v) for v in self.vertex_array))
+        # Symmetric iff every vertex's negation is also in the hull.  A list
+        # whose negated rows are a permutation of its rows passes with no LP;
+        # any other takes one LP per vertex, so computed once per vertex list.
+        V = self.vertex_array
+        return memo_by_body(self, "is_symmetric", lambda: (
+            np.array_equal(V[np.lexsort(V.T)], -V[np.lexsort(-V.T)])
+            or all(self._in_hull(-v) for v in V)))
 
     def contains(self, x) -> bool:
         v = _as_vector(x, self.dimension)

@@ -11,8 +11,9 @@ applied to a, and gradients pulled back through the vertex matrix.  Its
 ``iterate_body`` is therefore a simplex over the vertex count, not the
 polytope itself.
 
-The q-norm and grouped prox steps find their multiplier with one
-bisection, ``_bisect``, which stops at convergence (at most 200 halvings).
+The q-norm and grouped prox steps find their scalar multiplier with
+Brent's method (``scipy.optimize.brentq``) on a bracket that holds the
+root, to ``ROOT_RTOL`` relative precision.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .geometry import (
     ConvexBody,
@@ -36,6 +38,12 @@ from .geometry import (
 )
 
 ENTROPY_FLOOR = 1e-12
+
+# brentq's tolerances for the prox multipliers: its own floor on the relative
+# tolerance, and an absolute one below any multiplier scale, so the root is
+# found to relative precision wherever it lies.
+ROOT_RTOL = 4.0 * np.finfo(float).eps
+ROOT_XTOL = 1e-300
 
 
 class Potential:
@@ -188,21 +196,6 @@ class NegativeEntropy(Potential):
         return math.log(self.dimension)
 
 
-def _bisect(above, lo: float, hi: float) -> float:
-    """The upper end of [lo, hi] after bisecting it, with ``above(lo)`` false
-    and ``above(hi)`` true throughout.  It stops once the midpoint equals an
-    end, where every further halving would leave the bracket unchanged."""
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if above(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def default_q_exponent(n_vertices: int) -> float:
     """q = log k / (log k - 1) for k >= 8, clamped to 2 below that."""
     if n_vertices < 8:
@@ -265,8 +258,8 @@ class PolytopeQNorm(Potential):
 
         Stationarity gives a_i = K (lam - c_i)_+^(1/(q-1)); the simplex
         multiplier lam solves the scalar equation
-        2(q-1) ||b(lam)||_q^(q-2) sum b(lam) = 1, bracketed and bisected to
-        machine precision, after which a = b / sum b.
+        2(q-1) ||b(lam)||_q^(q-2) sum b(lam) = 1, bracketed and solved by
+        Brent's method to machine precision, after which a = b / sum b.
         """
         x_t, g = self._step_args(x_t, g, eta)
         c = eta * g - self.grad(x_t)
@@ -290,7 +283,8 @@ class PolytopeQNorm(Potential):
         hi = lo + span
         while gee(hi) < 1.0:
             hi = lo + 2.0 * (hi - lo)
-        b = beta(_bisect(lambda lam: not gee(lam) < 1.0, lo, hi))
+        b = beta(brentq(lambda lam: gee(lam) - 1.0, lo, hi,
+                        xtol=ROOT_XTOL, rtol=ROOT_RTOL))
         return b / b.sum()
 
     @property
@@ -372,7 +366,8 @@ class GroupedL1(Potential):
         With c = eta*g - grad Psi(x_t), each block's optimal direction is
         -c_j/||c_j|| and the block norms solve a one-dimensional dual
         problem: t_j(lam) = (xi (||c_j|| - lam)_+)^(1/(M-1)), with lam
-        bisected so the norms sum to the radius (lam = 0 if already inside).
+        found by Brent's method so the norms sum to the radius (lam = 0 if
+        already inside).
         """
         self._check_body(body)
         x_t, g = self._step_args(x_t, g, eta)
@@ -389,7 +384,8 @@ class GroupedL1(Potential):
         t = norms_at(0.0)
         if t.sum() > r:
             # The norms vanish at lam = max_j ||c_j||, which brackets the root.
-            t = norms_at(_bisect(lambda lam: not norms_at(lam).sum() > r, 0.0, float(a.max())))
+            t = norms_at(brentq(lambda lam: norms_at(lam).sum() - r, 0.0, float(a.max()),
+                                xtol=ROOT_XTOL, rtol=ROOT_RTOL))
         out = np.zeros_like(x_t)
         for s, aj, tj in zip(slices, a, t):
             if aj > 0.0 and tj > 0.0:

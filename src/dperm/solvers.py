@@ -18,7 +18,7 @@ generator untouched, so a non-private run reproduces its classical
 counterpart's iterate sequence bit for bit.
 
 Step-size defaults follow the source algorithms.  ``noisy_md`` takes a
-constant ``step_size``, or ``step_rule="theorem"`` for the theorem
+constant positive ``step_size``, or ``step_rule="theorem"`` for the theorem
 statement's step; the Frank-Wolfe loops take ``step_rule="decaying"`` for
 the classical schedule 2/(t+2).  A setting the algorithm would not read
 is rejected.
@@ -27,6 +27,7 @@ is rejected.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 import warnings
 from dataclasses import dataclass, field, fields
@@ -110,8 +111,12 @@ class SolverConfig:
         if self.algorithm not in STEP_RULES[self.step_rule]:
             raise ValueError(f"step_rule {self.step_rule!r} applies only to "
                              f"{', '.join(STEP_RULES[self.step_rule])}, not {self.algorithm}")
-        if self.step_size is not None and self.algorithm != "noisy_md":
-            raise ValueError(f"step_size applies only to noisy_md, not {self.algorithm}")
+        if self.step_size is not None:
+            if self.algorithm != "noisy_md":
+                raise ValueError(f"step_size applies only to noisy_md, not {self.algorithm}")
+            if not (isinstance(self.step_size, numbers.Real) and 0.0 < self.step_size < math.inf):
+                raise ValueError(f"step_size must be a positive finite number, "
+                                 f"got {self.step_size!r}")
         if self.algorithm == "fw_polytope":
             try:
                 n_vertices = self.body.vertices().shape[0]
@@ -140,12 +145,21 @@ class SolverConfig:
             loss=loss,
             budget=PrivacyBudget.from_dict(doc_field(doc, "budget", "solver config")),
             potential=potential,
-            T=int(doc.get("T", 0)),
+            T=_doc_int(doc, "T", 0),
             step_rule=doc.get("step_rule", "paper"),
             step_size=doc.get("step_size"),
-            seed=int(doc.get("seed", 0)),
-            t_cap=int(doc.get("t_cap", 10 ** 6)),
+            seed=_doc_int(doc, "seed", 0),
+            t_cap=_doc_int(doc, "t_cap", 10 ** 6),
         )
+
+
+def _doc_int(doc: dict, key: str, default: int) -> int:
+    """An integer field of a config document; any other value, a float or a
+    bool among them, raises ``ValueError`` instead of being truncated."""
+    value = doc.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"solver config {key!r} must be an integer, got {value!r}")
+    return int(value)
 
 
 # The keys of a config document: the fields ``from_dict`` reads, the sweep's

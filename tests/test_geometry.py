@@ -331,7 +331,9 @@ class TestSymmetricHull:
         for v in TRIANGLE:
             assert hull.contains(v) and hull.contains(-v)
 
-    def test_polytope_symmetry_solves_its_lps_once(self, monkeypatch):
+    @pytest.fixture
+    def lp_calls(self, monkeypatch):
+        """The list of ``geometry.linprog`` calls, with a fresh body memo."""
         import dperm.geometry as geometry
 
         calls = []
@@ -343,18 +345,33 @@ class TestSymmetricHull:
 
         monkeypatch.setattr(geometry, "linprog", counting)
         monkeypatch.setattr(geometry, "_body_memo", geometry.Memo())  # as in a fresh process
-        poly = Polytope(CROSS)
+        return calls
+
+    def test_polytope_symmetry_solves_its_lps_once(self, lp_calls):
+        # Symmetric, but the interior point has no negation in the list, so
+        # the rows do not pair up and each vertex takes its hull LP.
+        V = np.vstack([CROSS, [0.1, 0.2]])
+        poly = Polytope(V)
         assert poly.is_symmetric
-        assert len(calls) == len(CROSS)  # one hull LP per vertex
+        assert len(lp_calls) == len(V)  # one hull LP per vertex
         assert poly.is_symmetric
         assert symmetric_hull(poly) is poly
-        assert len(calls) == len(CROSS)
+        assert len(lp_calls) == len(V)
         poly.minkowski_norm([0.5, 0.0])
-        assert len(calls) == len(CROSS) + 1  # the norm's own coefficient LP
+        assert len(lp_calls) == len(V) + 1  # the norm's own coefficient LP
         # Another polytope with the same vertex list reads the memo.
-        again = Polytope(CROSS.copy())
+        again = Polytope(V.copy())
         assert again.is_symmetric and symmetric_hull(again) is again
-        assert len(calls) == len(CROSS) + 1
+        assert len(lp_calls) == len(V) + 1
+
+    def test_row_paired_vertices_need_no_lp(self, lp_calls):
+        # -V is a row permutation of V: symmetric with no LP at all.
+        assert Polytope(CROSS).is_symmetric
+        assert Polytope(np.vstack([CROSS[::-1], [[0.3, -0.2], [-0.3, 0.2]]])).is_symmetric
+        assert lp_calls == []
+        # An asymmetric list falls back to the LPs and still fails.
+        assert not Polytope(TRIANGLE).is_symmetric
+        assert len(lp_calls) >= 1
 
 
 class TestBodyKey:

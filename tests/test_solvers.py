@@ -536,6 +536,15 @@ class TestReportAndConfig:
         assert cfg.algorithm == "noisy_md" and cfg.T == 12
         assert isinstance(cfg.potential, NegativeEntropy)
 
+    @pytest.mark.parametrize("key,value", [
+        ("T", 2.9), ("T", 3.0), ("T", True), ("seed", 1.5), ("t_cap", "48"),
+    ])
+    def test_from_dict_rejects_a_count_that_is_not_an_integer(self, key, value):
+        doc = {"algorithm": "fw_polytope", "body": {"kind": "simplex", "dimension": 4},
+               "loss": {"kind": "squared_error"}, "budget": {"epsilon": 1.0}, key: value}
+        with pytest.raises(ValueError, match=f"solver config '{key}' must be an integer"):
+            SolverConfig.from_dict(doc)
+
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError):
             SolverConfig(algorithm="sgd", body=L1Ball(1.0, 2), loss=SQ,
@@ -561,6 +570,13 @@ class TestReportAndConfig:
         with pytest.raises(ValueError, match=message):
             SolverConfig(algorithm=algorithm, body=L1Ball(1.0, 4), loss=SQ,
                          budget=NON_PRIVATE, potential=potential, **setting)
+
+    @pytest.mark.parametrize("step_size", [-1.0, 0.0, math.nan, math.inf, "0.1"])
+    def test_step_size_must_be_positive_and_finite(self, step_size):
+        with pytest.raises(ValueError, match="step_size must be a positive finite number"):
+            SolverConfig(algorithm="noisy_md", body=L1Ball(1.0, 4), loss=SQ,
+                         budget=NON_PRIVATE, potential=SquaredL2(4), T=1,
+                         step_size=step_size)
 
     def test_md_requires_potential(self):
         with pytest.raises(ValueError, match="potential"):
