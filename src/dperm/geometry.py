@@ -1,4 +1,4 @@
-"""Convex constraint sets: membership, linear minimization, norms, projections.
+"""Convex constraint sets: membership, linear minimization, dual norms, projections.
 
 Every body is closed, convex and bounded.  The operations here are pure
 functions of their inputs and safe to call concurrently; the Monte-Carlo
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import threading
 from dataclasses import dataclass
 from functools import cached_property
@@ -59,8 +60,8 @@ class ConvexBody:
     """Base class for constraint sets.
 
     Subclasses implement membership, the linear minimization oracle (LMO),
-    the Minkowski gauge and its dual (row-batched, as ``dual_norms``),
-    diameters, and (where supported) Euclidean projection.
+    the dual norm max over w in C of |<w, g>| (row-batched, as
+    ``dual_norms``), diameters, and (where supported) Euclidean projection.
     """
 
     dimension: int
@@ -79,18 +80,6 @@ class ConvexBody:
         applies.  NaN directions are rejected.
         """
         raise NotImplementedError
-
-    def minkowski_norm(self, v) -> float:
-        """Gauge of the body: min {r >= 0 : v in r*C}.
-
-        Only defined for centrally symmetric bodies.
-        """
-        raise NotImplementedError
-
-    def dual_norm(self, v) -> float:
-        """max over w in C of |<w, v>|."""
-        v = _as_vector(v, self.dimension, "v")
-        return float(self.dual_norms(v[None, :])[0])
 
     def dual_norms(self, G: np.ndarray) -> np.ndarray:
         """The dual norm of each row of G (k, p): max over w in C of |<w, g>|."""
@@ -147,11 +136,6 @@ class L2Ball(ConvexBody):
         if nrm == 0.0:
             return self.canonical_point()
         return -(self.radius / nrm) * d
-
-    def minkowski_norm(self, v) -> float:
-        v = _as_vector(v, self.dimension, "v")
-        _check_finite(v, "v")
-        return float(np.linalg.norm(v)) / self.radius
 
     def dual_norms(self, G: np.ndarray) -> np.ndarray:
         return self.radius * np.linalg.norm(G, axis=1)
@@ -210,11 +194,6 @@ class L1Ball(ConvexBody):
             out[idx - self.dimension] = -self.radius
         return out
 
-    def minkowski_norm(self, v) -> float:
-        v = _as_vector(v, self.dimension, "v")
-        _check_finite(v, "v")
-        return float(np.abs(v).sum()) / self.radius
-
     def dual_norms(self, G: np.ndarray) -> np.ndarray:
         return self.radius * row_abs_max(G)
 
@@ -262,9 +241,6 @@ class Simplex(ConvexBody):
         out = np.zeros(self.dimension)
         out[int(np.argmin(d))] = 1.0
         return out
-
-    def minkowski_norm(self, v) -> float:
-        raise ValueError("the simplex is not centrally symmetric; its gauge is undefined")
 
     def dual_norms(self, G: np.ndarray) -> np.ndarray:
         return row_abs_max(G)
@@ -354,19 +330,6 @@ class Polytope(ConvexBody):
         scores = self.vertex_array @ d
         return self.vertex_array[int(np.argmin(scores))].copy()
 
-    def minkowski_norm(self, v) -> float:
-        """Gauge via the coefficient LP: min sum|a_i| s.t. sum a_i v_i = v.
-
-        Signed coefficients make this the gauge of the symmetric hull of
-        the vertex list, which equals the body's own gauge when the body
-        is centrally symmetric.
-        """
-        if not self.is_symmetric:
-            raise ValueError("Minkowski norm requires a centrally symmetric polytope")
-        v = _as_vector(v, self.dimension, "v")
-        _check_finite(v, "v")
-        return _coefficient_l1_lp(self.vertex_array, v)
-
     def dual_norms(self, G: np.ndarray) -> np.ndarray:
         return np.abs(G @ self.vertex_array.T).max(axis=1)
 
@@ -436,11 +399,6 @@ class GroupedL1Ball(ConvexBody):
         s = block_slices(self.dimension, self.group_size)[j]
         out[s] = -(self.radius / norms[j]) * d[s]
         return out
-
-    def minkowski_norm(self, v) -> float:
-        v = _as_vector(v, self.dimension, "v")
-        _check_finite(v, "v")
-        return self.grouped_norm(v) / self.radius
 
     def dual_norms(self, G: np.ndarray) -> np.ndarray:
         block_norms = np.stack(
@@ -512,16 +470,6 @@ class Box(ConvexBody):
         _check_finite(d)
         # d_i = 0 ties resolve to the lower corner.
         return np.where(d > 0, self.lo, np.where(d < 0, self.hi, self.lo))
-
-    def minkowski_norm(self, v) -> float:
-        if not self.is_symmetric:
-            raise ValueError("Minkowski norm requires a symmetric box (lo = -hi)")
-        v = _as_vector(v, self.dimension, "v")
-        _check_finite(v, "v")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(self.hi > 0, np.abs(v) / self.hi,
-                              np.where(np.abs(v) > 0, np.inf, 0.0))
-        return float(ratios.max())
 
     def dual_norms(self, G: np.ndarray) -> np.ndarray:
         # The largest and the smallest <w, g> over the box, per row.
@@ -609,19 +557,6 @@ def _project_simplex(v: np.ndarray, total: float) -> np.ndarray:
     return np.maximum(v - tau, 0.0)
 
 
-def _coefficient_l1_lp(V: np.ndarray, target: np.ndarray) -> float:
-    """min sum |a_i| over signed coefficients with V^T a = target."""
-    k, p = V.shape
-    # Split a = a+ - a-: minimize 1' (a+ + a-).
-    c = np.ones(2 * k)
-    A_eq = np.hstack([V.T, -V.T])
-    res = linprog(c, A_eq=A_eq, b_eq=target, bounds=[(0, None)] * (2 * k),
-                  method="highs")
-    if not res.success:
-        raise ValueError("vector is outside the span of the polytope's vertices")
-    return float(res.fun)
-
-
 # ---------------------------------------------------------------------------
 # Gaussian width
 
@@ -671,43 +606,6 @@ def gaussian_width_mc(body: ConvexBody, samples: int, seed: int) -> WidthEstimat
 
 
 # ---------------------------------------------------------------------------
-# Feasible-point sampling (test oracles and empirical curvature draws)
-
-
-def sample_feasible(body: ConvexBody, rng: np.random.Generator) -> np.ndarray:
-    """Draw a random point of the body (full support, not necessarily uniform)."""
-    p = body.dimension
-    if isinstance(body, L2Ball):
-        g = rng.standard_normal(p)
-        nrm = np.linalg.norm(g)
-        if nrm == 0.0:
-            return np.zeros(p)
-        return body.radius * rng.random() ** (1.0 / p) * g / nrm
-    if isinstance(body, L1Ball):
-        w = rng.dirichlet(np.ones(p))
-        signs = rng.choice([-1.0, 1.0], size=p)
-        return body.radius * rng.random() ** (1.0 / p) * signs * w
-    if isinstance(body, Simplex):
-        return rng.dirichlet(np.ones(p))
-    if isinstance(body, Polytope):
-        w = rng.dirichlet(np.ones(body.n_vertices))
-        return body.vertex_array.T @ w
-    if isinstance(body, GroupedL1Ball):
-        slices = block_slices(body.dimension, body.group_size)
-        alloc = rng.dirichlet(np.ones(len(slices))) * body.radius * rng.random()
-        out = np.zeros(p)
-        for s, a in zip(slices, alloc):
-            g = rng.standard_normal(s.stop - s.start)
-            nrm = np.linalg.norm(g)
-            if nrm > 0:
-                out[s] = a * g / nrm
-        return out
-    if isinstance(body, Box):
-        return body.lo + (body.hi - body.lo) * rng.random(p)
-    raise ValueError(f"no sampler for {type(body).__name__}")
-
-
-# ---------------------------------------------------------------------------
 # Symmetric hull and serialization
 
 
@@ -734,18 +632,18 @@ def symmetric_hull(body: ConvexBody) -> ConvexBody:
 
 
 # Each kind's document keys besides "kind", and its builder, which takes
-# them as keyword arguments.
+# them as keyword arguments ("dimension" and "group_size" as integers).
 _KIND_TAGS = {
     "l2_ball": (("radius", "dimension"), lambda radius, dimension: L2Ball(
-        radius=float(radius), dimension=int(dimension))),
+        radius=float(radius), dimension=dimension)),
     "l1_ball": (("radius", "dimension"), lambda radius, dimension: L1Ball(
-        radius=float(radius), dimension=int(dimension))),
-    "simplex": (("dimension",), lambda dimension: Simplex(dimension=int(dimension))),
+        radius=float(radius), dimension=dimension)),
+    "simplex": (("dimension",), lambda dimension: Simplex(dimension=dimension)),
     "polytope": (("vertices",), lambda vertices: Polytope(np.asarray(vertices, dtype=float))),
     "grouped_l1_ball": (("radius", "group_size", "dimension"),
                         lambda radius, group_size, dimension: GroupedL1Ball(
-                            radius=float(radius), group_size=int(group_size),
-                            dimension=int(dimension))),
+                            radius=float(radius), group_size=group_size,
+                            dimension=dimension)),
     "box": (("lo", "hi"), lambda lo, hi: Box(lo=np.asarray(lo, dtype=float),
                                              hi=np.asarray(hi, dtype=float))),
 }
@@ -756,6 +654,15 @@ def doc_field(doc: dict, key: str, kind: str):
     if key not in doc:
         raise ValueError(f"{kind} document has no {key!r} key")
     return doc[key]
+
+
+def doc_int(value, kind: str, key: str) -> int:
+    """``value`` of the ``key`` field of a ``kind`` document, as an integer;
+    any other value, a float or a bool among them, raises ``ValueError``
+    instead of being truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{kind} {key!r} must be an integer, got {value!r}")
+    return int(value)
 
 
 def check_keys(doc: dict, allowed, kind: str) -> None:
@@ -772,4 +679,9 @@ def body_from_dict(doc: dict) -> ConvexBody:
     keys, build = _KIND_TAGS[kind]
     label = f"{kind} body"
     check_keys(doc, {"kind", *keys}, label)
-    return build(**{key: doc_field(doc, key, label) for key in keys})
+
+    def read(key):
+        value = doc_field(doc, key, label)
+        return doc_int(value, label, key) if key in ("dimension", "group_size") else value
+
+    return build(**{key: read(key) for key in keys})

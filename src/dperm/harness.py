@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 
+from .geometry import check_keys, doc_field, doc_int
 from .losses import Dataset
 from .oracle import cached_solve, excess_risk
 from .solvers import SolverConfig, SolverReport, run_solver, seed_from
@@ -97,7 +98,12 @@ class RiskRecord:
 
 @dataclass
 class ExperimentSpec:
-    """A sweep: solver config documents x n values x seeds."""
+    """A sweep: solver config documents x n values x seeds.
+
+    The dataset document is a ``path`` (with an optional ``lasso_profile``)
+    or a ``generator``.  An unknown key in either, a missing generator, or
+    a solver id used twice raises ``ValueError``.
+    """
 
     solvers: list[dict]
     n_sweep: list[int]
@@ -110,19 +116,37 @@ class ExperimentSpec:
             raise ValueError("at least one solver config is required")
         if not self.n_sweep or not self.seeds:
             raise ValueError("n_sweep and seeds must be nonempty")
-        if "path" in self.dataset and not os.path.exists(self.dataset["path"]):
-            raise ValueError(f"dataset file {self.dataset['path']} does not exist")
+        # The dataset is a file, or the generator with some of its keys.
+        if "path" in self.dataset:
+            check_keys(self.dataset, {"path", "lasso_profile"}, "dataset")
+            if not os.path.exists(self.dataset["path"]):
+                raise ValueError(f"dataset file {self.dataset['path']} does not exist")
+        else:
+            check_keys(self.dataset, {"generator"}, "dataset")
+            check_keys(doc_field(self.dataset, "generator", "dataset"),
+                       {"p", "sparsity", "noise_level", "data_seed", "l1_norm", "nonneg"},
+                       "generator")
+        ids = set()
         for i, doc in enumerate(self.solvers):
             if "id" not in doc:
                 raise ValueError(f"solver config {i} is missing an 'id'")
+            if doc["id"] in ids:
+                raise ValueError(f"solver config {i} repeats the id {doc['id']!r}")
+            ids.add(doc["id"])
 
     @classmethod
     def from_json(cls, path) -> "ExperimentSpec":
+        """Read a sweep document; an unknown or missing key, or an n or a
+        seed that is not an integer, raises ``ValueError``.  ``name`` labels
+        the sweep and is not read."""
         with open(path) as fh:
             doc = json.load(fh)
-        return cls(solvers=doc["solvers"], n_sweep=[int(v) for v in doc["n_sweep"]],
-                   seeds=[int(v) for v in doc["seeds"]], dataset=doc["dataset"],
-                   output=doc.get("output"))
+        check_keys(doc, {"name", "solvers", "n_sweep", "seeds", "dataset", "output"}, "sweep")
+        return cls(solvers=doc_field(doc, "solvers", "sweep"),
+                   n_sweep=[doc_int(v, "sweep", "n_sweep")
+                            for v in doc_field(doc, "n_sweep", "sweep")],
+                   seeds=[doc_int(v, "sweep", "seeds") for v in doc_field(doc, "seeds", "sweep")],
+                   dataset=doc_field(doc, "dataset", "sweep"), output=doc.get("output"))
 
 
 def _dataset_for(spec: ExperimentSpec, n: int) -> Dataset:
@@ -135,10 +159,10 @@ def _dataset_for(spec: ExperimentSpec, n: int) -> Dataset:
     gen = doc["generator"]
     return generate_lasso(
         n=n,
-        p=int(gen["p"]),
-        sparsity=int(gen.get("sparsity", 1)),
+        p=doc_int(doc_field(gen, "p", "generator"), "generator", "p"),
+        sparsity=doc_int(gen.get("sparsity", 1), "generator", "sparsity"),
         noise_level=float(gen.get("noise_level", 0.0)),
-        seed=seed_from(int(gen.get("data_seed", 0)), n),
+        seed=seed_from(doc_int(gen.get("data_seed", 0), "generator", "data_seed"), n),
         l1_norm=float(gen.get("l1_norm", 0.9)),
         nonneg=bool(gen.get("nonneg", False)),
     )

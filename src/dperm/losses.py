@@ -162,10 +162,6 @@ class Dataset:
     def p(self) -> int:
         return self.X.shape[1]
 
-    def records(self):
-        for i in range(self.n):
-            yield self.X[i], float(self.y[i])
-
     # -- ingestion ---------------------------------------------------------
 
     @classmethod
@@ -244,32 +240,6 @@ class LossSpec:
 
     def curvature_bound(self, body: ConvexBody, data: Dataset) -> float:
         raise NotImplementedError
-
-    def curvature_empirical(self, body: ConvexBody, data: Dataset,
-                            trials: int, seed: int = 0) -> float:
-        """Sampled supremum of the second-order curvature expression.
-
-        A lower bound on the true curvature constant, used to sanity-check
-        ``curvature_bound``.
-        """
-        from .geometry import sample_feasible
-
-        if trials < 1:
-            raise ValueError("trials must be >= 1")
-        _require_nonempty(data)
-        rng = np.random.default_rng(seed)
-        best = 0.0
-        for _ in range(trials):
-            t1 = sample_feasible(body, rng)
-            t2 = sample_feasible(body, rng)
-            gamma = 1.0 - rng.random()  # in (0, 1]
-            t3 = t1 + gamma * (t2 - t1)
-            val = (2.0 / gamma ** 2) * (
-                self.loss(t3, data) - self.loss(t1, data)
-                - float((t3 - t1) @ self.grad(t1, data))
-            )
-            best = max(best, val)
-        return best
 
     def hessian_eig_bounds(self, body: ConvexBody, data: Dataset) -> tuple[float, float]:
         """Bounds (lambda_min, lambda_max) on per-record Hessian eigenvalues."""

@@ -1,4 +1,4 @@
-"""Mirror maps with Bregman divergence and the constrained mirror-descent step.
+"""Mirror maps and the constrained mirror-descent step.
 
 Each potential declares the symmetric body Q whose gauge it is strongly
 convex against, plus a closed-form bound on its maximum over the feasible
@@ -34,6 +34,7 @@ from .geometry import (
     block_slices,
     check_keys,
     doc_field,
+    doc_int,
     symmetric_hull,
 )
 
@@ -47,7 +48,7 @@ ROOT_XTOL = 1e-300
 
 
 class Potential:
-    """Base mirror map: value, gradient, Bregman divergence, prox step."""
+    """Base mirror map: value, gradient and prox step."""
 
     # -- iterate-space mapping (identity except for coefficient potentials)
 
@@ -81,12 +82,6 @@ class Potential:
 
     def grad(self, x) -> np.ndarray:
         raise NotImplementedError
-
-    def bregman(self, a, b) -> float:
-        """Psi(a) - Psi(b) - <grad Psi(b), a - b>, evaluated exactly."""
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        return self.value(a) - self.value(b) - float(self.grad(b) @ (a - b))
 
     def mirror_step(self, body: ConvexBody, x_t, g, eta: float) -> np.ndarray:
         """argmin over the body of <eta*g, x> + B_Psi(x, x_t), in closed form.
@@ -418,7 +413,8 @@ def potential_from_dict(doc: dict, body: ConvexBody) -> Potential:
     if kind == "grouped_l1":
         check_keys(doc, {"kind", "group_size"}, label)
         return GroupedL1(dimension=body.dimension,
-                         group_size=int(doc_field(doc, "group_size", label)))
+                         group_size=doc_int(doc_field(doc, "group_size", label), label,
+                                            "group_size"))
     if kind not in ("squared_l2", "negative_entropy", "polytope_q_norm"):
         raise ValueError(f"unknown potential kind {kind!r}")
     check_keys(doc, {"kind"}, label)

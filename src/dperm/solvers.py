@@ -17,17 +17,15 @@ is the only stochastic element, and the zero-scale samplers leave the
 generator untouched, so a non-private run reproduces its classical
 counterpart's iterate sequence bit for bit.
 
-Step-size defaults follow the source algorithms.  ``noisy_md`` takes a
-constant positive ``step_size``, or ``step_rule="theorem"`` for the theorem
-statement's step; the Frank-Wolfe loops take ``step_rule="decaying"`` for
-the classical schedule 2/(t+2).  A setting the algorithm would not read
-is rejected.
+Step sizes are the ones the source algorithms fix: the constant
+eta = sqrt(max Psi)/(L2 ||Q||_2 sqrt(T)) for ``noisy_md``, the schedule
+eta_t = 2/(Delta t) for ``strongly_convex_md`` and the constant weight
+mu = 1/(T+2) for both Frank-Wolfe loops.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 import time
 import warnings
 from dataclasses import dataclass, field, fields
@@ -36,8 +34,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .firstorder import NotCertifiedError, minimize
-from .geometry import (ConvexBody, body_from_dict, check_keys, doc_field, gaussian_width_mc,
-                       memo_by_body, symmetric_hull)
+from .geometry import (ConvexBody, body_from_dict, check_keys, doc_field, doc_int,
+                       gaussian_width_mc, memo_by_body, symmetric_hull)
 from .losses import Dataset, Huber, LossSpec, loss_from_dict, require_matching_dimension
 from .potentials import Potential, potential_from_dict
 from .privacy import (
@@ -54,13 +52,6 @@ from .privacy import (
 )
 
 ALGORITHMS = ("noisy_md", "strongly_convex_md", "obj_pert", "fw_polytope", "fw_general")
-
-# The algorithms that read each ``step_rule`` value.
-STEP_RULES = {
-    "paper": ALGORITHMS,
-    "theorem": ("noisy_md",),
-    "decaying": ("fw_polytope", "fw_general"),
-}
 
 # Stream id of the noise generator in the documented rng split.
 _STREAM_NOISE = 0
@@ -92,8 +83,6 @@ class SolverConfig:
     budget: PrivacyBudget
     potential: Optional[Potential] = None
     T: int = 0
-    step_rule: str = "paper"
-    step_size: Optional[float] = None
     seed: int = 0
     t_cap: int = 10 ** 6
     record_iterates: bool = False
@@ -105,28 +94,14 @@ class SolverConfig:
             raise ValueError("T must be >= 0 (0 = use the default formula)")
         if self.algorithm in ("noisy_md", "strongly_convex_md") and self.potential is None:
             raise ValueError(f"{self.algorithm} requires a potential")
-        if self.step_rule not in STEP_RULES:
-            raise ValueError(f"unknown step_rule {self.step_rule!r}; "
-                             f"expected one of {sorted(STEP_RULES)}")
-        if self.algorithm not in STEP_RULES[self.step_rule]:
-            raise ValueError(f"step_rule {self.step_rule!r} applies only to "
-                             f"{', '.join(STEP_RULES[self.step_rule])}, not {self.algorithm}")
-        if self.step_size is not None:
-            if self.algorithm != "noisy_md":
-                raise ValueError(f"step_size applies only to noisy_md, not {self.algorithm}")
-            if not (isinstance(self.step_size, numbers.Real) and 0.0 < self.step_size < math.inf):
-                raise ValueError(f"step_size must be a positive finite number, "
-                                 f"got {self.step_size!r}")
         if self.algorithm == "fw_polytope":
             try:
-                n_vertices = self.body.vertices().shape[0]
+                self.body.vertices()
             except ValueError as exc:
                 raise ValueError(
                     "fw_polytope requires a vertex-enumerable body "
                     "(polytope, l1 ball, or simplex)"
                 ) from exc
-            if n_vertices > 10 ** 6:
-                raise ValueError("vertex count above 10^6 makes score enumeration infeasible")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SolverConfig":
@@ -145,21 +120,10 @@ class SolverConfig:
             loss=loss,
             budget=PrivacyBudget.from_dict(doc_field(doc, "budget", "solver config")),
             potential=potential,
-            T=_doc_int(doc, "T", 0),
-            step_rule=doc.get("step_rule", "paper"),
-            step_size=doc.get("step_size"),
-            seed=_doc_int(doc, "seed", 0),
-            t_cap=_doc_int(doc, "t_cap", 10 ** 6),
+            T=doc_int(doc.get("T", 0), "solver config", "T"),
+            seed=doc_int(doc.get("seed", 0), "solver config", "seed"),
+            t_cap=doc_int(doc.get("t_cap", 10 ** 6), "solver config", "t_cap"),
         )
-
-
-def _doc_int(doc: dict, key: str, default: int) -> int:
-    """An integer field of a config document; any other value, a float or a
-    bool among them, raises ``ValueError`` instead of being truncated."""
-    value = doc.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"solver config {key!r} must be an integer, got {value!r}")
-    return int(value)
 
 
 # The keys of a config document: the fields ``from_dict`` reads, the sweep's
@@ -235,7 +199,7 @@ class ResolvedRun:
     T: int
     plan: NoisePlan
     eta: Optional[Callable[[int], float]] = None  # MD step for index t (1-based)
-    mu: Optional[Callable[[int], float]] = None   # FW mixing weight at step t
+    mu: Optional[float] = None  # FW mixing weight, the same at every step
     zeta: float = 0.0
     theta0: Optional[np.ndarray] = None
 
@@ -331,14 +295,14 @@ def resolve_defaults(cfg: SolverConfig, data: Dataset) -> ResolvedRun:
         plan.log(f"laplace scale = L1 ||C||_1 sqrt(8 T ln(1/delta))/(n eps) = {scale:.6g}")
         plan.log("scores use the 1/n-normalized gradient, paired with the "
                  "per-record sensitivity scale above")
-        return ResolvedRun(T=T, plan=plan, mu=_fw_mu(cfg, T, plan))
+        return ResolvedRun(T=T, plan=plan, mu=_fw_mu(T, plan))
     if alg == "fw_general":
         sigma = fw_gaussian_sigma(L2, T, cfg.budget, n)
         plan.sigma = sigma
         plan.log(f"sigma = sqrt(32 L2 T) ln(n/delta)/(n eps) = {sigma:.6g} "
                  "(source display is linear in L2 and logs n/delta, unlike the "
                  "mirror-descent scale; implemented verbatim)")
-        return ResolvedRun(T=T, plan=plan, mu=_fw_mu(cfg, T, plan))
+        return ResolvedRun(T=T, plan=plan, mu=_fw_mu(T, plan))
 
     sigma = md_sigma(L2, T, cfg.budget, n)
     plan.sigma = sigma
@@ -351,30 +315,21 @@ def resolve_defaults(cfg: SolverConfig, data: Dataset) -> ResolvedRun:
 
 def _md_eta(cfg: SolverConfig, L2: float, q_diam: float, T: int,
             plan: NoisePlan) -> Callable[[int], float]:
-    if cfg.step_size is not None:
-        eta = float(cfg.step_size)
-        plan.log(f"eta = {eta} (user-supplied constant)")
-        return lambda t: eta
     if L2 <= 0 or q_diam <= 0:
-        raise ValueError("cannot derive a default step size with L2 = 0; supply step_size")
-    if cfg.step_rule == "theorem":
-        eta = 1.0 / (L2 * q_diam * math.sqrt(T))
-        plan.log(f"eta = 1/(L2 ||Q||_2 sqrt(T)) = {eta:.6g} (theorem-statement rule)")
-    else:
-        max_psi = cfg.potential.max_over_domain(cfg.body)
-        eta = math.sqrt(max_psi) / (L2 * q_diam * math.sqrt(T))
-        plan.log(f"eta = sqrt(max Psi)/(L2 ||Q||_2 sqrt(T)) = {eta:.6g} "
-                 f"(proof rule, max Psi = {max_psi:.6g})")
+        raise ValueError("noisy_md: the step size sqrt(max Psi)/(L2 ||Q||_2 sqrt(T)) "
+                         f"needs L2 > 0 and ||Q||_2 > 0, got L2 = {L2:.6g}, "
+                         f"||Q||_2 = {q_diam:.6g}")
+    max_psi = cfg.potential.max_over_domain(cfg.body)
+    eta = math.sqrt(max_psi) / (L2 * q_diam * math.sqrt(T))
+    plan.log(f"eta = sqrt(max Psi)/(L2 ||Q||_2 sqrt(T)) = {eta:.6g} "
+             f"(max Psi = {max_psi:.6g})")
     return lambda t: eta
 
 
-def _fw_mu(cfg: SolverConfig, T: int, plan: NoisePlan) -> Callable[[int], float]:
-    if cfg.step_rule == "decaying":
-        plan.log("mu_t = 2/(t+2) (classical decaying schedule)")
-        return lambda t: 2.0 / (t + 2.0)
+def _fw_mu(T: int, plan: NoisePlan) -> float:
     mu = 1.0 / (T + 2.0)
     plan.log(f"mu = 1/(T+2) = {mu:.6g}")
-    return lambda t: mu
+    return mu
 
 
 def sc_step_schedule(delta_sc: float) -> Callable[[int], float]:
@@ -465,12 +420,12 @@ def _frank_wolfe(cfg: SolverConfig, data: Dataset, run: ResolvedRun, rng, trace)
         def target(g, z):
             return cfg.body.lmo(g + z)
 
+    mu = run.mu
     theta = cfg.body.canonical_point()
     if trace is not None:
         trace.append(theta.copy())
-    for t, z in zip(range(1, run.T), noise):
+    for z in noise:
         s = target(cfg.loss.grad(theta, data), z)
-        mu = run.mu(t)
         theta = (1.0 - mu) * theta + mu * s
         if trace is not None:
             trace.append(theta.copy())
@@ -482,8 +437,7 @@ def _frank_wolfe(cfg: SolverConfig, data: Dataset, run: ResolvedRun, rng, trace)
     k = V.shape[0]
     w = np.zeros(k + 1)
     w[k] = 1.0
-    for t, idx in enumerate(picks, start=1):
-        mu = run.mu(t)
+    for idx in picks:
         w *= 1.0 - mu
         w[idx] += mu
     weights = w.tolist()

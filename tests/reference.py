@@ -1,0 +1,172 @@
+"""Reference computations that only the tests use.
+
+Each one is written independently of the library path it checks: feasible
+points drawn per body kind, the Minkowski gauge, the Bregman divergence,
+the sampled curvature expression and a coordinate-descent LASSO solve.
+"""
+
+import math
+
+import numpy as np
+from scipy.optimize import linprog
+
+from dperm.geometry import Box, GroupedL1Ball, L1Ball, L2Ball, Polytope, Simplex, block_slices
+
+
+def sample_feasible(body, rng: np.random.Generator) -> np.ndarray:
+    """Draw a random point of the body (full support, not necessarily uniform)."""
+    p = body.dimension
+    if isinstance(body, L2Ball):
+        g = rng.standard_normal(p)
+        nrm = np.linalg.norm(g)
+        if nrm == 0.0:
+            return np.zeros(p)
+        return body.radius * rng.random() ** (1.0 / p) * g / nrm
+    if isinstance(body, L1Ball):
+        w = rng.dirichlet(np.ones(p))
+        signs = rng.choice([-1.0, 1.0], size=p)
+        return body.radius * rng.random() ** (1.0 / p) * signs * w
+    if isinstance(body, Simplex):
+        return rng.dirichlet(np.ones(p))
+    if isinstance(body, Polytope):
+        w = rng.dirichlet(np.ones(body.n_vertices))
+        return body.vertex_array.T @ w
+    if isinstance(body, GroupedL1Ball):
+        slices = block_slices(body.dimension, body.group_size)
+        alloc = rng.dirichlet(np.ones(len(slices))) * body.radius * rng.random()
+        out = np.zeros(p)
+        for s, a in zip(slices, alloc):
+            g = rng.standard_normal(s.stop - s.start)
+            nrm = np.linalg.norm(g)
+            if nrm > 0:
+                out[s] = a * g / nrm
+        return out
+    if isinstance(body, Box):
+        return body.lo + (body.hi - body.lo) * rng.random(p)
+    raise ValueError(f"no sampler for {type(body).__name__}")
+
+
+def gauge(body, v) -> float:
+    """The Minkowski gauge min {r >= 0 : v in r*C} of a symmetric body.
+
+    A polytope's gauge is the coefficient LP min sum|a_i| over signed
+    coefficients with sum a_i v_i = v, the gauge of the hull of V and -V.
+    """
+    v = np.asarray(v, dtype=float)
+    if isinstance(body, L1Ball):
+        return float(np.abs(v).sum()) / body.radius
+    if isinstance(body, L2Ball):
+        return float(np.linalg.norm(v)) / body.radius
+    if isinstance(body, GroupedL1Ball):
+        return sum(float(np.linalg.norm(v[s]))
+                   for s in block_slices(body.dimension, body.group_size)) / body.radius
+    if isinstance(body, Polytope) and body.is_symmetric:
+        V = body.vertex_array
+        k = V.shape[0]
+        # Split a = a+ - a-: minimize 1' (a+ + a-).
+        res = linprog(np.ones(2 * k), A_eq=np.hstack([V.T, -V.T]), b_eq=v,
+                      bounds=[(0, None)] * (2 * k), method="highs")
+        if not res.success:
+            raise ValueError("vector is outside the span of the polytope's vertices")
+        return float(res.fun)
+    raise ValueError(f"no gauge for {type(body).__name__}")
+
+
+def bregman(potential, a, b) -> float:
+    """Psi(a) - Psi(b) - <grad Psi(b), a - b>, from the potential's value and grad."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return potential.value(a) - potential.value(b) - float(potential.grad(b) @ (a - b))
+
+
+def curvature_empirical(loss, body, data, trials: int, seed: int = 0) -> float:
+    """Sampled supremum of the second-order curvature expression.
+
+    A lower bound on the true curvature constant, used to sanity-check
+    ``curvature_bound``.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    rng = np.random.default_rng(seed)
+    best = 0.0
+    for _ in range(trials):
+        t1 = sample_feasible(body, rng)
+        t2 = sample_feasible(body, rng)
+        gamma = 1.0 - rng.random()  # in (0, 1]
+        t3 = t1 + gamma * (t2 - t1)
+        val = (2.0 / gamma ** 2) * (
+            loss.loss(t3, data) - loss.loss(t1, data)
+            - float((t3 - t1) @ loss.grad(t1, data))
+        )
+        best = max(best, val)
+    return best
+
+
+def lasso_cd_penalized(G: np.ndarray, b: np.ndarray, lam: float,
+                       theta0: np.ndarray | None = None,
+                       tol: float = 1e-13, max_passes: int = 50_000) -> np.ndarray:
+    """Coordinate descent for (1/2n)||X theta - y||^2 + lam ||theta||_1.
+
+    Takes the Gram statistics G = X'X/n and b = X'y/n, so a full pass
+    costs O(p^2) whatever n is.
+    """
+    p = b.shape[0]
+    theta = np.zeros(p) if theta0 is None else theta0.copy()
+    diag = np.diag(G).copy()
+    grad_lin = G @ theta  # G theta, updated incrementally
+    for _ in range(max_passes):
+        max_change = 0.0
+        for j in range(p):
+            cj = diag[j]
+            if cj == 0.0:
+                continue
+            rho = b[j] - grad_lin[j] + cj * theta[j]
+            new = math.copysign(max(abs(rho) - lam, 0.0), rho) / cj
+            change = new - theta[j]
+            if change != 0.0:
+                grad_lin += G[:, j] * change
+                theta[j] = new
+                max_change = max(max_change, abs(change))
+        if max_change <= tol:
+            break
+    return theta
+
+
+def lasso_oracle_cd(data, radius: float, bisect_iters: int = 200) -> tuple[np.ndarray, float]:
+    """Constrained-LASSO optimum via a penalized coordinate-descent path.
+
+    Bisects the penalty until the penalized solution's l1 norm matches the
+    constraint radius; returns (theta, objective value) under the 1/(2n)
+    normalization.  Independent of the projected-gradient oracle path.
+    """
+    X, y = data.X, data.y
+    n = X.shape[0]
+
+    def value(theta):
+        r = X @ theta - y
+        return 0.5 * float(r @ r) / n
+
+    theta_ls, *_ = np.linalg.lstsq(X, y, rcond=None)
+    if np.abs(theta_ls).sum() <= radius:
+        return theta_ls, value(theta_ls)
+
+    # Built here, not read from ``data.gram()``, to keep the check independent.
+    G, b = (X.T @ X) / n, (X.T @ y) / n
+    lam_hi = float(np.abs(b).max())  # theta = 0 beyond this
+    lam_lo = 0.0
+    theta = np.zeros(X.shape[1])
+    theta_hi = theta.copy()
+    for _ in range(bisect_iters):
+        lam = 0.5 * (lam_lo + lam_hi)
+        theta = lasso_cd_penalized(G, b, lam, theta0=theta)
+        if np.abs(theta).sum() > radius:
+            lam_lo = lam
+        else:
+            lam_hi = lam
+            theta_hi = theta.copy()
+        if lam_hi - lam_lo <= 1e-16 * max(lam_hi, 1.0):
+            break
+    # Feasible iterate from the high side of the bisection.
+    if np.abs(theta_hi).sum() > radius:
+        theta_hi *= radius / np.abs(theta_hi).sum()
+    return theta_hi, value(theta_hi)

@@ -29,8 +29,8 @@ def lasso_csv(tmp_path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"x{j}" for j in range(1, 6)] + ["y"])
-        for x, y in data.records():
-            writer.writerow([*x.tolist(), y])
+        for x, y in zip(data.X, data.y):
+            writer.writerow([*x.tolist(), float(y)])
     return str(path), data
 
 

@@ -1,3 +1,4 @@
+import json
 import re
 import types
 from collections import Counter
@@ -8,7 +9,7 @@ import pytest
 
 import dperm.geometry as geometry
 import dperm.solvers as solvers
-from dperm.geometry import L1Ball, body_from_dict, body_key
+from dperm.geometry import GroupedL1Ball, L1Ball, body_from_dict, body_key
 from dperm.harness import ExperimentSpec, generate_lasso, run_sweep
 from dperm.losses import Dataset, SquaredError, loss_from_dict
 from dperm.potentials import potential_from_dict
@@ -35,6 +36,25 @@ def spec_for(p: int, solvers: list[dict], seeds, n: int = 600) -> ExperimentSpec
     return ExperimentSpec(solvers=solvers, n_sweep=[n], seeds=list(seeds),
                           dataset={"generator": {"p": p, "sparsity": 3, "noise_level": 0.1,
                                                  "data_seed": 4}})
+
+
+def sweep_doc(**changes) -> dict:
+    """A one-cell sweep document as ``dperm bench`` reads it."""
+    return {"name": "lasso", "solvers": lasso_configs(6)[:1], "n_sweep": [200], "seeds": [0],
+            "dataset": {"generator": {"p": 6, "sparsity": 3, "noise_level": 0.1,
+                                      "data_seed": 4}}, **changes}
+
+
+def load_sweep(tmp_path, doc: dict) -> ExperimentSpec:
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(doc))
+    return ExperimentSpec.from_json(path)
+
+
+def with_generator(**changes) -> dict:
+    doc = sweep_doc()
+    doc["dataset"]["generator"].update(changes)
+    return doc
 
 
 class TestDimensionMismatch:
@@ -64,7 +84,8 @@ class TestDimensionMismatch:
 class TestConfigDocument:
     def test_unknown_key_fails_its_cells_by_name(self):
         q_body = {"kind": "l2_ball", "radius": 1.0, "dimension": 6}
-        for key, value in (("gaussian_width", 2.0), ("q_body", q_body)):
+        for key, value in (("gaussian_width", 2.0), ("q_body", q_body),
+                           ("step_rule", "theorem"), ("step_size", 0.1)):
             solvers = [{**lasso_configs(6)[1], key: value}]
             records, failures = run_sweep(spec_for(6, solvers, [0, 1]))
             assert records == [] and len(failures) == 2
@@ -152,8 +173,9 @@ class TestDocumentKeys:
         with pytest.raises(ValueError, match="huber loss document has no 'delta' key"):
             loss_from_dict({"kind": "huber"})
 
-    def test_benchmark_documents_are_accepted(self):
-        # Every key the benchmark's workloads send.
+    def test_benchmark_documents_are_accepted(self, tmp_path):
+        # Every key the benchmark's workloads send, in the solver configs
+        # and in each whole sweep document.
         path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
         workloads = types.ModuleType("perfbench_workloads")
         exec(compile(path.read_text(), str(path), "exec"), workloads.__dict__)
@@ -161,6 +183,61 @@ class TestDocumentKeys:
             for sweep in make(7):
                 for doc in sweep["solvers"]:
                     SolverConfig.from_dict({**doc, "seed": 0})
+                spec = load_sweep(tmp_path, sweep)
+                assert (spec.n_sweep, spec.seeds) == (sweep["n_sweep"], sweep["seeds"])
+
+
+# (kind, key, value, build): ``build(value, tmp_path)`` reads the value as
+# the key of a document of that kind.
+INTEGER_CASES = [
+    ("l1_ball body", "dimension", 3.6, lambda v, tmp: body_from_dict(
+        {**BODY_DOCS["l1_ball"], "dimension": v})),
+    ("simplex body", "dimension", True, lambda v, tmp: body_from_dict(
+        {**BODY_DOCS["simplex"], "dimension": v})),
+    ("grouped_l1_ball body", "group_size", 2.5, lambda v, tmp: body_from_dict(
+        {**BODY_DOCS["grouped_l1_ball"], "group_size": v})),
+    ("grouped_l1 potential", "group_size", 2.0, lambda v, tmp: potential_from_dict(
+        {"kind": "grouped_l1", "group_size": v}, GroupedL1Ball(1.0, 2, 4))),
+    ("sweep", "n_sweep", 100.7, lambda v, tmp: load_sweep(tmp, sweep_doc(n_sweep=[v]))),
+    ("sweep", "seeds", 1.5, lambda v, tmp: load_sweep(tmp, sweep_doc(seeds=[v, 2.9]))),
+    ("generator", "p", 3.6, lambda v, tmp: run_sweep(load_sweep(tmp, with_generator(p=v)))),
+    ("generator", "sparsity", 2.5,
+     lambda v, tmp: run_sweep(load_sweep(tmp, with_generator(sparsity=v)))),
+    ("generator", "data_seed", 1.5,
+     lambda v, tmp: run_sweep(load_sweep(tmp, with_generator(data_seed=v)))),
+]
+
+
+class TestSweepDocument:
+    @pytest.mark.parametrize("kind,key,value,build", INTEGER_CASES,
+                             ids=[f"{kind}-{key}" for kind, key, *_ in INTEGER_CASES])
+    def test_a_count_that_is_not_an_integer_is_rejected(self, tmp_path, kind, key, value,
+                                                        build):
+        # Truncating it would run another sweep than the one written.
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{kind} {key!r} must be an integer, got {value!r}")):
+            build(value, tmp_path)
+
+    @pytest.mark.parametrize("kind,doc,stray", [
+        ("sweep", sweep_doc(parallelism=2), "parallelism"),
+        ("dataset", sweep_doc(dataset={**sweep_doc()["dataset"], "lasso_profile": True}),
+         "lasso_profile"),
+        ("generator", with_generator(noise_levl=0.5), "noise_levl"),
+    ], ids=["sweep", "dataset", "generator"])
+    def test_unknown_key_is_rejected_by_name(self, tmp_path, kind, doc, stray):
+        # Ignoring it would run another sweep than the one written.
+        with pytest.raises(ValueError, match=re.escape(f"unknown {kind} key(s) [{stray!r}]")):
+            load_sweep(tmp_path, doc)
+
+    def test_dataset_without_path_or_generator_names_the_key(self):
+        with pytest.raises(ValueError, match="dataset document has no 'generator' key"):
+            run_sweep(ExperimentSpec(solvers=lasso_configs(6)[:1], n_sweep=[200], seeds=[0],
+                                     dataset={}))
+
+    def test_repeated_solver_id_is_rejected(self):
+        fw = lasso_configs(6)[0]
+        with pytest.raises(ValueError, match="solver config 1 repeats the id 'fw_polytope'"):
+            run_sweep(spec_for(6, [{**fw, "T": 5}, {**fw, "T": 7}], [0]))
 
 
 class TestWidthMemo:

@@ -1,6 +1,7 @@
 """Source hygiene: every name a module imports is used in that module,
-every module-level name of the package is named somewhere else, and every
-name the benchmark's tracer patches still exists."""
+every module-level name of the package is named somewhere else (and not
+only by the tests), and every name the benchmark's tracer patches still
+exists."""
 
 import ast
 import types
@@ -14,6 +15,8 @@ SRC = ROOT / "src" / "dperm"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 # Every file that may name a package definition.
 READERS = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
+# The files a run reaches: the package, its CLI and the benchmark.
+RUN_READERS = [p for p in READERS if not p.is_relative_to(ROOT / "tests")]
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -118,10 +121,20 @@ def unreferenced(modules: dict[str, ast.Module], readers: list[ast.Module]) -> l
     return out
 
 
-def test_every_definition_is_named_elsewhere():
-    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in READERS}
+def package_unreferenced(readers: list[Path]) -> list[str]:
+    """``unreferenced`` for the package's modules, read by ``readers``."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in readers}
     modules = {path.stem: trees[path] for path in MODULES}
-    assert unreferenced(modules, list(trees.values())) == []
+    return unreferenced(modules, list(trees.values()))
+
+
+def test_every_definition_is_named_elsewhere():
+    assert package_unreferenced(READERS) == []
+
+
+def test_no_definition_is_named_only_by_the_tests():
+    # Code that only the tests call belongs in ``tests/reference.py``.
+    assert package_unreferenced(RUN_READERS) == []
 
 
 def test_definition_scan_ignores_self_reference():

@@ -91,7 +91,7 @@ def reference_step_loop(cfg, data):
     weights = {"start": 1.0}
     for t in range(1, run.T):
         g = cfg.loss.grad(theta, data)
-        mu = run.mu(t)
+        mu = run.mu
         if V is not None:
             scores = V @ g
             if run.plan.laplace_scale > 0.0:
@@ -164,6 +164,13 @@ class TestResolveDefaults:
         with pytest.raises(ValueError, match="increase n or epsilon"):
             resolve_defaults(cfg, data)
 
+    def test_zero_lipschitz_constant_has_no_step_size(self):
+        data = Dataset(X=np.zeros((5, 3)), y=np.zeros(5))
+        cfg = SolverConfig(algorithm="noisy_md", body=L1Ball(1.0, 3), loss=SQ,
+                           budget=PrivacyBudget(1.0, 1e-6), potential=SquaredL2(3), T=5)
+        with pytest.raises(ValueError, match=r"needs L2 > 0 .* got L2 = 0,"):
+            resolve_defaults(cfg, data)
+
     def test_missing_custom_constants(self, small_lasso):
         loss = CustomLoss(lambda t, x, y: 0.0, lambda t, x, y: np.zeros(12),
                           constants={})
@@ -179,14 +186,6 @@ class TestResolveDefaults:
         text = "\n".join(run.plan.trace)
         assert "L1" in text and "eps" in text and "laplace scale" in text
 
-    def test_theorem_step_rule(self, small_lasso):
-        cfg = SolverConfig(algorithm="noisy_md", body=L1Ball(1.0, 12), loss=SQ,
-                           budget=NON_PRIVATE, potential=SquaredL2(12), T=100,
-                           step_rule="theorem")
-        run = resolve_defaults(cfg, small_lasso)
-        L2 = SQ.lipschitz_constants(L1Ball(1.0, 12), small_lasso)[1]
-        assert run.eta(2) == pytest.approx(1.0 / (L2 * 2.0 * 10.0))
-
 
 class TestNoisyMirrorDescent:
     def test_t_equals_one_returns_start(self, small_lasso):
@@ -199,19 +198,19 @@ class TestNoisyMirrorDescent:
     def test_zero_noise_matches_reference_pgd_bitwise(self, small_lasso):
         body = L1Ball(1.0, 12)
         cfg = SolverConfig(algorithm="noisy_md", body=body, loss=SQ,
-                           budget=NON_PRIVATE, potential=SquaredL2(12), T=50,
-                           step_size=0.5, seed=9)
+                           budget=NON_PRIVATE, potential=SquaredL2(12), T=50, seed=9)
         rep = run_solver(cfg, small_lasso)
-        ref = reference_pgd_averaged(body, SQ, small_lasso, 50, 0.5)
+        eta = resolve_defaults(cfg, small_lasso).eta(1)
+        ref = reference_pgd_averaged(body, SQ, small_lasso, 50, eta)
         assert np.array_equal(rep.theta_priv, ref)
 
     def test_zero_noise_entropy_matches_reference_bitwise(self, small_lasso):
         body = Simplex(12)
         cfg = SolverConfig(algorithm="noisy_md", body=body, loss=SQ,
-                           budget=NON_PRIVATE, potential=NegativeEntropy(12), T=40,
-                           step_size=0.3, seed=9)
+                           budget=NON_PRIVATE, potential=NegativeEntropy(12), T=40, seed=9)
         rep = run_solver(cfg, small_lasso)
-        ref = reference_entropy_md_averaged(body, SQ, small_lasso, 40, 0.3)
+        eta = resolve_defaults(cfg, small_lasso).eta(1)
+        ref = reference_entropy_md_averaged(body, SQ, small_lasso, 40, eta)
         assert np.array_equal(rep.theta_priv, ref)
 
     def test_output_is_mean_of_iterates(self, small_lasso):
@@ -248,8 +247,7 @@ class TestNoisyMirrorDescent:
         body = Polytope(V)
         pot = PolytopeQNorm(body)
         cfg = SolverConfig(algorithm="noisy_md", body=body, loss=SQ,
-                           budget=NON_PRIVATE, potential=pot, T=30,
-                           step_size=0.05, seed=1)
+                           budget=NON_PRIVATE, potential=pot, T=30, seed=1)
         rep = run_solver(cfg, small_lasso)
         assert rep.feasible
         start_risk = SQ.loss(body.canonical_point(), small_lasso)
@@ -261,15 +259,14 @@ class TestNoisyMirrorDescent:
         V = np.vstack([np.eye(12), -np.eye(12)])
         cfg = SolverConfig(algorithm="noisy_md", body=Polytope(V), loss=SQ,
                            budget=NON_PRIVATE, potential=PolytopeQNorm(Polytope(2.0 * V)),
-                           T=5, step_size=0.05, seed=1)
+                           T=5, seed=1)
         with pytest.raises(ValueError, match="built for"):
             run_solver(cfg, small_lasso)
 
     def test_squared_l2_on_polytope_rejected(self, small_lasso):
         body = Polytope(np.vstack([np.eye(12), -np.eye(12)]))
         cfg = SolverConfig(algorithm="noisy_md", body=body, loss=SQ,
-                           budget=NON_PRIVATE, potential=SquaredL2(12), T=5,
-                           step_size=0.1)
+                           budget=NON_PRIVATE, potential=SquaredL2(12), T=5)
         with pytest.raises((ValueError, NotImplementedError)):
             run_solver(cfg, small_lasso)
 
@@ -407,17 +404,13 @@ class TestFwPolytope:
         rep = run_solver(cfg, small_lasso)
         assert np.array_equal(rep.theta_priv, np.zeros(12))
 
-    @pytest.mark.parametrize("rule,mu_fn", [
-        ("paper", lambda T: (lambda t: 1.0 / (T + 2.0))),
-        ("decaying", lambda T: (lambda t: 2.0 / (t + 2.0))),
-    ])
-    def test_zero_noise_matches_classical_fw_bitwise(self, small_lasso, rule, mu_fn):
+    def test_zero_noise_matches_classical_fw_bitwise(self, small_lasso):
         body = L1Ball(1.0, 12)
         T = 60
         cfg = SolverConfig(algorithm="fw_polytope", body=body, loss=SQ,
-                           budget=NON_PRIVATE, T=T, step_rule=rule, seed=2)
+                           budget=NON_PRIVATE, T=T, seed=2)
         rep = run_solver(cfg, small_lasso)
-        ref = reference_fw(body, SQ, small_lasso, T, mu_fn(T))
+        ref = reference_fw(body, SQ, small_lasso, T, lambda t: 1.0 / (T + 2.0))
         assert np.array_equal(rep.theta_priv, ref)
 
     def test_weight_ledger_is_convex_combination(self, small_lasso):
@@ -438,8 +431,7 @@ class TestFwPolytope:
     def test_monotone_gap_zero_noise(self, small_lasso):
         body = L1Ball(1.0, 12)
         cfg = SolverConfig(algorithm="fw_polytope", body=body, loss=SQ,
-                           budget=NON_PRIVATE, T=50, step_rule="decaying", seed=0,
-                           record_iterates=True)
+                           budget=NON_PRIVATE, T=50, seed=0, record_iterates=True)
         rep = run_solver(cfg, small_lasso)
         for theta in rep.extras["iterates"]:
             g = SQ.grad(theta, small_lasso)
@@ -472,8 +464,7 @@ class TestFwPolytope:
 class TestFwGeneral:
     def test_zero_noise_equals_polytope_path_on_l1_ball(self, small_lasso):
         body = L1Ball(1.0, 12)
-        kw = dict(body=body, loss=SQ, budget=NON_PRIVATE, T=45,
-                  step_rule="decaying", seed=11)
+        kw = dict(body=body, loss=SQ, budget=NON_PRIVATE, T=45, seed=11)
         a = run_solver(SolverConfig(algorithm="fw_general", **kw), small_lasso)
         b = run_solver(SolverConfig(algorithm="fw_polytope", **kw), small_lasso)
         assert np.array_equal(a.theta_priv, b.theta_priv)
@@ -549,34 +540,6 @@ class TestReportAndConfig:
         with pytest.raises(ValueError):
             SolverConfig(algorithm="sgd", body=L1Ball(1.0, 2), loss=SQ,
                          budget=NON_PRIVATE)
-
-    @pytest.mark.parametrize("algorithm,setting,message", [
-        ("noisy_md", {"step_rule": "decaing"}, "unknown step_rule 'decaing'"),
-        ("fw_polytope", {"step_rule": "theorem"},
-         "step_rule 'theorem' applies only to noisy_md, not fw_polytope"),
-        ("strongly_convex_md", {"step_rule": "theorem"},
-         "step_rule 'theorem' applies only to noisy_md, not strongly_convex_md"),
-        ("noisy_md", {"step_rule": "decaying"},
-         "step_rule 'decaying' applies only to fw_polytope, fw_general, not noisy_md"),
-        ("obj_pert", {"step_rule": "decaying"},
-         "step_rule 'decaying' applies only to fw_polytope, fw_general, not obj_pert"),
-        ("fw_general", {"step_size": 0.1}, "step_size applies only to noisy_md, not fw_general"),
-        ("obj_pert", {"step_size": 0.1}, "step_size applies only to noisy_md, not obj_pert"),
-        ("strongly_convex_md", {"step_size": 0.1},
-         "step_size applies only to noisy_md, not strongly_convex_md"),
-    ])
-    def test_step_setting_the_algorithm_would_not_read(self, algorithm, setting, message):
-        potential = SquaredL2(4) if algorithm.endswith("_md") else None
-        with pytest.raises(ValueError, match=message):
-            SolverConfig(algorithm=algorithm, body=L1Ball(1.0, 4), loss=SQ,
-                         budget=NON_PRIVATE, potential=potential, **setting)
-
-    @pytest.mark.parametrize("step_size", [-1.0, 0.0, math.nan, math.inf, "0.1"])
-    def test_step_size_must_be_positive_and_finite(self, step_size):
-        with pytest.raises(ValueError, match="step_size must be a positive finite number"):
-            SolverConfig(algorithm="noisy_md", body=L1Ball(1.0, 4), loss=SQ,
-                         budget=NON_PRIVATE, potential=SquaredL2(4), T=1,
-                         step_size=step_size)
 
     def test_md_requires_potential(self):
         with pytest.raises(ValueError, match="potential"):
