@@ -6,7 +6,7 @@ import argparse
 import json
 import sys
 
-from .geometry import body_from_dict, gaussian_width_mc
+from .geometry import body_from_dict, doc_bool, gaussian_width_mc
 from .harness import ExperimentSpec, run_sweep, score_cell, summarize
 from .losses import Dataset
 from .solvers import WIDTH_SAMPLES, WIDTH_SEED, SolverConfig
@@ -73,8 +73,8 @@ def _cmd_solve(args) -> int:
     if args.non_private:
         doc["budget"] = {"epsilon": "inf"}
     cfg = SolverConfig.from_dict(doc)
-    data = Dataset.from_csv(args.data_csv,
-                            lasso_profile=doc.get("lasso_profile", False))
+    data = Dataset.from_csv(args.data_csv, lasso_profile=doc_bool(
+        doc.get("lasso_profile", False), "solver config", "lasso_profile"))
     _emit(score_cell(cfg, data).to_dict(), args.output)
     return 0
 

@@ -665,6 +665,15 @@ def doc_int(value, kind: str, key: str) -> int:
     return int(value)
 
 
+def doc_bool(value, kind: str, key: str) -> bool:
+    """``value`` of the ``key`` field of a ``kind`` document, as a boolean;
+    any other value, a string or an integer among them, raises
+    ``ValueError`` instead of being read by its truthiness."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{kind} {key!r} must be a boolean, got {value!r}")
+    return value
+
+
 def check_keys(doc: dict, allowed, kind: str) -> None:
     """Raise ``ValueError`` naming ``kind`` and every key of ``doc`` outside ``allowed``."""
     unknown = sorted(set(doc) - set(allowed))

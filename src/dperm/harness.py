@@ -2,8 +2,9 @@
 
 A sweep cell is one (solver config, n, seed) triple.  Cells run one
 after another on one thread; each derives its own generator from the
-cell seed and reads the oracle cache, so a cell's record does not depend
-on the cells run before it.
+cell seed.  The cells of one n share one dataset, and with it the oracle
+optimum that ``cached_solve`` keeps in the dataset's memo, so a cell's
+record does not depend on the cells run before it.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import check_keys, doc_field, doc_int
+from .geometry import check_keys, doc_bool, doc_field, doc_int
 from .losses import Dataset
 from .oracle import cached_solve, excess_risk
 from .solvers import SolverConfig, SolverReport, run_solver, seed_from
@@ -149,23 +150,31 @@ class ExperimentSpec:
                    dataset=doc_field(doc, "dataset", "sweep"), output=doc.get("output"))
 
 
-def _dataset_for(spec: ExperimentSpec, n: int) -> Dataset:
+def _datasets_for(spec: ExperimentSpec, ns) -> dict[int, Dataset]:
+    """The dataset of each n in ``ns``: the first n rows of the file, which
+    is read once, or the generator's data at that n."""
     doc = spec.dataset
     if "path" in doc:
-        data = Dataset.from_csv(doc["path"], lasso_profile=doc.get("lasso_profile", False))
-        if n > data.n:
-            raise ValueError(f"dataset file has {data.n} rows, cell requests {n}")
-        return Dataset(X=data.X[:n], y=data.y[:n], lasso_profile=data.lasso_profile)
+        data = Dataset.from_csv(doc["path"], lasso_profile=doc_bool(
+            doc.get("lasso_profile", False), "dataset", "lasso_profile"))
+        for n in ns:
+            if n > data.n:
+                raise ValueError(f"dataset file has {data.n} rows, cell requests {n}")
+        return {n: Dataset(X=data.X[:n], y=data.y[:n], lasso_profile=data.lasso_profile)
+                for n in ns}
     gen = doc["generator"]
-    return generate_lasso(
-        n=n,
-        p=doc_int(doc_field(gen, "p", "generator"), "generator", "p"),
-        sparsity=doc_int(gen.get("sparsity", 1), "generator", "sparsity"),
-        noise_level=float(gen.get("noise_level", 0.0)),
-        seed=seed_from(doc_int(gen.get("data_seed", 0), "generator", "data_seed"), n),
-        l1_norm=float(gen.get("l1_norm", 0.9)),
-        nonneg=bool(gen.get("nonneg", False)),
-    )
+    data_seed = doc_int(gen.get("data_seed", 0), "generator", "data_seed")
+    params = dict(p=doc_int(doc_field(gen, "p", "generator"), "generator", "p"),
+                  sparsity=doc_int(gen.get("sparsity", 1), "generator", "sparsity"),
+                  noise_level=float(gen.get("noise_level", 0.0)),
+                  l1_norm=float(gen.get("l1_norm", 0.9)),
+                  nonneg=doc_bool(gen.get("nonneg", False), "generator", "nonneg"))
+    return {n: generate_lasso(n=n, seed=seed_from(data_seed, n), **params) for n in ns}
+
+
+def _dataset_for(spec: ExperimentSpec, n: int) -> Dataset:
+    """The dataset of one n, as a sweep builds it."""
+    return _datasets_for(spec, [n])[n]
 
 
 def score_cell(cfg: SolverConfig, data: Dataset) -> SolverReport:
@@ -195,7 +204,7 @@ def run_sweep(spec: ExperimentSpec) -> tuple[list[RiskRecord], list[dict]]:
 
     Returns (records, failures), each sorted by (solver, n, seed).
     """
-    datasets = {n: _dataset_for(spec, n) for n in sorted(set(spec.n_sweep))}
+    datasets = _datasets_for(spec, sorted(set(spec.n_sweep)))
     records: list[RiskRecord] = []
     failures: list[dict] = []
     for doc in spec.solvers:

@@ -11,13 +11,13 @@ caller must not write into the arrays it passed in either.  Statistics
 that depend only on the data are computed once per dataset, on first use,
 under a lock, and shared by every cell and every thread that reads it:
 
-- ``fingerprint()``: sha256 of the shapes and bytes of (X, y), the oracle
-  cache key;
 - ``gram()``: G = X'X/n, b = X'y/n and c = y'y/(2n);
 - ``row_sq_norms()``: ||x_i||^2 for every record;
 - ``row_abs_max()``: ||x_i||_inf for every record;
 - the Lipschitz constants of the built-in losses (without a ridge term),
-  per (loss parameters, ``geometry.body_key(body)``).
+  per (loss parameters, ``geometry.body_key(body)``);
+- the certified optimum of ``oracle.cached_solve``, per (body key, loss
+  key).  A copy of the data, even with equal bytes, solves again.
 
 Backend choice.  ``LossSpec.loss`` and ``LossSpec.grad`` are the only
 entry points; they call the ``_loss_on`` / ``_grad_on`` hooks.  For
@@ -36,15 +36,14 @@ and the box curvature bound (|X| m) keep the O(n p) pass over the rows.
 from __future__ import annotations
 
 import csv
-import hashlib
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .geometry import (ConvexBody, Memo, block_slices, body_key, check_keys, doc_field,
-                       row_abs_max)
+from .geometry import (ConvexBody, L1Ball, Memo, Simplex, block_slices, body_key, check_keys,
+                       doc_field, row_abs_max)
 
 LASSO_DOMAIN_TOL = 1e-12
 
@@ -110,16 +109,6 @@ class Dataset:
     def _memo(self, key, compute):
         """The statistic ``key``; ``compute()`` runs on first use only."""
         return self._stats.get(key, compute)
-
-    def fingerprint(self) -> str:
-        """sha256 over the shapes and bytes of X and y."""
-        def compute():
-            h = hashlib.sha256(repr((self.X.shape, self.y.shape)).encode())
-            h.update(np.ascontiguousarray(self.X))
-            h.update(np.ascontiguousarray(self.y))
-            return h.hexdigest()
-
-        return self._memo("fingerprint", compute)
 
     def gram(self) -> GramStats:
         """G = X'X/n, b = X'y/n, c = y'y/(2n), as read-only arrays."""
@@ -254,7 +243,7 @@ def _lipschitz(key: str, body: ConvexBody, data: Dataset,
 
     def compute():
         # |<x_i, theta> - y_i| <= dual_norm(x_i) + |y_i| over the body.
-        res = body.dual_norms(data.X) + np.abs(data.y)
+        res = _dual_norms(body, data) + np.abs(data.y)
         if cap is not None:
             res = np.minimum(res, cap)
         L1 = float(np.max(res * data.row_abs_max(), initial=0.0))
@@ -263,6 +252,16 @@ def _lipschitz(key: str, body: ConvexBody, data: Dataset,
 
     bkey = body_key(body)
     return compute() if bkey is None else data._memo(("lipschitz", key, bkey), compute)
+
+
+def _dual_norms(body: ConvexBody, data: Dataset) -> np.ndarray:
+    """``body.dual_norms(data.X)``; the l_inf duals of the l1 ball and the
+    simplex read the dataset's memoised row maxima instead of a new pass."""
+    if isinstance(body, L1Ball):
+        return body.radius * data.row_abs_max()
+    if isinstance(body, Simplex):
+        return data.row_abs_max()
+    return body.dual_norms(data.X)
 
 
 class SquaredError(LossSpec):

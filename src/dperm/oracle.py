@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .firstorder import minimize
-from .geometry import ConvexBody, Memo, Polytope, body_key
+from .geometry import ConvexBody, Polytope, body_key
 from .losses import Dataset, LossSpec, loss_key, require_matching_dimension
 
 DEFAULT_REL_TOL = 1e-9
@@ -82,10 +82,7 @@ def excess_risk(theta, oracle: OracleSolution, loss: LossSpec, data: Dataset) ->
 
 
 # ---------------------------------------------------------------------------
-# Cache (per dataset/body/loss key)
-
-# Each entry keeps its loss alive, so the id in a key cannot be reused.
-_cache = Memo()
+# Cache (in the dataset's memo, per body and loss key)
 
 
 def _loss_key(loss: LossSpec) -> str:
@@ -94,14 +91,17 @@ def _loss_key(loss: LossSpec) -> str:
 
 
 def cached_solve(body: ConvexBody, loss: LossSpec, data: Dataset) -> OracleSolution:
-    """``solve_exact`` with a per-(dataset, body, loss) cache.
+    """``solve_exact``, memoised in the dataset per (body, loss).
 
-    The dataset is keyed by its fingerprint, which it computes once, and
-    the body by ``body_key``; a body without a key is solved uncached.
+    The entry lives in ``data``'s memo next to its other statistics, so it
+    is freed with the dataset, and an equal-bytes copy of the data solves
+    again.  The body is keyed by ``body_key``; a body without a key is
+    solved uncached.  Each entry keeps its loss alive, so the id in a
+    custom loss's key cannot be reused.
     """
     require_matching_dimension(body, data)
     bkey = body_key(body)
     if bkey is None:
         return solve_exact(body, loss, data)
-    key = f"{data.fingerprint()}|{bkey}|{_loss_key(loss)}"
-    return _cache.get(key, lambda: (loss, solve_exact(body, loss, data)))[1]
+    key = ("oracle", bkey, _loss_key(loss))
+    return data._memo(key, lambda: (loss, solve_exact(body, loss, data)))[1]

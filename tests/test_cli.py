@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 
 import pytest
 
@@ -11,6 +12,8 @@ from dperm.harness import generate_lasso
 from dperm.losses import SquaredError
 from dperm.oracle import cached_solve
 from dperm.solvers import WIDTH_SAMPLES, WIDTH_SEED
+
+from conftest import write_data_csv
 
 BODY = {"kind": "l1_ball", "radius": 1.0, "dimension": 5}
 CONFIG = {"id": "fw", "algorithm": "fw_polytope", "T": 20, "body": BODY,
@@ -25,13 +28,7 @@ def write_json(path, doc):
 @pytest.fixture
 def lasso_csv(tmp_path):
     data = generate_lasso(200, 5, 2, 0.1, seed=1)
-    path = tmp_path / "data.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{j}" for j in range(1, 6)] + ["y"])
-        for x, y in zip(data.X, data.y):
-            writer.writerow([*x.tolist(), float(y)])
-    return str(path), data
+    return write_data_csv(tmp_path / "data.csv", data), data
 
 
 class TestWidth:
@@ -68,6 +65,15 @@ class TestSolve:
         assert doc["optimum"] == oracle.optimum_value
         assert math.isfinite(doc["excess_risk"])
         assert doc["excess_risk"] >= -oracle.gap_certificate
+
+    @pytest.mark.parametrize("flag", ["false", 0])
+    def test_lasso_profile_must_be_a_boolean(self, tmp_path, lasso_csv, flag):
+        # Read by truthiness, "false" would turn the domain check on.
+        path, _ = lasso_csv
+        config = write_json(tmp_path / "config.json", {**CONFIG, "lasso_profile": flag})
+        with pytest.raises(ValueError, match=re.escape(
+                f"solver config 'lasso_profile' must be a boolean, got {flag!r}")):
+            main(["solve", config, path, "--output", str(tmp_path / "report.json")])
 
     def test_scores_through_the_harness(self, tmp_path, lasso_csv, monkeypatch):
         # The tracer patches the scoring steps where the harness looks them up.

@@ -1,6 +1,8 @@
+import gc
 import json
 import re
 import types
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 
 import dperm.geometry as geometry
+import dperm.harness as harness
 import dperm.solvers as solvers
 from dperm.geometry import GroupedL1Ball, L1Ball, body_from_dict, body_key
 from dperm.harness import ExperimentSpec, generate_lasso, run_sweep
@@ -15,6 +18,8 @@ from dperm.losses import Dataset, SquaredError, loss_from_dict
 from dperm.potentials import potential_from_dict
 from dperm.privacy import PrivacyBudget
 from dperm.solvers import SolverConfig, run_solver
+
+from conftest import write_data_csv
 
 BUDGET = {"epsilon": 1.0, "delta": 1e-6}
 SQ = {"kind": "squared_error"}
@@ -55,6 +60,11 @@ def with_generator(**changes) -> dict:
     doc = sweep_doc()
     doc["dataset"]["generator"].update(changes)
     return doc
+
+
+def write_csv(tmp_path) -> str:
+    """A 300-row lasso-domain data file at p = 6."""
+    return write_data_csv(tmp_path / "data.csv", generate_lasso(300, 6, 3, 0.1, seed=4))
 
 
 class TestDimensionMismatch:
@@ -207,6 +217,18 @@ INTEGER_CASES = [
      lambda v, tmp: run_sweep(load_sweep(tmp, with_generator(data_seed=v)))),
 ]
 
+# (kind, key, value, build) as above, for the boolean flags.
+BOOLEAN_CASES = [
+    ("generator", "nonneg", "false",
+     lambda v, tmp: run_sweep(load_sweep(tmp, with_generator(nonneg=v)))),
+    ("generator", "nonneg", 1,
+     lambda v, tmp: run_sweep(load_sweep(tmp, with_generator(nonneg=v)))),
+    ("dataset", "lasso_profile", "false", lambda v, tmp: run_sweep(load_sweep(
+        tmp, sweep_doc(dataset={"path": write_csv(tmp), "lasso_profile": v})))),
+    ("dataset", "lasso_profile", 0, lambda v, tmp: run_sweep(load_sweep(
+        tmp, sweep_doc(dataset={"path": write_csv(tmp), "lasso_profile": v})))),
+]
+
 
 class TestSweepDocument:
     @pytest.mark.parametrize("kind,key,value,build", INTEGER_CASES,
@@ -217,6 +239,25 @@ class TestSweepDocument:
         with pytest.raises(ValueError,
                            match=re.escape(f"{kind} {key!r} must be an integer, got {value!r}")):
             build(value, tmp_path)
+
+    @pytest.mark.parametrize("kind,key,value,build", BOOLEAN_CASES,
+                             ids=[f"{kind}-{key}-{value!r}" for kind, key, value, _ in
+                                  BOOLEAN_CASES])
+    def test_a_flag_that_is_not_a_boolean_is_rejected(self, tmp_path, kind, key, value, build):
+        # Read by truthiness, "false" would turn the flag on.
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{kind} {key!r} must be a boolean, got {value!r}")):
+            build(value, tmp_path)
+
+    def test_boolean_flags_are_read(self, tmp_path):
+        for nonneg in (False, True):
+            records, failures = run_sweep(load_sweep(tmp_path, with_generator(nonneg=nonneg)))
+            assert failures == [] and len(records) == 1
+        path = write_csv(tmp_path)
+        for profile in (False, True):
+            records, failures = run_sweep(load_sweep(
+                tmp_path, sweep_doc(dataset={"path": path, "lasso_profile": profile})))
+            assert failures == [] and len(records) == 1
 
     @pytest.mark.parametrize("kind,doc,stray", [
         ("sweep", sweep_doc(parallelism=2), "parallelism"),
@@ -238,6 +279,48 @@ class TestSweepDocument:
         fw = lasso_configs(6)[0]
         with pytest.raises(ValueError, match="solver config 1 repeats the id 'fw_polytope'"):
             run_sweep(spec_for(6, [{**fw, "T": 5}, {**fw, "T": 7}], [0]))
+
+
+class TestSweepData:
+    def test_data_file_is_read_once_per_sweep(self, tmp_path, monkeypatch):
+        # Each n takes the first n rows of one reading of the file.
+        path = write_csv(tmp_path)
+        reads = []
+        real = Dataset.from_csv
+
+        def counting(path, lasso_profile=False):
+            reads.append(path)
+            return real(path, lasso_profile=lasso_profile)
+
+        monkeypatch.setattr(Dataset, "from_csv", counting)
+        spec = ExperimentSpec(solvers=lasso_configs(6)[:1], n_sweep=[100, 200, 300], seeds=[0],
+                              dataset={"path": path, "lasso_profile": True})
+        records, failures = run_sweep(spec)
+        assert failures == [] and [r.n for r in records] == [100, 200, 300]
+        assert reads == [path]
+
+    def test_data_file_shorter_than_an_n_is_rejected(self, tmp_path):
+        spec = ExperimentSpec(solvers=lasso_configs(6)[:1], n_sweep=[100, 400, 500], seeds=[0],
+                              dataset={"path": write_csv(tmp_path)})
+        with pytest.raises(ValueError, match="dataset file has 300 rows, cell requests 400"):
+            run_sweep(spec)
+
+    def test_no_solution_outlives_the_sweep(self, monkeypatch):
+        # The oracle optimum lives in its dataset's memo: once the sweep
+        # returns, nothing process-wide keeps the dataset or its solution.
+        alive = []
+        real = harness.cached_solve
+
+        def tracking(body, loss, data):
+            solution = real(body, loss, data)
+            alive.extend((weakref.ref(solution), weakref.ref(data)))
+            return solution
+
+        monkeypatch.setattr(harness, "cached_solve", tracking)
+        records, failures = run_sweep(spec_for(6, lasso_configs(6)[:2], [0, 1]))
+        assert failures == [] and len(records) == 4 and len(alive) == 8
+        gc.collect()
+        assert [ref() for ref in alive] == [None] * 8
 
 
 class TestWidthMemo:

@@ -7,6 +7,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import dperm.geometry as geometry
+import dperm.losses as losses
 from dperm.geometry import Box, GroupedL1Ball, L1Ball, L2Ball, Polytope, Simplex
 from dperm.losses import (
     CustomLoss,
@@ -16,7 +18,7 @@ from dperm.losses import (
     loss_from_dict,
     loss_key,
 )
-from dperm.oracle import solve_exact
+from dperm.oracle import cached_solve, solve_exact
 
 from reference import curvature_empirical, sample_feasible
 
@@ -144,6 +146,38 @@ class TestLipschitz:
             g = spec.grad_single(theta, data.X[i], float(data.y[i]))
             assert np.abs(g).max() <= L1 + 1e-12
             assert np.linalg.norm(g) <= L2 + 1e-12
+
+    @pytest.mark.parametrize("loss", [SquaredError(), Huber(0.3)], ids=["squared", "huber"])
+    def test_linf_dual_bodies_read_the_row_maxima(self, rng, loss):
+        # The l1 ball's and the simplex's residual bound reads the memoised
+        # ||x_i||_inf; it must equal the body.dual_norms(X) route bitwise.
+        data = lasso_dataset(rng, n=300, p=7)
+        cap = getattr(loss, "delta", None)
+        for body in (L1Ball(0.7, 7), Simplex(7)):
+            res = body.dual_norms(data.X) + np.abs(data.y)
+            if cap is not None:
+                res = np.minimum(res, cap)
+            expected = (float(np.max(res * np.abs(data.X).max(axis=1))),
+                        float(np.max(res * np.sqrt(data.row_sq_norms()))))
+            assert loss.lipschitz_constants(body, data) == expected
+
+    def test_one_row_abs_max_pass_per_lasso_dataset(self, rng, monkeypatch):
+        # Validating the lasso domain computes ||x_i||_inf once; the
+        # constants of both l_inf dual bodies and both losses reuse it.
+        calls = []
+        real = geometry.row_abs_max
+
+        def counting(G):
+            calls.append(G.shape)
+            return real(G)
+
+        monkeypatch.setattr(geometry, "row_abs_max", counting)
+        monkeypatch.setattr(losses, "row_abs_max", counting)
+        data = lasso_dataset(rng, n=300, p=7)
+        for body in (L1Ball(0.7, 7), Simplex(7)):
+            for loss in (SquaredError(), Huber(0.3)):
+                loss.lipschitz_constants(body, data)
+        assert calls == [(300, 7)]
 
 
 class TestCurvature:
@@ -373,9 +407,11 @@ class TestGramBackend:
         assert data.row_sq_norms() is data.row_sq_norms()
         assert data.row_abs_max() is data.row_abs_max()
         assert np.array_equal(data.row_abs_max(), np.abs(data.X).max(axis=1))
-        assert data.fingerprint() == Dataset(X=data.X.copy(), y=data.y.copy()).fingerprint()
-        assert data.fingerprint() != Dataset(X=data.X, y=-data.y).fingerprint()
         body = L1Ball(1.0, 3)
+        # The oracle optimum is memoised per (body key, loss key).
+        oracle = cached_solve(body, SquaredError(), data)
+        assert cached_solve(L1Ball(1.0, 3), SquaredError(), data) is oracle
+        assert cached_solve(body, Huber(0.2), data) is not oracle
         assert SquaredError().lipschitz_constants(body, data) is \
             SquaredError().lipschitz_constants(L1Ball(1.0, 3), data)
         assert Huber(0.2).lipschitz_constants(body, data) != \
@@ -399,20 +435,24 @@ class TestGramBackend:
     def test_pickle_round_trip_starts_a_fresh_memo(self, rng):
         data = lasso_dataset(rng, n=30, p=3)
         data.gram()
+        oracle = cached_solve(L1Ball(1.0, 3), SquaredError(), data)
         again = pickle.loads(pickle.dumps(data))
         assert np.array_equal(again.X, data.X) and np.array_equal(again.y, data.y)
-        assert again.fingerprint() == data.fingerprint()
         assert again.gram() is not data.gram()
+        solved = cached_solve(L1Ball(1.0, 3), SquaredError(), again)
+        assert solved is not oracle
+        assert np.array_equal(solved.theta_star, oracle.theta_star)
+        assert solved.optimum_value == oracle.optimum_value
         with pytest.raises(ValueError):
             again.X[0, 0] = 0.5
 
 
 class TestSharedStatistics:
     def test_statistics_computed_once_under_threads(self, rng, monkeypatch):
-        # Four threads read every statistic of one dataset at once: each is
-        # computed exactly once and all threads get the same objects.  At
-        # n = 20000 hashing and the BLAS calls take long enough, with the
-        # GIL released, for the threads to overlap inside them.
+        # Four threads read every statistic of one dataset and its oracle
+        # optimum at once: each is computed exactly once and all threads get
+        # the same objects.  At n = 20000 the BLAS calls take long enough,
+        # with the GIL released, for the threads to overlap inside them.
         computed = Counter()
         memo = Dataset._memo
 
@@ -432,8 +472,9 @@ class TestSharedStatistics:
         def read():
             try:
                 start.wait()
-                seen.append((data.fingerprint(), data.gram(), data.row_sq_norms(),
-                             SquaredError().lipschitz_constants(L1Ball(1.0, 50), data)))
+                seen.append((data.gram(), data.row_sq_norms(),
+                             SquaredError().lipschitz_constants(L1Ball(1.0, 50), data),
+                             cached_solve(L1Ball(1.0, 50), SquaredError(), data)))
             except Exception as exc:  # noqa: BLE001 - reported by the main thread
                 errors.append(exc)
 
@@ -449,8 +490,9 @@ class TestSharedStatistics:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads), "readers did not finish within 60 s"
         assert errors == [] and len(seen) == 4
-        # The four named statistics and one Lipschitz pair.
-        assert {"fingerprint", "gram", "row_sq_norms", "row_abs_max"} < set(computed)
+        # The three named statistics, one Lipschitz pair and one oracle entry.
+        assert {"gram", "row_sq_norms", "row_abs_max"} < set(computed)
+        assert sorted(k[0] for k in computed if isinstance(k, tuple)) == ["lipschitz", "oracle"]
         assert len(computed) == 5
         assert set(computed.values()) == {1}, computed
         for stats in seen[1:]:

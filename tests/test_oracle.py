@@ -167,6 +167,25 @@ class TestCache:
         b = cached_solve(L1Ball(1.0, 4), SQ, data)
         assert a is b
 
+    def test_equal_bytes_copy_solves_again(self, monkeypatch):
+        # The optimum is kept in the memo of the dataset it was solved on,
+        # so a copy with equal bytes has its own entry, with the same value.
+        solves = []
+        real = oracle.solve_exact
+
+        def counting(body, loss, data):
+            solves.append(data)
+            return real(body, loss, data)
+
+        monkeypatch.setattr(oracle, "solve_exact", counting)
+        data = generate_lasso(50, 4, 2, 0.1, seed=9)
+        copy = Dataset(X=data.X.copy(), y=data.y.copy(), lasso_profile=True)
+        a = cached_solve(L1Ball(1.0, 4), SQ, data)
+        b = cached_solve(L1Ball(1.0, 4), SQ, copy)
+        assert cached_solve(L1Ball(1.0, 4), SQ, copy) is b
+        assert solves == [data, copy]
+        assert a is not b and a.optimum_value == b.optimum_value
+
     def test_cache_distinguishes_bodies(self):
         data = generate_lasso(50, 4, 2, 0.0, seed=9)
         a = cached_solve(L1Ball(1.0, 4), SQ, data)
