@@ -19,7 +19,9 @@ certificate is met:
   f(x+) <= f(z) + grad f(z) . (x+ - z) + ||x+ - z||^2 / (2 step).
   The step halves until the test holds and grows by 10% per iteration;
 - restart: momentum is dropped when (z - x+) . (x+ - x) > 0, the
-  gradient restart of O'Donoghue & Candes (arXiv:1204.3982).
+  gradient restart of O'Donoghue & Candes (arXiv:1204.3982).  The next z
+  is then x+, whose gradient the step test has just taken, so that
+  gradient is reused: a restart costs one gradient fewer.
 
 Stall rule (there is no iteration cap): a run whose best gap has not
 improved for ``STALL_CHECKS`` checks, or whose step falls below
@@ -104,6 +106,7 @@ def minimize(body: ConvexBody, fgrad: Callable[[np.ndarray], np.ndarray], tol: f
                                  best_value)
 
     z = x.copy()
+    gz = None  # grad f(z) once known
     t_mom = 1.0
     step = 1.0
     best_x, best_gap, best_target, best_value = x, math.inf, math.nan, None
@@ -124,22 +127,25 @@ def minimize(body: ConvexBody, fgrad: Callable[[np.ndarray], np.ndarray], tol: f
                 if stale_checks >= STALL_CHECKS:
                     raise not_certified(f"gap stalled for {STALL_CHECKS} checks")
         it += 1
-        gz = run_grad(z)
+        if gz is None:
+            gz = run_grad(z)
         while True:
             x_new = run_body.euclidean_project(z - step * gz)
             diff = x_new - z
-            if float((run_grad(x_new) - gz) @ diff) <= float(diff @ diff) / (2 * step):
+            g_new = run_grad(x_new)
+            if float((g_new - gz) @ diff) <= float(diff @ diff) / (2 * step):
                 break
             step *= 0.5
             if step < MIN_STEP:
                 raise not_certified("step search underflow")
         if float((z - x_new) @ (x_new - x)) > 0:  # gradient restart
-            z = x_new
+            z, gz = x_new, g_new
             t_mom = 1.0
         else:
             t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_mom * t_mom))
             # Projected so that gradients are only taken at feasible points.
             z = run_body.euclidean_project(x_new + ((t_mom - 1.0) / t_new) * (x_new - x))
+            gz = None
             t_mom = t_new
         x = x_new
         step *= 1.1

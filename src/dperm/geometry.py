@@ -43,7 +43,7 @@ def _as_vector(x, dim: int, name: str = "x") -> np.ndarray:
 
 
 def _check_finite(v: np.ndarray, name: str = "direction") -> None:
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError(f"{name} must be finite")
 
 
@@ -104,6 +104,11 @@ class ConvexBody:
     def vertices(self) -> np.ndarray:
         """Explicit vertex list (k, p) for vertex-enumerable bodies."""
         raise ValueError(f"{type(self).__name__} has no finite vertex list")
+
+    def vertex_scores(self, g: np.ndarray) -> np.ndarray:
+        """<v, g> for every vertex v, in ``vertices()`` order, for a finite
+        float vector g: ``vertices() @ g``, or its value without the product."""
+        return self.vertices() @ g
 
     # -- serialization ----------------------------------------------------
 
@@ -185,8 +190,7 @@ class L1Ball(ConvexBody):
     def lmo(self, direction) -> np.ndarray:
         d = _as_vector(direction, self.dimension, "direction")
         _check_finite(d)
-        scores = np.concatenate([self.radius * d, -self.radius * d])
-        idx = int(np.argmin(scores))
+        idx = int(self.vertex_scores(d).argmin())
         out = np.zeros(self.dimension)
         if idx < self.dimension:
             out[idx] = self.radius
@@ -205,10 +209,12 @@ class L1Ball(ConvexBody):
 
     def euclidean_project(self, x) -> np.ndarray:
         v = _as_vector(x, self.dimension)
-        if np.abs(v).sum() <= self.radius:
+        mags = np.abs(v)
+        if mags.sum() <= self.radius:
             return v.copy()
-        mags = _project_simplex(np.abs(v), self.radius)
-        return np.sign(v) * mags
+        out = _project_simplex(mags, self.radius)
+        out *= np.sign(v)
+        return out
 
     def canonical_point(self) -> np.ndarray:
         return np.zeros(self.dimension)
@@ -216,6 +222,16 @@ class L1Ball(ConvexBody):
     def vertices(self) -> np.ndarray:
         eye = self.radius * np.eye(self.dimension)
         return np.vstack([eye, -eye])
+
+    def vertex_scores(self, g: np.ndarray) -> np.ndarray:
+        # Rows i and p + i of the vertex list are +r e_i and -r e_i, so the
+        # scores are [r g, -r g]: the rows of (+r, -r)' g, one product per
+        # entry.  (-r) g_i is -(r g_i) exactly.
+        return (self._signed_radius * g).ravel()
+
+    @cached_property
+    def _signed_radius(self) -> np.ndarray:
+        return np.array([[self.radius], [-self.radius]])
 
     def to_dict(self) -> dict:
         return {"kind": "l1_ball", "dimension": self.dimension, "radius": self.radius}
@@ -260,6 +276,10 @@ class Simplex(ConvexBody):
 
     def vertices(self) -> np.ndarray:
         return np.eye(self.dimension)
+
+    def vertex_scores(self, g: np.ndarray) -> np.ndarray:
+        # The vertices are e_1..e_p, so the scores are g itself.
+        return np.array(g, dtype=float)
 
     def to_dict(self) -> dict:
         return {"kind": "simplex", "dimension": self.dimension}
@@ -546,15 +566,33 @@ def _project_simplex(v: np.ndarray, total: float) -> np.ndarray:
     Sort-based threshold rule (Duchi et al.).  The simplex projection
     passes vectors of any sign with total = 1; the l1-ball and grouped-ball
     projections pass |x| (or block norms), nonnegative with sum above
-    ``total``.
+    ``total``.  Returns a new array.
     """
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - total
-    ks = np.arange(1, len(u) + 1)
-    cond = u - css / ks > 0
-    rho = int(np.nonzero(cond)[0][-1])
+    u = v.copy()
+    u.sort()
+    u = u[::-1]
+    css = u.cumsum()
+    css -= total
+    cond = u > css / _ranks(u.shape[0])
+    rho = int(cond.nonzero()[0][-1])
     tau = css[rho] / (rho + 1.0)
-    return np.maximum(v - tau, 0.0)
+    out = v - tau
+    np.maximum(out, 0.0, out=out)
+    return out
+
+
+# The read-only vectors 1..m of ``_ranks``, by m.
+_RANKS: dict[int, np.ndarray] = {}
+
+
+def _ranks(m: int) -> np.ndarray:
+    """The read-only vector 1..m, shared by every projection of length m."""
+    ks = _RANKS.get(m)
+    if ks is None:
+        ks = np.arange(1, m + 1, dtype=float)
+        ks.flags.writeable = False
+        _RANKS[m] = ks
+    return ks
 
 
 # ---------------------------------------------------------------------------

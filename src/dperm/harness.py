@@ -179,10 +179,12 @@ def _dataset_for(spec: ExperimentSpec, n: int) -> Dataset:
 
 def score_cell(cfg: SolverConfig, data: Dataset) -> SolverReport:
     """Run one config and score it: the report carries its excess risk
-    over the certified optimum and that optimum."""
+    over the certified optimum and that optimum.  The run's feasibility
+    check is the only one: the oracle's body has the run's body key."""
     report = run_solver(cfg, data)
     oracle = cached_solve(cfg.body, cfg.loss, data)
-    report.excess_risk = excess_risk(report.theta_priv, oracle, cfg.loss, data)
+    report.excess_risk = excess_risk(report.theta_priv, oracle, cfg.loss, data,
+                                     feasible=report.feasible)
     report.optimum = oracle.optimum_value
     return report
 

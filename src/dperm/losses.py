@@ -16,11 +16,19 @@ under a lock, and shared by every cell and every thread that reads it:
 - ``row_abs_max()``: ||x_i||_inf for every record;
 - the Lipschitz constants of the built-in losses (without a ridge term),
   per (loss parameters, ``geometry.body_key(body)``);
+- the curvature bound of ``SquaredError`` and ``Huber``, per (ridge, body
+  key);
 - the certified optimum of ``oracle.cached_solve``, per (body key, loss
   key).  A copy of the data, even with equal bytes, solves again.
 
-Backend choice.  ``LossSpec.loss`` and ``LossSpec.grad`` are the only
-entry points; they call the ``_loss_on`` / ``_grad_on`` hooks.  For
+A body without a key gets its constants computed on every call.
+
+Backend choice.  ``LossSpec.loss`` and ``LossSpec.bound_grad`` are the
+entry points; they call the ``_loss_on`` / ``_bind_grad`` hooks.
+``bound_grad(data)`` checks the data and picks the backend once, and
+returns theta -> grad L(theta; D): the step loops and the certified
+first-order loop bind it once per run and call it every step.
+``LossSpec.grad(theta, data)`` is a call through it.  For
 ``SquaredError`` on data with p < n (a p x p Gram matrix is smaller than
 X) the hooks use the sufficient statistics: grad = G theta - b and
 loss = max(theta'G theta/2 - b'theta + c, 0), O(p^2) per call whatever n
@@ -200,8 +208,14 @@ class LossSpec:
         return self._loss_on(np.asarray(theta, dtype=float), data)
 
     def grad(self, theta, data: Dataset) -> np.ndarray:
+        return self.bound_grad(data)(np.asarray(theta, dtype=float))
+
+    def bound_grad(self, data: Dataset) -> Callable[[np.ndarray], np.ndarray]:
+        """theta -> grad L(theta; D) for a float vector theta.  The data are
+        checked and the backend (with its statistics) is resolved here,
+        once, not on every call."""
         _require_nonempty(data)
-        return self._grad_on(np.asarray(theta, dtype=float), data)
+        return self._bind_grad(data)
 
     def grad_single(self, theta, x, y: float) -> np.ndarray:
         raise NotImplementedError
@@ -212,8 +226,9 @@ class LossSpec:
     def _loss_on(self, theta, data: Dataset) -> float:
         return self._loss_full(theta, data.X, data.y)
 
-    def _grad_on(self, theta, data: Dataset) -> np.ndarray:
-        return self._grad_full(theta, data.X, data.y)
+    def _bind_grad(self, data: Dataset) -> Callable[[np.ndarray], np.ndarray]:
+        X, y, grad_full = data.X, data.y, self._grad_full
+        return lambda theta: grad_full(theta, X, y)
 
     def _loss_full(self, theta, X, y) -> float:
         raise NotImplementedError
@@ -250,8 +265,20 @@ def _lipschitz(key: str, body: ConvexBody, data: Dataset,
         L2 = float(np.max(res * np.sqrt(data.row_sq_norms()), initial=0.0))
         return L1, L2
 
+    return _per_body(data, ("lipschitz", key), body, compute)
+
+
+def _curvature(body: ConvexBody, data: Dataset, ridge: float) -> float:
+    """``_quadratic_curvature_bound``, memoised per (ridge, body)."""
+    return _per_body(data, ("curvature", ridge), body,
+                     lambda: _quadratic_curvature_bound(body, data, ridge))
+
+
+def _per_body(data: Dataset, name: tuple, body: ConvexBody, compute):
+    """``compute()``, memoised in ``data`` per (``name``, body key); every
+    time for a body without a key."""
     bkey = body_key(body)
-    return compute() if bkey is None else data._memo(("lipschitz", key, bkey), compute)
+    return compute() if bkey is None else data._memo((*name, bkey), compute)
 
 
 def _dual_norms(body: ConvexBody, data: Dataset) -> np.ndarray:
@@ -291,13 +318,15 @@ class SquaredError(LossSpec):
             value = super()._loss_on(theta, data)
         return value + 0.5 * self.ridge * float(theta @ theta) if self.ridge else value
 
-    def _grad_on(self, theta, data) -> np.ndarray:
+    def _bind_grad(self, data):
+        ridge = self.ridge
         if data.prefers_gram:
             G, b, _ = data.gram()
-            g = G @ theta - b
-        else:
-            g = super()._grad_on(theta, data)
-        return g + self.ridge * theta if self.ridge else g
+            if ridge:
+                return lambda theta: G @ theta - b + ridge * theta
+            return lambda theta: G @ theta - b
+        rows = super()._bind_grad(data)
+        return (lambda theta: rows(theta) + ridge * theta) if ridge else rows
 
     def grad_single(self, theta, x, y: float) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -314,7 +343,7 @@ class SquaredError(LossSpec):
                 L[1] + self.ridge * max(float(np.linalg.norm(v)) for v in points))
 
     def curvature_bound(self, body, data) -> float:
-        return _quadratic_curvature_bound(body, data, ridge=self.ridge)
+        return _curvature(body, data, self.ridge)
 
     def hessian_eig_bounds(self, body, data) -> tuple[float, float]:
         _require_nonempty(data)
@@ -353,7 +382,7 @@ class Huber(LossSpec):
 
     def curvature_bound(self, body, data) -> float:
         # The Huber Hessian is dominated by the quadratic zone's x x^T.
-        return _quadratic_curvature_bound(body, data, ridge=0.0)
+        return _curvature(body, data, 0.0)
 
     def hessian_eig_bounds(self, body, data) -> tuple[float, float]:
         # Piecewise bound: zero outside the quadratic zone.

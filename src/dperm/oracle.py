@@ -53,22 +53,30 @@ def solve_exact(body: ConvexBody, loss: LossSpec, data: Dataset) -> OracleSoluti
     A body whose dimension is not the data's p raises ``ValueError`` first.
     """
     require_matching_dimension(body, data)
-    sol = minimize(body, lambda x: loss.grad(x, data), DEFAULT_REL_TOL,
+    sol = minimize(body, loss.bound_grad(data), DEFAULT_REL_TOL,
                    fval=lambda x: loss.loss(x, data))
     method = "fista-coefficient" if isinstance(body, Polytope) else "fista"
     return OracleSolution(theta_star=sol.x, optimum_value=sol.value,
                           gap_certificate=sol.gap, method=method, body=body)
 
 
-def excess_risk(theta, oracle: OracleSolution, loss: LossSpec, data: Dataset) -> float:
+def excess_risk(theta, oracle: OracleSolution, loss: LossSpec, data: Dataset, *,
+                feasible: bool | None = None) -> float:
     """L(theta; D) minus the oracle optimum.
+
+    An infeasible theta raises ``ValueError`` before it is scored.
+    ``feasible`` is ``oracle.body.contains(theta)`` when the caller has it
+    already (a run's ``SolverReport.feasible``); with None it is checked
+    here.
 
     May be slightly negative when theta beats the certified optimum within
     its gap certificate; such values are clamped (with a warning) at
     -gap_certificate, never silently zeroed.
     """
     theta = np.asarray(theta, dtype=float)
-    if not oracle.body.contains(theta):
+    if feasible is None:
+        feasible = oracle.body.contains(theta)
+    if not feasible:
         raise ValueError("theta is not feasible for the oracle's body")
     value = loss.loss(theta, data) - oracle.optimum_value
     if value < -oracle.gap_certificate:

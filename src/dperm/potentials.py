@@ -71,7 +71,7 @@ class Potential:
             raise ValueError("step size eta must be positive")
         x_t = np.asarray(x_t, dtype=float)
         g = np.asarray(g, dtype=float)
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise ValueError("gradient must be finite")
         return x_t, g
 

@@ -193,17 +193,18 @@ def sample_laplace(scale: float, rng: np.random.Generator, size=None):
 def report_noisy_min(scores, noise) -> int:
     """Index of the minimum of ``scores + noise``.
 
-    ``noise`` is this selection's independent Laplace draw per score, from
-    ``sample_laplace`` (zeros at scale 0, where this is the exact argmin).
+    ``noise`` is this selection's independent Laplace draw per score, an
+    array of the scores' shape from ``sample_laplace`` (zeros at scale 0,
+    where this is the exact argmin).
     Ties break to the lowest index.
     """
     scores = np.asarray(scores, dtype=float)
     if scores.ndim != 1 or scores.size == 0:
         raise ValueError("scores must be a nonempty vector")
-    if np.shape(noise) != scores.shape:
-        raise ValueError(f"noise of shape {np.shape(noise)} for {scores.size} scores")
+    if noise.shape != scores.shape:
+        raise ValueError(f"noise of shape {noise.shape} for {scores.size} scores")
     noisy = scores + noise
-    idx = int(np.argmin(noisy))
+    idx = int(noisy.argmin())
     # argmin returns the first NaN when there is one, and the noise is finite.
     if math.isnan(noisy[idx]):
         raise ValueError("scores must not contain NaN")

@@ -341,7 +341,10 @@ def sc_step_schedule(delta_sc: float) -> Callable[[int], float]:
 
 # ---------------------------------------------------------------------------
 # Loops: each returns (theta_priv, iterations, extras) and appends its
-# iterates to ``trace`` when that is a list.
+# iterates to ``trace`` when that is a list.  Each binds the loss gradient
+# to the data once (``LossSpec.bound_grad``), so a step pays for the
+# gradient's arithmetic only, not for the data checks and the statistics
+# lookups.
 
 
 def _noise_rows(draw: Callable[[tuple], np.ndarray], steps: int, width: int):
@@ -363,13 +366,14 @@ def _mirror_descent(cfg: SolverConfig, data: Dataset, run: ResolvedRun, rng, tra
     # is skipped.
     pot = cfg.potential
     it_body = pot.iterate_body(cfg.body)
+    grad = cfg.loss.bound_grad(data)
     x = it_body.canonical_point()
     acc = x.copy()
     if trace is not None:
         trace.append(pot.to_point(x))
     for t, z in zip(range(1, run.T), _gaussian_rows(cfg, run, rng)):
         theta_t = pot.to_point(x)
-        g = cfg.loss.grad(theta_t, data) + z
+        g = grad(theta_t) + z
         x = pot.mirror_step(it_body, x, pot.pull_back(g), run.eta(t + 1))
         acc += x
         if trace is not None:
@@ -383,9 +387,10 @@ def _objective_perturbation(cfg: SolverConfig, data: Dataset, run: ResolvedRun, 
     # returned with inner_converged = False and a warning naming the gap.
     b = sample_gaussian_vec(cfg.body.dimension, run.plan.sigma, rng)
     theta0, zeta = run.theta0, run.zeta
+    grad = cfg.loss.bound_grad(data)
 
     def fgrad(theta):
-        return cfg.loss.grad(theta, data) + zeta * (theta - theta0) + b
+        return grad(theta) + zeta * (theta - theta0) + b
 
     try:
         sol = minimize(cfg.body, fgrad, OBJPERT_INNER_TOL)
@@ -404,29 +409,33 @@ def _frank_wolfe(cfg: SolverConfig, data: Dataset, run: ResolvedRun, rng, trace)
     # theta_T after exactly T-1 steps toward a private target.  For
     # fw_polytope the output is a convex combination of the start point and
     # at most T-1 selected vertices; that ledger is replayed from the picks.
+    mu = run.mu
     if cfg.algorithm == "fw_polytope":
         V = cfg.body.vertices()
         noise = _noise_rows(lambda shape: sample_laplace(run.plan.laplace_scale, rng, size=shape),
                             run.T - 1, V.shape[0])
         picks: list[int] = []
+        scores = cfg.body.vertex_scores
+        moves = mu * V  # row i: the step mu * v_i toward vertex i
 
-        def target(g, z):
-            idx = report_noisy_min(V @ g, z)
+        def move(g, z):
+            idx = report_noisy_min(scores(g), z)
             picks.append(idx)
-            return V[idx]
+            return moves[idx]
     else:
         noise = _gaussian_rows(cfg, run, rng)
+        lmo = cfg.body.lmo
 
-        def target(g, z):
-            return cfg.body.lmo(g + z)
+        def move(g, z):
+            return mu * lmo(g + z)
 
-    mu = run.mu
+    grad = cfg.loss.bound_grad(data)
+    keep = 1.0 - mu
     theta = cfg.body.canonical_point()
     if trace is not None:
         trace.append(theta.copy())
     for z in noise:
-        s = target(cfg.loss.grad(theta, data), z)
-        theta = (1.0 - mu) * theta + mu * s
+        theta = keep * theta + move(grad(theta), z)
         if trace is not None:
             trace.append(theta.copy())
     if cfg.algorithm != "fw_polytope":
@@ -438,7 +447,7 @@ def _frank_wolfe(cfg: SolverConfig, data: Dataset, run: ResolvedRun, rng, trace)
     w = np.zeros(k + 1)
     w[k] = 1.0
     for idx in picks:
-        w *= 1.0 - mu
+        w *= keep
         w[idx] += mu
     weights = w.tolist()
     ledger = {"start": weights[k], **{str(i): weights[i] for i in dict.fromkeys(picks)}}

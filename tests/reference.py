@@ -3,6 +3,9 @@
 Each one is written independently of the library path it checks: feasible
 points drawn per body kind, the Minkowski gauge, the Bregman divergence,
 the sampled curvature expression and a coordinate-descent LASSO solve.
+The sort-based projections and the certified first-order loop without
+gradient reuse are the library's earlier forms, kept to check that the
+leaner ones return the same bits.
 """
 
 import math
@@ -170,3 +173,70 @@ def lasso_oracle_cd(data, radius: float, bisect_iters: int = 200) -> tuple[np.nd
     if np.abs(theta_hi).sum() > radius:
         theta_hi *= radius / np.abs(theta_hi).sum()
     return theta_hi, value(theta_hi)
+
+
+def project_simplex_sorted(v, total: float) -> np.ndarray:
+    """Projection of v onto {w >= 0, sum w = total} by the sort-based
+    threshold rule (Duchi et al.), written out step by step."""
+    v = np.asarray(v, dtype=float)
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u) - total
+    ks = np.arange(1, len(u) + 1)
+    cond = u - css / ks > 0
+    rho = int(np.nonzero(cond)[0][-1])
+    tau = css[rho] / (rho + 1.0)
+    return np.maximum(v - tau, 0.0)
+
+
+def project_l1_sorted(x, radius: float) -> np.ndarray:
+    """Projection onto the l1 ball of ``radius``: the signs of x times the
+    simplex projection of |x|, or x itself inside the ball."""
+    v = np.asarray(x, dtype=float)
+    if np.abs(v).sum() <= radius:
+        return v.copy()
+    return np.sign(v) * project_simplex_sorted(np.abs(v), radius)
+
+
+def minimize_without_reuse(body, fgrad, tol: float):
+    """``firstorder.minimize`` for a projectable body and an absolute
+    target, taking grad f(z) afresh after every restart.
+
+    Returns (x, gap, iterations); raises ``RuntimeError`` on a stall.
+    """
+    from dperm.firstorder import CHECK_EVERY, MIN_STEP, STALL_CHECKS
+
+    x = body.canonical_point()
+    z = x.copy()
+    t_mom, step = 1.0, 1.0
+    best_gap, stale_checks, it = math.inf, 0, 0
+    while True:
+        if it % CHECK_EVERY == 0:
+            g = fgrad(x)
+            gap = max(float(g @ (x - body.lmo(g))), 0.0)
+            if gap <= tol:
+                return x, gap, it
+            if gap < best_gap:
+                best_gap, stale_checks = gap, 0
+            else:
+                stale_checks += 1
+                if stale_checks >= STALL_CHECKS:
+                    raise RuntimeError("gap stalled")
+        it += 1
+        gz = fgrad(z)
+        while True:
+            x_new = body.euclidean_project(z - step * gz)
+            diff = x_new - z
+            if float((fgrad(x_new) - gz) @ diff) <= float(diff @ diff) / (2 * step):
+                break
+            step *= 0.5
+            if step < MIN_STEP:
+                raise RuntimeError("step search underflow")
+        if float((z - x_new) @ (x_new - x)) > 0:
+            z = x_new
+            t_mom = 1.0
+        else:
+            t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_mom * t_mom))
+            z = body.euclidean_project(x_new + ((t_mom - 1.0) / t_new) * (x_new - x))
+            t_mom = t_new
+        x = x_new
+        step *= 1.1

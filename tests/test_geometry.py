@@ -22,7 +22,7 @@ from dperm.geometry import (
 )
 
 from conftest import random_small_polytope
-from reference import gauge, sample_feasible
+from reference import gauge, project_l1_sorted, project_simplex_sorted, sample_feasible
 
 TRIANGLE = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
 CROSS = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
@@ -114,6 +114,35 @@ class TestLmo:
             for _ in range(50):
                 d = rng.standard_normal(5)
                 assert float(d @ body.lmo(d)) <= (feas @ d).min() + 1e-9
+
+
+class TestLmoTies:
+    @pytest.mark.parametrize("direction,index", [
+        ([-1.0, -1.0, 1.0], 0),   # +e_1, +e_2 and -e_3 tie
+        ([2.0, 0.0, -2.0], 2),    # +e_3 and -e_1 tie
+        ([1.0, 1.0, 1.0], 3),     # the three -e_i tie
+    ])
+    def test_l1_ball_ties_go_to_the_lowest_vertex_index(self, direction, index):
+        body = L1Ball(0.5, 3)
+        V = body.vertices()
+        assert int(np.argmin(V @ np.asarray(direction))) == index
+        assert np.array_equal(body.lmo(direction), V[index])
+
+
+class TestVertexScores:
+    @pytest.mark.parametrize("body", [
+        L1Ball(1.0, 7), L1Ball(0.3, 7), L1Ball(2.5, 1), Simplex(7), Simplex(1),
+        Polytope(np.random.default_rng(5).standard_normal((9, 7))),
+    ], ids=["l1", "l1_small", "l1_p1", "simplex", "simplex_p1", "polytope"])
+    def test_equal_to_the_vertex_product(self, rng, body):
+        p = body.dimension
+        directions = [rng.standard_normal(p) for _ in range(50)]
+        directions += [np.zeros(p), np.ones(p), -np.ones(p), 1e-300 * rng.standard_normal(p),
+                       1e300 * rng.standard_normal(p)]
+        for g in directions:
+            scores = body.vertex_scores(g)
+            assert scores.shape == (body.vertices().shape[0],)
+            assert np.array_equal(scores, body.vertices() @ g)
 
 
 class TestMinkowskiNorm:
@@ -282,6 +311,51 @@ class TestEuclideanProject:
         for body in [L1Ball(1.0, 4), L2Ball(1.0, 4), Box(lo=-np.ones(4), hi=np.ones(4))]:
             x = sample_feasible(body, rng) * 0.5
             assert np.allclose(body.euclidean_project(x), x)
+
+
+class TestProjectionBits:
+    """The l1-ball and simplex projections return the same bits as the
+    sort-based rule in ``reference``, signed zeros included."""
+
+    @staticmethod
+    def same_bits(a, b) -> bool:
+        return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+    @staticmethod
+    def cases(rng, p):
+        out = [3.0 * rng.standard_normal(p) for _ in range(40)]   # mostly outside
+        out += [0.05 * rng.standard_normal(p) for _ in range(10)]  # inside
+        tied = np.round(2.0 * rng.standard_normal(p))              # many equal magnitudes
+        out += [tied, np.abs(tied), np.full(p, 0.7), -np.full(p, 0.7), np.zeros(p)]
+        spread = rng.standard_normal(p)
+        out.append(spread / np.abs(spread).sum())                  # on the boundary
+        unit = np.zeros(p)
+        unit[p // 2] = -1.0                                        # a vertex
+        signed_zero = 3.0 * rng.standard_normal(p)
+        signed_zero[0] = -0.0
+        out += [unit, signed_zero]
+        return out
+
+    @pytest.mark.parametrize("p", [1, 2, 5, 50])
+    @pytest.mark.parametrize("radius", [1.0, 0.3])
+    def test_l1_ball(self, rng, p, radius):
+        body = L1Ball(radius, p)
+        for x in self.cases(rng, p):
+            for v in (x, radius * x):
+                assert self.same_bits(body.euclidean_project(v), project_l1_sorted(v, radius))
+
+    @pytest.mark.parametrize("p", [1, 2, 5, 50])
+    def test_simplex(self, rng, p):
+        body = Simplex(p)
+        for x in self.cases(rng, p) + [np.full(p, 1.0 / p), -self.cases(rng, p)[-2]]:
+            assert self.same_bits(body.euclidean_project(x), project_simplex_sorted(x, 1.0))
+
+    def test_input_is_not_written(self, rng):
+        x = 3.0 * rng.standard_normal(6)
+        before = x.copy()
+        L1Ball(1.0, 6).euclidean_project(x)
+        Simplex(6).euclidean_project(x)
+        assert np.array_equal(x, before)
 
 
 class TestSymmetricHull:

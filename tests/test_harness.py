@@ -355,3 +355,38 @@ class TestRidgeDocument:
         assert failures == []
         assert sorted((r.solver, r.seed) for r in records) == [
             ("obj_pert", 0), ("obj_pert", 1), ("sc_md", 0), ("sc_md", 1)]
+
+
+class TestOneFeasibilityCheckPerCell:
+    def test_each_cell_checks_its_output_once(self, monkeypatch):
+        calls = Counter()
+        real = L1Ball.contains
+
+        def counting(self, x):
+            calls["contains"] += 1
+            return real(self, x)
+
+        monkeypatch.setattr(L1Ball, "contains", counting)
+        records, failures = run_sweep(spec_for(6, lasso_configs(6), [0, 1]))
+        assert failures == [] and len(records) == 8
+        assert calls["contains"] == 8
+
+    def test_an_infeasible_output_is_not_scored(self, monkeypatch):
+        real = harness.run_solver
+
+        def outside(cfg, data):
+            report = real(cfg, data)
+            report.theta_priv = np.full(cfg.body.dimension, 1.0)
+            report.feasible = cfg.body.contains(report.theta_priv)
+            return report
+
+        def no_scoring(self, theta, data):
+            raise AssertionError("an infeasible output was scored")
+
+        cfg = SolverConfig.from_dict({**lasso_configs(6)[0], "seed": 0})
+        data = generate_lasso(200, 6, 3, 0.1, seed=4)
+        harness.cached_solve(cfg.body, cfg.loss, data)  # the optimum, solved before the spy
+        monkeypatch.setattr(harness, "run_solver", outside)
+        monkeypatch.setattr(SquaredError, "loss", no_scoring)
+        with pytest.raises(ValueError, match="not feasible"):
+            harness.score_cell(cfg, data)

@@ -497,3 +497,122 @@ class TestSharedStatistics:
         assert set(computed.values()) == {1}, computed
         for stats in seen[1:]:
             assert all(a is b for a, b in zip(stats, seen[0]))
+
+
+class TestBoundGradient:
+    """``bound_grad(data)`` returns the same bits as each backend's formula,
+    written out here, and ``grad(theta, data)`` is a call through it."""
+
+    @staticmethod
+    def thetas(rng, p):
+        return [np.zeros(p), np.ones(p) / p] + [s * rng.standard_normal(p)
+                                                 for s in (0.1, 1.0, 7.0) for _ in range(5)]
+
+    @pytest.mark.parametrize("ridge", [0.0, 0.35])
+    def test_squared_error_gram_route(self, rng, ridge):
+        data = lasso_dataset(rng, n=300, p=7)
+        assert data.prefers_gram
+        G, b, _ = data.gram()
+        loss = SquaredError(ridge=ridge)
+        grad = loss.bound_grad(data)
+        for theta in self.thetas(rng, 7):
+            ref = G @ theta - b
+            if ridge:
+                ref = ref + ridge * theta
+            assert np.array_equal(grad(theta), ref)
+            assert np.array_equal(loss.grad(theta, data), ref)
+
+    @pytest.mark.parametrize("ridge", [0.0, 0.35])
+    def test_squared_error_row_route(self, rng, monkeypatch, ridge):
+        def no_gram(self):
+            raise AssertionError("Gram statistics built for p >= n")
+
+        monkeypatch.setattr(Dataset, "gram", no_gram)
+        for n, p in [(6, 6), (4, 9)]:
+            data = Dataset(X=rng.uniform(-1, 1, (n, p)), y=rng.uniform(-1, 1, n))
+            loss = SquaredError(ridge=ridge)
+            grad = loss.bound_grad(data)
+            for theta in self.thetas(rng, p):
+                ref = row_grad(theta, data.X, data.y)
+                if ridge:
+                    ref = ref + ridge * theta
+                assert np.array_equal(grad(theta), ref)
+                assert np.array_equal(loss.grad(theta, data), ref)
+
+    def test_huber(self, rng):
+        data = lasso_dataset(rng, n=200, p=6)
+        loss = Huber(0.3)
+        grad = loss.bound_grad(data)
+        for theta in self.thetas(rng, 6):
+            r = np.clip(data.X @ theta - data.y, -0.3, 0.3)
+            ref = (data.X.T @ r) / data.n
+            assert np.array_equal(grad(theta), ref)
+            assert np.array_equal(loss.grad(theta, data), ref)
+
+    def test_backend_is_resolved_once(self, rng, monkeypatch):
+        data = lasso_dataset(rng, n=100, p=4)
+        calls = Counter()
+        gram = Dataset.gram
+
+        def counting(self):
+            calls["gram"] += 1
+            return gram(self)
+
+        monkeypatch.setattr(Dataset, "gram", counting)
+        grad = SquaredError().bound_grad(data)
+        for _ in range(20):
+            grad(rng.standard_normal(4))
+        assert calls == {"gram": 1}
+
+    def test_empty_data_fails_when_bound(self):
+        data = Dataset(X=np.zeros((0, 3)), y=np.zeros(0))
+        for loss in (SquaredError(), SquaredError(ridge=0.1), Huber(0.5)):
+            with pytest.raises(ValueError, match="empty"):
+                loss.bound_grad(data)
+
+
+class TestCurvatureMemo:
+    """The curvature bound is computed once per (ridge, body key) and data."""
+
+    def counting(self, monkeypatch):
+        calls = []
+        real = losses._quadratic_curvature_bound
+
+        def counted(body, data, ridge):
+            calls.append((type(body).__name__, ridge))
+            return real(body, data, ridge)
+
+        monkeypatch.setattr(losses, "_quadratic_curvature_bound", counted)
+        return calls, real
+
+    def test_once_per_ridge_and_body(self, rng, monkeypatch):
+        data = lasso_dataset(rng, n=200, p=5)
+        calls, real = self.counting(monkeypatch)
+        values = {}
+        for _ in range(3):
+            for ridge in (0.0, 0.2):
+                for make in (lambda: L1Ball(1.0, 5), lambda: L1Ball(0.5, 5), lambda: Simplex(5)):
+                    body = make()
+                    value = SquaredError(ridge=ridge).curvature_bound(body, data)
+                    assert value == real(body, data, ridge)
+                    values.setdefault((ridge, body.to_dict()["kind"], getattr(body, "radius", 0)),
+                                      value)
+        assert len(calls) == 6 == len(values)
+        # Huber's bound is the ridge-free quadratic one: the same entry.
+        assert Huber(0.1).curvature_bound(L1Ball(1.0, 5), data) == values[(0.0, "l1_ball", 1.0)]
+        assert len(calls) == 6
+        # Another dataset has its own memo.
+        SquaredError().curvature_bound(L1Ball(1.0, 5), lasso_dataset(rng, n=200, p=5))
+        assert len(calls) == 7
+
+    def test_body_without_a_key_computes_every_time(self, rng, monkeypatch):
+        class Unnamed(L1Ball):
+            def to_dict(self):
+                raise NotImplementedError
+
+        data = lasso_dataset(rng, n=200, p=5)
+        calls, real = self.counting(monkeypatch)
+        body = Unnamed(1.0, 5)
+        for _ in range(3):
+            assert SquaredError().curvature_bound(body, data) == real(body, data, 0.0)
+        assert len(calls) == 3

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import dperm.oracle as oracle
+from dperm.firstorder import minimize
 from dperm.geometry import Box, L1Ball, L2Ball, Polytope, Simplex
 from dperm.harness import generate_lasso
 from dperm.losses import CustomLoss, Dataset, Huber, SquaredError
@@ -16,7 +17,7 @@ from dperm.oracle import (
     solve_exact,
 )
 
-from reference import lasso_cd_penalized, lasso_oracle_cd, sample_feasible
+from reference import lasso_cd_penalized, lasso_oracle_cd, minimize_without_reuse, sample_feasible
 
 SQ = SquaredError()
 
@@ -253,3 +254,31 @@ class TestDimensionMismatch:
         for solve in (solve_exact, cached_solve):
             with pytest.raises(ValueError, match=r"body dimension 5 .* p = 6"):
                 solve(L1Ball(1.0, 5), SQ, data)
+
+
+class TestGradientReuse:
+    """After a gradient restart ``minimize`` reuses grad f(x+) from the step
+    test as the next grad f(z): the same result with fewer gradients."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_certificate_with_fewer_gradients(self, seed):
+        # The objective-perturbation inner problem: L + (zeta/2)||x||^2 + <b, x>
+        # on the l1 ball, to an absolute gap.
+        data = generate_lasso(800, 20, 4, 0.1, seed=seed)
+        rng = np.random.default_rng(seed)
+        b, zeta = 0.05 * rng.standard_normal(20), 0.01
+        grad = SQ.bound_grad(data)
+        counts = [0, 0]
+
+        def counted(i):
+            def fgrad(theta):
+                counts[i] += 1
+                return grad(theta) + zeta * theta + b
+            return fgrad
+
+        body = L1Ball(1.0, 20)
+        sol = minimize(body, counted(0), 1e-8)
+        x, gap, iterations = minimize_without_reuse(body, counted(1), 1e-8)
+        assert np.array_equal(sol.x, x)
+        assert sol.gap == gap and sol.iterations == iterations and sol.value is None
+        assert counts[0] < counts[1], counts

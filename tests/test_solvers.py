@@ -598,3 +598,33 @@ class TestBlockNoise:
                 ledger = rep.extras["vertex_weights"]
                 assert ledger == weights and list(ledger) == list(weights)
                 assert rep.extras["support_size"] == sum(1 for v in weights.values() if v > 0)
+
+
+class TestStatisticsBoundOncePerRun:
+    """A step loop reads the dataset's statistics when it binds the
+    gradient, not on every step."""
+
+    @pytest.mark.parametrize("algorithm", ["fw_polytope", "fw_general", "noisy_md"])
+    def test_gram_and_memo_reached_at_most_once(self, small_lasso, monkeypatch, algorithm):
+        potential = SquaredL2(12) if algorithm == "noisy_md" else None
+        cfg = SolverConfig(algorithm=algorithm, body=L1Ball(1.0, 12), loss=SQ,
+                           budget=PrivacyBudget(1.0, 1e-6), potential=potential, T=40, seed=3)
+        run = resolve_defaults(cfg, small_lasso)
+        calls = {"gram": 0, "memo": 0}
+        gram, memo = Dataset.gram, Dataset._memo
+
+        def counting_gram(self):
+            calls["gram"] += 1
+            return gram(self)
+
+        def counting_memo(self, key, compute):
+            calls["memo"] += 1
+            return memo(self, key, compute)
+
+        monkeypatch.setattr(Dataset, "gram", counting_gram)
+        monkeypatch.setattr(Dataset, "_memo", counting_memo)
+        theta, iterations, _ = solvers._LOOPS[algorithm](
+            cfg, small_lasso, run, spawn_rng(cfg.seed, solvers._STREAM_NOISE), None)
+        assert iterations == 40
+        assert calls["gram"] <= 1 and calls["memo"] <= 1, calls
+        assert np.array_equal(theta, run_solver(cfg, small_lasso).theta_priv)
