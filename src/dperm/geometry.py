@@ -47,6 +47,11 @@ def _check_finite(v: np.ndarray, name: str = "direction") -> None:
         raise ValueError(f"{name} must be finite")
 
 
+def _check_radius(radius: float) -> None:
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
+
+
 def row_abs_max(G: np.ndarray) -> np.ndarray:
     """max_j |G_ij| for every row i.  |G| is formed one block of rows at a
     time, which needs less memory and, in cache, less time than whole."""
@@ -125,8 +130,7 @@ class L2Ball(ConvexBody):
     is_symmetric = True
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
+        _check_radius(self.radius)
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
 
@@ -178,8 +182,7 @@ class L1Ball(ConvexBody):
     is_symmetric = True
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
+        _check_radius(self.radius)
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
 
@@ -295,6 +298,7 @@ class Polytope(ConvexBody):
         V = np.asarray(self.vertex_array, dtype=float)
         if V.ndim != 2 or V.shape[0] < 1:
             raise ValueError("vertex list must be a (k, p) array with k >= 1")
+        _check_finite(V, "vertex list")
         if V.shape[0] > MAX_POLYTOPE_VERTICES:
             raise ValueError(
                 f"polytope has {V.shape[0]} vertices; more than "
@@ -391,8 +395,7 @@ class GroupedL1Ball(ConvexBody):
     is_symmetric = True
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
+        _check_radius(self.radius)
         if not (1 <= self.group_size <= self.dimension):
             raise ValueError("group size must be in [1, dimension]")
 
@@ -468,6 +471,8 @@ class Box(ConvexBody):
         hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError("lo and hi must be vectors of the same dimension")
+        _check_finite(lo, "lo")
+        _check_finite(hi, "hi")
         if np.any(lo > hi):
             raise ValueError("need lo <= hi componentwise")
         object.__setattr__(self, "lo", lo)
@@ -670,18 +675,14 @@ def symmetric_hull(body: ConvexBody) -> ConvexBody:
 
 
 # Each kind's document keys besides "kind", and its builder, which takes
-# them as keyword arguments ("dimension" and "group_size" as integers).
+# them as keyword arguments ("dimension" and "group_size" as integers,
+# "radius" as a finite float).
 _KIND_TAGS = {
-    "l2_ball": (("radius", "dimension"), lambda radius, dimension: L2Ball(
-        radius=float(radius), dimension=dimension)),
-    "l1_ball": (("radius", "dimension"), lambda radius, dimension: L1Ball(
-        radius=float(radius), dimension=dimension)),
-    "simplex": (("dimension",), lambda dimension: Simplex(dimension=dimension)),
+    "l2_ball": (("radius", "dimension"), L2Ball),
+    "l1_ball": (("radius", "dimension"), L1Ball),
+    "simplex": (("dimension",), Simplex),
     "polytope": (("vertices",), lambda vertices: Polytope(np.asarray(vertices, dtype=float))),
-    "grouped_l1_ball": (("radius", "group_size", "dimension"),
-                        lambda radius, group_size, dimension: GroupedL1Ball(
-                            radius=float(radius), group_size=group_size,
-                            dimension=dimension)),
+    "grouped_l1_ball": (("radius", "group_size", "dimension"), GroupedL1Ball),
     "box": (("lo", "hi"), lambda lo, hi: Box(lo=np.asarray(lo, dtype=float),
                                              hi=np.asarray(hi, dtype=float))),
 }
@@ -701,6 +702,16 @@ def doc_int(value, kind: str, key: str) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{kind} {key!r} must be an integer, got {value!r}")
     return int(value)
+
+
+def doc_float(value, kind: str, key: str) -> float:
+    """``value`` of the ``key`` field of a ``kind`` document, as a float;
+    anything but a finite real number, a bool or a string among them,
+    raises ``ValueError`` instead of being converted."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not math.isfinite(value):
+        raise ValueError(f"{kind} {key!r} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def doc_bool(value, kind: str, key: str) -> bool:
@@ -729,6 +740,8 @@ def body_from_dict(doc: dict) -> ConvexBody:
 
     def read(key):
         value = doc_field(doc, key, label)
+        if key == "radius":
+            return doc_float(value, label, key)
         return doc_int(value, label, key) if key in ("dimension", "group_size") else value
 
     return build(**{key: read(key) for key in keys})

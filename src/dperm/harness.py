@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import check_keys, doc_bool, doc_field, doc_int
+from .geometry import check_keys, doc_bool, doc_field, doc_float, doc_int
 from .losses import Dataset
 from .oracle import cached_solve, excess_risk
 from .solvers import SolverConfig, SolverReport, run_solver, seed_from
@@ -166,8 +166,8 @@ def _datasets_for(spec: ExperimentSpec, ns) -> dict[int, Dataset]:
     data_seed = doc_int(gen.get("data_seed", 0), "generator", "data_seed")
     params = dict(p=doc_int(doc_field(gen, "p", "generator"), "generator", "p"),
                   sparsity=doc_int(gen.get("sparsity", 1), "generator", "sparsity"),
-                  noise_level=float(gen.get("noise_level", 0.0)),
-                  l1_norm=float(gen.get("l1_norm", 0.9)),
+                  noise_level=doc_float(gen.get("noise_level", 0.0), "generator", "noise_level"),
+                  l1_norm=doc_float(gen.get("l1_norm", 0.9), "generator", "l1_norm"),
                   nonneg=doc_bool(gen.get("nonneg", False), "generator", "nonneg"))
     return {n: generate_lasso(n=n, seed=seed_from(data_seed, n), **params) for n in ns}
 

@@ -51,7 +51,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .geometry import (ConvexBody, L1Ball, Memo, Simplex, block_slices, body_key, check_keys,
-                       doc_field, row_abs_max)
+                       doc_field, doc_float, row_abs_max)
 
 LASSO_DOMAIN_TOL = 1e-12
 
@@ -217,9 +217,6 @@ class LossSpec:
         _require_nonempty(data)
         return self._bind_grad(data)
 
-    def grad_single(self, theta, x, y: float) -> np.ndarray:
-        raise NotImplementedError
-
     # Backend hooks: a pass over the rows unless a subclass has a cheaper
     # route through the dataset's statistics.
 
@@ -328,11 +325,6 @@ class SquaredError(LossSpec):
         rows = super()._bind_grad(data)
         return (lambda theta: rows(theta) + ridge * theta) if ridge else rows
 
-    def grad_single(self, theta, x, y: float) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        g = (float(x @ theta) - y) * x
-        return g + self.ridge * np.asarray(theta, dtype=float) if self.ridge else g
-
     def lipschitz_constants(self, body, data) -> tuple[float, float]:
         L = _lipschitz("squared_error", body, data)
         if not self.ridge:
@@ -357,8 +349,8 @@ class Huber(LossSpec):
     """Huber loss of the residual with threshold delta."""
 
     def __init__(self, delta: float):
-        if delta <= 0:
-            raise ValueError("Huber delta must be positive")
+        if not 0.0 < delta < math.inf:
+            raise ValueError(f"Huber delta must be positive and finite, got {delta!r}")
         self.delta = float(delta)
 
     def _loss_full(self, theta, X, y) -> float:
@@ -371,11 +363,6 @@ class Huber(LossSpec):
     def _grad_full(self, theta, X, y) -> np.ndarray:
         r = np.clip(X @ theta - y, -self.delta, self.delta)
         return (X.T @ r) / X.shape[0]
-
-    def grad_single(self, theta, x, y: float) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        r = float(np.clip(float(x @ theta) - y, -self.delta, self.delta))
-        return r * x
 
     def lipschitz_constants(self, body, data) -> tuple[float, float]:
         return _lipschitz(f"huber:{self.delta!r}", body, data, cap=self.delta)
@@ -425,9 +412,6 @@ class CustomLoss(LossSpec):
         for i in range(X.shape[0]):
             acc += self._grad_single(theta, X[i], float(y[i]))
         return acc / X.shape[0]
-
-    def grad_single(self, theta, x, y: float) -> np.ndarray:
-        return np.asarray(self._grad_single(theta, x, y), dtype=float)
 
     def _declared(self, key: str) -> float:
         if key not in self.constants:
@@ -542,8 +526,8 @@ def loss_from_dict(doc: dict) -> LossSpec:
     label = f"{kind} loss"
     if kind == "squared_error":
         check_keys(doc, {"kind", "ridge"}, label)
-        return SquaredError(ridge=float(doc.get("ridge", 0.0)))
+        return SquaredError(ridge=doc_float(doc.get("ridge", 0.0), label, "ridge"))
     if kind == "huber":
         check_keys(doc, {"kind", "delta"}, label)
-        return Huber(delta=float(doc_field(doc, "delta", label)))
+        return Huber(delta=doc_float(doc_field(doc, "delta", label), label, "delta"))
     raise ValueError(f"unknown loss kind {kind!r} (custom losses are built in code)")

@@ -5,11 +5,10 @@ convex against, plus a closed-form bound on its maximum over the feasible
 set, and takes its prox step in closed form.  Potentials are immutable
 after construction; all operations are pure.
 
-The polytope q-norm potential is evaluated and stepped in coefficient
-space: iterates are simplex vectors a with theta = V^T a, the q-norm
-applied to a, and gradients pulled back through the vertex matrix.  Its
-``iterate_body`` is therefore a simplex over the vertex count, not the
-polytope itself.
+The polytope q-norm potential is stepped in coefficient space: iterates
+are simplex vectors a with theta = V^T a, the q-norm applied to a, and
+gradients pulled back through the vertex matrix.  Its ``iterate_body`` is
+therefore a simplex over the vertex count, not the polytope itself.
 
 The q-norm and grouped prox steps find their scalar multiplier with
 Brent's method (``scipy.optimize.brentq``) on a bracket that holds the
@@ -48,7 +47,7 @@ ROOT_XTOL = 1e-300
 
 
 class Potential:
-    """Base mirror map: value, gradient and prox step."""
+    """Base mirror map: its iterate space, its constants and its prox step."""
 
     # -- iterate-space mapping (identity except for coefficient potentials)
 
@@ -77,12 +76,6 @@ class Potential:
 
     # -- core interface ----------------------------------------------------
 
-    def value(self, x) -> float:
-        raise NotImplementedError
-
-    def grad(self, x) -> np.ndarray:
-        raise NotImplementedError
-
     def mirror_step(self, body: ConvexBody, x_t, g, eta: float) -> np.ndarray:
         """argmin over the body of <eta*g, x> + B_Psi(x, x_t), in closed form.
 
@@ -92,10 +85,6 @@ class Potential:
         raise NotImplementedError
 
     # -- constants ----------------------------------------------------------
-
-    @property
-    def strong_convexity_modulus(self) -> float:
-        raise NotImplementedError
 
     def natural_q(self, body: ConvexBody) -> ConvexBody:
         """Symmetric body whose gauge the potential is strongly convex against."""
@@ -116,20 +105,9 @@ class SquaredL2(Potential):
 
     dimension: int
 
-    def value(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        return 0.5 * float(x @ x)
-
-    def grad(self, x) -> np.ndarray:
-        return np.asarray(x, dtype=float)
-
     def mirror_step(self, body: ConvexBody, x_t, g, eta: float) -> np.ndarray:
         x_t, g = self._step_args(x_t, g, eta)
         return body.euclidean_project(x_t - eta * g)
-
-    @property
-    def strong_convexity_modulus(self) -> float:
-        return 1.0
 
     def natural_q(self, body: ConvexBody) -> ConvexBody:
         return L2Ball(radius=1.0, dimension=self.dimension)
@@ -160,14 +138,6 @@ class NegativeEntropy(Potential):
             raise ValueError("entropy potential requires (near-)nonnegative input")
         return np.maximum(v, ENTROPY_FLOOR)
 
-    def value(self, x) -> float:
-        v = self._floored(x)
-        return float(np.sum(v * np.log(v))) + math.log(self.dimension)
-
-    def grad(self, x) -> np.ndarray:
-        v = self._floored(x)
-        return np.log(v) + 1.0
-
     def mirror_step(self, body: ConvexBody, x_t, g, eta: float) -> np.ndarray:
         self._check_body(body)
         x_t, g = self._step_args(x_t, g, eta)
@@ -178,10 +148,6 @@ class NegativeEntropy(Potential):
         w = np.exp(z)
         w = np.maximum(w / w.sum(), ENTROPY_FLOOR)
         return w / w.sum()
-
-    @property
-    def strong_convexity_modulus(self) -> float:
-        return 1.0
 
     def natural_q(self, body: ConvexBody) -> ConvexBody:
         return L1Ball(radius=1.0, dimension=self.dimension)
@@ -234,11 +200,6 @@ class PolytopeQNorm(Potential):
     def pull_back(self, g: np.ndarray) -> np.ndarray:
         return self.polytope.vertex_array @ np.asarray(g, dtype=float)
 
-    def value(self, a) -> float:
-        a = np.asarray(a, dtype=float)
-        nq = float(np.sum(np.abs(a) ** self.q)) ** (1.0 / self.q)
-        return nq * nq / (4.0 * (self.q - 1.0))
-
     def grad(self, a) -> np.ndarray:
         a = np.asarray(a, dtype=float)
         q = self.q
@@ -282,16 +243,6 @@ class PolytopeQNorm(Potential):
                         xtol=ROOT_XTOL, rtol=ROOT_RTOL))
         return b / b.sum()
 
-    @property
-    def strong_convexity_modulus(self) -> float:
-        # ||a||_q^2/(4(q-1)) is (1/2)-strongly convex w.r.t. ||a||_q (the
-        # norm-power inequality; the source's stated constant of 1 fails
-        # the interpolation definition numerically).  ||a||_1 <=
-        # k^(1-1/q) ||a||_q then bridges to the hull gauge, so the modulus
-        # absorbs that factor squared (1/(2 e^2) at the default exponent).
-        k = self.n_vertices
-        return 0.5 * float(k ** (-2.0 * (1.0 - 1.0 / self.q)))
-
     def natural_q(self, body: ConvexBody) -> ConvexBody:
         return symmetric_hull(self.polytope)
 
@@ -333,13 +284,6 @@ class GroupedL1(Potential):
         if math.log(ratio) < 1.0:
             return 0.5
         return 1.0 / (math.e * math.log(ratio))
-
-    def value(self, x) -> float:
-        v = np.asarray(x, dtype=float)
-        M, xi = self.exponent, self.scale_xi
-        total = sum(float(np.linalg.norm(v[s])) ** M
-                    for s in block_slices(self.dimension, self.group_size))
-        return total / (M * xi)
 
     def grad(self, x) -> np.ndarray:
         v = np.asarray(x, dtype=float)
@@ -386,10 +330,6 @@ class GroupedL1(Potential):
             if aj > 0.0 and tj > 0.0:
                 out[s] = -(tj / aj) * c[s]
         return out
-
-    @property
-    def strong_convexity_modulus(self) -> float:
-        return 1.0
 
     def natural_q(self, body: ConvexBody) -> ConvexBody:
         return GroupedL1Ball(radius=1.0, group_size=self.group_size,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import check_keys, doc_field
+from .geometry import check_keys, doc_field, doc_float
 
 
 @dataclass(frozen=True)
@@ -27,8 +27,8 @@ class PrivacyBudget:
     delta: float = 1e-6
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not self.epsilon > 0:
+            raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
         if math.isfinite(self.epsilon) and not (0.0 < self.delta < 1.0):
             raise ValueError("delta must lie in (0, 1)")
 
@@ -37,19 +37,19 @@ class PrivacyBudget:
         return math.isfinite(self.epsilon)
 
     @classmethod
-    def non_private(cls) -> "PrivacyBudget":
-        return cls(epsilon=math.inf, delta=1e-6)
-
-    @classmethod
     def from_dict(cls, doc: dict) -> "PrivacyBudget":
         """Read a budget document: ``epsilon`` is required and ``delta``
         defaults to 1e-6.  The string "inf" is the one epsilon of a
         non-private run; an unknown key raises ``ValueError``."""
         check_keys(doc, {"epsilon", "delta"}, "budget")
         eps = doc_field(doc, "epsilon", "budget")
-        if eps != "inf" and not (isinstance(eps, (int, float)) and math.isfinite(eps)):
-            raise ValueError(f'budget epsilon must be a finite number or "inf", got {eps!r}')
-        return cls(epsilon=float(eps), delta=float(doc.get("delta", 1e-6)))
+        if eps != "inf":
+            try:
+                eps = doc_float(eps, "budget", "epsilon")
+            except ValueError:
+                raise ValueError(
+                    f'budget epsilon must be a finite number or "inf", got {eps!r}') from None
+        return cls(epsilon=float(eps), delta=doc_float(doc.get("delta", 1e-6), "budget", "delta"))
 
 
 @dataclass

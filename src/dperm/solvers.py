@@ -2,15 +2,19 @@
 
 ``run_solver`` is the one entry point.  It resolves the step count, step
 sizes and noise scales (``resolve_defaults``), then runs the loop of the
-algorithm's family:
+algorithm's family to its end.  Each loop is a generator that yields the
+iterates it visits and returns (theta_priv, iterations, extras):
 
 - mirror descent (``noisy_md``, ``strongly_convex_md``): T-1 prox steps on
-  Gaussian-noised gradients, returning the average of the first T iterates;
+  Gaussian-noised gradients, yielding theta_1 ... theta_T and returning
+  their average;
 - objective perturbation (``obj_pert``): one certified minimization of
-  L + (zeta/2)||theta - theta0||^2 + <b, theta> with Gaussian b;
+  L + (zeta/2)||theta - theta0||^2 + <b, theta> with Gaussian b, yielding
+  its one output;
 - Frank-Wolfe (``fw_polytope``, ``fw_general``): T-1 steps toward a private
   target, the vertex with the report-noisy-min score for ``fw_polytope``
-  and the LMO of the Gaussian-noised gradient for ``fw_general``.
+  and the LMO of the Gaussian-noised gradient for ``fw_general``, yielding
+  theta_1 ... theta_T and returning theta_T.
 
 Every run is deterministic given (config, data, seed): noise injection
 is the only stochastic element, and the zero-scale samplers leave the
@@ -85,7 +89,6 @@ class SolverConfig:
     T: int = 0
     seed: int = 0
     t_cap: int = 10 ** 6
-    record_iterates: bool = False
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -128,8 +131,7 @@ class SolverConfig:
 
 # The keys of a config document: the fields ``from_dict`` reads, the sweep's
 # solver ``id`` and the ``lasso_profile`` that ``dperm solve`` reads.
-_DOC_KEYS = frozenset({f.name for f in fields(SolverConfig) if f.name != "record_iterates"}
-                      | {"id", "lasso_profile"})
+_DOC_KEYS = frozenset({f.name for f in fields(SolverConfig)} | {"id", "lasso_profile"})
 
 
 @dataclass
@@ -159,12 +161,8 @@ class SolverReport:
             "excess_risk": self.excess_risk,
             "optimum": self.optimum,
         }
-        out.update({k: v for k, v in self.extras.items() if _jsonable(v)})
+        out.update(self.extras)
         return out
-
-
-def _jsonable(v) -> bool:
-    return isinstance(v, (int, float, str, bool, list, dict, type(None)))
 
 
 # ---------------------------------------------------------------------------
@@ -340,11 +338,11 @@ def sc_step_schedule(delta_sc: float) -> Callable[[int], float]:
 
 
 # ---------------------------------------------------------------------------
-# Loops: each returns (theta_priv, iterations, extras) and appends its
-# iterates to ``trace`` when that is a list.  Each binds the loss gradient
-# to the data once (``LossSpec.bound_grad``), so a step pays for the
-# gradient's arithmetic only, not for the data checks and the statistics
-# lookups.
+# Loops: each is a generator that yields the iterates it visits, arrays that
+# no later step writes into, and returns (theta_priv, iterations, extras).
+# Each binds the loss gradient to the data once (``LossSpec.bound_grad``),
+# so a step pays for the gradient's arithmetic only, not for the data checks
+# and the statistics lookups.
 
 
 def _noise_rows(draw: Callable[[tuple], np.ndarray], steps: int, width: int):
@@ -361,7 +359,7 @@ def _gaussian_rows(cfg: SolverConfig, run: ResolvedRun, rng):
                        run.T - 1, cfg.body.dimension)
 
 
-def _mirror_descent(cfg: SolverConfig, data: Dataset, run: ResolvedRun, rng, trace):
+def _mirror_descent(cfg: SolverConfig, data: Dataset, run: ResolvedRun, rng):
     # The T-th step of the source loop cannot affect the averaged output and
     # is skipped.
     pot = cfg.potential
@@ -369,19 +367,17 @@ def _mirror_descent(cfg: SolverConfig, data: Dataset, run: ResolvedRun, rng, tra
     grad = cfg.loss.bound_grad(data)
     x = it_body.canonical_point()
     acc = x.copy()
-    if trace is not None:
-        trace.append(pot.to_point(x))
     for t, z in zip(range(1, run.T), _gaussian_rows(cfg, run, rng)):
         theta_t = pot.to_point(x)
+        yield theta_t
         g = grad(theta_t) + z
         x = pot.mirror_step(it_body, x, pot.pull_back(g), run.eta(t + 1))
         acc += x
-        if trace is not None:
-            trace.append(pot.to_point(x))
+    yield pot.to_point(x)
     return pot.to_point(acc / run.T), run.T, {}
 
 
-def _objective_perturbation(cfg: SolverConfig, data: Dataset, run: ResolvedRun, rng, trace):
+def _objective_perturbation(cfg: SolverConfig, data: Dataset, run: ResolvedRun, rng):
     # The inner minimization runs to an absolute Frank-Wolfe gap of
     # OBJPERT_INNER_TOL; when it cannot certify, the best-gap iterate is
     # returned with inner_converged = False and a warning naming the gap.
@@ -400,12 +396,13 @@ def _objective_perturbation(cfg: SolverConfig, data: Dataset, run: ResolvedRun, 
         warnings.warn(
             f"objective-perturbation inner solve stopped at gap {gap:.3e} "
             f"after {iters} iterations; returning the best iterate",
-            stacklevel=3,
+            stacklevel=4,  # past this loop, ``_drain`` and ``run_solver``
         )
+    yield theta
     return theta, iters, {"inner_converged": converged, "inner_gap": gap}
 
 
-def _frank_wolfe(cfg: SolverConfig, data: Dataset, run: ResolvedRun, rng, trace):
+def _frank_wolfe(cfg: SolverConfig, data: Dataset, run: ResolvedRun, rng):
     # theta_T after exactly T-1 steps toward a private target.  For
     # fw_polytope the output is a convex combination of the start point and
     # at most T-1 selected vertices; that ledger is replayed from the picks.
@@ -432,12 +429,10 @@ def _frank_wolfe(cfg: SolverConfig, data: Dataset, run: ResolvedRun, rng, trace)
     grad = cfg.loss.bound_grad(data)
     keep = 1.0 - mu
     theta = cfg.body.canonical_point()
-    if trace is not None:
-        trace.append(theta.copy())
+    yield theta
     for z in noise:
         theta = keep * theta + move(grad(theta), z)
-        if trace is not None:
-            trace.append(theta.copy())
+        yield theta
     if cfg.algorithm != "fw_polytope":
         return theta, run.T, {}
 
@@ -466,13 +461,20 @@ _LOOPS = {
 }
 
 
+def _drain(loop) -> tuple:
+    """Run a loop to its end; return what it returns."""
+    while True:
+        try:
+            next(loop)
+        except StopIteration as stop:
+            return stop.value
+
+
 def run_solver(cfg: SolverConfig, data: Dataset) -> SolverReport:
-    """Run the configured algorithm.
+    """Run the configured algorithm's loop to its end and report its output.
 
     A body/data dimension mismatch, or a Huber loss under objective
-    perturbation, raises ``ValueError`` before any work starts.  With
-    ``record_iterates`` the step loops keep their T iterates in
-    ``extras["iterates"]``.
+    perturbation, raises ``ValueError`` before any work starts.
     """
     require_matching_dimension(cfg.body, data)
     if cfg.algorithm == "obj_pert" and isinstance(cfg.loss, Huber):
@@ -480,10 +482,9 @@ def run_solver(cfg: SolverConfig, data: Dataset) -> SolverReport:
                          "differentiable loss; the Huber loss is not C^2")
     run = resolve_defaults(cfg, data)
     rng = spawn_rng(cfg.seed, _STREAM_NOISE)
-    trace = [] if cfg.record_iterates else None
     start = time.perf_counter()
-    theta, iterations, extras = _LOOPS[cfg.algorithm](cfg, data, run, rng, trace)
-    report = SolverReport(
+    theta, iterations, extras = _drain(_LOOPS[cfg.algorithm](cfg, data, run, rng))
+    return SolverReport(
         algorithm=cfg.algorithm,
         theta_priv=theta,
         iterations=iterations,
@@ -493,6 +494,3 @@ def run_solver(cfg: SolverConfig, data: Dataset) -> SolverReport:
         feasible=cfg.body.contains(theta),
         extras=extras,
     )
-    if trace:
-        report.extras["iterates"] = trace
-    return report

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -465,6 +466,22 @@ class TestValidation:
     def test_bad_radius(self):
         with pytest.raises(ValueError):
             L2Ball(-1.0, 3)
+
+    @pytest.mark.parametrize("build", [
+        lambda: L1Ball(math.nan, 3), lambda: L2Ball(math.inf, 3),
+        lambda: GroupedL1Ball(math.nan, 1, 3),
+        lambda: Box(lo=np.array([-1.0, math.nan]), hi=np.ones(2)),
+        lambda: Box(lo=-np.ones(2), hi=np.array([1.0, math.inf])),
+        lambda: Polytope(np.array([[0.0, 1.0], [math.nan, 0.0]])),
+    ], ids=["l1_nan", "l2_inf", "grouped_nan", "box_lo_nan", "box_hi_inf", "polytope_nan"])
+    def test_non_finite_parameters_are_rejected(self, build):
+        with pytest.raises(ValueError, match="finite"):
+            build()
+
+    def test_nan_radius_from_json_fails_before_a_run(self):
+        doc = json.loads('{"kind": "l1_ball", "radius": NaN, "dimension": 3}')
+        with pytest.raises(ValueError, match="l1_ball body 'radius' must be a finite number"):
+            body_from_dict(doc)
 
     def test_vertex_cap(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 import re
 import types
 import weakref
@@ -229,6 +230,26 @@ BOOLEAN_CASES = [
         tmp, sweep_doc(dataset={"path": write_csv(tmp), "lasso_profile": v})))),
 ]
 
+# (kind, key, value, build) as above, for the real numbers.
+NUMBER_CASES = [
+    ("l1_ball body", "radius", "0.5", lambda v, tmp: body_from_dict(
+        {**BODY_DOCS["l1_ball"], "radius": v})),
+    ("l2_ball body", "radius", math.nan, lambda v, tmp: body_from_dict(
+        {**BODY_DOCS["l2_ball"], "radius": v})),
+    ("grouped_l1_ball body", "radius", math.inf, lambda v, tmp: body_from_dict(
+        {**BODY_DOCS["grouped_l1_ball"], "radius": v})),
+    ("squared_error loss", "ridge", "0.25", lambda v, tmp: loss_from_dict(
+        {**LOSS_DOCS["squared_error"], "ridge": v})),
+    ("huber loss", "delta", True, lambda v, tmp: loss_from_dict(
+        {**LOSS_DOCS["huber"], "delta": v})),
+    ("budget", "delta", "1e-5", lambda v, tmp: PrivacyBudget.from_dict(
+        {"epsilon": 1.0, "delta": v})),
+    ("generator", "noise_level", "0.1",
+     lambda v, tmp: run_sweep(load_sweep(tmp, with_generator(noise_level=v)))),
+    ("generator", "l1_norm", True,
+     lambda v, tmp: run_sweep(load_sweep(tmp, with_generator(l1_norm=v)))),
+]
+
 
 class TestSweepDocument:
     @pytest.mark.parametrize("kind,key,value,build", INTEGER_CASES,
@@ -247,6 +268,17 @@ class TestSweepDocument:
         # Read by truthiness, "false" would turn the flag on.
         with pytest.raises(ValueError,
                            match=re.escape(f"{kind} {key!r} must be a boolean, got {value!r}")):
+            build(value, tmp_path)
+
+    @pytest.mark.parametrize("kind,key,value,build", NUMBER_CASES,
+                             ids=[f"{kind}-{key}-{value!r}" for kind, key, value, _ in
+                                  NUMBER_CASES])
+    def test_a_number_that_is_not_a_finite_real_is_rejected(self, tmp_path, kind, key, value,
+                                                            build):
+        # float() would read a string or a bool as a number, and a NaN
+        # radius would fail only deep inside a run.
+        with pytest.raises(ValueError, match=re.escape(
+                f"{kind} {key!r} must be a finite number, got {value!r}")):
             build(value, tmp_path)
 
     def test_boolean_flags_are_read(self, tmp_path):

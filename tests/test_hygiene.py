@@ -1,7 +1,7 @@
 """Source hygiene: every name a module imports is used in that module,
 every module-level name of the package is named somewhere else (and not
-only by the tests), and every name the benchmark's tracer patches still
-exists."""
+only by the tests), every class member is read by the package or the
+benchmark, and every name the benchmark's tracer patches still exists."""
 
 import ast
 import types
@@ -154,6 +154,69 @@ def test_definition_scan_ignores_self_reference():
         "getattr(m, 'by_string')\n"
     )
     assert unreferenced({"mod": mod}, [mod, reader]) == ["mod._TABLE", "mod.walk"]
+
+
+def class_members(tree: ast.Module):
+    """(class, member, node) for each method, property and annotated field
+    of the module's classes (dunder methods excluded)."""
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = node.name
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                name = node.target.id
+            else:
+                continue
+            if not name.startswith("__"):
+                yield cls.name, name, node
+
+
+def unread_members(modules: dict[str, ast.Module], readers: list[ast.Module]) -> list[str]:
+    """``module.Class.member`` for each member of a class in ``modules``
+    whose name no reader names, nor its own module outside the member."""
+    names = [(tree, named(tree)) for tree in readers]
+    out = []
+    for module, tree in modules.items():
+        elsewhere = set().union(*(seen for t, seen in names if t is not tree))
+        for cls, name, node in class_members(tree):
+            if name not in elsewhere and name not in named(tree, skip=node):
+                out.append(f"{module}.{cls}.{name}")
+    return out
+
+
+def test_every_class_member_is_read_by_a_run():
+    """Members that only the tests read belong in ``tests/reference.py``.
+
+    The scan goes by name, so a member is kept by any read of its name:
+    it cannot see one that shares its name with a member that is read.
+    ``Potential.value``, ``Potential.grad`` and ``LossSpec.grad_single``
+    were found by reading the code, not by this scan.
+    """
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in RUN_READERS}
+    modules = {path.stem: trees[path] for path in MODULES}
+    assert unread_members(modules, list(trees.values())) == []
+
+
+def test_member_scan_ignores_self_reference():
+    mod = ast.parse(
+        "class Shape:\n"
+        "    size: int\n"
+        "    is_open = False\n"
+        "    def __post_init__(self): pass\n"
+        "    def area(self):\n"
+        "        return self.area() if self.size else 0\n"
+        "    @property\n"
+        "    def corners(self): return self.size\n"
+        "    def scale(self): pass\n"
+        "    def _drawn(self): pass\n"
+        "def draw(shape):\n"
+        "    return shape._drawn()\n"
+    )
+    reader = ast.parse("getattr(shape, 'scale')\n")
+    assert unread_members({"mod": mod}, [mod, reader]) == ["mod.Shape.area",
+                                                          "mod.Shape.corners"]
 
 
 def test_benchmark_tracer_names_exist():

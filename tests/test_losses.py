@@ -20,7 +20,7 @@ from dperm.losses import (
 )
 from dperm.oracle import cached_solve, solve_exact
 
-from reference import curvature_empirical, sample_feasible
+from reference import curvature_empirical, record_grad, sample_feasible
 
 
 def lasso_dataset(rng, n=200, p=5):
@@ -66,7 +66,7 @@ class TestSquaredErrorEvaluation:
         sq = SquaredError()
         data = Dataset(X=np.array([[0.3, -0.2]]), y=np.array([0.8]))
         assert sq.loss(np.zeros(2), data) == pytest.approx(0.8 ** 2 / 2)
-        assert np.allclose(sq.grad_single(np.zeros(2), [0.3, -0.2], 0.8),
+        assert np.allclose(record_grad(sq, np.zeros(2), [0.3, -0.2], 0.8),
                            -0.8 * np.array([0.3, -0.2]))
 
     def test_normal_equations_zero_gradient(self, rng):
@@ -88,7 +88,7 @@ class TestSquaredErrorEvaluation:
         sq = SquaredError()
         data = lasso_dataset(rng, n=64, p=4)
         theta = rng.standard_normal(4)
-        singles = np.mean([sq.grad_single(theta, x, y) for x, y in zip(data.X, data.y)], axis=0)
+        singles = np.mean([record_grad(sq, theta, x, y) for x, y in zip(data.X, data.y)], axis=0)
         assert np.abs(sq.grad(theta, data) - singles).max() <= 1e-12
 
     def test_grad_finite_differences(self, rng):
@@ -110,7 +110,7 @@ class TestLipschitz:
         assert L1 <= 2.0 + 1e-12
 
     def test_cross_check_by_maximization(self, rng):
-        # Maximize ||grad_single||_inf over random feasible (theta, x, y)
+        # Maximize ||record_grad||_inf over random feasible (theta, x, y)
         # from the sparse-regression domain; the declared bound must hold.
         sq = SquaredError()
         body = L1Ball(1.0, 6)
@@ -120,7 +120,7 @@ class TestLipschitz:
         idx = rng.integers(0, data.n, size=10_000)
         for i in idx:
             theta = sample_feasible(body, rng)
-            g = sq.grad_single(theta, data.X[i], float(data.y[i]))
+            g = record_grad(sq, theta, data.X[i], float(data.y[i]))
             worst_inf = max(worst_inf, np.abs(g).max())
             worst_two = max(worst_two, float(np.linalg.norm(g)))
         assert worst_inf <= L1 + 1e-12
@@ -143,7 +143,7 @@ class TestLipschitz:
         for _ in range(500):
             i = int(rng.integers(0, data.n))
             theta = sample_feasible(body, rng)
-            g = spec.grad_single(theta, data.X[i], float(data.y[i]))
+            g = record_grad(spec, theta, data.X[i], float(data.y[i]))
             assert np.abs(g).max() <= L1 + 1e-12
             assert np.linalg.norm(g) <= L2 + 1e-12
 
@@ -278,7 +278,7 @@ class TestCustomAndRidge:
         data = lasso_dataset(rng, n=12, p=3)
         spec = SquaredError(ridge=0.1)
         theta = 0.1 * rng.standard_normal(3)
-        singles = np.mean([spec.grad_single(theta, x, y) for x, y in zip(data.X, data.y)],
+        singles = np.mean([record_grad(spec, theta, x, y) for x, y in zip(data.X, data.y)],
                           axis=0)
         assert np.allclose(spec.grad(theta, data), singles, atol=1e-12)
 

@@ -27,7 +27,7 @@ class TestBudget:
             PrivacyBudget(epsilon=1.0, delta=0.0)
 
     def test_non_private_sentinel(self):
-        b = PrivacyBudget.non_private()
+        b = PrivacyBudget(math.inf)
         assert not b.is_private
         assert PrivacyBudget(1.0, 1e-6).is_private
 
@@ -42,6 +42,9 @@ class TestBudget:
         ({"epsilon": None}, 'must be a finite number or "inf"'),
         ({"epsilon": "infinity"}, 'must be a finite number or "inf"'),
         ({"epsilon": math.inf}, 'must be a finite number or "inf"'),
+        ({"epsilon": True}, 'must be a finite number or "inf"'),
+        ({"epsilon": 1.0, "delta": "1e-5"}, "budget 'delta' must be a finite number"),
+        ({"epsilon": 1.0, "delta": math.nan}, "budget 'delta' must be a finite number"),
     ])
     def test_from_dict_rejects_a_budget_that_is_not_the_one_configured(self, doc, message):
         # Each of these documents used to run without noise or with a delta
@@ -59,7 +62,7 @@ class TestMdSigma:
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_non_private_zero(self):
-        assert md_sigma(1.0, 100, PrivacyBudget.non_private(), 1000) == 0.0
+        assert md_sigma(1.0, 100, PrivacyBudget(math.inf), 1000) == 0.0
 
     def test_doubling_n_quarters_variance(self):
         b = PrivacyBudget(1.0, 1e-6)
@@ -103,7 +106,7 @@ class TestObjPertPlan:
         assert zeta == 0.0
 
     def test_non_private(self):
-        assert objpert_plan(1.0, 1.0, 0.0, PrivacyBudget.non_private(), 10) == (0.0, 0.0)
+        assert objpert_plan(1.0, 1.0, 0.0, PrivacyBudget(math.inf), 10) == (0.0, 0.0)
 
     def test_lambda_order(self):
         with pytest.raises(ValueError):

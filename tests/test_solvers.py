@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -18,13 +19,32 @@ from dperm.solvers import (
     sc_step_schedule,
 )
 
-NON_PRIVATE = PrivacyBudget.non_private()
+NON_PRIVATE = PrivacyBudget(math.inf)
 SQ = SquaredError()
 
 
 @pytest.fixture(scope="module")
 def small_lasso():
     return generate_lasso(n=400, p=12, sparsity=3, noise_level=0.1, seed=31)
+
+
+def step_loop(cfg, data, run=None):
+    """The library's own loop generator for ``cfg``, on ``run`` (by default
+    ``resolve_defaults(cfg, data)``) and the noise stream ``run_solver`` uses."""
+    return solvers._LOOPS[cfg.algorithm](cfg, data, run or resolve_defaults(cfg, data),
+                                         spawn_rng(cfg.seed, solvers._STREAM_NOISE))
+
+
+def drive(cfg, data, run=None):
+    """Run ``step_loop(cfg, data, run)`` to its end.  Returns the iterates it
+    yielded and what it returned, (theta_priv, iterations, extras)."""
+    loop = step_loop(cfg, data, run)
+    iterates = []
+    while True:
+        try:
+            iterates.append(next(loop))
+        except StopIteration as stop:
+            return iterates, stop.value
 
 
 # ---------------------------------------------------------------------------
@@ -216,22 +236,21 @@ class TestNoisyMirrorDescent:
     def test_output_is_mean_of_iterates(self, small_lasso):
         cfg = SolverConfig(algorithm="noisy_md", body=L1Ball(1.0, 12), loss=SQ,
                            budget=PrivacyBudget(1.0, 1e-6), potential=SquaredL2(12),
-                           T=25, seed=4, record_iterates=True)
-        rep = run_solver(cfg, small_lasso)
-        iterates = np.array(rep.extras["iterates"])
+                           T=25, seed=4)
+        iterates, (theta, _, _) = drive(cfg, small_lasso)
+        iterates = np.array(iterates)
         assert iterates.shape[0] == 25
-        assert np.abs(np.mean(iterates, axis=0) - rep.theta_priv).max() <= 1e-12
+        assert np.abs(np.mean(iterates, axis=0) - theta).max() <= 1e-12
 
     def test_every_iterate_feasible(self, small_lasso):
         body = Simplex(12)
         cfg = SolverConfig(algorithm="noisy_md", body=body, loss=SQ,
                            budget=PrivacyBudget(1.0, 1e-6),
-                           potential=NegativeEntropy(12), T=30, seed=8,
-                           record_iterates=True)
-        rep = run_solver(cfg, small_lasso)
-        for theta in rep.extras["iterates"]:
+                           potential=NegativeEntropy(12), T=30, seed=8)
+        iterates, (theta_priv, _, _) = drive(cfg, small_lasso)
+        for theta in iterates:
             assert body.contains(theta)
-        assert rep.feasible
+        assert body.contains(theta_priv)
 
     def test_reproducible(self, small_lasso):
         def run_once():
@@ -330,9 +349,12 @@ class TestObjectivePerturbation:
         cfg = SolverConfig(algorithm="obj_pert", body=body, loss=SQ,
                            budget=PrivacyBudget(1.0, 1e-6), seed=1)
         monkeypatch.setattr(solvers, "OBJPERT_INNER_TOL", 1e-30)
-        with pytest.warns(UserWarning, match=r"objective-perturbation inner solve stopped "
-                                             r"at gap \d\.\d+e[-+]\d+ after \d+ iterations"):
+        message = (r"objective-perturbation inner solve stopped "
+                   r"at gap \d\.\d+e[-+]\d+ after \d+ iterations")
+        with pytest.warns(UserWarning, match=message) as caught:
             rep = run_solver(cfg, data)
+        # The warning names the caller of ``run_solver``, not the library.
+        assert [w.filename for w in caught] == [__file__]
         assert rep.extras["inner_converged"] is False
         assert 0.0 < rep.extras["inner_gap"] <= 1e-8
         assert rep.iterations > 0 and rep.feasible
@@ -431,9 +453,9 @@ class TestFwPolytope:
     def test_monotone_gap_zero_noise(self, small_lasso):
         body = L1Ball(1.0, 12)
         cfg = SolverConfig(algorithm="fw_polytope", body=body, loss=SQ,
-                           budget=NON_PRIVATE, T=50, seed=0, record_iterates=True)
-        rep = run_solver(cfg, small_lasso)
-        for theta in rep.extras["iterates"]:
+                           budget=NON_PRIVATE, T=50, seed=0)
+        iterates, _ = drive(cfg, small_lasso)
+        for theta in iterates:
             g = SQ.grad(theta, small_lasso)
             gap = float(g @ (np.asarray(theta) - body.lmo(g)))
             assert gap >= -1e-12
@@ -441,10 +463,9 @@ class TestFwPolytope:
     def test_iterates_feasible(self, small_lasso):
         body = Simplex(12)
         cfg = SolverConfig(algorithm="fw_polytope", body=body, loss=SQ,
-                           budget=PrivacyBudget(1.0, 1e-6), T=30, seed=1,
-                           record_iterates=True)
-        rep = run_solver(cfg, small_lasso)
-        assert all(body.contains(t) for t in rep.extras["iterates"])
+                           budget=PrivacyBudget(1.0, 1e-6), T=30, seed=1)
+        iterates, _ = drive(cfg, small_lasso)
+        assert all(body.contains(t) for t in iterates)
 
     def test_requires_vertex_enumerable_body(self, small_lasso):
         with pytest.raises(ValueError, match="vertex-enumerable"):
@@ -474,16 +495,16 @@ class TestFwGeneral:
 
         body = L2Ball(1.0, 12)
         cfg = SolverConfig(algorithm="fw_general", body=body, loss=SQ,
-                           budget=PrivacyBudget(1.0, 1e-6), T=2, seed=42,
-                           record_iterates=True)
-        rep = run_solver(cfg, small_lasso)
-        run_sigma = rep.noise_plan.sigma
+                           budget=PrivacyBudget(1.0, 1e-6), T=2, seed=42)
+        run = resolve_defaults(cfg, small_lasso)
+        iterates, _ = drive(cfg, small_lasso, run)
+        run_sigma = run.plan.sigma
         rng = spawn_rng(42, 0)
         g = SQ.grad(body.canonical_point(), small_lasso) + sample_gaussian_vec(12, run_sigma, rng)
         expected_target = -g / np.linalg.norm(g)
         mu = 1.0 / (2 + 2.0)
         expected = mu * expected_target
-        assert np.allclose(rep.extras["iterates"][1], expected, atol=1e-12)
+        assert np.allclose(iterates[1], expected, atol=1e-12)
 
     def test_sigma_matches_independent_formula(self, small_lasso):
         cfg = SolverConfig(algorithm="fw_general", body=L1Ball(1.0, 12), loss=SQ,
@@ -503,15 +524,29 @@ class TestFwGeneral:
         assert rep.feasible
 
 
+def config_for(algorithm: str, **kw) -> SolverConfig:
+    """A private config of ``algorithm`` on the 12-dimensional l1 ball, with
+    the ridge loss on the l2 ball for ``strongly_convex_md``."""
+    body, loss = L1Ball(1.0, 12), SQ
+    if algorithm == "strongly_convex_md":
+        body = L2Ball(1.0, 12)
+        loss = SquaredError(ridge=0.5)
+    potential = SquaredL2(12) if algorithm.endswith("_md") else None
+    return SolverConfig(algorithm=algorithm, body=body, loss=loss,
+                        budget=PrivacyBudget(1.0, 1e-6), potential=potential, **kw)
+
+
 class TestReportAndConfig:
-    def test_report_serializes(self, small_lasso):
-        cfg = SolverConfig(algorithm="fw_polytope", body=L1Ball(1.0, 12), loss=SQ,
-                           budget=PrivacyBudget(1.0, 1e-6), T=10, seed=0)
-        rep = run_solver(cfg, small_lasso)
+    @pytest.mark.parametrize("algorithm", ["fw_polytope", "fw_general", "noisy_md",
+                                           "strongly_convex_md", "obj_pert"])
+    def test_report_serializes(self, small_lasso, algorithm):
+        rep = run_solver(config_for(algorithm, T=10, seed=0), small_lasso)
         doc = rep.to_dict()
-        assert doc["algorithm"] == "fw_polytope"
-        assert doc["noise_plan"]["laplace_scale"] > 0
+        assert doc["algorithm"] == algorithm
+        scale = "laplace_scale" if algorithm == "fw_polytope" else "sigma"
+        assert doc["noise_plan"][scale] > 0
         assert isinstance(doc["noise_plan"]["trace"], list) and doc["noise_plan"]["trace"]
+        assert json.loads(json.dumps(doc)) == doc
 
     def test_config_from_dict(self):
         doc = {
@@ -554,20 +589,15 @@ class TestReportAndConfig:
 
     @pytest.mark.parametrize("algorithm", solvers.ALGORITHMS)
     def test_record_iterates_keeps_the_step_iterates(self, small_lasso, algorithm):
-        body, loss = L1Ball(1.0, 12), SQ
-        if algorithm == "strongly_convex_md":
-            body = L2Ball(1.0, 12)
-            loss = SquaredError(ridge=0.5)
-        potential = SquaredL2(12) if algorithm.endswith("_md") else None
-        cfg = SolverConfig(algorithm=algorithm, body=body, loss=loss,
-                           budget=PrivacyBudget(1.0, 1e-6), potential=potential,
-                           T=7, seed=2, record_iterates=True)
-        rep = run_solver(cfg, small_lasso)
+        # The loops yield their iterates; the report keeps none of them.
+        cfg = config_for(algorithm, T=7, seed=2)
+        iterates, (theta, iterations, _) = drive(cfg, small_lasso)
+        assert "iterates" not in run_solver(cfg, small_lasso).extras
         if algorithm == "obj_pert":
-            assert "iterates" not in rep.extras
+            assert len(iterates) == 1 and iterates[0] is theta
         else:
-            assert rep.iterations == 7 and len(rep.extras["iterates"]) == 7
-            assert all(body.contains(theta) for theta in rep.extras["iterates"])
+            assert iterations == 7 and len(iterates) == 7
+            assert all(cfg.body.contains(theta) for theta in iterates)
 
 
 class TestBlockNoise:
@@ -587,17 +617,40 @@ class TestBlockNoise:
         potential = SquaredL2(12) if algorithm == "noisy_md" else None
         for seed in (0, 1, 2):
             cfg = SolverConfig(algorithm=algorithm, body=L1Ball(1.0, 12), loss=SQ,
-                               budget=budget, potential=potential, T=23, seed=seed,
-                               record_iterates=True)
-            rep = run_solver(cfg, small_lasso)
+                               budget=budget, potential=potential, T=23, seed=seed)
+            got, (theta_priv, _, extras) = drive(cfg, small_lasso)
             theta, iterates, weights = reference_step_loop(cfg, small_lasso)
-            assert np.array_equal(rep.theta_priv, theta)
-            assert len(rep.extras["iterates"]) == len(iterates) == 23
-            assert all(np.array_equal(a, b) for a, b in zip(rep.extras["iterates"], iterates))
+            assert np.array_equal(theta_priv, theta)
+            assert np.array_equal(run_solver(cfg, small_lasso).theta_priv, theta)
+            assert len(got) == len(iterates) == 23
+            assert all(np.array_equal(a, b) for a, b in zip(got, iterates))
             if algorithm == "fw_polytope":
-                ledger = rep.extras["vertex_weights"]
+                ledger = extras["vertex_weights"]
                 assert ledger == weights and list(ledger) == list(weights)
-                assert rep.extras["support_size"] == sum(1 for v in weights.values() if v > 0)
+                assert extras["support_size"] == sum(1 for v in weights.values() if v > 0)
+
+
+CROSS_12 = Polytope(np.vstack([np.eye(12), -np.eye(12)]))
+
+
+class TestYieldedIterates:
+    """The loops yield their iterates without copying them, so no later
+    step may write into one."""
+
+    @pytest.mark.parametrize("algorithm,body,potential", [
+        ("noisy_md", L1Ball(1.0, 12), SquaredL2(12)),
+        ("noisy_md", Simplex(12), NegativeEntropy(12)),
+        ("noisy_md", CROSS_12, PolytopeQNorm(CROSS_12)),
+        ("fw_polytope", L1Ball(1.0, 12), None),
+        ("fw_general", L1Ball(1.0, 12), None),
+    ], ids=["md-squared_l2", "md-entropy", "md-q_norm", "fw_polytope", "fw_general"])
+    def test_no_step_writes_into_a_yielded_iterate(self, small_lasso, algorithm, body,
+                                                   potential):
+        cfg = SolverConfig(algorithm=algorithm, body=body, loss=SQ,
+                           budget=PrivacyBudget(1.0, 1e-6), potential=potential, T=30, seed=5)
+        kept = [(theta, theta.copy()) for theta in step_loop(cfg, small_lasso)]
+        assert len(kept) == 30
+        assert all(np.array_equal(theta, copy) for theta, copy in kept)
 
 
 class TestStatisticsBoundOncePerRun:
@@ -623,8 +676,7 @@ class TestStatisticsBoundOncePerRun:
 
         monkeypatch.setattr(Dataset, "gram", counting_gram)
         monkeypatch.setattr(Dataset, "_memo", counting_memo)
-        theta, iterations, _ = solvers._LOOPS[algorithm](
-            cfg, small_lasso, run, spawn_rng(cfg.seed, solvers._STREAM_NOISE), None)
+        _, (theta, iterations, _) = drive(cfg, small_lasso, run)
         assert iterations == 40
         assert calls["gram"] <= 1 and calls["memo"] <= 1, calls
         assert np.array_equal(theta, run_solver(cfg, small_lasso).theta_priv)
