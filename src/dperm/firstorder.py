@@ -27,8 +27,9 @@ Stall rule (there is no iteration cap): a run whose best gap has not
 improved for ``STALL_CHECKS`` checks, or whose step falls below
 ``MIN_STEP``, raises ``NotCertifiedError`` carrying the best-gap iterate.
 
-A ``Polytope`` body runs over its simplex of vertex coefficients, which is
-projectable; f, its gradient and the gap are taken in ambient space.
+The loop steps over the body's iterate space (``ConvexBody.iterate_space``):
+the body itself, or for a ``Polytope`` its projectable simplex of vertex
+coefficients.  f, its gradient and the gap are taken in ambient space.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .geometry import ConvexBody, Polytope, Simplex
+from .geometry import ConvexBody
 
 CHECK_EVERY = 10
 STALL_CHECKS = 50
@@ -77,32 +78,24 @@ def minimize(body: ConvexBody, fgrad: Callable[[np.ndarray], np.ndarray], tol: f
     absolute otherwise.  The run starts at the canonical point of the body
     it runs over: a polytope at its uniform vertex coefficients.
     """
-    if isinstance(body, Polytope):
-        V = body.vertex_array
-        run_body = Simplex(dimension=body.n_vertices)
-
-        def to_point(a):
-            return V.T @ a
-
-        def run_grad(a):
-            return V @ fgrad(V.T @ a)
+    run_body, point_of, pullback = body.iterate_space()
+    if run_body is body:
+        run_grad = fgrad
     else:
-        run_body, run_grad = body, fgrad
-
-        def to_point(u):
-            return u
+        def run_grad(a):
+            return pullback(fgrad(point_of(a)))
 
     x = run_body.canonical_point()
 
     def gap_at(u) -> float:
         # u is feasible, so the true gap is nonnegative; a negative value
         # is rounding at an optimum on the boundary.
-        pt = to_point(u)
+        pt = point_of(u)
         g = fgrad(pt)
         return max(float(g @ (pt - body.lmo(g))), 0.0)
 
     def not_certified(reason: str) -> NotCertifiedError:
-        return NotCertifiedError(reason, to_point(best_x), best_gap, best_target, it,
+        return NotCertifiedError(reason, point_of(best_x), best_gap, best_target, it,
                                  best_value)
 
     z = x.copy()
@@ -115,10 +108,10 @@ def minimize(body: ConvexBody, fgrad: Callable[[np.ndarray], np.ndarray], tol: f
     while True:
         if it % CHECK_EVERY == 0:
             gap = gap_at(x)
-            fx = None if fval is None else fval(to_point(x))
+            fx = None if fval is None else fval(point_of(x))
             target = tol if fx is None else tol * (1.0 + abs(fx))
             if gap <= target:
-                return Certified(to_point(x), gap, fx, it)
+                return Certified(point_of(x), gap, fx, it)
             if gap < best_gap:
                 best_x, best_gap, best_target, best_value = x, gap, target, fx
                 stale_checks = 0

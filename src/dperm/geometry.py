@@ -52,6 +52,10 @@ def _check_radius(radius: float) -> None:
         raise ValueError(f"radius must be positive and finite, got {radius}")
 
 
+def _identity(x):
+    return x
+
+
 def row_abs_max(G: np.ndarray) -> np.ndarray:
     """max_j |G_ij| for every row i.  |G| is formed one block of rows at a
     time, which needs less memory and, in cache, less time than whole."""
@@ -114,6 +118,13 @@ class ConvexBody:
         """<v, g> for every vertex v, in ``vertices()`` order, for a finite
         float vector g: ``vertices() @ g``, or its value without the product."""
         return self.vertices() @ g
+
+    def iterate_space(self) -> tuple[ConvexBody, Callable, Callable]:
+        """(iterate body, point_of, pullback): the projectable body a
+        first-order run steps over, the map of its iterates to points of
+        this body and the map of gradients at those points back to it.
+        The body itself with identity maps; ``Polytope`` overrides it."""
+        return self, _identity, _identity
 
     # -- serialization ----------------------------------------------------
 
@@ -371,6 +382,18 @@ class Polytope(ConvexBody):
 
     def vertices(self) -> np.ndarray:
         return self.vertex_array
+
+    def iterate_space(self) -> tuple[ConvexBody, Callable, Callable]:
+        """The simplex of vertex coefficients a, with a -> V^T a and g -> V g."""
+        V = self.vertex_array
+
+        def point_of(a):
+            return V.T @ a
+
+        def pullback(g):
+            return V @ g
+
+        return Simplex(dimension=self.n_vertices), point_of, pullback
 
     def to_dict(self) -> dict:
         return {"kind": "polytope", "vertices": self.vertex_array.tolist()}
@@ -675,16 +698,14 @@ def symmetric_hull(body: ConvexBody) -> ConvexBody:
 
 
 # Each kind's document keys besides "kind", and its builder, which takes
-# them as keyword arguments ("dimension" and "group_size" as integers,
-# "radius" as a finite float).
+# them as keyword arguments, each read by its ``_KEY_READERS`` entry.
 _KIND_TAGS = {
     "l2_ball": (("radius", "dimension"), L2Ball),
     "l1_ball": (("radius", "dimension"), L1Ball),
     "simplex": (("dimension",), Simplex),
-    "polytope": (("vertices",), lambda vertices: Polytope(np.asarray(vertices, dtype=float))),
+    "polytope": (("vertices",), lambda vertices: Polytope(vertices)),
     "grouped_l1_ball": (("radius", "group_size", "dimension"), GroupedL1Ball),
-    "box": (("lo", "hi"), lambda lo, hi: Box(lo=np.asarray(lo, dtype=float),
-                                             hi=np.asarray(hi, dtype=float))),
+    "box": (("lo", "hi"), Box),
 }
 
 
@@ -714,6 +735,21 @@ def doc_float(value, kind: str, key: str) -> float:
     return float(value)
 
 
+def doc_floats(value, kind: str, key: str) -> np.ndarray:
+    """``value`` of the ``key`` field of a ``kind`` document, a (nested) list
+    of numbers, as a float array; an entry that ``doc_float`` refuses, a
+    string, a bool or a non-finite number among them, raises its
+    ``ValueError``."""
+    entries = np.asarray(value, dtype=object)
+    for v in entries.flat:
+        if type(v) is not float:  # floats are checked at once below
+            doc_float(v, kind, key)
+    out = entries.astype(float)
+    for v in out[~np.isfinite(out)]:
+        doc_float(float(v), kind, key)
+    return out
+
+
 def doc_bool(value, kind: str, key: str) -> bool:
     """``value`` of the ``key`` field of a ``kind`` document, as a boolean;
     any other value, a string or an integer among them, raises
@@ -730,6 +766,11 @@ def check_keys(doc: dict, allowed, kind: str) -> None:
         raise ValueError(f"unknown {kind} key(s) {unknown}; expected some of {sorted(allowed)}")
 
 
+# How each body document key is read.
+_KEY_READERS = {"radius": doc_float, "dimension": doc_int, "group_size": doc_int,
+                "lo": doc_floats, "hi": doc_floats, "vertices": doc_floats}
+
+
 def body_from_dict(doc: dict) -> ConvexBody:
     kind = doc.get("kind")
     if kind not in _KIND_TAGS:
@@ -737,11 +778,5 @@ def body_from_dict(doc: dict) -> ConvexBody:
     keys, build = _KIND_TAGS[kind]
     label = f"{kind} body"
     check_keys(doc, {"kind", *keys}, label)
-
-    def read(key):
-        value = doc_field(doc, key, label)
-        if key == "radius":
-            return doc_float(value, label, key)
-        return doc_int(value, label, key) if key in ("dimension", "group_size") else value
-
-    return build(**{key: read(key) for key in keys})
+    return build(**{key: _KEY_READERS[key](doc_field(doc, key, label), label, key)
+                    for key in keys})

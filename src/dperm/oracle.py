@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .firstorder import minimize
-from .geometry import ConvexBody, Polytope, body_key
+from .geometry import ConvexBody, body_key
 from .losses import Dataset, LossSpec, loss_key, require_matching_dimension
 
 DEFAULT_REL_TOL = 1e-9
@@ -44,9 +44,11 @@ def solve_exact(body: ConvexBody, loss: LossSpec, data: Dataset) -> OracleSoluti
     """Minimize the empirical loss over the body to a duality-gap certificate.
 
     Runs ``firstorder.minimize`` with the relative target
-    ``DEFAULT_REL_TOL`` * (1 + |optimum|); polytopes run over their
-    simplex of vertex coefficients there.  The optimum is returned only
-    once its Frank-Wolfe gap meets the target.  A run that cannot certify raises
+    ``DEFAULT_REL_TOL`` * (1 + |optimum|) over the body's iterate space;
+    the method is ``fista-coefficient`` when that is not the body itself
+    (a polytope's simplex of vertex coefficients), else ``fista``.  The
+    optimum is returned only once its Frank-Wolfe gap meets the target.
+    A run that cannot certify raises
     ``firstorder.NotCertifiedError`` (a ``RuntimeError``) naming the best
     gap, the target, the iteration count and the best value.
 
@@ -55,7 +57,7 @@ def solve_exact(body: ConvexBody, loss: LossSpec, data: Dataset) -> OracleSoluti
     require_matching_dimension(body, data)
     sol = minimize(body, loss.bound_grad(data), DEFAULT_REL_TOL,
                    fval=lambda x: loss.loss(x, data))
-    method = "fista-coefficient" if isinstance(body, Polytope) else "fista"
+    method = "fista" if body.iterate_space()[0] is body else "fista-coefficient"
     return OracleSolution(theta_star=sol.x, optimum_value=sol.value,
                           gap_certificate=sol.gap, method=method, body=body)
 

@@ -2,13 +2,12 @@
 
 Each potential declares the symmetric body Q whose gauge it is strongly
 convex against, plus a closed-form bound on its maximum over the feasible
-set, and takes its prox step in closed form.  Potentials are immutable
-after construction; all operations are pure.
-
-The polytope q-norm potential is stepped in coefficient space: iterates
-are simplex vectors a with theta = V^T a, the q-norm applied to a, and
-gradients pulled back through the vertex matrix.  Its ``iterate_body`` is
-therefore a simplex over the vertex count, not the polytope itself.
+set, and takes its prox step in closed form.  A potential holds no state:
+each method reads the dimension, the blocks or the vertex count from the
+body it is given.  ``check_fit``, ``natural_q`` and ``max_over_domain``
+take the run's body; ``mirror_step`` and ``grad`` take the iterate body of
+``ConvexBody.iterate_space`` (a polytope's coefficient simplex, any other
+body itself).
 
 The q-norm and grouped prox steps find their scalar multiplier with
 Brent's method (``scipy.optimize.brentq``) on a bracket that holds the
@@ -18,7 +17,6 @@ root, to ``ROOT_RTOL`` relative precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
@@ -47,22 +45,16 @@ ROOT_XTOL = 1e-300
 
 
 class Potential:
-    """Base mirror map: its iterate space, its constants and its prox step."""
+    """Base mirror map: the bodies it fits, its constants and its prox step."""
 
-    # -- iterate-space mapping (identity except for coefficient potentials)
+    def check_fit(self, body: ConvexBody) -> None:
+        """Raise ``ValueError`` unless the potential can run on ``body``.
 
-    def iterate_body(self, body: ConvexBody) -> ConvexBody:
-        self._check_body(body)
-        return body
-
-    def to_point(self, x: np.ndarray) -> np.ndarray:
-        return x
-
-    def pull_back(self, g: np.ndarray) -> np.ndarray:
-        return g
-
-    def _check_body(self, body: ConvexBody) -> None:
-        pass
+        The base potential steps by Euclidean projection, which a polytope
+        does not have.
+        """
+        if isinstance(body, Polytope):
+            raise ValueError("euclidean projection is not supported for Polytope")
 
     def _step_args(self, x_t, g, eta: float):
         """Check a mirror step's arguments; return x_t and g as float arrays."""
@@ -77,10 +69,10 @@ class Potential:
     # -- core interface ----------------------------------------------------
 
     def mirror_step(self, body: ConvexBody, x_t, g, eta: float) -> np.ndarray:
-        """argmin over the body of <eta*g, x> + B_Psi(x, x_t), in closed form.
+        """argmin over the iterate body of <eta*g, x> + B_Psi(x, x_t), in
+        closed form.
 
-        ``g`` is the (already noised) gradient in the potential's iterate
-        space.
+        ``g`` is the (already noised) gradient in the iterate space.
         """
         raise NotImplementedError
 
@@ -95,7 +87,6 @@ class Potential:
         raise NotImplementedError
 
 
-@dataclass(frozen=True, eq=False)
 class SquaredL2(Potential):
     """Psi(theta) = 0.5 ||theta||_2^2; 1-strongly convex w.r.t. l2.
 
@@ -103,20 +94,17 @@ class SquaredL2(Potential):
     a projected gradient step.
     """
 
-    dimension: int
-
     def mirror_step(self, body: ConvexBody, x_t, g, eta: float) -> np.ndarray:
         x_t, g = self._step_args(x_t, g, eta)
         return body.euclidean_project(x_t - eta * g)
 
     def natural_q(self, body: ConvexBody) -> ConvexBody:
-        return L2Ball(radius=1.0, dimension=self.dimension)
+        return L2Ball(radius=1.0, dimension=body.dimension)
 
     def max_over_domain(self, body: ConvexBody) -> float:
         return 0.5 * body.l2_diameter() ** 2
 
 
-@dataclass(frozen=True, eq=False)
 class NegativeEntropy(Potential):
     """Shifted negative entropy on the simplex: sum theta ln theta + ln p.
 
@@ -126,9 +114,7 @@ class NegativeEntropy(Potential):
     Pinsker's inequality.
     """
 
-    dimension: int
-
-    def _check_body(self, body: ConvexBody) -> None:
+    def check_fit(self, body: ConvexBody) -> None:
         if not isinstance(body, Simplex):
             raise ValueError("the entropy potential is only defined on the simplex")
 
@@ -139,7 +125,6 @@ class NegativeEntropy(Potential):
         return np.maximum(v, ENTROPY_FLOOR)
 
     def mirror_step(self, body: ConvexBody, x_t, g, eta: float) -> np.ndarray:
-        self._check_body(body)
         x_t, g = self._step_args(x_t, g, eta)
         x_t = self._floored(x_t)
         # Multiplicative-weights update, stabilized against overflow.
@@ -150,11 +135,10 @@ class NegativeEntropy(Potential):
         return w / w.sum()
 
     def natural_q(self, body: ConvexBody) -> ConvexBody:
-        return L1Ball(radius=1.0, dimension=self.dimension)
+        return L1Ball(radius=1.0, dimension=body.dimension)
 
     def max_over_domain(self, body: ConvexBody) -> float:
-        self._check_body(body)
-        return math.log(self.dimension)
+        return math.log(body.dimension)
 
 
 def default_q_exponent(n_vertices: int) -> float:
@@ -165,44 +149,23 @@ def default_q_exponent(n_vertices: int) -> float:
     return lk / (lk - 1.0)
 
 
-@dataclass(frozen=True, eq=False)
 class PolytopeQNorm(Potential):
     """Coefficient-space q-norm potential for polytopes, Psi = ||a||_q^2 / (4(q-1)).
 
-    Iterates are nonnegative representation coefficients on the simplex over
-    the vertex list; ``to_point``/``pull_back`` translate between coefficient
-    and ambient space.  The exponent q is ``default_q_exponent`` of the
-    vertex count.
+    Runs on a polytope; its iterates are nonnegative representation
+    coefficients a on the polytope's coefficient simplex.  The exponent q
+    is ``default_q_exponent`` of the vertex count k: the polytope's
+    ``n_vertices`` in ``max_over_domain``, the simplex's dimension in
+    ``grad`` and ``mirror_step``.
     """
 
-    polytope: Polytope
+    def check_fit(self, body: ConvexBody) -> None:
+        if not isinstance(body, Polytope):
+            raise ValueError("polytope_q_norm requires a polytope body")
 
-    @property
-    def n_vertices(self) -> int:
-        return self.polytope.n_vertices
-
-    @property
-    def q(self) -> float:
-        return default_q_exponent(self.n_vertices)
-
-    def iterate_body(self, body: ConvexBody) -> ConvexBody:
-        self._check_body(body)
-        return Simplex(dimension=self.n_vertices)
-
-    def _check_body(self, body: ConvexBody) -> None:
-        if not (isinstance(body, Polytope)
-                and np.array_equal(body.vertex_array, self.polytope.vertex_array)):
-            raise ValueError("body must be the polytope this potential was built for")
-
-    def to_point(self, a: np.ndarray) -> np.ndarray:
-        return self.polytope.vertex_array.T @ np.asarray(a, dtype=float)
-
-    def pull_back(self, g: np.ndarray) -> np.ndarray:
-        return self.polytope.vertex_array @ np.asarray(g, dtype=float)
-
-    def grad(self, a) -> np.ndarray:
+    def grad(self, body: ConvexBody, a) -> np.ndarray:
         a = np.asarray(a, dtype=float)
-        q = self.q
+        q = default_q_exponent(body.dimension)
         nq = float(np.sum(np.abs(a) ** q)) ** (1.0 / q)
         if nq == 0.0:
             return np.zeros_like(a)
@@ -218,8 +181,8 @@ class PolytopeQNorm(Potential):
         Brent's method to machine precision, after which a = b / sum b.
         """
         x_t, g = self._step_args(x_t, g, eta)
-        c = eta * g - self.grad(x_t)
-        q = self.q
+        c = eta * g - self.grad(body, x_t)
+        q = default_q_exponent(body.dimension)
         expo = 1.0 / (q - 1.0)
 
         def beta(lam: float) -> np.ndarray:
@@ -244,62 +207,49 @@ class PolytopeQNorm(Potential):
         return b / b.sum()
 
     def natural_q(self, body: ConvexBody) -> ConvexBody:
-        return symmetric_hull(self.polytope)
+        return symmetric_hull(body)
 
     def max_over_domain(self, body: ConvexBody) -> float:
         # On the simplex ||a||_q <= ||a||_1 = 1.
-        return 1.0 / (4.0 * (self.q - 1.0))
+        return 1.0 / (4.0 * (default_q_exponent(body.n_vertices) - 1.0))
 
 
-@dataclass(frozen=True, eq=False)
-class GroupedL1(Potential):
-    """Block-norm potential Psi(theta) = (1/(M xi)) sum_j ||theta_(j)||_2^M.
+def grouped_exponents(ball: GroupedL1Ball) -> tuple[float, float]:
+    """The exponent M and scale xi of the grouped potential on ``ball``.
 
-    The exponent M and scale xi follow the block-count table: M = 2 with
-    xi in {1, 1/2} for one or two blocks, else M = 1 + 1/ln(p/g) and
-    xi = 1/(e ln(p/g)).  Ratios p/g below e fall back to the two-block
-    branch so M stays in (1, 2]; two blocks mean p/g <= 2 < e, so the
-    ratio alone picks the branch.
+    They follow the block-count table: M = 2 with xi in {1, 1/2} for one or
+    two blocks, else M = 1 + 1/ln(p/g) and xi = 1/(e ln(p/g)).  Ratios p/g
+    below e fall back to the two-block branch so M stays in (1, 2]; two
+    blocks mean p/g <= 2 < e, so the ratio alone picks the branch.
     """
+    if ball.group_size == ball.dimension:
+        return 2.0, 1.0
+    log_ratio = math.log(ball.dimension / ball.group_size)
+    if log_ratio < 1.0:
+        return 2.0, 0.5
+    return 1.0 + 1.0 / log_ratio, 1.0 / (math.e * log_ratio)
 
-    dimension: int
-    group_size: int
 
-    def __post_init__(self):
-        if not (1 <= self.group_size <= self.dimension):
-            raise ValueError("group size must be in [1, dimension]")
+class GroupedL1(Potential):
+    """Block-norm potential Psi(theta) = (1/(M xi)) sum_j ||theta_(j)||_2^M
+    on a grouped-l1 ball, over the ball's blocks, with (M, xi) =
+    ``grouped_exponents(ball)``."""
 
-    @property
-    def exponent(self) -> float:
-        ratio = self.dimension / self.group_size
-        if math.log(ratio) < 1.0:
-            return 2.0
-        return 1.0 + 1.0 / math.log(ratio)
+    def check_fit(self, body: ConvexBody) -> None:
+        if not isinstance(body, GroupedL1Ball):
+            raise ValueError("grouped potential requires a grouped-l1 ball with matching blocks")
 
-    @property
-    def scale_xi(self) -> float:
-        ratio = self.dimension / self.group_size
-        if self.group_size == self.dimension:
-            return 1.0
-        if math.log(ratio) < 1.0:
-            return 0.5
-        return 1.0 / (math.e * math.log(ratio))
-
-    def grad(self, x) -> np.ndarray:
+    def grad(self, body: GroupedL1Ball, x) -> np.ndarray:
         v = np.asarray(x, dtype=float)
-        M, xi = self.exponent, self.scale_xi
+        M, xi = grouped_exponents(body)
         out = np.zeros_like(v)
-        for s in block_slices(self.dimension, self.group_size):
+        for s in block_slices(body.dimension, body.group_size):
             nrm = float(np.linalg.norm(v[s]))
             if nrm > 0.0:
                 out[s] = (nrm ** (M - 2.0) / xi) * v[s]
         return out
 
-    def _check_body(self, body: ConvexBody) -> None:
-        if not isinstance(body, GroupedL1Ball) or body.group_size != self.group_size:
-            raise ValueError("grouped potential requires a grouped-l1 ball with matching blocks")
-
-    def mirror_step(self, body: ConvexBody, x_t, g, eta: float) -> np.ndarray:
+    def mirror_step(self, body: GroupedL1Ball, x_t, g, eta: float) -> np.ndarray:
         """Exact prox step: the objective is block-separable given block norms.
 
         With c = eta*g - grad Psi(x_t), each block's optimal direction is
@@ -308,12 +258,11 @@ class GroupedL1(Potential):
         found by Brent's method so the norms sum to the radius (lam = 0 if
         already inside).
         """
-        self._check_body(body)
         x_t, g = self._step_args(x_t, g, eta)
-        c = eta * g - self.grad(x_t)
-        slices = block_slices(self.dimension, self.group_size)
+        c = eta * g - self.grad(body, x_t)
+        slices = block_slices(body.dimension, body.group_size)
         a = np.array([np.linalg.norm(c[s]) for s in slices])
-        M, xi = self.exponent, self.scale_xi
+        M, xi = grouped_exponents(body)
         expo = 1.0 / (M - 1.0)
 
         def norms_at(lam: float) -> np.ndarray:
@@ -331,37 +280,42 @@ class GroupedL1(Potential):
                 out[s] = -(tj / aj) * c[s]
         return out
 
-    def natural_q(self, body: ConvexBody) -> ConvexBody:
-        return GroupedL1Ball(radius=1.0, group_size=self.group_size,
-                             dimension=self.dimension)
+    def natural_q(self, body: GroupedL1Ball) -> ConvexBody:
+        return GroupedL1Ball(radius=1.0, group_size=body.group_size,
+                             dimension=body.dimension)
 
-    def max_over_domain(self, body: ConvexBody) -> float:
-        self._check_body(body)
-        M, xi = self.exponent, self.scale_xi
+    def max_over_domain(self, body: GroupedL1Ball) -> float:
+        M, xi = grouped_exponents(body)
         # sum ||theta_j||^M <= (sum ||theta_j||)^M <= r^M on the radius-r ball.
         return body.radius ** M / (M * xi)
 
 
-def potential_from_dict(doc: dict, body: ConvexBody) -> Potential:
-    """Build a potential from its config document, bound to a body.
+_KINDS = {
+    "squared_l2": SquaredL2,
+    "negative_entropy": NegativeEntropy,
+    "polytope_q_norm": PolytopeQNorm,
+    "grouped_l1": GroupedL1,
+}
 
-    Only ``grouped_l1`` takes a key besides ``kind`` (``group_size``); any
-    other key raises ``ValueError``.
+
+def potential_from_dict(doc: dict, body: ConvexBody) -> Potential:
+    """Build a potential from its config document, for a run on ``body``.
+
+    Only ``grouped_l1`` takes a key besides ``kind``: ``group_size``, which
+    must equal the grouped-l1 ball's own.  Any other key raises
+    ``ValueError``.  Whether the potential can run on the body at all is
+    ``SolverConfig``'s check (``Potential.check_fit``).
     """
     kind = doc.get("kind")
+    if kind not in _KINDS:
+        raise ValueError(f"unknown potential kind {kind!r}")
     label = f"{kind} potential"
     if kind == "grouped_l1":
         check_keys(doc, {"kind", "group_size"}, label)
-        return GroupedL1(dimension=body.dimension,
-                         group_size=doc_int(doc_field(doc, "group_size", label), label,
-                                            "group_size"))
-    if kind not in ("squared_l2", "negative_entropy", "polytope_q_norm"):
-        raise ValueError(f"unknown potential kind {kind!r}")
-    check_keys(doc, {"kind"}, label)
-    if kind == "squared_l2":
-        return SquaredL2(dimension=body.dimension)
-    if kind == "negative_entropy":
-        return NegativeEntropy(dimension=body.dimension)
-    if not isinstance(body, Polytope):
-        raise ValueError("polytope_q_norm requires a polytope body")
-    return PolytopeQNorm(polytope=body)
+        group_size = doc_int(doc_field(doc, "group_size", label), label, "group_size")
+        if isinstance(body, GroupedL1Ball) and group_size != body.group_size:
+            raise ValueError(f"{label} 'group_size' must equal the grouped-l1 ball's "
+                             f"group_size {body.group_size}, got {group_size}")
+    else:
+        check_keys(doc, {"kind"}, label)
+    return _KINDS[kind]()

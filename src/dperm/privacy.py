@@ -173,21 +173,20 @@ def sample_gaussian_vec(shape, sigma: float, rng: np.random.Generator) -> np.nda
     return sigma * rng.standard_normal(shape)
 
 
-def sample_laplace(scale: float, rng: np.random.Generator, size=None):
-    """Laplace draw(s) by inverse CDF from one uniform per sample.
+def sample_laplace(scale: float, rng: np.random.Generator, size) -> np.ndarray:
+    """An array of Laplace draws by inverse CDF from one uniform per sample.
 
-    ``size`` is None (one float), an int or a shape tuple; a ``(m, k)``
-    block holds the same values as m consecutive draws of size k.  scale = 0
-    returns exact zeros without consuming generator state, so a zero-noise
-    run is bit-identical to its noiseless counterpart.
+    ``size`` is an int or a shape tuple; a ``(m, k)`` block holds the same
+    values as m consecutive draws of size k.  scale = 0 returns exact zeros
+    without consuming generator state, so a zero-noise run is bit-identical
+    to its noiseless counterpart.
     """
     if scale < 0:
         raise ValueError("scale must be nonnegative")
     if scale == 0.0:
-        return 0.0 if size is None else np.zeros(size)
+        return np.zeros(size)
     u = rng.random(size) - 0.5
-    vals = -scale * np.sign(u) * np.log1p(-2.0 * np.abs(u))
-    return float(vals) if size is None else vals
+    return -scale * np.sign(u) * np.log1p(-2.0 * np.abs(u))
 
 
 def report_noisy_min(scores, noise) -> int:

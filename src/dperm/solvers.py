@@ -6,8 +6,10 @@ algorithm's family to its end.  Each loop is a generator that yields the
 iterates it visits and returns (theta_priv, iterations, extras):
 
 - mirror descent (``noisy_md``, ``strongly_convex_md``): T-1 prox steps on
-  Gaussian-noised gradients, yielding theta_1 ... theta_T and returning
-  their average;
+  Gaussian-noised gradients over the body's iterate space
+  (``ConvexBody.iterate_space``: a polytope's simplex of vertex
+  coefficients, any other body itself), yielding theta_1 ... theta_T and
+  returning their average;
 - objective perturbation (``obj_pert``): one certified minimization of
   L + (zeta/2)||theta - theta0||^2 + <b, theta> with Gaussian b, yielding
   its one output;
@@ -78,7 +80,9 @@ class SolverConfig:
     """Everything a solver run needs besides the dataset.
 
     ``T = 0`` resolves the step count from the algorithm's own default
-    formula (floored at 1, capped at ``t_cap``).
+    formula (floored at 1, capped at ``t_cap``).  The mirror-descent
+    algorithms need a potential that can run on the body
+    (``Potential.check_fit``); both are checked here, once per config.
     """
 
     algorithm: str
@@ -95,8 +99,10 @@ class SolverConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}")
         if self.T < 0:
             raise ValueError("T must be >= 0 (0 = use the default formula)")
-        if self.algorithm in ("noisy_md", "strongly_convex_md") and self.potential is None:
-            raise ValueError(f"{self.algorithm} requires a potential")
+        if self.algorithm in ("noisy_md", "strongly_convex_md"):
+            if self.potential is None:
+                raise ValueError(f"{self.algorithm} requires a potential")
+            self.potential.check_fit(self.body)
         if self.algorithm == "fw_polytope":
             try:
                 self.body.vertices()
@@ -363,18 +369,18 @@ def _mirror_descent(cfg: SolverConfig, data: Dataset, run: ResolvedRun, rng):
     # The T-th step of the source loop cannot affect the averaged output and
     # is skipped.
     pot = cfg.potential
-    it_body = pot.iterate_body(cfg.body)
+    it_body, point_of, pullback = cfg.body.iterate_space()
     grad = cfg.loss.bound_grad(data)
     x = it_body.canonical_point()
     acc = x.copy()
     for t, z in zip(range(1, run.T), _gaussian_rows(cfg, run, rng)):
-        theta_t = pot.to_point(x)
+        theta_t = point_of(x)
         yield theta_t
         g = grad(theta_t) + z
-        x = pot.mirror_step(it_body, x, pot.pull_back(g), run.eta(t + 1))
+        x = pot.mirror_step(it_body, x, pullback(g), run.eta(t + 1))
         acc += x
-    yield pot.to_point(x)
-    return pot.to_point(acc / run.T), run.T, {}
+    yield point_of(x)
+    return point_of(acc / run.T), run.T, {}
 
 
 def _objective_perturbation(cfg: SolverConfig, data: Dataset, run: ResolvedRun, rng):

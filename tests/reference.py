@@ -2,7 +2,8 @@
 
 Each one is written independently of the library path it checks: feasible
 points drawn per body kind, the Minkowski gauge, each potential's value,
-gradient and strong-convexity modulus, the Bregman divergence, the
+gradient and strong-convexity modulus on the body its iterates live in
+(``body.iterate_space()[0]`` of the run's body), the Bregman divergence, the
 per-record loss gradient, the sampled curvature expression and a
 coordinate-descent LASSO solve.  The sort-based projections and the
 certified first-order loop without gradient reuse are the library's
@@ -16,7 +17,8 @@ from scipy.optimize import linprog
 
 from dperm.geometry import Box, GroupedL1Ball, L1Ball, L2Ball, Polytope, Simplex, block_slices
 from dperm.losses import Huber, SquaredError
-from dperm.potentials import ENTROPY_FLOOR, GroupedL1, NegativeEntropy, PolytopeQNorm, SquaredL2
+from dperm.potentials import (ENTROPY_FLOOR, GroupedL1, NegativeEntropy, PolytopeQNorm, SquaredL2,
+                              default_q_exponent, grouped_exponents)
 
 
 def sample_feasible(body, rng: np.random.Generator) -> np.ndarray:
@@ -85,59 +87,62 @@ def _entropy_floored(x) -> np.ndarray:
     return np.maximum(v, ENTROPY_FLOOR)
 
 
-def potential_value(pot, x) -> float:
-    """Psi(x) of a potential, per kind; the q-norm potential's x is its
-    coefficient vector a."""
+def potential_value(pot, body, x) -> float:
+    """Psi(x) of a potential on its iterate body, per kind; the q-norm
+    potential's body is the coefficient simplex and x its coefficient
+    vector a."""
     x = np.asarray(x, dtype=float)
     if isinstance(pot, SquaredL2):
         return 0.5 * float(x @ x)
     if isinstance(pot, NegativeEntropy):
         v = _entropy_floored(x)
-        return float(np.sum(v * np.log(v))) + math.log(pot.dimension)
+        return float(np.sum(v * np.log(v))) + math.log(body.dimension)
     if isinstance(pot, PolytopeQNorm):
-        nq = float(np.sum(np.abs(x) ** pot.q)) ** (1.0 / pot.q)
-        return nq * nq / (4.0 * (pot.q - 1.0))
+        q = default_q_exponent(body.dimension)
+        nq = float(np.sum(np.abs(x) ** q)) ** (1.0 / q)
+        return nq * nq / (4.0 * (q - 1.0))
     if isinstance(pot, GroupedL1):
-        M, xi = pot.exponent, pot.scale_xi
+        M, xi = grouped_exponents(body)
         total = sum(float(np.linalg.norm(x[s])) ** M
-                    for s in block_slices(pot.dimension, pot.group_size))
+                    for s in block_slices(body.dimension, body.group_size))
         return total / (M * xi)
     raise ValueError(f"no value for {type(pot).__name__}")
 
 
-def potential_grad(pot, x) -> np.ndarray:
-    """grad Psi(x): the closed forms of the squared-l2 and entropy
-    potentials, and the library's own gradient of the others, which their
-    prox steps read."""
+def potential_grad(pot, body, x) -> np.ndarray:
+    """grad Psi(x) on the iterate body: the closed forms of the squared-l2
+    and entropy potentials, and the library's own gradient of the others,
+    which their prox steps read."""
     if isinstance(pot, SquaredL2):
         return np.asarray(x, dtype=float)
     if isinstance(pot, NegativeEntropy):
         return np.log(_entropy_floored(x)) + 1.0
-    return pot.grad(x)
+    return pot.grad(body, x)
 
 
-def strong_convexity_modulus(pot) -> float:
-    """The modulus of strong convexity of a potential w.r.t. the gauge of
-    its ``natural_q`` body."""
+def strong_convexity_modulus(pot, body) -> float:
+    """The modulus of strong convexity of a potential on its iterate body
+    w.r.t. the gauge of its ``natural_q`` body."""
     if isinstance(pot, PolytopeQNorm):
         # ||a||_q^2/(4(q-1)) is (1/2)-strongly convex w.r.t. ||a||_q (the
         # norm-power inequality; the source's stated constant of 1 fails
         # the interpolation definition numerically).  ||a||_1 <=
         # k^(1-1/q) ||a||_q then bridges to the hull gauge, so the modulus
         # absorbs that factor squared (1/(2 e^2) at the default exponent).
-        return 0.5 * float(pot.n_vertices ** (-2.0 * (1.0 - 1.0 / pot.q)))
+        k = body.dimension
+        return 0.5 * float(k ** (-2.0 * (1.0 - 1.0 / default_q_exponent(k))))
     if isinstance(pot, (SquaredL2, NegativeEntropy, GroupedL1)):
         return 1.0
     raise ValueError(f"no modulus for {type(pot).__name__}")
 
 
-def bregman(potential, a, b) -> float:
-    """Psi(a) - Psi(b) - <grad Psi(b), a - b>, from ``potential_value`` and
-    ``potential_grad``."""
+def bregman(potential, body, a, b) -> float:
+    """Psi(a) - Psi(b) - <grad Psi(b), a - b> on the iterate body, from
+    ``potential_value`` and ``potential_grad``."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    return (potential_value(potential, a) - potential_value(potential, b)
-            - float(potential_grad(potential, b) @ (a - b)))
+    return (potential_value(potential, body, a) - potential_value(potential, body, b)
+            - float(potential_grad(potential, body, b) @ (a - b)))
 
 
 def record_grad(loss, theta, x, y: float) -> np.ndarray:

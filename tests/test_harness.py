@@ -248,6 +248,19 @@ NUMBER_CASES = [
      lambda v, tmp: run_sweep(load_sweep(tmp, with_generator(noise_level=v)))),
     ("generator", "l1_norm", True,
      lambda v, tmp: run_sweep(load_sweep(tmp, with_generator(l1_norm=v)))),
+    # The array keys are read entry by entry.
+    ("box body", "lo", "-1", lambda v, tmp: body_from_dict(
+        {**BODY_DOCS["box"], "lo": [v, -1.0, -1.0, -1.0]})),
+    ("box body", "hi", True, lambda v, tmp: body_from_dict(
+        {**BODY_DOCS["box"], "hi": [1.0, v, 1.0, 1.0]})),
+    ("box body", "hi", math.inf, lambda v, tmp: body_from_dict(
+        {**BODY_DOCS["box"], "hi": [1.0, 1.0, 1.0, v]})),
+    ("polytope body", "vertices", "0", lambda v, tmp: body_from_dict(
+        {"kind": "polytope", "vertices": [[1.0, v], [0.0, 1.0]]})),
+    ("polytope body", "vertices", False, lambda v, tmp: body_from_dict(
+        {"kind": "polytope", "vertices": [[1.0, 0.0], [v, 1.0]]})),
+    ("polytope body", "vertices", math.nan, lambda v, tmp: body_from_dict(
+        {"kind": "polytope", "vertices": [[1.0, 0.0], [0.0, v]]})),
 ]
 
 

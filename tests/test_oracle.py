@@ -62,6 +62,7 @@ class TestSolveExact:
         data = Dataset(X=np.eye(3), y=np.zeros(3))
         sol = solve_exact(L1Ball(1.0, 3), SQ, data)
         assert sol.optimum_value == pytest.approx(0.0, abs=1e-12)
+        assert sol.method == "fista"
 
     def test_polytope_coefficient_route(self, rng):
         # Triangle body: cross-check against a dense barycentric grid.
@@ -79,6 +80,7 @@ class TestSolveExact:
                 best = min(best, SQ.loss(theta, data))
         assert sol.optimum_value <= best + 1e-9
         assert sol.body.contains(sol.theta_star)
+        assert sol.method == "fista-coefficient"
 
     def test_unreachable_tol_raises_with_diagnosis(self, monkeypatch):
         data = generate_lasso(200, 6, 2, 0.1, seed=4)

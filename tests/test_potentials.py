@@ -18,8 +18,10 @@ from dperm.potentials import (
     PolytopeQNorm,
     SquaredL2,
     default_q_exponent,
+    grouped_exponents,
     potential_from_dict,
 )
+from dperm.solvers import SolverConfig
 
 from reference import (bregman, gauge, potential_grad, potential_value, sample_feasible,
                        strong_convexity_modulus)
@@ -28,78 +30,83 @@ CROSS = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
 
 
 def make_cases(rng):
-    """(potential, feasible body for iterates, Q body for the declared norm)."""
+    """(potential, feasible body for iterates, Q body for the declared norm,
+    the map of an iterate to its point): the iterate body and the map are
+    the ``iterate_space`` of the body the potential runs on."""
     hull_poly = Polytope(np.vstack([np.eye(3), -np.eye(3)]) * 1.3)
-    qpot = PolytopeQNorm(hull_poly)
-    return [
-        (SquaredL2(4), L2Ball(1.0, 4), L2Ball(1.0, 4)),
-        (NegativeEntropy(4), Simplex(4), L1Ball(1.0, 4)),
-        (GroupedL1(8, 2), GroupedL1Ball(1.0, 2, 8), GroupedL1Ball(1.0, 2, 8)),
-        (qpot, qpot.iterate_body(hull_poly), symmetric_hull(hull_poly)),
-    ]
+    cases = []
+    for pot, body, q_body in [
+        (SquaredL2(), L2Ball(1.0, 4), L2Ball(1.0, 4)),
+        (NegativeEntropy(), Simplex(4), L1Ball(1.0, 4)),
+        (GroupedL1(), GroupedL1Ball(1.0, 2, 8), GroupedL1Ball(1.0, 2, 8)),
+        (PolytopeQNorm(), hull_poly, symmetric_hull(hull_poly)),
+    ]:
+        it_body, point_of, _ = body.iterate_space()
+        cases.append((pot, it_body, q_body, point_of))
+    return cases
 
 
 class TestValueGrad:
     def test_squared_l2_example(self):
-        pot = SquaredL2(2)
-        assert potential_value(pot, [3.0, 4.0]) == pytest.approx(12.5)
-        assert np.allclose(potential_grad(pot, [3.0, 4.0]), [3.0, 4.0])
+        pot, body = SquaredL2(), L2Ball(5.0, 2)
+        assert potential_value(pot, body, [3.0, 4.0]) == pytest.approx(12.5)
+        assert np.allclose(potential_grad(pot, body, [3.0, 4.0]), [3.0, 4.0])
 
     def test_entropy_example(self):
         # Raw entropy sum is -ln 2; the potential carries a +ln p shift so it
         # is nonnegative on the simplex.
-        pot = NegativeEntropy(2)
-        raw = potential_value(pot, [0.5, 0.5]) - math.log(2)
+        pot, body = NegativeEntropy(), Simplex(2)
+        raw = potential_value(pot, body, [0.5, 0.5]) - math.log(2)
         assert raw == pytest.approx(-0.693147, abs=1e-6)
-        assert potential_value(pot, [0.5, 0.5]) == pytest.approx(0.0, abs=1e-9)
+        assert potential_value(pot, body, [0.5, 0.5]) == pytest.approx(0.0, abs=1e-9)
 
     def test_entropy_rejects_negative(self):
         with pytest.raises(ValueError):
-            potential_value(NegativeEntropy(2), [-0.5, 1.5])
+            potential_value(NegativeEntropy(), Simplex(2), [-0.5, 1.5])
 
     def test_gradient_finite_differences(self, rng):
         eps = 1e-6
-        for pot, body, _ in make_cases(rng):
+        for pot, body, *_ in make_cases(rng):
             for _ in range(10):
                 x = sample_feasible(body, rng)
                 # Keep strictly inside so one-sided kinks cannot bite.
                 x = 0.5 * x + 0.5 * body.canonical_point()
-                g = potential_grad(pot, x)
+                g = potential_grad(pot, body, x)
                 for i in range(0, x.size, 2):
                     e = np.zeros_like(x)
                     e[i] = eps
-                    fd = (potential_value(pot, x + e) - potential_value(pot, x - e)) / (2 * eps)
+                    fd = (potential_value(pot, body, x + e)
+                          - potential_value(pot, body, x - e)) / (2 * eps)
                     assert abs(fd - g[i]) <= 1e-5
 
 
 class TestBregman:
     def test_squared_l2_half_distance(self):
-        pot = SquaredL2(2)
-        assert bregman(pot, [1.0, 0.0], [0.0, 1.0]) == pytest.approx(1.0)
+        assert bregman(SquaredL2(), L2Ball(1.0, 2), [1.0, 0.0], [0.0, 1.0]) \
+            == pytest.approx(1.0)
 
     def test_self_divergence_zero(self, rng):
-        for pot, body, _ in make_cases(rng):
+        for pot, body, *_ in make_cases(rng):
             x = sample_feasible(body, rng)
-            assert bregman(pot, x, x) == pytest.approx(0.0, abs=1e-9)
+            assert bregman(pot, body, x, x) == pytest.approx(0.0, abs=1e-9)
 
     def test_entropy_is_kl(self):
-        pot = NegativeEntropy(2)
         a, b = np.array([0.5, 0.5]), np.array([0.9, 0.1])
         kl = float(np.sum(a * np.log(a / b)))
         assert kl == pytest.approx(0.510826, abs=1e-6)
-        assert bregman(pot, a, b) == pytest.approx(kl, abs=1e-9)
+        assert bregman(NegativeEntropy(), Simplex(2), a, b) == pytest.approx(kl, abs=1e-9)
 
     def test_nonnegative(self, rng):
-        for pot, body, _ in make_cases(rng):
+        for pot, body, *_ in make_cases(rng):
             for _ in range(50):
                 a = sample_feasible(body, rng)
                 b = sample_feasible(body, rng)
-                assert bregman(pot, a, b) >= -1e-9
+                assert bregman(pot, body, a, b) >= -1e-9
 
 
 class TestMirrorStep:
     def test_squared_l2_is_projected_gradient(self, rng):
-        pot = SquaredL2(5)
+        pot = SquaredL2()
         body = L1Ball(1.0, 5)
         for _ in range(20):
             x = sample_feasible(body, rng)
@@ -110,31 +117,32 @@ class TestMirrorStep:
             assert np.abs(out - ref).max() <= 1e-10
 
     def test_entropy_multiplicative_weights_example(self):
-        pot = NegativeEntropy(2)
+        pot = NegativeEntropy()
         out = pot.mirror_step(Simplex(2), [0.5, 0.5], [math.log(2.0), 0.0], 1.0)
         assert np.allclose(out, [1.0 / 3.0, 2.0 / 3.0], atol=1e-9)
 
     def test_zero_gradient_fixed_point(self, rng):
-        for pot, body, _ in make_cases(rng):
+        for pot, body, *_ in make_cases(rng):
             x = sample_feasible(body, rng)
             out = pot.mirror_step(body, x, np.zeros_like(x), 0.7)
             assert np.abs(out - x).max() <= 1e-8
 
     def test_variational_inequality(self, rng):
-        for pot, body, _ in make_cases(rng):
+        for pot, body, *_ in make_cases(rng):
             for _ in range(5):
                 x = sample_feasible(body, rng)
                 g = rng.standard_normal(x.size)
                 eta = 0.2
                 res = pot.mirror_step(body, x, g, eta)
                 assert body.contains(res)
-                direction = eta * g + potential_grad(pot, res) - potential_grad(pot, x)
+                direction = (eta * g + potential_grad(pot, body, res)
+                             - potential_grad(pot, body, x))
                 for _ in range(40):
                     theta = sample_feasible(body, rng)
                     assert float(direction @ (theta - res)) >= -1e-6
 
     def test_monotone_against_gradient(self, rng):
-        for pot, body, _ in make_cases(rng):
+        for pot, body, *_ in make_cases(rng):
             for _ in range(10):
                 x = 0.5 * sample_feasible(body, rng) + 0.5 * body.canonical_point()
                 g = rng.standard_normal(x.size)
@@ -143,17 +151,17 @@ class TestMirrorStep:
 
     def test_eta_must_be_positive(self):
         with pytest.raises(ValueError):
-            SquaredL2(2).mirror_step(L2Ball(1.0, 2), [0.0, 0.0], [1.0, 0.0], 0.0)
+            SquaredL2().mirror_step(L2Ball(1.0, 2), [0.0, 0.0], [1.0, 0.0], 0.0)
 
     def test_nan_gradient_rejected(self):
         with pytest.raises(ValueError):
-            SquaredL2(2).mirror_step(L2Ball(1.0, 2), [0.0, 0.0], [np.nan, 0.0], 0.1)
+            SquaredL2().mirror_step(L2Ball(1.0, 2), [0.0, 0.0], [np.nan, 0.0], 0.1)
 
 
-def qnorm_step_200(pot, x, g, eta):
+def qnorm_step_200(pot, body, x, g, eta):
     """The q-norm prox step with exactly 200 halvings, written out."""
-    c = eta * g - pot.grad(x)
-    q = pot.q
+    c = eta * g - pot.grad(body, x)
+    q = default_q_exponent(body.dimension)
     expo = 1.0 / (q - 1.0)
 
     def beta(lam):
@@ -187,10 +195,10 @@ def grouped_step_200(pot, body, x, g, eta):
     Returns the step and whether it bisected (the unconstrained block
     norms summed above the radius).
     """
-    c = eta * g - pot.grad(x)
-    slices = block_slices(pot.dimension, pot.group_size)
+    c = eta * g - pot.grad(body, x)
+    slices = block_slices(body.dimension, body.group_size)
     a = np.array([np.linalg.norm(c[s]) for s in slices])
-    M, xi = pot.exponent, pot.scale_xi
+    M, xi = grouped_exponents(body)
 
     def norms_at(lam):
         return (xi * np.maximum(a - lam, 0.0)) ** (1.0 / (M - 1.0))
@@ -221,13 +229,13 @@ class TestProxRoot:
         for _ in range(200):
             k = int(rng.integers(2, 49))
             p = int(rng.integers(1, 8))
-            pot = PolytopeQNorm(Polytope(rng.standard_normal((k, p))))
+            pot = PolytopeQNorm()
+            body = Polytope(rng.standard_normal((k, p))).iterate_space()[0]
             x = rng.dirichlet(np.ones(k))
             g = rng.standard_normal(k) * 10.0 ** rng.uniform(-2, 2)
             eta = float(10.0 ** rng.uniform(-2, 1))
-            body = pot.iterate_body(pot.polytope)
             out = pot.mirror_step(body, x, g, eta)
-            ref = qnorm_step_200(pot, x, g, eta)
+            ref = qnorm_step_200(pot, body, x, g, eta)
             assert np.max(np.abs(out - ref)) <= 1e-12 * (1.0 + np.max(np.abs(ref)))
             assert out.min() >= 0.0 and abs(out.sum() - 1.0) <= 1e-14
 
@@ -239,7 +247,7 @@ class TestProxRoot:
             p = int(rng.integers(1, 13))
             gs = int(rng.integers(1, p + 1))
             body = GroupedL1Ball(float(rng.uniform(0.2, 3.0)), gs, p)
-            pot = GroupedL1(p, gs)
+            pot = GroupedL1()
             x = sample_feasible(body, rng)
             g = rng.standard_normal(p) * 10.0 ** rng.uniform(-2, 2)
             eta = float(10.0 ** rng.uniform(-2, 1))
@@ -255,55 +263,63 @@ class TestProxRoot:
 
 class TestMaxOverDomain:
     def test_squared_l2_on_unit_ball(self):
-        assert SquaredL2(3).max_over_domain(L2Ball(1.0, 3)) == pytest.approx(2.0)
+        assert SquaredL2().max_over_domain(L2Ball(1.0, 3)) == pytest.approx(2.0)
 
     def test_entropy_ln_p(self):
-        assert NegativeEntropy(4).max_over_domain(Simplex(4)) == pytest.approx(math.log(4))
+        assert NegativeEntropy().max_over_domain(Simplex(4)) == pytest.approx(math.log(4))
 
     def test_qnorm_default_bound(self, rng):
         # k = 16: closed-form bound 1/(4(q-1)) = (ln 16 - 1)/4, below the
         # O(log k) ceiling log(16)/4.
         V = rng.standard_normal((16, 6))
-        pot = PolytopeQNorm(Polytope(V))
+        pot = PolytopeQNorm()
         bound = pot.max_over_domain(Polytope(V))
         assert bound == pytest.approx((math.log(16) - 1) / 4)
         assert bound <= math.log(16) / 4 + 1e-12
         # Numeric verification on random hull points of random vertex sets.
         for _ in range(3):
             W = rng.standard_normal((16, 5))
-            wpot = PolytopeQNorm(Polytope(W))
-            wb = wpot.max_over_domain(Polytope(W))
+            wbody = Polytope(W)
+            wb = pot.max_over_domain(wbody)
             for _ in range(50):
                 a = rng.dirichlet(np.ones(16))
-                assert potential_value(wpot, a) <= wb + 1e-9
+                assert potential_value(pot, wbody.iterate_space()[0], a) <= wb + 1e-9
 
     def test_grouped_bound(self, rng):
-        pot = GroupedL1(8, 2)
+        pot = GroupedL1()
         body = GroupedL1Ball(1.0, 2, 8)
         bound = pot.max_over_domain(body)
         for _ in range(200):
             x = sample_feasible(body, rng)
-            assert potential_value(pot, x) <= bound + 1e-9
+            assert potential_value(pot, body, x) <= bound + 1e-9
 
     def test_unsupported_pair(self):
-        with pytest.raises(ValueError):
-            NegativeEntropy(3).max_over_domain(L2Ball(1.0, 3))
+        # Each potential refuses the bodies it has no constants or step for.
+        for pot, body, message in [
+            (NegativeEntropy(), L2Ball(1.0, 3), "only defined on the simplex"),
+            (GroupedL1(), L1Ball(1.0, 4), "requires a grouped-l1 ball"),
+            (PolytopeQNorm(), L2Ball(1.0, 2), "requires a polytope body"),
+            (SquaredL2(), Polytope(CROSS), "euclidean projection is not supported"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                pot.check_fit(body)
 
 
 class TestStrongConvexity:
     def test_spot_check_declared_modulus(self, rng):
-        for pot, body, q_body in make_cases(rng):
-            mod = strong_convexity_modulus(pot)
+        for pot, body, q_body, point_of in make_cases(rng):
+            mod = strong_convexity_modulus(pot, body)
             assert mod > 0
             trials = 250 if isinstance(q_body, Polytope) else 1000
             for _ in range(trials):
                 a = sample_feasible(body, rng)
                 b = sample_feasible(body, rng)
                 al = float(rng.random())
-                lhs = potential_value(pot, al * a + (1 - al) * b)
-                diff = pot.to_point(a) - pot.to_point(b)
+                lhs = potential_value(pot, body, al * a + (1 - al) * b)
+                diff = point_of(a) - point_of(b)
                 nrm = gauge(q_body, diff)
-                rhs = (al * potential_value(pot, a) + (1 - al) * potential_value(pot, b)
+                rhs = (al * potential_value(pot, body, a)
+                       + (1 - al) * potential_value(pot, body, b)
                        - mod * al * (1 - al) / 2.0 * nrm ** 2)
                 assert lhs <= rhs + 1e-8
 
@@ -315,13 +331,18 @@ class TestStrongConvexity:
 
 class TestQNormPotentialPlumbing:
     def test_coefficient_mapping(self, rng):
+        # A polytope's iterate space is its coefficient simplex; any other
+        # body is its own, with identity maps.
         V = rng.standard_normal((8, 3))
-        pot = PolytopeQNorm(Polytope(V))
+        body, point_of, pullback = Polytope(V).iterate_space()
         a = rng.dirichlet(np.ones(8))
-        assert np.allclose(pot.to_point(a), V.T @ a)
+        assert np.allclose(point_of(a), V.T @ a)
         g = rng.standard_normal(3)
-        assert np.allclose(pot.pull_back(g), V @ g)
-        assert isinstance(pot.iterate_body(Polytope(V)), Simplex)
+        assert np.allclose(pullback(g), V @ g)
+        assert isinstance(body, Simplex) and body.dimension == 8
+        ball = L1Ball(1.0, 3)
+        body, point_of, pullback = ball.iterate_space()
+        assert body is ball and point_of(g) is g and pullback(g) is g
 
 
 class TestConfig:
@@ -331,7 +352,8 @@ class TestConfig:
         assert isinstance(pot, NegativeEntropy)
         body2 = Polytope(CROSS)
         pot2 = potential_from_dict({"kind": "polytope_q_norm"}, body2)
-        assert isinstance(pot2, PolytopeQNorm) and pot2.q == default_q_exponent(4)
+        assert isinstance(pot2, PolytopeQNorm)
+        assert pot2.max_over_domain(body2) == 1.0 / (4.0 * (default_q_exponent(4) - 1.0))
         pot3 = potential_from_dict({"kind": "squared_l2"}, L2Ball(1.0, 2))
         assert isinstance(pot3, SquaredL2)
         pot4 = potential_from_dict({"kind": "grouped_l1", "group_size": 2},
@@ -343,5 +365,8 @@ class TestConfig:
             potential_from_dict({"kind": "unheard_of"}, Simplex(2))
 
     def test_qnorm_requires_polytope(self):
-        with pytest.raises(ValueError):
-            potential_from_dict({"kind": "polytope_q_norm"}, L2Ball(1.0, 2))
+        doc = {"algorithm": "noisy_md", "body": {"kind": "l2_ball", "radius": 1.0, "dimension": 2},
+               "loss": {"kind": "squared_error"}, "budget": {"epsilon": 1.0},
+               "potential": {"kind": "polytope_q_norm"}}
+        with pytest.raises(ValueError, match="polytope_q_norm requires a polytope body"):
+            SolverConfig.from_dict(doc)

@@ -1,16 +1,17 @@
 import json
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 import dperm.solvers as solvers
-from dperm.geometry import Box, L1Ball, L2Ball, Polytope, Simplex
+from dperm.geometry import Box, L1Ball, L2Ball, Polytope, Simplex, gaussian_width_mc
 from dperm.harness import generate_lasso
 from dperm.losses import CustomLoss, Dataset, Huber, SquaredError
 from dperm.oracle import cached_solve, excess_risk, solve_exact
-from dperm.potentials import NegativeEntropy, PolytopeQNorm, SquaredL2
+from dperm.potentials import GroupedL1, NegativeEntropy, PolytopeQNorm, SquaredL2
 from dperm.privacy import PrivacyBudget, sample_gaussian_vec, sample_laplace, spawn_rng
 from dperm.solvers import (
     SolverConfig,
@@ -94,16 +95,16 @@ def reference_step_loop(cfg, data):
     p = cfg.body.dimension
     if cfg.algorithm == "noisy_md":
         pot = cfg.potential
-        it_body = pot.iterate_body(cfg.body)
+        it_body, point_of, pullback = cfg.body.iterate_space()
         x = it_body.canonical_point()
         acc = x.copy()
-        iterates = [pot.to_point(x)]
+        iterates = [point_of(x)]
         for t in range(1, run.T):
-            g = cfg.loss.grad(pot.to_point(x), data) + sample_gaussian_vec(p, run.plan.sigma, rng)
-            x = pot.mirror_step(it_body, x, pot.pull_back(g), run.eta(t + 1))
+            g = cfg.loss.grad(point_of(x), data) + sample_gaussian_vec(p, run.plan.sigma, rng)
+            x = pot.mirror_step(it_body, x, pullback(g), run.eta(t + 1))
             acc += x
-            iterates.append(pot.to_point(x))
-        return pot.to_point(acc / run.T), iterates, None
+            iterates.append(point_of(x))
+        return point_of(acc / run.T), iterates, None
 
     V = cfg.body.vertices() if cfg.algorithm == "fw_polytope" else None
     theta = cfg.body.canonical_point()
@@ -160,7 +161,7 @@ class TestResolveDefaults:
         assert run.T == 500
         assert run.plan.laplace_scale == 0.0
         cfg_md = SolverConfig(algorithm="noisy_md", body=L1Ball(1.0, 12), loss=SQ,
-                              budget=NON_PRIVATE, potential=SquaredL2(12), t_cap=300)
+                              budget=NON_PRIVATE, potential=SquaredL2(), t_cap=300)
         run_md = resolve_defaults(cfg_md, small_lasso)
         assert run_md.T == 300 and run_md.plan.sigma == 0.0
 
@@ -168,7 +169,7 @@ class TestResolveDefaults:
         # The width depends on the public body alone, so the default T and
         # the noise scale cannot move with the solver seed.
         data = generate_lasso(n=32_000, p=20, sparsity=3, noise_level=0.1, seed=5)
-        for algorithm, potential in (("noisy_md", SquaredL2(20)), ("fw_general", None)):
+        for algorithm, potential in (("noisy_md", SquaredL2()), ("fw_general", None)):
             runs = [resolve_defaults(SolverConfig(
                 algorithm=algorithm, body=L1Ball(1.0, 20), loss=SQ,
                 budget=PrivacyBudget(1.0, 1e-6), potential=potential, seed=seed), data)
@@ -180,14 +181,14 @@ class TestResolveDefaults:
     def test_degenerate_t_raises_with_advice(self):
         data = Dataset(X=np.ones((4, 2)), y=np.ones(4))
         cfg = SolverConfig(algorithm="noisy_md", body=L2Ball(1.0, 2), loss=SQ,
-                           budget=PrivacyBudget(0.01, 1e-6), potential=SquaredL2(2))
+                           budget=PrivacyBudget(0.01, 1e-6), potential=SquaredL2())
         with pytest.raises(ValueError, match="increase n or epsilon"):
             resolve_defaults(cfg, data)
 
     def test_zero_lipschitz_constant_has_no_step_size(self):
         data = Dataset(X=np.zeros((5, 3)), y=np.zeros(5))
         cfg = SolverConfig(algorithm="noisy_md", body=L1Ball(1.0, 3), loss=SQ,
-                           budget=PrivacyBudget(1.0, 1e-6), potential=SquaredL2(3), T=5)
+                           budget=PrivacyBudget(1.0, 1e-6), potential=SquaredL2(), T=5)
         with pytest.raises(ValueError, match=r"needs L2 > 0 .* got L2 = 0,"):
             resolve_defaults(cfg, data)
 
@@ -210,7 +211,7 @@ class TestResolveDefaults:
 class TestNoisyMirrorDescent:
     def test_t_equals_one_returns_start(self, small_lasso):
         cfg = SolverConfig(algorithm="noisy_md", body=L1Ball(1.0, 12), loss=SQ,
-                           budget=PrivacyBudget(1.0, 1e-6), potential=SquaredL2(12),
+                           budget=PrivacyBudget(1.0, 1e-6), potential=SquaredL2(),
                            T=1, seed=3)
         rep = run_solver(cfg, small_lasso)
         assert np.array_equal(rep.theta_priv, L1Ball(1.0, 12).canonical_point())
@@ -218,7 +219,7 @@ class TestNoisyMirrorDescent:
     def test_zero_noise_matches_reference_pgd_bitwise(self, small_lasso):
         body = L1Ball(1.0, 12)
         cfg = SolverConfig(algorithm="noisy_md", body=body, loss=SQ,
-                           budget=NON_PRIVATE, potential=SquaredL2(12), T=50, seed=9)
+                           budget=NON_PRIVATE, potential=SquaredL2(), T=50, seed=9)
         rep = run_solver(cfg, small_lasso)
         eta = resolve_defaults(cfg, small_lasso).eta(1)
         ref = reference_pgd_averaged(body, SQ, small_lasso, 50, eta)
@@ -227,7 +228,7 @@ class TestNoisyMirrorDescent:
     def test_zero_noise_entropy_matches_reference_bitwise(self, small_lasso):
         body = Simplex(12)
         cfg = SolverConfig(algorithm="noisy_md", body=body, loss=SQ,
-                           budget=NON_PRIVATE, potential=NegativeEntropy(12), T=40, seed=9)
+                           budget=NON_PRIVATE, potential=NegativeEntropy(), T=40, seed=9)
         rep = run_solver(cfg, small_lasso)
         eta = resolve_defaults(cfg, small_lasso).eta(1)
         ref = reference_entropy_md_averaged(body, SQ, small_lasso, 40, eta)
@@ -235,7 +236,7 @@ class TestNoisyMirrorDescent:
 
     def test_output_is_mean_of_iterates(self, small_lasso):
         cfg = SolverConfig(algorithm="noisy_md", body=L1Ball(1.0, 12), loss=SQ,
-                           budget=PrivacyBudget(1.0, 1e-6), potential=SquaredL2(12),
+                           budget=PrivacyBudget(1.0, 1e-6), potential=SquaredL2(),
                            T=25, seed=4)
         iterates, (theta, _, _) = drive(cfg, small_lasso)
         iterates = np.array(iterates)
@@ -246,7 +247,7 @@ class TestNoisyMirrorDescent:
         body = Simplex(12)
         cfg = SolverConfig(algorithm="noisy_md", body=body, loss=SQ,
                            budget=PrivacyBudget(1.0, 1e-6),
-                           potential=NegativeEntropy(12), T=30, seed=8)
+                           potential=NegativeEntropy(), T=30, seed=8)
         iterates, (theta_priv, _, _) = drive(cfg, small_lasso)
         for theta in iterates:
             assert body.contains(theta)
@@ -256,7 +257,7 @@ class TestNoisyMirrorDescent:
         def run_once():
             cfg = SolverConfig(algorithm="noisy_md", body=L1Ball(1.0, 12), loss=SQ,
                                budget=PrivacyBudget(1.0, 1e-6),
-                               potential=SquaredL2(12), T=20, seed=77)
+                               potential=SquaredL2(), T=20, seed=77)
             return run_solver(cfg, small_lasso).theta_priv
 
         assert np.array_equal(run_once(), run_once())
@@ -264,30 +265,31 @@ class TestNoisyMirrorDescent:
     def test_coefficient_space_polytope_run(self, small_lasso):
         V = np.vstack([np.eye(12), -np.eye(12)])
         body = Polytope(V)
-        pot = PolytopeQNorm(body)
         cfg = SolverConfig(algorithm="noisy_md", body=body, loss=SQ,
-                           budget=NON_PRIVATE, potential=pot, T=30, seed=1)
+                           budget=NON_PRIVATE, potential=PolytopeQNorm(), T=30, seed=1)
         rep = run_solver(cfg, small_lasso)
         assert rep.feasible
         start_risk = SQ.loss(body.canonical_point(), small_lasso)
         assert SQ.loss(rep.theta_priv, small_lasso) <= start_risk + 1e-12
 
-    def test_qnorm_bound_to_another_polytope_rejected(self, small_lasso):
-        # Same vertex count, other vertices: the coefficients would map
-        # into the wrong polytope.
-        V = np.vstack([np.eye(12), -np.eye(12)])
-        cfg = SolverConfig(algorithm="noisy_md", body=Polytope(V), loss=SQ,
-                           budget=NON_PRIVATE, potential=PolytopeQNorm(Polytope(2.0 * V)),
-                           T=5, seed=1)
-        with pytest.raises(ValueError, match="built for"):
-            run_solver(cfg, small_lasso)
-
-    def test_squared_l2_on_polytope_rejected(self, small_lasso):
+    def test_squared_l2_on_polytope_rejected(self):
+        # At config time, not at the first projection.
         body = Polytope(np.vstack([np.eye(12), -np.eye(12)]))
+        with pytest.raises(ValueError, match="euclidean projection is not supported for Polytope"):
+            SolverConfig(algorithm="noisy_md", body=body, loss=SQ,
+                         budget=NON_PRIVATE, potential=SquaredL2(), T=5)
+
+    @pytest.mark.parametrize("body,potential,q_body", [
+        (L1Ball(1.0, 12), SquaredL2(), L2Ball(1.0, 12)),
+        (Simplex(12), NegativeEntropy(), L1Ball(1.0, 12)),
+    ], ids=["squared_l2", "negative_entropy"])
+    def test_q_width_is_taken_at_the_bodys_dimension(self, small_lasso, body, potential,
+                                                     q_body):
         cfg = SolverConfig(algorithm="noisy_md", body=body, loss=SQ,
-                           budget=NON_PRIVATE, potential=SquaredL2(12), T=5)
-        with pytest.raises((ValueError, NotImplementedError)):
-            run_solver(cfg, small_lasso)
+                           budget=PrivacyBudget(1.0, 1e-6), potential=potential)
+        run = resolve_defaults(cfg, small_lasso)
+        est = gaussian_width_mc(q_body, solvers.WIDTH_SAMPLES, solvers.WIDTH_SEED)
+        assert f"G_Q = {est.mean:.6g} (Monte Carlo" in "\n".join(run.plan.trace)
 
 
 class TestStronglyConvexMd:
@@ -302,7 +304,7 @@ class TestStronglyConvexMd:
 
     def test_requires_strong_convexity(self, small_lasso):
         cfg = SolverConfig(algorithm="strongly_convex_md", body=L1Ball(1.0, 12),
-                           loss=SQ, budget=NON_PRIVATE, potential=SquaredL2(12), T=5)
+                           loss=SQ, budget=NON_PRIVATE, potential=SquaredL2(), T=5)
         with pytest.raises(ValueError, match="strong_convexity"):
             run_solver(cfg, small_lasso)
 
@@ -313,7 +315,7 @@ class TestStronglyConvexMd:
         risks = {}
         for T in [128, 512]:
             cfg = SolverConfig(algorithm="strongly_convex_md", body=body, loss=loss,
-                               budget=NON_PRIVATE, potential=SquaredL2(12), T=T)
+                               budget=NON_PRIVATE, potential=SquaredL2(), T=T)
             rep = run_solver(cfg, small_lasso)
             risks[T] = excess_risk(rep.theta_priv, oracle, loss, small_lasso)
         assert risks[512] < risks[128] / 3.0
@@ -531,7 +533,7 @@ def config_for(algorithm: str, **kw) -> SolverConfig:
     if algorithm == "strongly_convex_md":
         body = L2Ball(1.0, 12)
         loss = SquaredError(ridge=0.5)
-    potential = SquaredL2(12) if algorithm.endswith("_md") else None
+    potential = SquaredL2() if algorithm.endswith("_md") else None
     return SolverConfig(algorithm=algorithm, body=body, loss=loss,
                         budget=PrivacyBudget(1.0, 1e-6), potential=potential, **kw)
 
@@ -576,6 +578,19 @@ class TestReportAndConfig:
             SolverConfig(algorithm="sgd", body=L1Ball(1.0, 2), loss=SQ,
                          budget=NON_PRIVATE)
 
+    def test_grouped_group_size_must_be_the_balls(self):
+        doc = {"algorithm": "noisy_md",
+               "body": {"kind": "grouped_l1_ball", "radius": 1.0, "group_size": 4,
+                        "dimension": 12},
+               "loss": {"kind": "squared_error"}, "budget": {"epsilon": 1.0},
+               "potential": {"kind": "grouped_l1", "group_size": 3}}
+        with pytest.raises(ValueError, match=re.escape(
+                "grouped_l1 potential 'group_size' must equal the grouped-l1 ball's "
+                "group_size 4, got 3")):
+            SolverConfig.from_dict(doc)
+        doc["potential"]["group_size"] = 4
+        assert isinstance(SolverConfig.from_dict(doc).potential, GroupedL1)
+
     def test_md_requires_potential(self):
         with pytest.raises(ValueError, match="potential"):
             SolverConfig(algorithm="noisy_md", body=L1Ball(1.0, 2), loss=SQ,
@@ -614,7 +629,7 @@ class TestBlockNoise:
         # vertices), so 22 steps cross several blocks and end in a short one.
         if block_bytes is not None:
             monkeypatch.setattr(solvers, "NOISE_BLOCK_BYTES", block_bytes)
-        potential = SquaredL2(12) if algorithm == "noisy_md" else None
+        potential = SquaredL2() if algorithm == "noisy_md" else None
         for seed in (0, 1, 2):
             cfg = SolverConfig(algorithm=algorithm, body=L1Ball(1.0, 12), loss=SQ,
                                budget=budget, potential=potential, T=23, seed=seed)
@@ -638,9 +653,9 @@ class TestYieldedIterates:
     step may write into one."""
 
     @pytest.mark.parametrize("algorithm,body,potential", [
-        ("noisy_md", L1Ball(1.0, 12), SquaredL2(12)),
-        ("noisy_md", Simplex(12), NegativeEntropy(12)),
-        ("noisy_md", CROSS_12, PolytopeQNorm(CROSS_12)),
+        ("noisy_md", L1Ball(1.0, 12), SquaredL2()),
+        ("noisy_md", Simplex(12), NegativeEntropy()),
+        ("noisy_md", CROSS_12, PolytopeQNorm()),
         ("fw_polytope", L1Ball(1.0, 12), None),
         ("fw_general", L1Ball(1.0, 12), None),
     ], ids=["md-squared_l2", "md-entropy", "md-q_norm", "fw_polytope", "fw_general"])
@@ -659,7 +674,7 @@ class TestStatisticsBoundOncePerRun:
 
     @pytest.mark.parametrize("algorithm", ["fw_polytope", "fw_general", "noisy_md"])
     def test_gram_and_memo_reached_at_most_once(self, small_lasso, monkeypatch, algorithm):
-        potential = SquaredL2(12) if algorithm == "noisy_md" else None
+        potential = SquaredL2() if algorithm == "noisy_md" else None
         cfg = SolverConfig(algorithm=algorithm, body=L1Ball(1.0, 12), loss=SQ,
                            budget=PrivacyBudget(1.0, 1e-6), potential=potential, T=40, seed=3)
         run = resolve_defaults(cfg, small_lasso)
