@@ -6,7 +6,9 @@ width estimator takes its seed explicitly, so an estimate is reproducible.
 
 A quantity of the public body alone (its Gaussian width, a polytope's
 symmetry) is computed once per process by ``memo_by_body``, keyed by
-``body_key``, the sorted JSON of ``body.to_dict()``.
+``body_key``, the sorted JSON of ``body.to_dict()``.  The same rule keys
+the per-dataset statistics of ``losses`` and ``oracle`` that also depend
+on a body.
 """
 
 from __future__ import annotations
@@ -70,7 +72,10 @@ class ConvexBody:
 
     Subclasses implement membership, the linear minimization oracle (LMO),
     the dual norm max over w in C of |<w, g>| (row-batched, as
-    ``dual_norms``), diameters, and (where supported) Euclidean projection.
+    ``dual_norms``), the l2 diameter, and (where supported) Euclidean
+    projection.  ``max_norm(q)`` is the one source of the body's norm
+    maxima ||C||_q: the largest vertex norm here, a closed form in the
+    bodies without a vertex list.
     """
 
     dimension: int
@@ -97,9 +102,9 @@ class ConvexBody:
     def l2_diameter(self) -> float:
         raise NotImplementedError
 
-    def l1_radius(self) -> float:
-        """max over C of ||theta||_1."""
-        raise NotImplementedError
+    def max_norm(self, q) -> float:
+        """max over C of ||theta||_q, for q in {1, 2, inf}."""
+        return float(np.linalg.norm(self.vertices(), q, axis=1).max())
 
     def euclidean_project(self, x) -> np.ndarray:
         raise NotImplementedError(
@@ -163,8 +168,8 @@ class L2Ball(ConvexBody):
     def l2_diameter(self) -> float:
         return 2.0 * self.radius
 
-    def l1_radius(self) -> float:
-        return self.radius * math.sqrt(self.dimension)
+    def max_norm(self, q) -> float:
+        return self.radius * math.sqrt(self.dimension) if q == 1 else self.radius
 
     def euclidean_project(self, x) -> np.ndarray:
         v = _as_vector(x, self.dimension)
@@ -218,7 +223,7 @@ class L1Ball(ConvexBody):
     def l2_diameter(self) -> float:
         return 2.0 * self.radius
 
-    def l1_radius(self) -> float:
+    def max_norm(self, q) -> float:
         return self.radius
 
     def euclidean_project(self, x) -> np.ndarray:
@@ -278,7 +283,7 @@ class Simplex(ConvexBody):
     def l2_diameter(self) -> float:
         return math.sqrt(2.0) if self.dimension > 1 else 0.0
 
-    def l1_radius(self) -> float:
+    def max_norm(self, q) -> float:
         return 1.0
 
     def euclidean_project(self, x) -> np.ndarray:
@@ -331,7 +336,7 @@ class Polytope(ConvexBody):
         # whose negated rows are a permutation of its rows passes with no LP;
         # any other takes one LP per vertex, so computed once per vertex list.
         V = self.vertex_array
-        return memo_by_body(self, "is_symmetric", lambda: (
+        return memo_by_body(self, ("is_symmetric",), lambda: (
             np.array_equal(V[np.lexsort(V.T)], -V[np.lexsort(-V.T)])
             or all(self._in_hull(-v) for v in V)))
 
@@ -373,9 +378,6 @@ class Polytope(ConvexBody):
         sq = np.sum(V * V, axis=1)
         d2 = sq[:, None] + sq[None, :] - 2.0 * (V @ V.T)
         return math.sqrt(max(float(d2.max()), 0.0))
-
-    def l1_radius(self) -> float:
-        return float(np.abs(self.vertex_array).sum(axis=1).max())
 
     def canonical_point(self) -> np.ndarray:
         return self.vertex_array.mean(axis=0)
@@ -456,8 +458,8 @@ class GroupedL1Ball(ConvexBody):
     def l2_diameter(self) -> float:
         return 2.0 * self.radius
 
-    def l1_radius(self) -> float:
-        return self.radius * math.sqrt(self.group_size)
+    def max_norm(self, q) -> float:
+        return self.radius * math.sqrt(self.group_size) if q == 1 else self.radius
 
     def euclidean_project(self, x) -> np.ndarray:
         v = _as_vector(x, self.dimension)
@@ -528,8 +530,9 @@ class Box(ConvexBody):
     def l2_diameter(self) -> float:
         return float(np.linalg.norm(self.hi - self.lo))
 
-    def l1_radius(self) -> float:
-        return float(np.maximum(np.abs(self.lo), np.abs(self.hi)).sum())
+    def max_norm(self, q) -> float:
+        # The farthest corner.
+        return float(np.linalg.norm(np.maximum(np.abs(self.lo), np.abs(self.hi)), q))
 
     def euclidean_project(self, x) -> np.ndarray:
         v = _as_vector(x, self.dimension)
@@ -577,11 +580,16 @@ class Memo:
 _body_memo = Memo()
 
 
-def memo_by_body(body: ConvexBody, name: str, compute: Callable[[], object]):
-    """The quantity ``name`` of ``body``, computed once per body key (every
-    time for a body without a key)."""
+def memo_by_body(body: ConvexBody, name: tuple, compute: Callable[[], object],
+                 memo: Optional[Callable] = None):
+    """``compute()``, the quantity ``name`` of ``body``, kept under the flat
+    key ``(*name, body_key(body))``: in ``memo(key, compute)`` when given
+    (a dataset's ``_memo``), else in the process memo.  A body without a
+    key computes it every time."""
     key = body_key(body)
-    return compute() if key is None else _body_memo.get((name, key), compute)
+    if key is None:
+        return compute()
+    return (memo or _body_memo.get)((*name, key), compute)
 
 
 # ---------------------------------------------------------------------------
@@ -739,9 +747,11 @@ def doc_floats(value, kind: str, key: str) -> np.ndarray:
     """``value`` of the ``key`` field of a ``kind`` document, a (nested) list
     of numbers, as a float array; an entry that ``doc_float`` refuses, a
     string, a bool or a non-finite number among them, raises its
-    ``ValueError``."""
+    ``ValueError``, and so do rows of different lengths."""
     entries = np.asarray(value, dtype=object)
     for v in entries.flat:
+        if isinstance(v, (list, tuple)):  # numpy keeps the rows of a ragged list whole
+            raise ValueError(f"{kind} {key!r} rows differ in length, got {value!r}")
         if type(v) is not float:  # floats are checked at once below
             doc_float(v, kind, key)
     out = entries.astype(float)

@@ -3,7 +3,8 @@
 All losses carry the 1/n normalization: L(theta; D) = (1/n) sum_i l(theta; d_i).
 Lipschitz constants, curvature and Hessian eigenvalue bounds are derived for
 the built-in kinds; custom losses must declare their constants explicitly
-because noise calibration depends on them.
+because noise calibration depends on them.  A norm maximum of the body
+(the ridge term's Lipschitz part) is read from ``ConvexBody.max_norm``.
 
 A ``Dataset`` is read-only.  Its ``X`` and ``y`` are read-only views of the
 arrays it was built from (not copies), so writing into them raises; the
@@ -18,10 +19,11 @@ under a lock, and shared by every cell and every thread that reads it:
   per (loss parameters, ``geometry.body_key(body)``);
 - the curvature bound of ``SquaredError`` and ``Huber``, per (ridge, body
   key);
-- the certified optimum of ``oracle.cached_solve``, per (body key, loss
+- the certified optimum of ``oracle.cached_solve``, per (loss key, body
   key).  A copy of the data, even with equal bytes, solves again.
 
-A body without a key gets its constants computed on every call.
+The body-keyed entries go through ``geometry.memo_by_body``, so a body
+without a key gets its constants computed on every call.
 
 Backend choice.  ``LossSpec.loss`` and ``LossSpec.bound_grad`` are the
 entry points; they call the ``_loss_on`` / ``_bind_grad`` hooks.
@@ -37,8 +39,9 @@ is.  The clamp only removes cancellation error, since the loss is >= 0.
 ridge regression runs on G too.
 Its curvature bound reads G as well: v'Gv over the vertices, lambda_max(G)
 on an l2 ball and the largest lambda_max(G_ss) over the blocks of a
-grouped l1 ball.  ``Huber``, ``CustomLoss``, ``SquaredError`` with p >= n
-and the box curvature bound (|X| m) keep the O(n p) pass over the rows.
+grouped l1 ball.  ``Huber``, ``CustomLoss`` (whose hooks take the whole
+batch X, y), ``SquaredError`` with p >= n and the box curvature bound
+(|X| m) keep the O(n p) pass over the rows.
 """
 
 from __future__ import annotations
@@ -50,8 +53,8 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .geometry import (ConvexBody, L1Ball, Memo, Simplex, block_slices, body_key, check_keys,
-                       doc_field, doc_float, row_abs_max)
+from .geometry import (Box, ConvexBody, GroupedL1Ball, L1Ball, L2Ball, Memo, Simplex,
+                       block_slices, check_keys, doc_field, doc_float, memo_by_body, row_abs_max)
 
 LASSO_DOMAIN_TOL = 1e-12
 
@@ -242,7 +245,7 @@ class LossSpec:
     def curvature_bound(self, body: ConvexBody, data: Dataset) -> float:
         raise NotImplementedError
 
-    def hessian_eig_bounds(self, body: ConvexBody, data: Dataset) -> tuple[float, float]:
+    def hessian_eig_bounds(self, data: Dataset) -> tuple[float, float]:
         """Bounds (lambda_min, lambda_max) on per-record Hessian eigenvalues."""
         raise NotImplementedError
 
@@ -262,20 +265,13 @@ def _lipschitz(key: str, body: ConvexBody, data: Dataset,
         L2 = float(np.max(res * np.sqrt(data.row_sq_norms()), initial=0.0))
         return L1, L2
 
-    return _per_body(data, ("lipschitz", key), body, compute)
+    return memo_by_body(body, ("lipschitz", key), compute, data._memo)
 
 
 def _curvature(body: ConvexBody, data: Dataset, ridge: float) -> float:
     """``_quadratic_curvature_bound``, memoised per (ridge, body)."""
-    return _per_body(data, ("curvature", ridge), body,
-                     lambda: _quadratic_curvature_bound(body, data, ridge))
-
-
-def _per_body(data: Dataset, name: tuple, body: ConvexBody, compute):
-    """``compute()``, memoised in ``data`` per (``name``, body key); every
-    time for a body without a key."""
-    bkey = body_key(body)
-    return compute() if bkey is None else data._memo((*name, bkey), compute)
+    return memo_by_body(body, ("curvature", ridge),
+                        lambda: _quadratic_curvature_bound(body, data, ridge), data._memo)
 
 
 def _dual_norms(body: ConvexBody, data: Dataset) -> np.ndarray:
@@ -329,15 +325,14 @@ class SquaredError(LossSpec):
         L = _lipschitz("squared_error", body, data)
         if not self.ridge:
             return L
-        # The ridge gradient is ridge * theta, largest at an extreme point.
-        points = _extreme_points(body)
-        return (L[0] + self.ridge * max(float(np.abs(v).max()) for v in points),
-                L[1] + self.ridge * max(float(np.linalg.norm(v)) for v in points))
+        # The ridge gradient is ridge * theta.
+        return (L[0] + self.ridge * body.max_norm(math.inf),
+                L[1] + self.ridge * body.max_norm(2))
 
     def curvature_bound(self, body, data) -> float:
         return _curvature(body, data, self.ridge)
 
-    def hessian_eig_bounds(self, body, data) -> tuple[float, float]:
+    def hessian_eig_bounds(self, data) -> tuple[float, float]:
         _require_nonempty(data)
         sq = data.row_sq_norms()
         lam_max = float(sq.max())
@@ -371,47 +366,29 @@ class Huber(LossSpec):
         # The Huber Hessian is dominated by the quadratic zone's x x^T.
         return _curvature(body, data, 0.0)
 
-    def hessian_eig_bounds(self, body, data) -> tuple[float, float]:
-        # Piecewise bound: zero outside the quadratic zone.
-        _require_nonempty(data)
-        return 0.0, float(data.row_sq_norms().max())
-
 
 class CustomLoss(LossSpec):
-    """User-supplied loss hooks with explicitly declared constants.
+    """User-supplied batch hooks with explicitly declared constants.
 
-    The library never guesses Lipschitz constants for black-box hooks: a
-    wrong constant would silently break the privacy calibration.  Batch
-    hooks are optional accelerators and must agree with the per-record
-    hooks.
+    ``loss_full(theta, X, y)`` and ``grad_full(theta, X, y)`` return the
+    1/n-normalized loss and gradient over all the records.  The library
+    never guesses Lipschitz constants for black-box hooks: a wrong constant
+    would silently break the privacy calibration.
     """
 
-    def __init__(self, loss_single: Callable, grad_single: Callable,
-                 constants: dict,
-                 loss_full: Optional[Callable] = None,
-                 grad_full: Optional[Callable] = None,
+    def __init__(self, loss_full: Callable, grad_full: Callable, constants: dict,
                  name: str = "custom"):
-        self._loss_single = loss_single
-        self._grad_single = grad_single
-        self._loss_batch = loss_full
-        self._grad_batch = grad_full
+        self._loss_hook = loss_full
+        self._grad_hook = grad_full
         self.name = name
         self.constants = dict(constants)
         self.strong_convexity = self.constants.get("strong_convexity")
 
     def _loss_full(self, theta, X, y) -> float:
-        if self._loss_batch is not None:
-            return float(self._loss_batch(theta, X, y))
-        return sum(self._loss_single(theta, X[i], float(y[i]))
-                   for i in range(X.shape[0])) / X.shape[0]
+        return float(self._loss_hook(theta, X, y))
 
     def _grad_full(self, theta, X, y) -> np.ndarray:
-        if self._grad_batch is not None:
-            return np.asarray(self._grad_batch(theta, X, y), dtype=float)
-        acc = np.zeros_like(np.asarray(theta, dtype=float))
-        for i in range(X.shape[0]):
-            acc += self._grad_single(theta, X[i], float(y[i]))
-        return acc / X.shape[0]
+        return np.asarray(self._grad_hook(theta, X, y), dtype=float)
 
     def _declared(self, key: str) -> float:
         if key not in self.constants:
@@ -427,7 +404,7 @@ class CustomLoss(LossSpec):
     def curvature_bound(self, body, data) -> float:
         return self._declared("curvature")
 
-    def hessian_eig_bounds(self, body, data) -> tuple[float, float]:
+    def hessian_eig_bounds(self, data) -> tuple[float, float]:
         return self._declared("lambda_min"), self._declared("lambda_max")
 
 
@@ -440,7 +417,6 @@ def _quadratic_curvature_bound(body: ConvexBody, data: Dataset, ridge: float) ->
     _require_nonempty(data)
     X, n = data.X, data.n
     G = data.gram().G if data.prefers_gram else None
-    from .geometry import Box, GroupedL1Ball, L2Ball
 
     def top(cols) -> float:
         # lambda_max(X_s' X_s / n) for the column block s.
@@ -474,35 +450,6 @@ def _quadratic_curvature_bound(body: ConvexBody, data: Dataset, ridge: float) ->
         row = np.abs(X) @ m
         return 4.0 * (float(row @ row) / n + ridge * float(m @ m))
     raise ValueError(f"curvature bound not implemented for {type(body).__name__}")
-
-
-def _extreme_points(body: ConvexBody):
-    """Points spanning the body for norm maxima (vertices or ball axes)."""
-    from .geometry import Box, GroupedL1Ball, L2Ball
-
-    try:
-        return list(body.vertices())
-    except ValueError:
-        pass
-    p = body.dimension
-    if isinstance(body, L2Ball):
-        # ||theta||_2 and ||theta||_inf maxima both occur at radius.
-        return [body.radius * np.ones(p) / math.sqrt(p), body.radius * np.eye(p)[0]]
-    if isinstance(body, GroupedL1Ball):
-        out = []
-        for s in block_slices(body.dimension, body.group_size):
-            v = np.zeros(p)
-            width = s.stop - s.start
-            v[s] = body.radius / math.sqrt(width)
-            out.append(v)
-            v2 = np.zeros(p)
-            v2[s.start] = body.radius
-            out.append(v2)
-        return out
-    if isinstance(body, Box):
-        # The farthest corner maximizes both norms.
-        return [np.where(np.abs(body.lo) > np.abs(body.hi), body.lo, body.hi)]
-    raise ValueError(f"no extreme-point list for {type(body).__name__}")
 
 
 def loss_key(loss: LossSpec) -> Optional[str]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .firstorder import minimize
-from .geometry import ConvexBody, body_key
+from .geometry import ConvexBody, memo_by_body
 from .losses import Dataset, LossSpec, loss_key, require_matching_dimension
 
 DEFAULT_REL_TOL = 1e-9
@@ -105,13 +105,10 @@ def cached_solve(body: ConvexBody, loss: LossSpec, data: Dataset) -> OracleSolut
 
     The entry lives in ``data``'s memo next to its other statistics, so it
     is freed with the dataset, and an equal-bytes copy of the data solves
-    again.  The body is keyed by ``body_key``; a body without a key is
+    again.  The body is keyed by ``memo_by_body``; a body without a key is
     solved uncached.  Each entry keeps its loss alive, so the id in a
     custom loss's key cannot be reused.
     """
     require_matching_dimension(body, data)
-    bkey = body_key(body)
-    if bkey is None:
-        return solve_exact(body, loss, data)
-    key = ("oracle", bkey, _loss_key(loss))
-    return data._memo(key, lambda: (loss, solve_exact(body, loss, data)))[1]
+    return memo_by_body(body, ("oracle", _loss_key(loss)),
+                        lambda: (loss, solve_exact(body, loss, data)), data._memo)[1]

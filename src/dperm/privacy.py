@@ -82,7 +82,8 @@ class NoisePlan:
 
 
 # ---------------------------------------------------------------------------
-# Calibration formulas
+# Calibration formulas.  A private budget has 0 < delta < 1, which
+# ``PrivacyBudget`` checks once, so the formulas do not check it again.
 
 
 def md_sigma(L2: float, T: int, budget: PrivacyBudget, n: int) -> float:
@@ -98,20 +99,16 @@ def md_sigma(L2: float, T: int, budget: PrivacyBudget, n: int) -> float:
     return math.sqrt(32.0 * L2 * L2 * T) * math.log(T / budget.delta) / (budget.epsilon * n)
 
 
-def fw_laplace_scale(L1: float, l1_radius: float, T: int,
+def fw_laplace_scale(L1: float, c_l1: float, T: int,
                      budget: PrivacyBudget, n: int) -> float:
     """Per-score Laplace scale for the polytope Frank-Wolfe solver.
 
-    b = L1 * ||C||_1 * sqrt(8 T ln(1/delta)) / (n eps).
+    b = L1 * ||C||_1 * sqrt(8 T ln(1/delta)) / (n eps), with ||C||_1 = c_l1.
     """
-    if T == 0:
-        return 0.0
-    _check_positive(L1=L1, l1_radius=l1_radius, T=T, n=n)
+    _check_positive(L1=L1, c_l1=c_l1, T=T, n=n)
     if not budget.is_private:
         return 0.0
-    if budget.delta >= 1.0:
-        raise ValueError("delta must be < 1")
-    return L1 * l1_radius * math.sqrt(8.0 * T * math.log(1.0 / budget.delta)) / (n * budget.epsilon)
+    return L1 * c_l1 * math.sqrt(8.0 * T * math.log(1.0 / budget.delta)) / (n * budget.epsilon)
 
 
 def fw_gaussian_sigma(L2: float, T: int, budget: PrivacyBudget, n: int) -> float:
@@ -143,8 +140,6 @@ def objpert_plan(L2: float, lam_max: float, lam_min: float,
     _check_positive(n=n)
     if not budget.is_private:
         return 0.0, 0.0
-    if budget.delta >= 1.0:
-        raise ValueError("delta must be < 1")
     sigma = L2 * math.sqrt(2.0 * math.log(1.0 / budget.delta)) / (n * budget.epsilon)
     zeta = max(2.0 * lam_max / (n * budget.epsilon) - lam_min, 0.0)
     return sigma, zeta

@@ -82,7 +82,9 @@ class SolverConfig:
     ``T = 0`` resolves the step count from the algorithm's own default
     formula (floored at 1, capped at ``t_cap``).  The mirror-descent
     algorithms need a potential that can run on the body
-    (``Potential.check_fit``); both are checked here, once per config.
+    (``Potential.check_fit``), ``strongly_convex_md`` a loss with
+    ``strong_convexity > 0`` and ``obj_pert`` a C^2 loss (not ``Huber``);
+    all are checked here, once per config.
     """
 
     algorithm: str
@@ -103,6 +105,11 @@ class SolverConfig:
             if self.potential is None:
                 raise ValueError(f"{self.algorithm} requires a potential")
             self.potential.check_fit(self.body)
+        if self.algorithm == "strongly_convex_md" and not (self.loss.strong_convexity or 0) > 0:
+            raise ValueError("strongly_convex_md requires a loss with strong_convexity > 0")
+        if self.algorithm == "obj_pert" and isinstance(self.loss, Huber):
+            raise ValueError("objective perturbation needs a twice continuously "
+                             "differentiable loss; the Huber loss is not C^2")
         if self.algorithm == "fw_polytope":
             try:
                 self.body.vertices()
@@ -217,7 +224,7 @@ def resolve_defaults(cfg: SolverConfig, data: Dataset) -> ResolvedRun:
     private = math.isfinite(eps)
 
     if alg == "obj_pert":
-        lam_min, lam_max = cfg.loss.hessian_eig_bounds(cfg.body, data)
+        lam_min, lam_max = cfg.loss.hessian_eig_bounds(data)
         sigma, zeta = objpert_plan(L2, lam_max, lam_min, cfg.budget, n)
         plan = NoisePlan(mechanism="objective_perturbation", steps=1,
                          sigma=sigma, zeta=zeta)
@@ -264,8 +271,6 @@ def resolve_defaults(cfg: SolverConfig, data: Dataset) -> ResolvedRun:
         T = steps("||Q||_2^2 eps^2 n^2 / (L2^2 ln^2(n/delta) G_Q^2)", raw)
     elif alg == "strongly_convex_md":
         delta_sc = cfg.loss.strong_convexity
-        if not delta_sc or delta_sc <= 0:
-            raise ValueError("strongly_convex_md requires a loss with strong_convexity > 0")
         plan.log(f"L2 = {L2:.6g}, Delta = {delta_sc}, n = {n}, eps = {eps}, delta = {delta}")
 
         def raw() -> float:
@@ -275,7 +280,7 @@ def resolve_defaults(cfg: SolverConfig, data: Dataset) -> ResolvedRun:
         T = steps("(||C||_2 n eps)^2 / G_C^2", raw)
     elif alg == "fw_polytope":
         gamma = cfg.loss.curvature_bound(cfg.body, data)
-        c_l1 = cfg.body.l1_radius()
+        c_l1 = cfg.body.max_norm(1)
         plan.log(f"L1 = {L1:.6g}, ||C||_1 = {c_l1:.6g}, Gamma = {gamma:.6g}, "
                  f"n = {n}, eps = {eps}, delta = {delta}")
         T = steps("Gamma^(2/3) (n eps)^(2/3) / (L1 ||C||_1)^(2/3)",
@@ -338,8 +343,6 @@ def _fw_mu(T: int, plan: NoisePlan) -> float:
 
 def sc_step_schedule(delta_sc: float) -> Callable[[int], float]:
     """The strongly convex schedule eta_t = 2/(Delta t)."""
-    if delta_sc <= 0:
-        raise ValueError("Delta must be positive")
     return lambda t: 2.0 / (delta_sc * t)
 
 
@@ -479,13 +482,10 @@ def _drain(loop) -> tuple:
 def run_solver(cfg: SolverConfig, data: Dataset) -> SolverReport:
     """Run the configured algorithm's loop to its end and report its output.
 
-    A body/data dimension mismatch, or a Huber loss under objective
-    perturbation, raises ``ValueError`` before any work starts.
+    A body/data dimension mismatch raises ``ValueError`` before any work
+    starts.
     """
     require_matching_dimension(cfg.body, data)
-    if cfg.algorithm == "obj_pert" and isinstance(cfg.loss, Huber):
-        raise ValueError("objective perturbation needs a twice continuously "
-                         "differentiable loss; the Huber loss is not C^2")
     run = resolve_defaults(cfg, data)
     rng = spawn_rng(cfg.seed, _STREAM_NOISE)
     start = time.perf_counter()

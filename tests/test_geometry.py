@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -207,7 +208,7 @@ class TestDiametersAndRadii:
         assert L2Ball(1.0, 5).l2_diameter() == pytest.approx(2.0)
 
     def test_l1_radius(self):
-        assert L1Ball(1.0, 5).l1_radius() == pytest.approx(1.0)
+        assert L1Ball(1.0, 5).max_norm(1) == pytest.approx(1.0)
 
     def test_triangle_diameter(self):
         # Enumerate the three vertex pairs by hand.
@@ -218,12 +219,69 @@ class TestDiametersAndRadii:
 
     def test_polytope_l1_radius_at_vertices(self, rng):
         V = random_small_polytope(rng)
-        assert Polytope(V).l1_radius() == pytest.approx(np.abs(V).sum(axis=1).max())
+        assert Polytope(V).max_norm(1) == pytest.approx(np.abs(V).sum(axis=1).max())
 
     def test_box(self):
         box = Box(lo=np.array([-1.0, 0.0]), hi=np.array([1.0, 2.0]))
         assert box.l2_diameter() == pytest.approx(math.sqrt(4 + 4))
-        assert box.l1_radius() == pytest.approx(3.0)
+        assert box.max_norm(1) == pytest.approx(3.0)
+
+
+NORM_ORDERS = (1, 2, math.inf)
+
+
+def unit(p: int, i: int = 0) -> np.ndarray:
+    return np.eye(p)[i]
+
+
+class TestMaxNorm:
+    """``max_norm(q)``, max over C of ||theta||_q, for every body kind."""
+
+    @pytest.mark.parametrize("body", [L1Ball(0.7, 5), Simplex(4), Polytope(TRIANGLE),
+                                      Polytope(2.5 * CROSS)],
+                             ids=["l1_ball", "simplex", "triangle", "cross"])
+    def test_vertex_bodies_take_the_largest_vertex_norm(self, body):
+        for q in NORM_ORDERS:
+            expected = max(float(np.linalg.norm(v, q)) for v in body.vertices())
+            assert body.max_norm(q) == pytest.approx(expected, rel=1e-15)
+
+    def test_random_polytopes(self, rng):
+        for _ in range(20):
+            V = random_small_polytope(rng)
+            for q in NORM_ORDERS:
+                expected = max(float(np.linalg.norm(v, q)) for v in V)
+                assert Polytope(V).max_norm(q) == pytest.approx(expected, rel=1e-15)
+
+    @pytest.mark.parametrize("lo,hi", [
+        ([-1.0], [2.0]),
+        ([-3.0, -1.0], [1.0, 3.0]),
+        ([-2.0, -2.0, -2.0], [2.0, 2.0, 2.0]),
+        ([0.5, -4.0, -1.0, 0.0], [1.0, 1.0, 3.0, 0.25]),
+    ], ids=["p1", "p2-asymmetric", "p3-symmetric", "p4-asymmetric"])
+    def test_box_is_its_farthest_corner(self, lo, hi):
+        box = Box(lo=np.array(lo), hi=np.array(hi))
+        corners = [np.array(c) for c in itertools.product(*zip(lo, hi))]
+        assert len(corners) == 2 ** len(lo)
+        for q in NORM_ORDERS:
+            expected = max(float(np.linalg.norm(c, q)) for c in corners)
+            assert box.max_norm(q) == pytest.approx(expected, rel=1e-15)
+
+    @pytest.mark.parametrize("body,attained", [
+        (L2Ball(1.5, 6), {1: np.full(6, 1.5 / math.sqrt(6)), 2: 1.5 * unit(6),
+                          math.inf: 1.5 * unit(6)}),
+        # Blocks of 3, 3 and 1 coordinates: the l1 maximum spreads over a
+        # full block, not the short last one.
+        (GroupedL1Ball(1.5, 3, 7), {1: np.r_[np.full(3, 1.5 / math.sqrt(3)), np.zeros(4)],
+                                    2: 1.5 * unit(7, 6), math.inf: 1.5 * unit(7, 3)}),
+    ], ids=["l2_ball", "grouped_l1_ball"])
+    def test_balls_attain_it_and_no_point_exceeds_it(self, rng, body, attained):
+        points = np.array([body.euclidean_project(x)
+                           for x in 3.0 * rng.standard_normal((10_000, body.dimension))])
+        for q in NORM_ORDERS:
+            bound = body.max_norm(q)
+            assert body.contains(attained[q])
+            assert float(np.linalg.norm(attained[q], q)) == pytest.approx(bound, rel=1e-15)
+            assert np.linalg.norm(points, q, axis=1).max() <= bound * (1 + 1e-12)
 
 
 class TestGaussianWidth:
@@ -429,7 +487,7 @@ class TestBodyKey:
         body = Bare(1.0, 2)
         assert body_key(body) is None
         for _ in range(2):
-            assert memo_by_body(body, "test", lambda: calls.append(1) or 7) == 7
+            assert memo_by_body(body, ("test",), lambda: calls.append(1) or 7) == 7
         assert len(calls) == 2
 
     def test_row_abs_max_matches_abs_max(self, rng):

@@ -294,6 +294,14 @@ class TestSweepDocument:
                 f"{kind} {key!r} must be a finite number, got {value!r}")):
             build(value, tmp_path)
 
+    def test_ragged_vertex_rows_are_named_as_such(self):
+        # numpy keeps the rows of a ragged list whole, so an entry is a row,
+        # not a number.
+        doc = {"kind": "polytope", "vertices": [[1, 0], [0]]}
+        with pytest.raises(ValueError, match=re.escape(
+                "polytope body 'vertices' rows differ in length, got [[1, 0], [0]]")):
+            body_from_dict(doc)
+
     def test_boolean_flags_are_read(self, tmp_path):
         for nonneg in (False, True):
             records, failures = run_sweep(load_sweep(tmp_path, with_generator(nonneg=nonneg)))

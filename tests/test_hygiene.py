@@ -1,10 +1,12 @@
 """Source hygiene: every name a module imports is used in that module,
 every module-level name of the package is named somewhere else (and not
 only by the tests), every class member is read by the package or the
-benchmark, and every name the benchmark's tracer patches still exists."""
+benchmark, every parameter is read by some implementation, and every name
+the benchmark's tracer patches still exists."""
 
 import ast
 import types
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -217,6 +219,75 @@ def test_member_scan_ignores_self_reference():
     reader = ast.parse("getattr(shape, 'scale')\n")
     assert unread_members({"mod": mod}, [mod, reader]) == ["mod.Shape.area",
                                                           "mod.Shape.corners"]
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def unread_parameters(modules: dict[str, ast.Module]) -> list[str]:
+    """``Class.method(param)`` for each parameter that no implementation of
+    a method of that name, across the classes of ``modules``, reads, and
+    ``module.function(param)`` for each parameter that a module function
+    never reads.
+
+    Implementations are matched by position (a method's first parameter,
+    ``self`` or ``cls``, dropped), keyword-only parameters by name;
+    ``*args`` and ``**kwargs`` are not checked.  A read is any load of the
+    name in the body, nested functions and lambdas included.
+    """
+    groups = defaultdict(list)  # name -> [(owner, positional, keyword-only, names read)]
+    for module, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, FUNCTIONS):
+                groups[f"{module}.{node.name}"].append((module, *_signature(node)))
+            elif isinstance(node, ast.ClassDef):
+                for fn in node.body:
+                    if isinstance(fn, FUNCTIONS):
+                        positional, keyword, read = _signature(fn)
+                        groups[fn.name].append((node.name, positional[1:], keyword, read))
+    out = []
+    for name, impls in groups.items():
+        slots = defaultdict(list)  # position or keyword name -> [(owner, param, is read)]
+        for owner, positional, keyword, read in impls:
+            for slot, arg in [*enumerate(positional), *((a, a) for a in keyword)]:
+                slots[slot].append((owner, arg, arg in read))
+        for entries in slots.values():
+            if not any(is_read for _, _, is_read in entries):
+                owner, arg, _ = entries[0]
+                label = name if "." in name else f"{owner}.{name}"
+                out.append(f"{label}({arg})")
+    return out
+
+
+def _signature(fn) -> tuple[list[str], list[str], set[str]]:
+    # (positional parameters, keyword-only parameters, names loaded in the body)
+    args = fn.args
+    read = {n.id for stmt in fn.body for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return [a.arg for a in args.posonlyargs + args.args], [a.arg for a in args.kwonlyargs], read
+
+
+def test_every_parameter_is_read():
+    """A parameter that no implementation reads is a value the callers
+    compute and pass for nothing."""
+    modules = {path.stem: ast.parse(path.read_text(), filename=str(path))
+               for path in MODULES}
+    assert unread_parameters(modules) == []
+
+
+def test_parameter_scan_groups_methods_by_name():
+    mod = ast.parse(
+        "class Shape:\n"
+        "    def fit(self, body, data):\n"
+        "        raise NotImplementedError\n"
+        "class Ball(Shape):\n"
+        "    def fit(self, region, rows):\n"
+        "        return lambda: region\n"
+        "def draw(shape, scale, *rest, colour, **style):\n"
+        "    return scale\n"
+    )
+    assert unread_parameters({"mod": mod}) == ["Shape.fit(data)", "mod.draw(shape)",
+                                               "mod.draw(colour)"]
 
 
 def test_benchmark_tracer_names_exist():

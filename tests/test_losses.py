@@ -198,8 +198,8 @@ class TestCurvature:
         # y-only loss: gradient constant in theta, so the second-order term
         # in the curvature expression vanishes identically.
         lin = CustomLoss(
-            loss_single=lambda th, x, y: float(np.dot(x, th)) - y,
-            grad_single=lambda th, x, y: np.asarray(x, dtype=float),
+            loss_full=lambda th, X, y: float(np.mean(X @ th - y)),
+            grad_full=lambda th, X, y: X.mean(axis=0),
             constants={"l1_lipschitz": 1.0, "l2_lipschitz": 1.0, "curvature": 0.0,
                        "lambda_min": 0.0, "lambda_max": 0.0},
         )
@@ -233,28 +233,28 @@ class TestCurvature:
 class TestHessianBounds:
     def test_rank_one_example(self):
         data = Dataset(X=np.array([[1.0, 1.0]]), y=np.array([0.0]))
-        assert SquaredError().hessian_eig_bounds(L2Ball(1.0, 2), data) == (0.0, 2.0)
+        assert SquaredError().hessian_eig_bounds(data) == (0.0, 2.0)
 
     def test_zero_feature(self):
         data = Dataset(X=np.zeros((1, 2)), y=np.array([0.0]))
-        assert SquaredError().hessian_eig_bounds(L2Ball(1.0, 2), data) == (0.0, 0.0)
+        assert SquaredError().hessian_eig_bounds(data) == (0.0, 0.0)
 
     def test_sign_rows(self, rng):
         p = 50
         X = rng.choice([-1.0, 1.0], size=(10, p))
         data = Dataset(X=X, y=np.zeros(10))
-        lam_min, lam_max = SquaredError().hessian_eig_bounds(L2Ball(1.0, p), data)
+        lam_min, lam_max = SquaredError().hessian_eig_bounds(data)
         assert lam_max == pytest.approx(float(p))
 
     def test_one_dimensional_lambda_min(self):
         data = Dataset(X=np.array([[0.5], [1.0]]), y=np.zeros(2))
-        lam_min, lam_max = SquaredError().hessian_eig_bounds(Box(np.array([-1.]), np.array([1.])), data)
+        lam_min, lam_max = SquaredError().hessian_eig_bounds(data)
         assert lam_min == pytest.approx(0.25) and lam_max == pytest.approx(1.0)
 
 
 class TestCustomAndRidge:
     def test_custom_requires_constants(self, rng):
-        spec = CustomLoss(lambda th, x, y: 0.0, lambda th, x, y: np.zeros(2),
+        spec = CustomLoss(lambda th, X, y: 0.0, lambda th, X, y: np.zeros(2),
                           constants={})
         data = lasso_dataset(rng, n=4, p=2)
         with pytest.raises(ValueError, match="never inferred"):
@@ -262,7 +262,6 @@ class TestCustomAndRidge:
 
     def test_ridge_matches_hand_formula(self, rng):
         data = lasso_dataset(rng, n=30, p=3)
-        body = L1Ball(1.0, 3)
         spec = SquaredError(ridge=0.5)
         theta = 0.2 * rng.standard_normal(3)
         base = SquaredError()
@@ -271,7 +270,7 @@ class TestCustomAndRidge:
         assert np.allclose(spec.grad(theta, data),
                            base.grad(theta, data) + 0.5 * theta)
         assert spec.strong_convexity == 0.5
-        lam_min, lam_max = spec.hessian_eig_bounds(body, data)
+        lam_min, lam_max = spec.hessian_eig_bounds(data)
         assert lam_min == pytest.approx(0.5)
 
     def test_ridge_batch_matches_singles(self, rng):

@@ -240,9 +240,7 @@ def shifted_squared_error(shift: float) -> CustomLoss:
     def grad_full(theta, X, y):
         return X.T @ (X @ theta - (y + shift)) / X.shape[0]
 
-    return CustomLoss(lambda t, x, y: 0.5 * (float(x @ t) - y - shift) ** 2,
-                      lambda t, x, y: (float(x @ t) - y - shift) * x,
-                      constants={}, loss_full=loss_full, grad_full=grad_full)
+    return CustomLoss(loss_full, grad_full, constants={})
 
 
 class TestDimensionMismatch:

@@ -84,8 +84,10 @@ class TestFwLaplaceScale:
         got = fw_laplace_scale(1.0, 1.0, 64, PrivacyBudget(1.0, 1e-6), 10 ** 4)
         assert got == pytest.approx(expected, rel=1e-12)
 
-    def test_zero_steps_zero_noise(self):
-        assert fw_laplace_scale(1.0, 1.0, 0, PrivacyBudget(1.0, 1e-6), 100) == 0.0
+    def test_zero_steps_rejected(self):
+        # As for the Gaussian scales: no run has T = 0.
+        with pytest.raises(ValueError, match="T must be positive"):
+            fw_laplace_scale(1.0, 1.0, 0, PrivacyBudget(1.0, 1e-6), 100)
 
     def test_linear_in_l1_and_radius(self):
         b = PrivacyBudget(0.5, 1e-5)

@@ -137,7 +137,7 @@ def reference_step_loop(cfg, data):
 class TestResolveDefaults:
     def test_fw_polytope_step_count_example(self):
         # Gamma = 4, L1 ||C||_1 = 2, n eps = 1e4 -> floor(2^(2/3) * 1e4^(2/3)) = 736.
-        loss = CustomLoss(lambda t, x, y: 0.0, lambda t, x, y: np.zeros(2),
+        loss = CustomLoss(lambda t, X, y: 0.0, lambda t, X, y: np.zeros(2),
                           constants={"l1_lipschitz": 2.0, "l2_lipschitz": 5.0,
                                      "curvature": 4.0, "lambda_min": 0.0,
                                      "lambda_max": 1.0})
@@ -193,7 +193,7 @@ class TestResolveDefaults:
             resolve_defaults(cfg, data)
 
     def test_missing_custom_constants(self, small_lasso):
-        loss = CustomLoss(lambda t, x, y: 0.0, lambda t, x, y: np.zeros(12),
+        loss = CustomLoss(lambda t, X, y: 0.0, lambda t, X, y: np.zeros(12),
                           constants={})
         cfg = SolverConfig(algorithm="fw_polytope", body=L1Ball(1.0, 12), loss=loss,
                            budget=PrivacyBudget(1.0, 1e-6))
@@ -302,11 +302,17 @@ class TestStronglyConvexMd:
         for t in [1, 5, 40]:
             assert s2(t) == pytest.approx(s1(t) / 2.0)
 
-    def test_requires_strong_convexity(self, small_lasso):
-        cfg = SolverConfig(algorithm="strongly_convex_md", body=L1Ball(1.0, 12),
-                           loss=SQ, budget=NON_PRIVATE, potential=SquaredL2(), T=5)
+    def test_requires_strong_convexity(self):
         with pytest.raises(ValueError, match="strong_convexity"):
-            run_solver(cfg, small_lasso)
+            SolverConfig(algorithm="strongly_convex_md", body=L1Ball(1.0, 12),
+                         loss=SQ, budget=NON_PRIVATE, potential=SquaredL2(), T=5)
+
+    def test_document_without_strong_convexity_is_refused(self):
+        with pytest.raises(ValueError, match="strong_convexity"):
+            SolverConfig.from_dict({
+                "algorithm": "strongly_convex_md", "body": L2Ball(1.0, 12).to_dict(),
+                "loss": {"kind": "squared_error"}, "budget": {"epsilon": 1.0},
+                "potential": {"kind": "squared_l2"}})
 
     def test_nonprivate_log_t_over_t_improvement(self, small_lasso):
         body = L2Ball(1.0, 12)
@@ -361,11 +367,10 @@ class TestObjectivePerturbation:
         assert 0.0 < rep.extras["inner_gap"] <= 1e-8
         assert rep.iterations > 0 and rep.feasible
 
-    def test_huber_rejected(self, small_lasso):
-        cfg = SolverConfig(algorithm="obj_pert", body=L1Ball(1.0, 12),
-                           loss=Huber(0.5), budget=NON_PRIVATE)
+    def test_huber_rejected(self):
         with pytest.raises(ValueError, match="twice"):
-            run_solver(cfg, small_lasso)
+            SolverConfig(algorithm="obj_pert", body=L1Ball(1.0, 12),
+                         loss=Huber(0.5), budget=NON_PRIVATE)
 
     def test_zeta_pulls_toward_center(self, small_lasso):
         # Same seed => same linear perturbation b; declared lambda_max scans
@@ -376,12 +381,10 @@ class TestObjectivePerturbation:
         dists = []
         for lam_max in [0.0, 1.0, 4.0, 16.0, 64.0]:
             loss = CustomLoss(
-                lambda t, x, y: 0.5 * (float(np.dot(x, t)) - y) ** 2,
-                lambda t, x, y: (float(np.dot(x, t)) - y) * np.asarray(x, float),
+                SQ._loss_full, SQ._grad_full,
                 constants={"l1_lipschitz": 2.0, "l2_lipschitz": 4.0,
                            "curvature": 4.0, "lambda_min": 0.0,
-                           "lambda_max": lam_max},
-                loss_full=SQ._loss_full, grad_full=SQ._grad_full)
+                           "lambda_max": lam_max})
             cfg = SolverConfig(algorithm="obj_pert", body=body, loss=loss,
                                budget=PrivacyBudget(1.0, 1e-6), seed=5)
             rep = run_solver(cfg, small_lasso)
@@ -400,11 +403,9 @@ class TestObjectivePerturbation:
         data = Dataset(X=X, y=X @ theta_far)
         body = L2Ball(1.0, 12)
         loss = CustomLoss(
-            lambda t, x, y: 0.5 * (float(np.dot(x, t)) - y) ** 2,
-            lambda t, x, y: (float(np.dot(x, t)) - y) * np.asarray(x, float),
+            SQ._loss_full, SQ._grad_full,
             constants={"l1_lipschitz": 8.0, "l2_lipschitz": 16.0, "curvature": 16.0,
-                       "lambda_min": 0.0, "lambda_max": 0.0},
-            loss_full=SQ._loss_full, grad_full=SQ._grad_full)
+                       "lambda_min": 0.0, "lambda_max": 0.0})
         oracle = solve_exact(body, loss, data)
         assert np.linalg.norm(oracle.theta_star) == pytest.approx(1.0, abs=1e-6)
         ratios = []
