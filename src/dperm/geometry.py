@@ -4,11 +4,10 @@ Every body is closed, convex and bounded.  The operations here are pure
 functions of their inputs and safe to call concurrently; the Monte-Carlo
 width estimator takes its seed explicitly, so an estimate is reproducible.
 
-A quantity of the public body alone (its Gaussian width, a polytope's
-symmetry) is computed once per process by ``memo_by_body``, keyed by
-``body_key``, the sorted JSON of ``body.to_dict()``.  The same rule keys
-the per-dataset statistics of ``losses`` and ``oracle`` that also depend
-on a body.
+A quantity of the public body alone (its Gaussian width) is computed once
+per process by ``memo_by_body``, keyed by ``body_key``, the sorted JSON of
+``body.to_dict()``.  The same rule keys the per-dataset statistics of
+``losses`` and ``oracle`` that also depend on a body.
 """
 
 from __future__ import annotations
@@ -79,7 +78,6 @@ class ConvexBody:
     """
 
     dimension: int
-    is_symmetric: bool = False
 
     # -- interface -------------------------------------------------------
 
@@ -143,7 +141,6 @@ class L2Ball(ConvexBody):
 
     radius: float
     dimension: int
-    is_symmetric = True
 
     def __post_init__(self):
         _check_radius(self.radius)
@@ -195,7 +192,6 @@ class L1Ball(ConvexBody):
 
     radius: float
     dimension: int
-    is_symmetric = True
 
     def __post_init__(self):
         _check_radius(self.radius)
@@ -330,21 +326,8 @@ class Polytope(ConvexBody):
     def n_vertices(self) -> int:
         return self.vertex_array.shape[0]
 
-    @cached_property
-    def is_symmetric(self) -> bool:
-        # Symmetric iff every vertex's negation is also in the hull.  A list
-        # whose negated rows are a permutation of its rows passes with no LP;
-        # any other takes one LP per vertex, so computed once per vertex list.
-        V = self.vertex_array
-        return memo_by_body(self, ("is_symmetric",), lambda: (
-            np.array_equal(V[np.lexsort(V.T)], -V[np.lexsort(-V.T)])
-            or all(self._in_hull(-v) for v in V)))
-
     def contains(self, x) -> bool:
-        v = _as_vector(x, self.dimension)
-        return self._in_hull(v)
-
-    def _in_hull(self, x: np.ndarray) -> bool:
+        x = _as_vector(x, self.dimension)
         # min t  s.t.  |V^T a - x| <= t,  sum a = 1,  a >= 0
         V = self.vertex_array
         k, p = V.shape
@@ -360,9 +343,7 @@ class Polytope(ConvexBody):
         A_eq[0, :k] = 1.0
         res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=[1.0],
                       bounds=[(0, None)] * k + [(0, None)], method="highs")
-        if not res.success:
-            return False
-        return res.fun <= FEAS_TOL
+        return bool(res.success) and res.fun <= FEAS_TOL
 
     def lmo(self, direction) -> np.ndarray:
         d = _as_vector(direction, self.dimension, "direction")
@@ -417,7 +398,6 @@ class GroupedL1Ball(ConvexBody):
     radius: float
     group_size: int
     dimension: int
-    is_symmetric = True
 
     def __post_init__(self):
         _check_radius(self.radius)
@@ -687,16 +667,18 @@ def symmetric_hull(body: ConvexBody) -> ConvexBody:
     """Smallest symmetric body of the same family containing conv(C, -C).
 
     For symmetric bodies this is the body itself; for the simplex it is the
-    unit l1 ball; for polytopes, the hull of V and -V.  For boxes the
-    enclosing symmetric box is returned (a superset of the exact hull,
-    which is not itself a box).
+    unit l1 ball; for a polytope, the hull of V followed by the rows of -V
+    that V lacks, compared by value, or the polytope itself when -V adds
+    none.  For boxes the enclosing symmetric box is returned (a superset of
+    the exact hull, which is not itself a box).
     """
     if isinstance(body, Simplex):
         return L1Ball(radius=1.0, dimension=body.dimension)
     if isinstance(body, Polytope):
-        if body.is_symmetric:
-            return body
-        return Polytope(np.vstack([body.vertex_array, -body.vertex_array]))
+        V = body.vertex_array
+        rows = set(map(tuple, V.tolist()))  # -0.0 == 0.0 with one hash
+        new = [i for i, row in enumerate((-V).tolist()) if tuple(row) not in rows]
+        return Polytope(np.vstack([V, -V[new]])) if new else body
     if isinstance(body, Box):
         if body.is_symmetric:
             return body

@@ -1,9 +1,11 @@
 """Private solvers: noisy mirror descent, objective perturbation, Frank-Wolfe.
 
-``run_solver`` is the one entry point.  It resolves the step count, step
-sizes and noise scales (``resolve_defaults``), then runs the loop of the
-algorithm's family to its end.  Each loop is a generator that yields the
-iterates it visits and returns (theta_priv, iterations, extras):
+``run_solver`` is the one entry point.  ``_TABLE`` gives each algorithm a
+calibration and a loop.  The calibration (``resolve_defaults``) reads the
+algorithm's constants, resolves its step count, sets its noise scale and
+its step, and logs each in the ``NoisePlan`` trace.  The loop is a
+generator that yields the iterates it visits and returns (theta_priv,
+iterations, extras):
 
 - mirror descent (``noisy_md``, ``strongly_convex_md``): T-1 prox steps on
   Gaussian-noised gradients over the body's iterate space
@@ -56,8 +58,6 @@ from .privacy import (
     sample_laplace,
     spawn_rng,
 )
-
-ALGORITHMS = ("noisy_md", "strongly_convex_md", "obj_pert", "fw_polytope", "fw_general")
 
 # Stream id of the noise generator in the documented rng split.
 _STREAM_NOISE = 0
@@ -179,24 +179,7 @@ class SolverReport:
 
 
 # ---------------------------------------------------------------------------
-# Default resolution
-
-
-def _q_body_for(cfg: SolverConfig) -> ConvexBody:
-    if cfg.potential is not None:
-        # The potential knows the symmetric body its strong convexity is
-        # stated against; the blanket symmetric hull would mispair e.g. a
-        # squared-l2 potential on an l1 ball.
-        return cfg.potential.natural_q(cfg.body)
-    return symmetric_hull(cfg.body)
-
-
-def _width_of(body: ConvexBody, plan: NoisePlan, label: str) -> float:
-    est = memo_by_body(body, "gaussian_width",
-                       lambda: gaussian_width_mc(body, WIDTH_SAMPLES, WIDTH_SEED))
-    plan.log(f"{label} = {est.mean:.6g} (Monte Carlo, {est.samples} samples, "
-             f"seed {est.seed}, se {est.std_error:.2g})")
-    return est.mean
+# Calibration: one ``calibrate(cfg, data)`` per algorithm, top to bottom.
 
 
 def seed_from(master_seed: int, stream: int) -> int:
@@ -211,128 +194,50 @@ class ResolvedRun:
     plan: NoisePlan
     eta: Optional[Callable[[int], float]] = None  # MD step for index t (1-based)
     mu: Optional[float] = None  # FW mixing weight, the same at every step
-    zeta: float = 0.0
-    theta0: Optional[np.ndarray] = None
 
 
 def resolve_defaults(cfg: SolverConfig, data: Dataset) -> ResolvedRun:
     """Fill T, step sizes and noise scales; record every substitution."""
     require_matching_dimension(cfg.body, data)
-    eps, delta, n = cfg.budget.epsilon, cfg.budget.delta, data.n
-    L1, L2 = cfg.loss.lipschitz_constants(cfg.body, data)
-    alg = cfg.algorithm
-    private = math.isfinite(eps)
+    return _TABLE[cfg.algorithm][0](cfg, data)
 
-    if alg == "obj_pert":
-        lam_min, lam_max = cfg.loss.hessian_eig_bounds(data)
-        sigma, zeta = objpert_plan(L2, lam_max, lam_min, cfg.budget, n)
-        plan = NoisePlan(mechanism="objective_perturbation", steps=1,
-                         sigma=sigma, zeta=zeta)
-        plan.log(f"L2 = {L2:.6g}, lambda in [{lam_min:.6g}, {lam_max:.6g}], "
-                 f"n = {n}, eps = {eps}, delta = {delta}")
-        plan.log(f"sigma = L2 sqrt(2 ln(1/delta))/(n eps) = {sigma:.6g}")
-        plan.log(f"zeta = max(2 lambda_max/(n eps) - lambda_min, 0) = {zeta:.6g}")
-        return ResolvedRun(T=1, plan=plan, zeta=zeta, theta0=cfg.body.canonical_point())
 
-    plan = NoisePlan(mechanism="laplace_per_score" if alg == "fw_polytope"
-                     else "gaussian_per_step", steps=0)
-
-    def steps(text: str, raw: Callable[[], float]) -> int:
-        # The user's T verbatim; else the formula ``text``, evaluated (width
-        # included) by ``raw``, floored at 1 and capped at t_cap.
-        if cfg.T > 0:
-            plan.log(f"T = {cfg.T} (user-supplied)")
-            return cfg.T
-        value = raw()
-        plan.log(f"T formula: {text} = {value:.6g}")
-        if math.isinf(value):
-            plan.log(f"T formula diverges in non-private mode; capped at {cfg.t_cap}")
-            return cfg.t_cap
-        if value < 1.0:
-            raise ValueError(
-                f"{alg}: default step count resolves to {value:.3g} < 1; "
-                "increase n or epsilon, or supply T explicitly"
-            )
+def _steps(cfg: SolverConfig, plan: NoisePlan, text: tuple[str, str],
+           ratio: Callable, width: Optional[tuple[str, ConvexBody]] = None) -> int:
+    """The step count, also set as ``plan.steps``: the user's T verbatim;
+    else the formula num / den, named by the pair ``text``, with (num, den)
+    = ``ratio(w)`` at the Gaussian width w of ``width`` = (label, body)
+    (None without one), floored at 1 and capped at t_cap.  A non-private
+    budget or a zero denominator makes the formula infinite: the cap."""
+    if cfg.T > 0:
+        plan.log(f"T = {cfg.T} (user-supplied)")
+        plan.steps = cfg.T
+        return cfg.T
+    w = None
+    if width is not None:
+        label, body = width
+        est = memo_by_body(body, ("gaussian_width",),
+                           lambda: gaussian_width_mc(body, WIDTH_SAMPLES, WIDTH_SEED))
+        plan.log(f"{label} = {est.mean:.6g} (Monte Carlo, {est.samples} samples, "
+                 f"seed {est.seed}, se {est.std_error:.2g})")
+        w = est.mean
+    private = cfg.budget.is_private
+    num, den = ratio(w) if private else (math.inf, 1.0)
+    value = num / den if den > 0 else math.inf
+    plan.log(f"T formula: {text[0]} / {text[1]} = {value:.6g}")
+    if math.isinf(value):
+        why = f": {text[1]} = {den:.6g};" if private else " in non-private mode;"
+        plan.log(f"T formula diverges{why} capped at {cfg.t_cap}")
+        T = cfg.t_cap
+    elif value < 1.0:
+        raise ValueError(f"{cfg.algorithm}: default step count resolves to {value:.3g} < 1; "
+                         "increase n or epsilon, or supply T explicitly")
+    else:
         T = min(int(value), cfg.t_cap)
         if T < value:
             plan.log(f"T = min(floor({value:.6g}), cap {cfg.t_cap}) = {T}")
-        return T
-
-    if alg == "noisy_md":
-        plan.log(f"L2 = {L2:.6g}, n = {n}, eps = {eps}, delta = {delta}")
-        q_body = _q_body_for(cfg)
-        q_diam = q_body.l2_diameter()
-
-        def raw() -> float:
-            g_q = _width_of(q_body, plan, "G_Q")
-            return (q_diam ** 2 * eps ** 2 * n ** 2) / (L2 ** 2 * math.log(n / delta) ** 2 * g_q ** 2) \
-                if L2 > 0 and private else math.inf
-
-        T = steps("||Q||_2^2 eps^2 n^2 / (L2^2 ln^2(n/delta) G_Q^2)", raw)
-    elif alg == "strongly_convex_md":
-        delta_sc = cfg.loss.strong_convexity
-        plan.log(f"L2 = {L2:.6g}, Delta = {delta_sc}, n = {n}, eps = {eps}, delta = {delta}")
-
-        def raw() -> float:
-            g_c = _width_of(cfg.body, plan, "G_C")
-            return (cfg.body.l2_diameter() * n * eps) ** 2 / g_c ** 2 if private else math.inf
-
-        T = steps("(||C||_2 n eps)^2 / G_C^2", raw)
-    elif alg == "fw_polytope":
-        gamma = cfg.loss.curvature_bound(cfg.body, data)
-        c_l1 = cfg.body.max_norm(1)
-        plan.log(f"L1 = {L1:.6g}, ||C||_1 = {c_l1:.6g}, Gamma = {gamma:.6g}, "
-                 f"n = {n}, eps = {eps}, delta = {delta}")
-        T = steps("Gamma^(2/3) (n eps)^(2/3) / (L1 ||C||_1)^(2/3)",
-                  lambda: (gamma ** (2 / 3) * (n * eps) ** (2 / 3) / (L1 * c_l1) ** (2 / 3))
-                  if L1 * c_l1 > 0 and private else math.inf)
-    else:
-        gamma = cfg.loss.curvature_bound(cfg.body, data)
-        plan.log(f"L2 = {L2:.6g}, Gamma = {gamma:.6g}, n = {n}, eps = {eps}, delta = {delta}")
-
-        def raw() -> float:
-            g_c = _width_of(cfg.body, plan, "G_C")
-            return (gamma ** (2 / 3) * (n * eps) ** (2 / 3) / (L2 * g_c) ** (2 / 3)) \
-                if L2 * g_c > 0 and private else math.inf
-
-        T = steps("Gamma^(2/3) (n eps)^(2/3) / (L2 G_C)^(2/3)", raw)
     plan.steps = T
-
-    if alg == "fw_polytope":
-        scale = fw_laplace_scale(L1, c_l1, T, cfg.budget, n)
-        plan.laplace_scale = scale
-        plan.log(f"laplace scale = L1 ||C||_1 sqrt(8 T ln(1/delta))/(n eps) = {scale:.6g}")
-        plan.log("scores use the 1/n-normalized gradient, paired with the "
-                 "per-record sensitivity scale above")
-        return ResolvedRun(T=T, plan=plan, mu=_fw_mu(T, plan))
-    if alg == "fw_general":
-        sigma = fw_gaussian_sigma(L2, T, cfg.budget, n)
-        plan.sigma = sigma
-        plan.log(f"sigma = sqrt(32 L2 T) ln(n/delta)/(n eps) = {sigma:.6g} "
-                 "(source display is linear in L2 and logs n/delta, unlike the "
-                 "mirror-descent scale; implemented verbatim)")
-        return ResolvedRun(T=T, plan=plan, mu=_fw_mu(T, plan))
-
-    sigma = md_sigma(L2, T, cfg.budget, n)
-    plan.sigma = sigma
-    plan.log(f"sigma = sqrt(32 L2^2 T) ln(T/delta)/(eps n) = {sigma:.6g}")
-    if alg == "noisy_md":
-        return ResolvedRun(T=T, plan=plan, eta=_md_eta(cfg, L2, q_diam, T, plan))
-    plan.log(f"eta_t = 2/(Delta t) with Delta = {delta_sc}")
-    return ResolvedRun(T=T, plan=plan, eta=sc_step_schedule(delta_sc))
-
-
-def _md_eta(cfg: SolverConfig, L2: float, q_diam: float, T: int,
-            plan: NoisePlan) -> Callable[[int], float]:
-    if L2 <= 0 or q_diam <= 0:
-        raise ValueError("noisy_md: the step size sqrt(max Psi)/(L2 ||Q||_2 sqrt(T)) "
-                         f"needs L2 > 0 and ||Q||_2 > 0, got L2 = {L2:.6g}, "
-                         f"||Q||_2 = {q_diam:.6g}")
-    max_psi = cfg.potential.max_over_domain(cfg.body)
-    eta = math.sqrt(max_psi) / (L2 * q_diam * math.sqrt(T))
-    plan.log(f"eta = sqrt(max Psi)/(L2 ||Q||_2 sqrt(T)) = {eta:.6g} "
-             f"(max Psi = {max_psi:.6g})")
-    return lambda t: eta
+    return T
 
 
 def _fw_mu(T: int, plan: NoisePlan) -> float:
@@ -341,9 +246,100 @@ def _fw_mu(T: int, plan: NoisePlan) -> float:
     return mu
 
 
+def _calibrate_noisy_md(cfg: SolverConfig, data: Dataset) -> ResolvedRun:
+    eps, delta, n = cfg.budget.epsilon, cfg.budget.delta, data.n
+    L2 = cfg.loss.lipschitz_constants(cfg.body, data)[1]
+    plan = NoisePlan(mechanism="gaussian_per_step", steps=0)
+    plan.log(f"L2 = {L2:.6g}, n = {n}, eps = {eps}, delta = {delta}")
+    # The potential knows the symmetric body its strong convexity is stated
+    # against; the blanket symmetric hull would mispair e.g. a squared-l2
+    # potential on an l1 ball.  The config requires a potential, so the hull
+    # fallback never runs; perfbench/spans.py still patches it here.
+    q_body = (cfg.potential.natural_q(cfg.body) if cfg.potential is not None
+              else symmetric_hull(cfg.body))
+    q_diam = q_body.l2_diameter()
+    T = _steps(cfg, plan, ("||Q||_2^2 eps^2 n^2", "(L2^2 ln^2(n/delta) G_Q^2)"),
+               lambda g_q: (q_diam ** 2 * eps ** 2 * n ** 2,
+                            L2 ** 2 * math.log(n / delta) ** 2 * g_q ** 2),
+               ("G_Q", q_body))
+    plan.sigma = md_sigma(L2, T, cfg.budget, n)
+    plan.log(f"sigma = sqrt(32 L2^2 T) ln(T/delta)/(eps n) = {plan.sigma:.6g}")
+    if L2 <= 0 or q_diam <= 0:
+        raise ValueError("noisy_md: the step size sqrt(max Psi)/(L2 ||Q||_2 sqrt(T)) "
+                         f"needs L2 > 0 and ||Q||_2 > 0, got L2 = {L2:.6g}, "
+                         f"||Q||_2 = {q_diam:.6g}")
+    max_psi = cfg.potential.max_over_domain(cfg.body)
+    eta = math.sqrt(max_psi) / (L2 * q_diam * math.sqrt(T))
+    plan.log(f"eta = sqrt(max Psi)/(L2 ||Q||_2 sqrt(T)) = {eta:.6g} "
+             f"(max Psi = {max_psi:.6g})")
+    return ResolvedRun(T=T, plan=plan, eta=lambda t: eta)
+
+
+def _calibrate_strongly_convex_md(cfg: SolverConfig, data: Dataset) -> ResolvedRun:
+    eps, delta, n = cfg.budget.epsilon, cfg.budget.delta, data.n
+    L2 = cfg.loss.lipschitz_constants(cfg.body, data)[1]
+    delta_sc = cfg.loss.strong_convexity
+    plan = NoisePlan(mechanism="gaussian_per_step", steps=0)
+    plan.log(f"L2 = {L2:.6g}, Delta = {delta_sc}, n = {n}, eps = {eps}, delta = {delta}")
+    c_diam = cfg.body.l2_diameter()
+    T = _steps(cfg, plan, ("(||C||_2 n eps)^2", "G_C^2"),
+               lambda g_c: ((c_diam * n * eps) ** 2, g_c ** 2), ("G_C", cfg.body))
+    plan.sigma = md_sigma(L2, T, cfg.budget, n)
+    plan.log(f"sigma = sqrt(32 L2^2 T) ln(T/delta)/(eps n) = {plan.sigma:.6g}")
+    plan.log(f"eta_t = 2/(Delta t) with Delta = {delta_sc}")
+    return ResolvedRun(T=T, plan=plan, eta=sc_step_schedule(delta_sc))
+
+
 def sc_step_schedule(delta_sc: float) -> Callable[[int], float]:
     """The strongly convex schedule eta_t = 2/(Delta t)."""
     return lambda t: 2.0 / (delta_sc * t)
+
+
+def _calibrate_obj_pert(cfg: SolverConfig, data: Dataset) -> ResolvedRun:
+    eps, delta, n = cfg.budget.epsilon, cfg.budget.delta, data.n
+    L2 = cfg.loss.lipschitz_constants(cfg.body, data)[1]
+    lam_min, lam_max = cfg.loss.hessian_eig_bounds(data)
+    sigma, zeta = objpert_plan(L2, lam_max, lam_min, cfg.budget, n)
+    plan = NoisePlan(mechanism="objective_perturbation", steps=1, sigma=sigma, zeta=zeta)
+    plan.log(f"L2 = {L2:.6g}, lambda in [{lam_min:.6g}, {lam_max:.6g}], "
+             f"n = {n}, eps = {eps}, delta = {delta}")
+    plan.log(f"sigma = L2 sqrt(2 ln(1/delta))/(n eps) = {sigma:.6g}")
+    plan.log(f"zeta = max(2 lambda_max/(n eps) - lambda_min, 0) = {zeta:.6g}")
+    return ResolvedRun(T=1, plan=plan)
+
+
+def _calibrate_fw_polytope(cfg: SolverConfig, data: Dataset) -> ResolvedRun:
+    eps, delta, n = cfg.budget.epsilon, cfg.budget.delta, data.n
+    L1 = cfg.loss.lipschitz_constants(cfg.body, data)[0]
+    gamma = cfg.loss.curvature_bound(cfg.body, data)
+    c_l1 = cfg.body.max_norm(1)
+    plan = NoisePlan(mechanism="laplace_per_score", steps=0)
+    plan.log(f"L1 = {L1:.6g}, ||C||_1 = {c_l1:.6g}, Gamma = {gamma:.6g}, "
+             f"n = {n}, eps = {eps}, delta = {delta}")
+    T = _steps(cfg, plan, ("Gamma^(2/3) (n eps)^(2/3)", "(L1 ||C||_1)^(2/3)"),
+               lambda _: (gamma ** (2 / 3) * (n * eps) ** (2 / 3), (L1 * c_l1) ** (2 / 3)))
+    plan.laplace_scale = fw_laplace_scale(L1, c_l1, T, cfg.budget, n)
+    plan.log(f"laplace scale = L1 ||C||_1 sqrt(8 T ln(1/delta))/(n eps) = "
+             f"{plan.laplace_scale:.6g}")
+    plan.log("scores use the 1/n-normalized gradient, paired with the "
+             "per-record sensitivity scale above")
+    return ResolvedRun(T=T, plan=plan, mu=_fw_mu(T, plan))
+
+
+def _calibrate_fw_general(cfg: SolverConfig, data: Dataset) -> ResolvedRun:
+    eps, delta, n = cfg.budget.epsilon, cfg.budget.delta, data.n
+    L2 = cfg.loss.lipschitz_constants(cfg.body, data)[1]
+    gamma = cfg.loss.curvature_bound(cfg.body, data)
+    plan = NoisePlan(mechanism="gaussian_per_step", steps=0)
+    plan.log(f"L2 = {L2:.6g}, Gamma = {gamma:.6g}, n = {n}, eps = {eps}, delta = {delta}")
+    T = _steps(cfg, plan, ("Gamma^(2/3) (n eps)^(2/3)", "(L2 G_C)^(2/3)"),
+               lambda g_c: (gamma ** (2 / 3) * (n * eps) ** (2 / 3), (L2 * g_c) ** (2 / 3)),
+               ("G_C", cfg.body))
+    plan.sigma = fw_gaussian_sigma(L2, T, cfg.budget, n)
+    plan.log(f"sigma = sqrt(32 L2 T) ln(n/delta)/(n eps) = {plan.sigma:.6g} "
+             "(source display is linear in L2 and logs n/delta, unlike the "
+             "mirror-descent scale; implemented verbatim)")
+    return ResolvedRun(T=T, plan=plan, mu=_fw_mu(T, plan))
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +387,7 @@ def _objective_perturbation(cfg: SolverConfig, data: Dataset, run: ResolvedRun, 
     # OBJPERT_INNER_TOL; when it cannot certify, the best-gap iterate is
     # returned with inner_converged = False and a warning naming the gap.
     b = sample_gaussian_vec(cfg.body.dimension, run.plan.sigma, rng)
-    theta0, zeta = run.theta0, run.zeta
+    theta0, zeta = cfg.body.canonical_point(), run.plan.zeta
     grad = cfg.loss.bound_grad(data)
 
     def fgrad(theta):
@@ -461,13 +457,15 @@ def _frank_wolfe(cfg: SolverConfig, data: Dataset, run: ResolvedRun, rng):
     }
 
 
-_LOOPS = {
-    "noisy_md": _mirror_descent,
-    "strongly_convex_md": _mirror_descent,
-    "obj_pert": _objective_perturbation,
-    "fw_polytope": _frank_wolfe,
-    "fw_general": _frank_wolfe,
+# Each algorithm's calibration and loop.
+_TABLE = {
+    "noisy_md": (_calibrate_noisy_md, _mirror_descent),
+    "strongly_convex_md": (_calibrate_strongly_convex_md, _mirror_descent),
+    "obj_pert": (_calibrate_obj_pert, _objective_perturbation),
+    "fw_polytope": (_calibrate_fw_polytope, _frank_wolfe),
+    "fw_general": (_calibrate_fw_general, _frank_wolfe),
 }
+ALGORITHMS = tuple(_TABLE)
 
 
 def _drain(loop) -> tuple:
@@ -489,7 +487,7 @@ def run_solver(cfg: SolverConfig, data: Dataset) -> SolverReport:
     run = resolve_defaults(cfg, data)
     rng = spawn_rng(cfg.seed, _STREAM_NOISE)
     start = time.perf_counter()
-    theta, iterations, extras = _drain(_LOOPS[cfg.algorithm](cfg, data, run, rng))
+    theta, iterations, extras = _drain(_TABLE[cfg.algorithm][1](cfg, data, run, rng))
     return SolverReport(
         algorithm=cfg.algorithm,
         theta_priv=theta,

@@ -4,7 +4,8 @@ Each one is written independently of the library path it checks: feasible
 points drawn per body kind, the Minkowski gauge, each potential's value,
 gradient and strong-convexity modulus on the body its iterates live in
 (``body.iterate_space()[0]`` of the run's body), the Bregman divergence, the
-per-record loss gradient, the sampled curvature expression and a
+per-record loss gradient, the sampled curvature expression, each
+algorithm's calibration (step count, noise scales and steps) and a
 coordinate-descent LASSO solve.  The sort-based projections and the
 certified first-order loop without gradient reuse are the library's
 earlier forms, kept to check that the leaner ones return the same bits.
@@ -15,7 +16,8 @@ import math
 import numpy as np
 from scipy.optimize import linprog
 
-from dperm.geometry import Box, GroupedL1Ball, L1Ball, L2Ball, Polytope, Simplex, block_slices
+from dperm.geometry import (Box, GroupedL1Ball, L1Ball, L2Ball, Polytope, Simplex, block_slices,
+                            gaussian_width_mc)
 from dperm.losses import Huber, SquaredError
 from dperm.potentials import (ENTROPY_FLOOR, GroupedL1, NegativeEntropy, PolytopeQNorm, SquaredL2,
                               default_q_exponent, grouped_exponents)
@@ -68,7 +70,7 @@ def gauge(body, v) -> float:
     if isinstance(body, GroupedL1Ball):
         return sum(float(np.linalg.norm(v[s]))
                    for s in block_slices(body.dimension, body.group_size)) / body.radius
-    if isinstance(body, Polytope) and body.is_symmetric:
+    if isinstance(body, Polytope):
         V = body.vertex_array
         k = V.shape[0]
         # Split a = a+ - a-: minimize 1' (a+ + a-).
@@ -178,6 +180,73 @@ def curvature_empirical(loss, body, data, trials: int, seed: int = 0) -> float:
         )
         best = max(best, val)
     return best
+
+
+def reference_plan(cfg, data) -> dict:
+    """T, sigma, the Laplace scale, zeta, eta(1), eta(2), eta(5) and mu of
+    ``cfg`` on ``data``, from the displays each algorithm states.
+
+    The user's T is taken verbatim; else the algorithm's T formula is
+    floored and capped at ``t_cap``, a non-private budget or a zero
+    denominator giving the cap, and a formula below 1 raises ``ValueError``.
+    The Gaussian widths are the solver's Monte-Carlo estimates at its
+    public seed.
+    """
+    from dperm.solvers import WIDTH_SAMPLES, WIDTH_SEED
+
+    alg, body, loss = cfg.algorithm, cfg.body, cfg.loss
+    eps, delta, n = cfg.budget.epsilon, cfg.budget.delta, data.n
+    private = math.isfinite(eps)
+    L1, L2 = loss.lipschitz_constants(body, data)
+    out = {"T": 1, "sigma": 0.0, "laplace_scale": 0.0, "zeta": 0.0, "eta": None, "mu": None}
+    if alg == "obj_pert":
+        lam_min, lam_max = loss.hessian_eig_bounds(data)
+        if private:
+            out["sigma"] = L2 * math.sqrt(2.0 * math.log(1.0 / delta)) / (n * eps)
+            out["zeta"] = max(2.0 * lam_max / (n * eps) - lam_min, 0.0)
+        return out
+
+    def width(b):
+        return gaussian_width_mc(b, WIDTH_SAMPLES, WIDTH_SEED).mean
+
+    def steps(numerator, denominator, power):
+        if cfg.T > 0:
+            return cfg.T
+        if not private or denominator == 0.0:
+            return cfg.t_cap
+        value = (numerator / denominator) ** power
+        if value < 1.0:
+            raise ValueError(f"default T {value} < 1")
+        return min(math.floor(value), cfg.t_cap)
+
+    if alg in ("noisy_md", "strongly_convex_md"):
+        if alg == "noisy_md":
+            q_body = cfg.potential.natural_q(body)
+            T = steps(q_body.l2_diameter() * eps * n,
+                      L2 * math.log(n / delta) * width(q_body), 2)
+            eta = math.sqrt(cfg.potential.max_over_domain(body)) / (
+                L2 * q_body.l2_diameter() * math.sqrt(T))
+            out["eta"] = [eta, eta, eta]
+        else:
+            T = steps(body.l2_diameter() * n * eps, width(body), 2)
+            out["eta"] = [2.0 / (loss.strong_convexity * t) for t in (1, 2, 5)]
+        if private:
+            out["sigma"] = math.sqrt(32.0 * T) * L2 * math.log(T / delta) / (eps * n)
+    else:
+        gamma = loss.curvature_bound(body, data)
+        if alg == "fw_polytope":
+            c_l1 = body.max_norm(1)
+            T = steps(gamma * n * eps, L1 * c_l1, 2 / 3)
+            if private:
+                out["laplace_scale"] = (L1 * c_l1 * math.sqrt(8.0 * T * math.log(1.0 / delta))
+                                        / (n * eps))
+        else:
+            T = steps(gamma * n * eps, L2 * width(body), 2 / 3)
+            if private:
+                out["sigma"] = math.sqrt(32.0 * L2 * T) * math.log(n / delta) / (n * eps)
+        out["mu"] = 1.0 / (T + 2.0)
+    out["T"] = T
+    return out
 
 
 def lasso_cd_penalized(G: np.ndarray, b: np.ndarray, lam: float,

@@ -433,7 +433,7 @@ class TestSymmetricHull:
 
     @pytest.fixture
     def lp_calls(self, monkeypatch):
-        """The list of ``geometry.linprog`` calls, with a fresh body memo."""
+        """The list of ``geometry.linprog`` calls."""
         import dperm.geometry as geometry
 
         calls = []
@@ -444,32 +444,26 @@ class TestSymmetricHull:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(geometry, "linprog", counting)
-        monkeypatch.setattr(geometry, "_body_memo", geometry.Memo())  # as in a fresh process
         return calls
 
-    def test_polytope_symmetry_solves_its_lps_once(self, lp_calls):
-        # Symmetric, but the interior point has no negation in the list, so
-        # the rows do not pair up and each vertex takes its hull LP.
+    def test_hull_adds_only_the_missing_negations(self, lp_calls):
+        # The interior point has no negation in the list, so only its
+        # negation is appended; the cross already holds its own.
         V = np.vstack([CROSS, [0.1, 0.2]])
-        poly = Polytope(V)
-        assert poly.is_symmetric
-        assert len(lp_calls) == len(V)  # one hull LP per vertex
-        assert poly.is_symmetric
-        assert symmetric_hull(poly) is poly
-        assert len(lp_calls) == len(V)
-        # Another polytope with the same vertex list reads the memo.
-        again = Polytope(V.copy())
-        assert again.is_symmetric and symmetric_hull(again) is again
-        assert len(lp_calls) == len(V)
+        hull = symmetric_hull(Polytope(V))
+        assert np.array_equal(hull.vertex_array, np.vstack([V, [[-0.1, -0.2]]]))
+        # Without a shared row, V followed by all of -V.
+        assert np.array_equal(symmetric_hull(Polytope(TRIANGLE)).vertex_array,
+                              np.vstack([TRIANGLE, -TRIANGLE]))
+        assert lp_calls == []
 
     def test_row_paired_vertices_need_no_lp(self, lp_calls):
-        # -V is a row permutation of V: symmetric with no LP at all.
-        assert Polytope(CROSS).is_symmetric
-        assert Polytope(np.vstack([CROSS[::-1], [[0.3, -0.2], [-0.3, 0.2]]])).is_symmetric
+        # -V is a row permutation of V: the polytope is its own hull.
+        for V in (CROSS, np.vstack([CROSS[::-1], [[0.3, -0.2], [-0.3, 0.2]]]),
+                  np.array([[0.0, 1.0], [0.0, -1.0]])):  # -V's -0.0 pairs with 0.0
+            poly = Polytope(V)
+            assert symmetric_hull(poly) is poly
         assert lp_calls == []
-        # An asymmetric list falls back to the LPs and still fails.
-        assert not Polytope(TRIANGLE).is_symmetric
-        assert len(lp_calls) >= 1
 
 
 class TestBodyKey:

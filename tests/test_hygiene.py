@@ -2,7 +2,8 @@
 every module-level name of the package is named somewhere else (and not
 only by the tests), every class member is read by the package or the
 benchmark, every parameter is read by some implementation, and every name
-the benchmark's tracer patches still exists."""
+the benchmark's tracer patches still exists; the calibration still calls
+the two it times through those names."""
 
 import ast
 import types
@@ -290,15 +291,49 @@ def test_parameter_scan_groups_methods_by_name():
                                                "mod.draw(colour)"]
 
 
-def test_benchmark_tracer_names_exist():
-    # ``perfbench/spans.py`` patches functions by module and class
-    # attribute; a name moved or removed by a refactor raises KeyError.
-    # The file is executed from its text, so nothing is written next to it.
+def load_spans() -> types.ModuleType:
+    """``perfbench/spans.py``, executed from its text, so nothing is
+    written next to it."""
     path = ROOT / "perfbench" / "spans.py"
     spans = types.ModuleType("perfbench_spans")
     exec(compile(path.read_text(), str(path), "exec"), spans.__dict__)
-    tracer = spans.Tracer()
+    return spans
+
+
+def test_benchmark_tracer_names_exist():
+    # ``perfbench/spans.py`` patches functions by module and class
+    # attribute; a name moved or removed by a refactor raises KeyError.
+    tracer = load_spans().Tracer()
     try:
         tracer.install()
     finally:
         tracer.uninstall()
+
+
+def test_benchmark_tracer_sees_the_calibration(monkeypatch):
+    # The tracer patches ``resolve_defaults`` and ``gaussian_width_mc`` where
+    # ``solvers`` looks them up; a refactor that reaches them another way
+    # would leave their per-layer metrics at 0 without any error.
+    import dperm.geometry as geometry
+    import dperm.harness as harness
+    from dperm import (L1Ball, L2Ball, PrivacyBudget, SolverConfig, SquaredError, SquaredL2,
+                       generate_lasso)
+    from dperm.solvers import ALGORITHMS
+
+    monkeypatch.setattr(geometry, "_body_memo", geometry.Memo())  # as in a fresh process
+    data = generate_lasso(n=2000, p=8, sparsity=3, noise_level=0.1, seed=3)
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        for algorithm in ALGORITHMS:
+            sc = algorithm == "strongly_convex_md"
+            harness.run_solver(SolverConfig(
+                algorithm=algorithm, body=L2Ball(1.0, 8) if sc else L1Ball(1.0, 8),
+                loss=SquaredError(ridge=0.5 if sc else 0.0), budget=PrivacyBudget(1.0),
+                potential=SquaredL2() if algorithm.endswith("_md") else None,
+                t_cap=20), data)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics()
+    assert metrics["solvers.resolve_defaults.s"] > 0
+    assert metrics["geometry.gaussian_width_mc.calls"] >= 1

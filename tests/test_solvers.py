@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import dperm.solvers as solvers
-from dperm.geometry import Box, L1Ball, L2Ball, Polytope, Simplex, gaussian_width_mc
+from dperm.geometry import Box, L1Ball, L2Ball, Polytope, Simplex, body_key, gaussian_width_mc
 from dperm.harness import generate_lasso
 from dperm.losses import CustomLoss, Dataset, Huber, SquaredError
 from dperm.oracle import cached_solve, excess_risk, solve_exact
@@ -19,6 +19,7 @@ from dperm.solvers import (
     run_solver,
     sc_step_schedule,
 )
+from reference import reference_plan
 
 NON_PRIVATE = PrivacyBudget(math.inf)
 SQ = SquaredError()
@@ -32,8 +33,9 @@ def small_lasso():
 def step_loop(cfg, data, run=None):
     """The library's own loop generator for ``cfg``, on ``run`` (by default
     ``resolve_defaults(cfg, data)``) and the noise stream ``run_solver`` uses."""
-    return solvers._LOOPS[cfg.algorithm](cfg, data, run or resolve_defaults(cfg, data),
-                                         spawn_rng(cfg.seed, solvers._STREAM_NOISE))
+    loop = solvers._TABLE[cfg.algorithm][1]
+    return loop(cfg, data, run or resolve_defaults(cfg, data),
+                spawn_rng(cfg.seed, solvers._STREAM_NOISE))
 
 
 def drive(cfg, data, run=None):
@@ -199,6 +201,32 @@ class TestResolveDefaults:
                            budget=PrivacyBudget(1.0, 1e-6))
         with pytest.raises(ValueError):
             resolve_defaults(cfg, small_lasso)
+
+    def test_width_is_memoised_under_its_name_and_body_key(self, small_lasso, monkeypatch):
+        import dperm.geometry as geometry
+
+        memo = geometry.Memo()
+        monkeypatch.setattr(geometry, "_body_memo", memo)  # as in a fresh process
+        body = L1Ball(1.0, 12)
+        cfg = SolverConfig(algorithm="fw_general", body=body, loss=SQ,
+                           budget=PrivacyBudget(1.0, 1e-6))
+        resolve_defaults(cfg, small_lasso)
+        assert list(memo._values) == [("gaussian_width", body_key(body))]
+
+    @pytest.mark.parametrize("algorithm,product", [
+        ("fw_polytope", "(L1 ||C||_1)^(2/3)"), ("fw_general", "(L2 G_C)^(2/3)")],
+        ids=["fw_polytope", "fw_general"])
+    @pytest.mark.parametrize("budget", [PrivacyBudget(1.0, 1e-6), NON_PRIVATE],
+                             ids=["private", "non_private"])
+    def test_divergent_t_formula_names_its_cause(self, algorithm, product, budget):
+        # All-zero features make L1 = L2 = 0, so the denominator vanishes.
+        data = Dataset(X=np.zeros((50, 3)), y=np.zeros(50))
+        cfg = SolverConfig(algorithm=algorithm, body=L1Ball(1.0, 3), loss=SQ,
+                           budget=budget, t_cap=1000)
+        run = resolve_defaults(cfg, data)
+        assert run.T == 1000
+        why = f": {product} = 0;" if budget.is_private else " in non-private mode;"
+        assert f"T formula diverges{why} capped at 1000" in run.plan.trace
 
     def test_plan_trace_names_inputs(self, small_lasso):
         cfg = SolverConfig(algorithm="fw_polytope", body=L1Ball(1.0, 12), loss=SQ,
@@ -527,16 +555,43 @@ class TestFwGeneral:
         assert rep.feasible
 
 
-def config_for(algorithm: str, **kw) -> SolverConfig:
-    """A private config of ``algorithm`` on the 12-dimensional l1 ball, with
-    the ridge loss on the l2 ball for ``strongly_convex_md``."""
+def config_for(algorithm: str, budget=PrivacyBudget(1.0, 1e-6), **kw) -> SolverConfig:
+    """A config of ``algorithm`` on the 12-dimensional l1 ball, with the
+    ridge loss on the l2 ball for ``strongly_convex_md``; private unless
+    ``budget`` says otherwise."""
     body, loss = L1Ball(1.0, 12), SQ
     if algorithm == "strongly_convex_md":
         body = L2Ball(1.0, 12)
         loss = SquaredError(ridge=0.5)
     potential = SquaredL2() if algorithm.endswith("_md") else None
     return SolverConfig(algorithm=algorithm, body=body, loss=loss,
-                        budget=PrivacyBudget(1.0, 1e-6), potential=potential, **kw)
+                        budget=budget, potential=potential, **kw)
+
+
+class TestReferenceCalibration:
+    """Each algorithm's T, noise scales and steps against the displays in
+    ``tests/reference.py``."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        return generate_lasso(n=3000, p=12, sparsity=3, noise_level=0.1, seed=31)
+
+    @pytest.mark.parametrize("budget", [PrivacyBudget(1.0, 1e-6), NON_PRIVATE],
+                             ids=["private", "non_private"])
+    @pytest.mark.parametrize("T", [0, 17], ids=["default_T", "user_T"])
+    @pytest.mark.parametrize("algorithm", solvers.ALGORITHMS)
+    def test_resolve_defaults_matches_reference(self, data, algorithm, T, budget):
+        cfg = config_for(algorithm, budget=budget, T=T, t_cap=5000)
+        run = resolve_defaults(cfg, data)
+        ref = reference_plan(cfg, data)
+        assert run.T == run.plan.steps == ref["T"]
+        for scale in ("sigma", "laplace_scale", "zeta"):
+            assert getattr(run.plan, scale) == pytest.approx(ref[scale], rel=1e-12)
+        assert run.mu == (None if ref["mu"] is None else pytest.approx(ref["mu"], rel=1e-12))
+        if ref["eta"] is None:
+            assert run.eta is None
+        else:
+            assert [run.eta(t) for t in (1, 2, 5)] == pytest.approx(ref["eta"], rel=1e-12)
 
 
 class TestReportAndConfig:
