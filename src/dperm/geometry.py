@@ -8,6 +8,9 @@ A quantity of the public body alone (its Gaussian width) is computed once
 per process by ``memo_by_body``, keyed by ``body_key``, the sorted JSON of
 ``body.to_dict()``.  The same rule keys the per-dataset statistics of
 ``losses`` and ``oracle`` that also depend on a body.
+
+A grouped-l1 ball's blocks are one (..., m, g) array, the short last one
+zero-padded; ``GroupedL1Ball.blocks`` and ``unblock`` own that layout.
 """
 
 from __future__ import annotations
@@ -21,12 +24,11 @@ from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import linprog
 
 # Absolute tolerance on membership / optimality checks.
 FEAS_TOL = 1e-9
 
-# Polytopes above this vertex count would make the coefficient LPs too slow.
+# Longer vertex lists are rejected: ``Polytope.l2_diameter`` forms a k x k matrix.
 MAX_POLYTOPE_VERTICES = 10_000
 
 # Rows of |G| formed at a time by ``row_abs_max``.
@@ -312,10 +314,8 @@ class Polytope(ConvexBody):
             raise ValueError("vertex list must be a (k, p) array with k >= 1")
         _check_finite(V, "vertex list")
         if V.shape[0] > MAX_POLYTOPE_VERTICES:
-            raise ValueError(
-                f"polytope has {V.shape[0]} vertices; more than "
-                f"{MAX_POLYTOPE_VERTICES} is rejected to keep the coefficient LPs small"
-            )
+            raise ValueError(f"polytope has {V.shape[0]} vertices; "
+                             f"more than {MAX_POLYTOPE_VERTICES} is rejected")
         object.__setattr__(self, "vertex_array", V)
 
     @property
@@ -327,6 +327,8 @@ class Polytope(ConvexBody):
         return self.vertex_array.shape[0]
 
     def contains(self, x) -> bool:
+        from scipy.optimize import linprog
+
         x = _as_vector(x, self.dimension)
         # min t  s.t.  |V^T a - x| <= t,  sum a = 1,  a >= 0
         V = self.vertex_array
@@ -382,17 +384,12 @@ class Polytope(ConvexBody):
         return {"kind": "polytope", "vertices": self.vertex_array.tolist()}
 
 
-def block_slices(dimension: int, group_size: int) -> list[slice]:
-    """The contiguous blocks of ``group_size`` coordinates; the last may be shorter."""
-    return [slice(i, min(i + group_size, dimension)) for i in range(0, dimension, group_size)]
-
-
 @dataclass(frozen=True, eq=False)
 class GroupedL1Ball(ConvexBody):
     """Ball of the grouped l1 norm: sum over blocks of the block l2 norm.
 
-    Coordinates are split into contiguous blocks of `group_size` (the last
-    block may be shorter).
+    The p coordinates form m = ceil(p / g) contiguous blocks of g = `group_size`;
+    ``blocks`` lays them out as (..., m, g), the short last one zero-padded.
     """
 
     radius: float
@@ -404,36 +401,35 @@ class GroupedL1Ball(ConvexBody):
         if not (1 <= self.group_size <= self.dimension):
             raise ValueError("group size must be in [1, dimension]")
 
-    def _block_norms(self, v: np.ndarray) -> np.ndarray:
-        return np.array([np.linalg.norm(v[s]) for s in block_slices(self.dimension,
-                                                                    self.group_size)])
+    def blocks(self, v) -> np.ndarray:
+        """The (..., m, g) blocks of v (..., p), the short last one zero-padded."""
+        v = np.asarray(v, dtype=float)
+        m = -(-self.dimension // self.group_size)  # ceil(p / g)
+        out = np.zeros(v.shape[:-1] + (m, self.group_size))
+        self.unblock(out)[...] = v
+        return out
 
-    def grouped_norm(self, v) -> float:
-        v = _as_vector(v, self.dimension, "v")
-        return float(self._block_norms(v).sum())
+    def unblock(self, B: np.ndarray) -> np.ndarray:
+        """The (..., p) array of the blocks B (..., m, g), padding dropped."""
+        return B.reshape(B.shape[:-2] + (-1,))[..., :self.dimension]
 
     def contains(self, x) -> bool:
         v = _as_vector(x, self.dimension)
-        return self.grouped_norm(v) <= self.radius + FEAS_TOL
+        return float(np.linalg.norm(self.blocks(v), axis=-1).sum()) <= self.radius + FEAS_TOL
 
     def lmo(self, direction) -> np.ndarray:
         d = _as_vector(direction, self.dimension, "direction")
         _check_finite(d)
-        norms = self._block_norms(d)
+        B = self.blocks(d)
+        norms = np.linalg.norm(B, axis=-1)
         j = int(np.argmax(norms))
-        out = np.zeros(self.dimension)
-        if norms[j] == 0.0:
-            return out
-        s = block_slices(self.dimension, self.group_size)[j]
-        out[s] = -(self.radius / norms[j]) * d[s]
-        return out
+        out = np.zeros_like(B)
+        if norms[j] > 0.0:
+            out[j] = -(self.radius / norms[j]) * B[j]
+        return self.unblock(out)
 
     def dual_norms(self, G: np.ndarray) -> np.ndarray:
-        block_norms = np.stack(
-            [np.linalg.norm(G[:, s], axis=1)
-             for s in block_slices(self.dimension, self.group_size)], axis=1
-        )
-        return self.radius * block_norms.max(axis=1)
+        return self.radius * np.linalg.norm(self.blocks(G), axis=-1).max(axis=-1)
 
     def l2_diameter(self) -> float:
         return 2.0 * self.radius
@@ -443,14 +439,13 @@ class GroupedL1Ball(ConvexBody):
 
     def euclidean_project(self, x) -> np.ndarray:
         v = _as_vector(x, self.dimension)
-        norms = self._block_norms(v)
+        B = self.blocks(v)
+        norms = np.linalg.norm(B, axis=-1)
         if norms.sum() <= self.radius:
             return v.copy()
         shrunk = _project_simplex(norms, self.radius)
-        out = v.copy()
-        for s, n, m in zip(block_slices(self.dimension, self.group_size), norms, shrunk):
-            out[s] = 0.0 if n == 0.0 else v[s] * (m / n)
-        return out
+        scale = np.divide(shrunk, norms, out=np.zeros_like(norms), where=norms > 0.0)
+        return self.unblock(B * scale[:, None])
 
     def canonical_point(self) -> np.ndarray:
         return np.zeros(self.dimension)
@@ -669,8 +664,9 @@ def symmetric_hull(body: ConvexBody) -> ConvexBody:
     For symmetric bodies this is the body itself; for the simplex it is the
     unit l1 ball; for a polytope, the hull of V followed by the rows of -V
     that V lacks, compared by value, or the polytope itself when -V adds
-    none.  For boxes the enclosing symmetric box is returned (a superset of
-    the exact hull, which is not itself a box).
+    none; a hull above ``MAX_POLYTOPE_VERTICES`` raises ``ValueError``
+    before it is built.  For boxes the enclosing symmetric box is returned
+    (a superset of the exact hull, which is not itself a box).
     """
     if isinstance(body, Simplex):
         return L1Ball(radius=1.0, dimension=body.dimension)
@@ -678,6 +674,10 @@ def symmetric_hull(body: ConvexBody) -> ConvexBody:
         V = body.vertex_array
         rows = set(map(tuple, V.tolist()))  # -0.0 == 0.0 with one hash
         new = [i for i, row in enumerate((-V).tolist()) if tuple(row) not in rows]
+        k = len(V) + len(new)
+        if k > MAX_POLYTOPE_VERTICES:
+            raise ValueError(f"the symmetric hull of a polytope with {len(V)} vertices has "
+                             f"{k}; more than {MAX_POLYTOPE_VERTICES} is rejected")
         return Polytope(np.vstack([V, -V[new]])) if new else body
     if isinstance(body, Box):
         if body.is_symmetric:

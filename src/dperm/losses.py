@@ -38,10 +38,10 @@ is.  The clamp only removes cancellation error, since the loss is >= 0.
 ``SquaredError(ridge=lam)`` adds lam/2 ||theta||^2 on either backend, so
 ridge regression runs on G too.
 Its curvature bound reads G as well: v'Gv over the vertices, lambda_max(G)
-on an l2 ball and the largest lambda_max(G_ss) over the blocks of a
-grouped l1 ball.  ``Huber``, ``CustomLoss`` (whose hooks take the whole
-batch X, y), ``SquaredError`` with p >= n and the box curvature bound
-(|X| m) keep the O(n p) pass over the rows.
+on an l2 ball and, on a grouped l1 ball, the largest lambda_max(G_ss) over
+its zero-padded diagonal blocks, in one batched call.  ``Huber``,
+``CustomLoss`` (whose hooks take the whole batch X, y), ``SquaredError``
+with p >= n and the box curvature bound (|X| m) keep the O(n p) row pass.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .geometry import (Box, ConvexBody, GroupedL1Ball, L1Ball, L2Ball, Memo, Simplex,
-                       block_slices, check_keys, doc_field, doc_float, memo_by_body, row_abs_max)
+                       check_keys, doc_field, doc_float, memo_by_body, row_abs_max)
 
 LASSO_DOMAIN_TOL = 1e-12
 
@@ -418,13 +418,13 @@ def _quadratic_curvature_bound(body: ConvexBody, data: Dataset, ridge: float) ->
     X, n = data.X, data.n
     G = data.gram().G if data.prefers_gram else None
 
-    def top(cols) -> float:
-        # lambda_max(X_s' X_s / n) for the column block s.
+    def top(blocks: Callable[[np.ndarray], np.ndarray]) -> float:
+        # max over the column blocks s of ``blocks``, (..., p) -> (..., m, g),
+        # of lambda_max(X_s' X_s / n); zero padding adds zero eigenvalues.
         if G is not None:
-            sub = G[cols, cols]
-            return max(float(np.linalg.eigvalsh(sub)[-1]), 0.0) if sub.size else 0.0
-        sub = X[:, cols]
-        s_max = float(np.linalg.norm(sub, 2)) if sub.size else 0.0
+            D = blocks(np.moveaxis(blocks(G), 0, -1))  # D[j, b, k, a] = G[s_k[a], s_j[b]]
+            return max(float(np.linalg.eigvalsh(np.einsum("jbja->jab", D)).max()), 0.0)
+        s_max = float(np.linalg.norm(np.moveaxis(blocks(X), -2, 0), 2, axis=(-2, -1)).max())
         return s_max * s_max / n
 
     try:
@@ -439,10 +439,9 @@ def _quadratic_curvature_bound(body: ConvexBody, data: Dataset, ridge: float) ->
             xv2 = np.array([float(xv @ xv) / n for xv in (X @ v for v in V)])
         return 4.0 * float((xv2 + ridge * (V * V).sum(axis=1)).max())
     if isinstance(body, L2Ball):
-        return 4.0 * (body.radius ** 2) * (top(slice(None)) + ridge)
+        return 4.0 * (body.radius ** 2) * (top(lambda A: A[..., None, :]) + ridge)
     if isinstance(body, GroupedL1Ball):
-        best = max(top(s) for s in block_slices(body.dimension, body.group_size))
-        return 4.0 * (body.radius ** 2) * (best + ridge)
+        return 4.0 * (body.radius ** 2) * (top(body.blocks) + ridge)
     if isinstance(body, Box):
         if not body.is_symmetric:
             raise ValueError("curvature bound needs a symmetric body or a vertex list")

@@ -9,9 +9,10 @@ take the run's body; ``mirror_step`` and ``grad`` take the iterate body of
 ``ConvexBody.iterate_space`` (a polytope's coefficient simplex, any other
 body itself).
 
+The grouped steps act on the ball's zero-padded blocks (``GroupedL1Ball.blocks``).
 The q-norm and grouped prox steps find their scalar multiplier with
-Brent's method (``scipy.optimize.brentq``) on a bracket that holds the
-root, to ``ROOT_RTOL`` relative precision.
+Brent's method (``scipy.optimize.brentq``, imported on first call) on a
+bracket that holds the root, to ``ROOT_RTOL`` relative precision.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .geometry import (
     ConvexBody,
@@ -28,7 +28,6 @@ from .geometry import (
     L2Ball,
     Polytope,
     Simplex,
-    block_slices,
     check_keys,
     doc_field,
     doc_int,
@@ -162,6 +161,7 @@ class PolytopeQNorm(Potential):
     def check_fit(self, body: ConvexBody) -> None:
         if not isinstance(body, Polytope):
             raise ValueError("polytope_q_norm requires a polytope body")
+        self.natural_q(body)  # the symmetric hull checks its vertex count
 
     def grad(self, body: ConvexBody, a) -> np.ndarray:
         a = np.asarray(a, dtype=float)
@@ -180,6 +180,8 @@ class PolytopeQNorm(Potential):
         2(q-1) ||b(lam)||_q^(q-2) sum b(lam) = 1, bracketed and solved by
         Brent's method to machine precision, after which a = b / sum b.
         """
+        from scipy.optimize import brentq
+
         x_t, g = self._step_args(x_t, g, eta)
         c = eta * g - self.grad(body, x_t)
         q = default_q_exponent(body.dimension)
@@ -240,14 +242,12 @@ class GroupedL1(Potential):
             raise ValueError("grouped potential requires a grouped-l1 ball with matching blocks")
 
     def grad(self, body: GroupedL1Ball, x) -> np.ndarray:
-        v = np.asarray(x, dtype=float)
         M, xi = grouped_exponents(body)
-        out = np.zeros_like(v)
-        for s in block_slices(body.dimension, body.group_size):
-            nrm = float(np.linalg.norm(v[s]))
-            if nrm > 0.0:
-                out[s] = (nrm ** (M - 2.0) / xi) * v[s]
-        return out
+        B = body.blocks(x)
+        nrm = np.linalg.norm(B, axis=-1)
+        # ||x_j||^(M-2) on the nonzero blocks; a zero block's gradient is 0.
+        scale = np.power(nrm, M - 2.0, out=np.zeros_like(nrm), where=nrm > 0.0)
+        return body.unblock((scale / xi)[:, None] * B)
 
     def mirror_step(self, body: GroupedL1Ball, x_t, g, eta: float) -> np.ndarray:
         """Exact prox step: the objective is block-separable given block norms.
@@ -258,10 +258,11 @@ class GroupedL1(Potential):
         found by Brent's method so the norms sum to the radius (lam = 0 if
         already inside).
         """
+        from scipy.optimize import brentq
+
         x_t, g = self._step_args(x_t, g, eta)
-        c = eta * g - self.grad(body, x_t)
-        slices = block_slices(body.dimension, body.group_size)
-        a = np.array([np.linalg.norm(c[s]) for s in slices])
+        C = body.blocks(eta * g - self.grad(body, x_t))
+        a = np.linalg.norm(C, axis=-1)
         M, xi = grouped_exponents(body)
         expo = 1.0 / (M - 1.0)
 
@@ -274,11 +275,9 @@ class GroupedL1(Potential):
             # The norms vanish at lam = max_j ||c_j||, which brackets the root.
             t = norms_at(brentq(lambda lam: norms_at(lam).sum() - r, 0.0, float(a.max()),
                                 xtol=ROOT_XTOL, rtol=ROOT_RTOL))
-        out = np.zeros_like(x_t)
-        for s, aj, tj in zip(slices, a, t):
-            if aj > 0.0 and tj > 0.0:
-                out[s] = -(tj / aj) * c[s]
-        return out
+        # t_j > 0 implies ||c_j|| > 0; the other blocks step to 0.
+        scale = np.divide(t, a, out=np.zeros_like(a), where=t > 0.0)
+        return body.unblock(-scale[:, None] * C)
 
     def natural_q(self, body: GroupedL1Ball) -> ConvexBody:
         return GroupedL1Ball(radius=1.0, group_size=body.group_size,

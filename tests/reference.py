@@ -16,11 +16,18 @@ import math
 import numpy as np
 from scipy.optimize import linprog
 
-from dperm.geometry import (Box, GroupedL1Ball, L1Ball, L2Ball, Polytope, Simplex, block_slices,
+from dperm.geometry import (Box, GroupedL1Ball, L1Ball, L2Ball, Polytope, Simplex,
                             gaussian_width_mc)
 from dperm.losses import Huber, SquaredError
 from dperm.potentials import (ENTROPY_FLOOR, GroupedL1, NegativeEntropy, PolytopeQNorm, SquaredL2,
                               default_q_exponent, grouped_exponents)
+
+
+def block_slices(dimension: int, group_size: int) -> list[slice]:
+    """The contiguous blocks of ``group_size`` coordinates; the last may be
+    shorter.  Written out here so the grouped references do not share the
+    library's padded block layout."""
+    return [slice(i, min(i + group_size, dimension)) for i in range(0, dimension, group_size)]
 
 
 def sample_feasible(body, rng: np.random.Generator) -> np.ndarray:

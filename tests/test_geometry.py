@@ -14,7 +14,6 @@ from dperm.geometry import (
     L2Ball,
     Polytope,
     Simplex,
-    block_slices,
     body_from_dict,
     body_key,
     gaussian_width_mc,
@@ -433,17 +432,18 @@ class TestSymmetricHull:
 
     @pytest.fixture
     def lp_calls(self, monkeypatch):
-        """The list of ``geometry.linprog`` calls."""
-        import dperm.geometry as geometry
+        """The list of ``scipy.optimize.linprog`` calls, the name that
+        ``Polytope.contains`` imports when it runs."""
+        import scipy.optimize
 
         calls = []
-        real = geometry.linprog
+        real = scipy.optimize.linprog
 
         def counting(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(geometry, "linprog", counting)
+        monkeypatch.setattr(scipy.optimize, "linprog", counting)
         return calls
 
     def test_hull_adds_only_the_missing_negations(self, lp_calls):
@@ -493,11 +493,20 @@ class TestBodyKey:
         assert row_abs_max(G[:0]).shape == (0,)
 
 
-class TestBlockSlices:
-    def test_contiguous_blocks_with_a_short_last_one(self):
-        assert block_slices(10, 4) == [slice(0, 4), slice(4, 8), slice(8, 10)]
-        assert block_slices(6, 3) == [slice(0, 3), slice(3, 6)]
-        assert block_slices(5, 5) == [slice(0, 5)]
+class TestBlockLayout:
+    @pytest.mark.parametrize("p,g", [(10, 4), (7, 3), (5, 5), (6, 1)])
+    def test_blocks_round_trip_with_zero_padding(self, rng, p, g):
+        ball = GroupedL1Ball(1.0, g, p)
+        m = -(-p // g)
+        for shape in ((p,), (3, p)):
+            v = rng.standard_normal(shape)
+            B = ball.blocks(v)
+            assert B.shape == shape[:-1] + (m, g)
+            assert np.array_equal(ball.unblock(B), v)
+            # Block j holds coordinates j*g .. j*g + g - 1; the rest is padding.
+            flat = B.reshape(shape[:-1] + (m * g,))
+            assert np.array_equal(flat[..., :p], v)
+            assert np.all(flat[..., p:] == 0.0)
 
 
 class TestSerialization:

@@ -3,9 +3,13 @@ every module-level name of the package is named somewhere else (and not
 only by the tests), every class member is read by the package or the
 benchmark, every parameter is read by some implementation, and every name
 the benchmark's tracer patches still exists; the calibration still calls
-the two it times through those names."""
+the two it times through those names; importing the package loads no
+scipy."""
 
 import ast
+import os
+import subprocess
+import sys
 import types
 from collections import defaultdict
 from pathlib import Path
@@ -337,3 +341,13 @@ def test_benchmark_tracer_sees_the_calibration(monkeypatch):
     metrics = tracer.layer_metrics()
     assert metrics["solvers.resolve_defaults.s"] > 0
     assert metrics["geometry.gaussian_width_mc.calls"] >= 1
+
+
+def test_import_loads_no_scipy():
+    # ``Polytope.contains`` imports ``linprog`` and the prox steps ``brentq``
+    # when they run, so importing the package does not load scipy.
+    code = "import sys, dperm; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"

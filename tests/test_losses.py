@@ -20,7 +20,7 @@ from dperm.losses import (
 )
 from dperm.oracle import cached_solve, solve_exact
 
-from reference import curvature_empirical, record_grad, sample_feasible
+from reference import block_slices, curvature_empirical, record_grad, sample_feasible
 
 
 def lasso_dataset(rng, n=200, p=5):
@@ -360,6 +360,11 @@ class TestGramBackend:
                          row_curvature_vertices(L1Ball(1.0, p).vertices(), data.X))
             assert close(sq.curvature_bound(L2Ball(2.0, p), data),
                          16.0 * float(np.linalg.norm(data.X, 2)) ** 2 / n)
+            # Blocks of p // 2 + 1 columns: the last one is short.
+            ball = GroupedL1Ball(1.5, p // 2 + 1, p)
+            top = max(float(np.linalg.norm(data.X[:, s], 2)) ** 2
+                      for s in block_slices(p, ball.group_size))
+            assert close(sq.curvature_bound(ball, data), 4.0 * 1.5 ** 2 * top / n)
 
     def test_noiseless_loss_is_nonnegative(self, rng):
         # y = X theta0 exactly, so f(theta0) = 0 and the Gram form cancels

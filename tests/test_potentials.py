@@ -9,9 +9,9 @@ from dperm.geometry import (
     L2Ball,
     Polytope,
     Simplex,
-    block_slices,
     symmetric_hull,
 )
+from dperm.losses import SquaredError
 from dperm.potentials import (
     GroupedL1,
     NegativeEntropy,
@@ -21,10 +21,11 @@ from dperm.potentials import (
     grouped_exponents,
     potential_from_dict,
 )
+from dperm.privacy import PrivacyBudget
 from dperm.solvers import SolverConfig
 
-from reference import (bregman, gauge, potential_grad, potential_value, sample_feasible,
-                       strong_convexity_modulus)
+from reference import (block_slices, bregman, gauge, potential_grad, potential_value,
+                       sample_feasible, strong_convexity_modulus)
 
 CROSS = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
 
@@ -78,6 +79,21 @@ class TestValueGrad:
                     fd = (potential_value(pot, body, x + e)
                           - potential_value(pot, body, x - e)) / (2 * eps)
                     assert abs(fd - g[i]) <= 1e-5
+
+    def test_grouped_grad_is_zero_on_a_zero_block(self, rng):
+        # p = 12, g = 2: M = 1 + 1/ln 6 < 2, so ||x_j||^(M-2) diverges at 0.
+        body = GroupedL1Ball(1.0, 2, 12)
+        M, xi = grouped_exponents(body)
+        assert M < 2.0
+        x = 0.1 * rng.standard_normal(12)
+        x[4:6] = 0.0
+        with np.errstate(all="raise"):
+            g = GroupedL1().grad(body, x)
+        assert np.all(g[4:6] == 0.0)
+        for s in block_slices(12, 2):
+            if s.start != 4:
+                nrm = float(np.linalg.norm(x[s]))
+                assert np.allclose(g[s], nrm ** (M - 2.0) / xi * x[s], rtol=1e-14, atol=0.0)
 
 
 class TestBregman:
@@ -363,6 +379,18 @@ class TestConfig:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             potential_from_dict({"kind": "unheard_of"}, Simplex(2))
+
+    def test_qnorm_hull_above_the_vertex_cap_fails_in_the_config(self, rng):
+        # 6 000 asymmetric rows make a 12 000-vertex symmetric hull; the
+        # config names both counts when it is built.
+        V = rng.standard_normal((6000, 3))
+        kwargs = dict(algorithm="noisy_md", loss=SquaredError(),
+                      budget=PrivacyBudget(1.0, 1e-6), potential=PolytopeQNorm())
+        with pytest.raises(ValueError, match="polytope with 6000 vertices has 12000"):
+            SolverConfig(body=Polytope(V), **kwargs)
+        # -W is a row permutation of W, so W is its own hull.
+        W = np.vstack([V[:3000], -V[:3000]])
+        SolverConfig(body=Polytope(W), **kwargs)
 
     def test_qnorm_requires_polytope(self):
         doc = {"algorithm": "noisy_md", "body": {"kind": "l2_ball", "radius": 1.0, "dimension": 2},
