@@ -482,9 +482,13 @@ class Box(ConvexBody):
     def dimension(self) -> int:
         return self.lo.shape[0]
 
-    @property
-    def is_symmetric(self) -> bool:
-        return bool(np.allclose(self.lo, -self.hi, atol=FEAS_TOL))
+    @cached_property
+    def corner(self) -> np.ndarray:
+        """The farthest corner m = max(|lo|, |hi|), read-only: |theta| <= m
+        on the box, and [-m, m] is its symmetric hull."""
+        m = np.maximum(np.abs(self.lo), np.abs(self.hi))
+        m.flags.writeable = False
+        return m
 
     def contains(self, x) -> bool:
         v = _as_vector(x, self.dimension)
@@ -506,8 +510,7 @@ class Box(ConvexBody):
         return float(np.linalg.norm(self.hi - self.lo))
 
     def max_norm(self, q) -> float:
-        # The farthest corner.
-        return float(np.linalg.norm(np.maximum(np.abs(self.lo), np.abs(self.hi)), q))
+        return float(np.linalg.norm(self.corner, q))
 
     def euclidean_project(self, x) -> np.ndarray:
         v = _as_vector(x, self.dimension)
@@ -665,8 +668,9 @@ def symmetric_hull(body: ConvexBody) -> ConvexBody:
     unit l1 ball; for a polytope, the hull of V followed by the rows of -V
     that V lacks, compared by value, or the polytope itself when -V adds
     none; a hull above ``MAX_POLYTOPE_VERTICES`` raises ``ValueError``
-    before it is built.  For boxes the enclosing symmetric box is returned
-    (a superset of the exact hull, which is not itself a box).
+    before it is built.  For a box it is always the new box [-m, m] at the
+    farthest corner m = ``Box.corner``, which equals the box when lo == -hi
+    exactly and else is a superset of the exact hull (not itself a box).
     """
     if isinstance(body, Simplex):
         return L1Ball(radius=1.0, dimension=body.dimension)
@@ -680,10 +684,7 @@ def symmetric_hull(body: ConvexBody) -> ConvexBody:
                              f"{k}; more than {MAX_POLYTOPE_VERTICES} is rejected")
         return Polytope(np.vstack([V, -V[new]])) if new else body
     if isinstance(body, Box):
-        if body.is_symmetric:
-            return body
-        m = np.maximum(np.abs(body.lo), np.abs(body.hi))
-        return Box(lo=-m, hi=m)
+        return Box(lo=-body.corner, hi=body.corner)
     return body
 
 

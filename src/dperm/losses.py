@@ -78,9 +78,10 @@ def _read_only(a) -> np.ndarray:
 class Dataset:
     """Feature matrix X (n, p), targets y (n,).
 
-    With ``lasso_profile=True`` ingestion validates the sparse-regression
-    domain ||x||_inf <= 1, |y| <= 1; out-of-range records are rejected, not
-    clipped, because clipping would silently move the minimizer.
+    Ingestion rejects a record with a NaN or an infinite value.  With
+    ``lasso_profile=True`` it validates the sparse-regression domain
+    ||x||_inf <= 1, |y| <= 1 instead; out-of-range records are rejected,
+    not clipped, because clipping would silently move the minimizer.
 
     ``X`` and ``y`` are read-only views of the arrays passed in, and the
     statistics below are memoised per dataset, so neither may change after
@@ -98,22 +99,26 @@ class Dataset:
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "_stats", Memo())
-        if self.lasso_profile:
-            self._validate_lasso()
+        self._validate()
 
     def __reduce__(self):
         # The lock cannot be pickled; a copy starts with an empty memo.
         return type(self), (self.X, self.y, self.lasso_profile)
 
-    def _validate_lasso(self) -> None:
-        bad_x = self.row_abs_max() > 1.0 + LASSO_DOMAIN_TOL
-        bad_y = np.abs(self.y) > 1.0 + LASSO_DOMAIN_TOL
-        bad = np.nonzero(bad_x | bad_y)[0]
+    def _validate(self) -> None:
+        # The domain tests read "not inside", so a NaN, which fails every
+        # comparison, is rejected too.
+        if self.lasso_profile:
+            limit = 1.0 + LASSO_DOMAIN_TOL
+            bad = ~(self.row_abs_max() <= limit) | ~(np.abs(self.y) <= limit)
+            why = ("violates the sparse-regression domain (||x||_inf <= 1, |y| <= 1); "
+                   "records are rejected, not clipped")
+        else:
+            bad = ~(np.isfinite(self.X).all(axis=1) & np.isfinite(self.y))
+            why = "holds a NaN or an infinite value"
+        bad = np.flatnonzero(bad)
         if bad.size:
-            raise ValueError(
-                f"record {bad[0]} violates the sparse-regression domain "
-                "(||x||_inf <= 1, |y| <= 1); records are rejected, not clipped"
-            )
+            raise ValueError(f"record {bad[0]} {why}")
 
     # -- statistics computed once per dataset --------------------------------
 
@@ -443,9 +448,8 @@ def _quadratic_curvature_bound(body: ConvexBody, data: Dataset, ridge: float) ->
     if isinstance(body, GroupedL1Ball):
         return 4.0 * (body.radius ** 2) * (top(body.blocks) + ridge)
     if isinstance(body, Box):
-        if not body.is_symmetric:
-            raise ValueError("curvature bound needs a symmetric body or a vertex list")
-        m = body.hi
+        # |<x, theta>| <= <|x|, m> at the farthest corner m, on any box.
+        m = body.corner
         row = np.abs(X) @ m
         return 4.0 * (float(row @ row) / n + ridge * float(m @ m))
     raise ValueError(f"curvature bound not implemented for {type(body).__name__}")

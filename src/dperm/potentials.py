@@ -2,12 +2,13 @@
 
 Each potential declares the symmetric body Q whose gauge it is strongly
 convex against, plus a closed-form bound on its maximum over the feasible
-set, and takes its prox step in closed form.  A potential holds no state:
-each method reads the dimension, the blocks or the vertex count from the
-body it is given.  ``check_fit``, ``natural_q`` and ``max_over_domain``
-take the run's body; ``mirror_step`` and ``grad`` take the iterate body of
-``ConvexBody.iterate_space`` (a polytope's coefficient simplex, any other
-body itself).
+set, and takes its prox step in closed form.  ``natural_q`` is also the
+one check that the potential can run on a body: it raises ``ValueError``
+on any other.  A potential holds no state: each method reads the
+dimension, the blocks or the vertex count from the body it is given.
+``natural_q`` and ``max_over_domain`` take the run's body; ``mirror_step``
+and ``grad`` take the iterate body of ``ConvexBody.iterate_space`` (a
+polytope's coefficient simplex, any other body itself).
 
 The grouped steps act on the ball's zero-padded blocks (``GroupedL1Ball.blocks``).
 The q-norm and grouped prox steps find their scalar multiplier with
@@ -46,15 +47,6 @@ ROOT_XTOL = 1e-300
 class Potential:
     """Base mirror map: the bodies it fits, its constants and its prox step."""
 
-    def check_fit(self, body: ConvexBody) -> None:
-        """Raise ``ValueError`` unless the potential can run on ``body``.
-
-        The base potential steps by Euclidean projection, which a polytope
-        does not have.
-        """
-        if isinstance(body, Polytope):
-            raise ValueError("euclidean projection is not supported for Polytope")
-
     def _step_args(self, x_t, g, eta: float):
         """Check a mirror step's arguments; return x_t and g as float arrays."""
         if eta <= 0:
@@ -78,7 +70,8 @@ class Potential:
     # -- constants ----------------------------------------------------------
 
     def natural_q(self, body: ConvexBody) -> ConvexBody:
-        """Symmetric body whose gauge the potential is strongly convex against."""
+        """Symmetric body whose gauge the potential is strongly convex
+        against; ``ValueError`` if the potential cannot run on ``body``."""
         raise NotImplementedError
 
     def max_over_domain(self, body: ConvexBody) -> float:
@@ -98,6 +91,8 @@ class SquaredL2(Potential):
         return body.euclidean_project(x_t - eta * g)
 
     def natural_q(self, body: ConvexBody) -> ConvexBody:
+        if isinstance(body, Polytope):
+            raise ValueError("euclidean projection is not supported for Polytope")
         return L2Ball(radius=1.0, dimension=body.dimension)
 
     def max_over_domain(self, body: ConvexBody) -> float:
@@ -112,10 +107,6 @@ class NegativeEntropy(Potential):
     the boundary never produces log(0).  1-strongly convex w.r.t. l1 by
     Pinsker's inequality.
     """
-
-    def check_fit(self, body: ConvexBody) -> None:
-        if not isinstance(body, Simplex):
-            raise ValueError("the entropy potential is only defined on the simplex")
 
     def _floored(self, x) -> np.ndarray:
         v = np.asarray(x, dtype=float)
@@ -134,6 +125,8 @@ class NegativeEntropy(Potential):
         return w / w.sum()
 
     def natural_q(self, body: ConvexBody) -> ConvexBody:
+        if not isinstance(body, Simplex):
+            raise ValueError("the entropy potential is only defined on the simplex")
         return L1Ball(radius=1.0, dimension=body.dimension)
 
     def max_over_domain(self, body: ConvexBody) -> float:
@@ -157,11 +150,6 @@ class PolytopeQNorm(Potential):
     ``n_vertices`` in ``max_over_domain``, the simplex's dimension in
     ``grad`` and ``mirror_step``.
     """
-
-    def check_fit(self, body: ConvexBody) -> None:
-        if not isinstance(body, Polytope):
-            raise ValueError("polytope_q_norm requires a polytope body")
-        self.natural_q(body)  # the symmetric hull checks its vertex count
 
     def grad(self, body: ConvexBody, a) -> np.ndarray:
         a = np.asarray(a, dtype=float)
@@ -209,7 +197,9 @@ class PolytopeQNorm(Potential):
         return b / b.sum()
 
     def natural_q(self, body: ConvexBody) -> ConvexBody:
-        return symmetric_hull(body)
+        if not isinstance(body, Polytope):
+            raise ValueError("polytope_q_norm requires a polytope body")
+        return symmetric_hull(body)  # which checks its vertex count
 
     def max_over_domain(self, body: ConvexBody) -> float:
         # On the simplex ||a||_q <= ||a||_1 = 1.
@@ -236,10 +226,6 @@ class GroupedL1(Potential):
     """Block-norm potential Psi(theta) = (1/(M xi)) sum_j ||theta_(j)||_2^M
     on a grouped-l1 ball, over the ball's blocks, with (M, xi) =
     ``grouped_exponents(ball)``."""
-
-    def check_fit(self, body: ConvexBody) -> None:
-        if not isinstance(body, GroupedL1Ball):
-            raise ValueError("grouped potential requires a grouped-l1 ball with matching blocks")
 
     def grad(self, body: GroupedL1Ball, x) -> np.ndarray:
         M, xi = grouped_exponents(body)
@@ -280,6 +266,8 @@ class GroupedL1(Potential):
         return body.unblock(-scale[:, None] * C)
 
     def natural_q(self, body: GroupedL1Ball) -> ConvexBody:
+        if not isinstance(body, GroupedL1Ball):
+            raise ValueError("grouped potential requires a grouped-l1 ball with matching blocks")
         return GroupedL1Ball(radius=1.0, group_size=body.group_size,
                              dimension=body.dimension)
 
@@ -303,7 +291,7 @@ def potential_from_dict(doc: dict, body: ConvexBody) -> Potential:
     Only ``grouped_l1`` takes a key besides ``kind``: ``group_size``, which
     must equal the grouped-l1 ball's own.  Any other key raises
     ``ValueError``.  Whether the potential can run on the body at all is
-    ``SolverConfig``'s check (``Potential.check_fit``).
+    ``SolverConfig``'s check (``Potential.natural_q``).
     """
     kind = doc.get("kind")
     if kind not in _KINDS:

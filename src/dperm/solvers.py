@@ -80,11 +80,12 @@ class SolverConfig:
     """Everything a solver run needs besides the dataset.
 
     ``T = 0`` resolves the step count from the algorithm's own default
-    formula (floored at 1, capped at ``t_cap``).  The mirror-descent
+    formula (floored at 1, capped at ``t_cap >= 1``).  The mirror-descent
     algorithms need a potential that can run on the body
-    (``Potential.check_fit``), ``strongly_convex_md`` a loss with
-    ``strong_convexity > 0`` and ``obj_pert`` a C^2 loss (not ``Huber``);
-    all are checked here, once per config.
+    (``Potential.natural_q`` raises on any other) and the other algorithms
+    refuse one; ``strongly_convex_md`` needs a loss with
+    ``strong_convexity > 0`` and ``obj_pert`` a C^2 loss (not ``Huber``).
+    All are checked here, once per config.
     """
 
     algorithm: str
@@ -101,10 +102,14 @@ class SolverConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}")
         if self.T < 0:
             raise ValueError("T must be >= 0 (0 = use the default formula)")
+        if self.t_cap < 1:
+            raise ValueError(f"t_cap must be >= 1, got {self.t_cap}")
         if self.algorithm in ("noisy_md", "strongly_convex_md"):
             if self.potential is None:
                 raise ValueError(f"{self.algorithm} requires a potential")
-            self.potential.check_fit(self.body)
+            self.potential.natural_q(self.body)
+        elif self.potential is not None:
+            raise ValueError(f"{self.algorithm} takes no potential")
         if self.algorithm == "strongly_convex_md" and not (self.loss.strong_convexity or 0) > 0:
             raise ValueError("strongly_convex_md requires a loss with strong_convexity > 0")
         if self.algorithm == "obj_pert" and isinstance(self.loss, Huber):
@@ -481,9 +486,8 @@ def run_solver(cfg: SolverConfig, data: Dataset) -> SolverReport:
     """Run the configured algorithm's loop to its end and report its output.
 
     A body/data dimension mismatch raises ``ValueError`` before any work
-    starts.
+    starts (``resolve_defaults`` checks it first).
     """
-    require_matching_dimension(cfg.body, data)
     run = resolve_defaults(cfg, data)
     rng = spawn_rng(cfg.seed, _STREAM_NOISE)
     start = time.perf_counter()

@@ -425,6 +425,13 @@ class TestSymmetricHull:
         b = L2Ball(2.0, 3)
         assert symmetric_hull(b) is b
 
+    def test_box_hull_is_the_farthest_corner_box(self):
+        hull = symmetric_hull(Box(lo=np.array([-1.0, -3.0]), hi=np.array([2.0, 1.0])))
+        assert np.array_equal(hull.lo, [-2.0, -3.0]) and np.array_equal(hull.hi, [2.0, 3.0])
+        # A box within allclose's tolerance of symmetric is not taken as its own hull.
+        hull = symmetric_hull(Box(lo=np.full(2, -5.00004), hi=np.full(2, 5.0)))
+        assert np.array_equal(hull.lo, -hull.hi) and np.array_equal(hull.hi, [5.00004] * 2)
+
     def test_polytope_hull_contains_negations(self):
         hull = symmetric_hull(Polytope(TRIANGLE))
         for v in TRIANGLE:

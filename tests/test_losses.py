@@ -43,6 +43,31 @@ class TestDataset:
     def test_lasso_profile_accepts_boundary(self):
         Dataset(X=np.array([[1.0, -1.0]]), y=np.array([1.0]), lasso_profile=True)
 
+    def test_lasso_profile_rejects_nan(self):
+        # NaN fails every comparison, so it must not pass as "not above 1".
+        X, y = np.zeros((3, 2)), np.zeros(3)
+        X[1, 0] = np.nan
+        with pytest.raises(ValueError, match="record 1 violates the sparse-regression domain"):
+            Dataset(X=X, y=np.zeros(3), lasso_profile=True)
+        y[2] = np.nan
+        with pytest.raises(ValueError, match="record 2 violates the sparse-regression domain"):
+            Dataset(X=np.zeros((3, 2)), y=y, lasso_profile=True)
+
+    def test_non_finite_record_rejected_without_profile(self):
+        X = np.zeros((4, 2))
+        X[2, 1] = np.inf
+        with pytest.raises(ValueError, match="record 2 holds a NaN or an infinite value"):
+            Dataset(X=X, y=np.zeros(4))
+        Dataset(X=np.full((4, 2), 1e300), y=np.full(4, -1e300))  # large but finite
+
+    def test_csv_with_nan_rejected(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("x_1,x_2,y\n0.5,0.25,1.0\n-0.5,nan,0.0\n")
+        with pytest.raises(ValueError, match="record 1 holds a NaN"):
+            Dataset.from_csv(path)
+        with pytest.raises(ValueError, match="record 1 violates"):
+            Dataset.from_csv(path, lasso_profile=True)
+
     def test_csv_round_trip(self, tmp_path, rng):
         data = lasso_dataset(rng, n=17, p=3)
         path = tmp_path / "data.csv"
@@ -217,6 +242,24 @@ class TestCurvature:
         emp = curvature_empirical(sq, body, data, trials=20_000, seed=3)
         assert emp <= 4.0 + 1e-9
         assert emp >= 3.5
+
+    def test_asymmetric_box_bound_holds(self, rng):
+        # |<x, theta>| <= <|x|, max(|lo|, |hi|)> on any box, symmetric or not.
+        sq = SquaredError()
+        data = lasso_dataset(rng, n=40, p=3)
+        body = Box(lo=np.array([-0.2, -1.0, 0.5]), hi=np.array([1.0, 0.3, 2.0]))
+        bound = sq.curvature_bound(body, data)
+        assert bound == pytest.approx(
+            4.0 * float(np.sum((np.abs(data.X) @ np.array([1.0, 1.0, 2.0])) ** 2)) / 40)
+        emp = curvature_empirical(sq, body, data, trials=2000, seed=5)
+        assert 0.0 < emp <= bound + 1e-9
+
+    def test_near_symmetric_box_uses_its_farthest_corner(self):
+        # lo = -5.00004 is within allclose's default rtol of -hi, but the
+        # bound must still reach the corner at 5.00004: 4 * 5.00004^2.
+        data = Dataset(X=np.full((10, 2), 0.5), y=np.zeros(10))
+        body = Box(lo=np.full(2, -5.00004), hi=np.full(2, 5.0))
+        assert SquaredError().curvature_bound(body, data) >= 100.0016
 
     def test_empirical_below_bound_random_instances(self, rng):
         sq = SquaredError()

@@ -318,7 +318,7 @@ class TestMaxOverDomain:
             (SquaredL2(), Polytope(CROSS), "euclidean projection is not supported"),
         ]:
             with pytest.raises(ValueError, match=message):
-                pot.check_fit(body)
+                pot.natural_q(body)
 
 
 class TestStrongConvexity:

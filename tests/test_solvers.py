@@ -11,7 +11,8 @@ from dperm.geometry import Box, L1Ball, L2Ball, Polytope, Simplex, body_key, gau
 from dperm.harness import generate_lasso
 from dperm.losses import CustomLoss, Dataset, Huber, SquaredError
 from dperm.oracle import cached_solve, excess_risk, solve_exact
-from dperm.potentials import GroupedL1, NegativeEntropy, PolytopeQNorm, SquaredL2
+from dperm.potentials import (GroupedL1, NegativeEntropy, PolytopeQNorm, SquaredL2,
+                              potential_from_dict)
 from dperm.privacy import PrivacyBudget, sample_gaussian_vec, sample_laplace, spawn_rng
 from dperm.solvers import (
     SolverConfig,
@@ -19,7 +20,7 @@ from dperm.solvers import (
     run_solver,
     sc_step_schedule,
 )
-from reference import reference_plan
+from reference import curvature_empirical, reference_plan
 
 NON_PRIVATE = PrivacyBudget(math.inf)
 SQ = SquaredError()
@@ -546,6 +547,15 @@ class TestFwGeneral:
         manual = math.sqrt(32.0 * L2 * 128) * math.log(n / 1e-6) / n
         assert run.plan.sigma == pytest.approx(manual, rel=1e-12)
 
+    def test_runs_on_asymmetric_box(self, small_lasso):
+        body = Box(lo=np.full(12, -0.1), hi=np.linspace(0.2, 1.0, 12))
+        cfg = SolverConfig(algorithm="fw_general", body=body, loss=SQ,
+                           budget=PrivacyBudget(1.0, 1e-6), t_cap=50, seed=0)
+        rep = run_solver(cfg, small_lasso)
+        assert rep.feasible and rep.iterations == 50
+        gamma = SQ.curvature_bound(body, small_lasso)
+        assert gamma >= curvature_empirical(SQ, body, small_lasso, trials=500, seed=2)
+
     def test_runs_on_grouped_ball(self, small_lasso):
         from dperm.geometry import GroupedL1Ball
 
@@ -646,6 +656,32 @@ class TestReportAndConfig:
             SolverConfig.from_dict(doc)
         doc["potential"]["group_size"] = 4
         assert isinstance(SolverConfig.from_dict(doc).potential, GroupedL1)
+
+    @pytest.mark.parametrize("algorithm", ["obj_pert", "fw_polytope", "fw_general"])
+    @pytest.mark.parametrize("potential", [{"kind": "squared_l2"},
+                                           {"kind": "negative_entropy"}])
+    def test_potential_refused_off_mirror_descent(self, algorithm, potential):
+        # Refused, not dropped, whether or not the potential fits the body.
+        body = L1Ball(1.0, 8)
+        message = f"{algorithm} takes no potential"
+        with pytest.raises(ValueError, match=message):
+            SolverConfig(algorithm=algorithm, body=body, loss=SQ, budget=NON_PRIVATE,
+                         potential=potential_from_dict(potential, body), T=4)
+        doc = {"algorithm": algorithm, "body": body.to_dict(),
+               "loss": {"kind": "squared_error"}, "budget": {"epsilon": 1.0},
+               "potential": potential}
+        with pytest.raises(ValueError, match=message):
+            SolverConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("t_cap", [0, -3])
+    def test_t_cap_must_be_positive(self, t_cap):
+        with pytest.raises(ValueError, match=f"t_cap must be >= 1, got {t_cap}"):
+            config_for("fw_general", t_cap=t_cap)
+        doc = {"algorithm": "fw_general", "body": {"kind": "simplex", "dimension": 4},
+               "loss": {"kind": "squared_error"}, "budget": {"epsilon": 1.0},
+               "t_cap": t_cap}
+        with pytest.raises(ValueError, match=f"t_cap must be >= 1, got {t_cap}"):
+            SolverConfig.from_dict(doc)
 
     def test_md_requires_potential(self):
         with pytest.raises(ValueError, match="potential"):
