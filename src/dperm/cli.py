@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -81,14 +82,13 @@ def _cmd_solve(args) -> int:
 
 def _cmd_bench(args) -> int:
     spec = ExperimentSpec.from_json(args.experiment_json)
-    if args.seed is not None:
-        spec.seeds = [args.seed]
+    solvers = spec.solvers
     if args.non_private:
-        for doc in spec.solvers:
-            doc["budget"] = {"epsilon": "inf"}
-    if args.output is not None:
-        spec.output = args.output
-    records, failures = run_sweep(spec)
+        solvers = [{**doc, "budget": {"epsilon": "inf"}} for doc in solvers]
+    # The replaced spec runs its construction checks again.
+    records, failures = run_sweep(dataclasses.replace(
+        spec, solvers=solvers, seeds=spec.seeds if args.seed is None else [args.seed],
+        output=spec.output if args.output is None else args.output))
     summary = summarize(records)
     summary["failures"] = failures
     print(json.dumps(summary, indent=2))

@@ -117,6 +117,10 @@ class ExperimentSpec:
             raise ValueError("at least one solver config is required")
         if not self.n_sweep or not self.seeds:
             raise ValueError("n_sweep and seeds must be nonempty")
+        if min(self.n_sweep) < 1:
+            raise ValueError(f"every n must be >= 1, got {min(self.n_sweep)}")
+        if min(self.seeds) < 0:
+            raise ValueError(f"every seed must be >= 0, got {min(self.seeds)}")
         # The dataset is a file, or the generator with some of its keys.
         if "path" in self.dataset:
             check_keys(self.dataset, {"path", "lasso_profile"}, "dataset")

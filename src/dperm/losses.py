@@ -16,7 +16,7 @@ under a lock, and shared by every cell and every thread that reads it:
 - ``row_sq_norms()``: ||x_i||^2 for every record;
 - ``row_abs_max()``: ||x_i||_inf for every record;
 - the Lipschitz constants of the built-in losses (without a ridge term),
-  per (loss parameters, ``geometry.body_key(body)``);
+  per (residual cap: Huber's delta or None, ``geometry.body_key(body)``);
 - the curvature bound of ``SquaredError`` and ``Huber``, per (ridge, body
   key);
 - the certified optimum of ``oracle.cached_solve``, per (loss key, body
@@ -25,18 +25,16 @@ under a lock, and shared by every cell and every thread that reads it:
 The body-keyed entries go through ``geometry.memo_by_body``, so a body
 without a key gets its constants computed on every call.
 
-Backend choice.  ``LossSpec.loss`` and ``LossSpec.bound_grad`` are the
-entry points; they call the ``_loss_on`` / ``_bind_grad`` hooks.
-``bound_grad(data)`` checks the data and picks the backend once, and
-returns theta -> grad L(theta; D): the step loops and the certified
-first-order loop bind it once per run and call it every step.
-``LossSpec.grad(theta, data)`` is a call through it.  For
-``SquaredError`` on data with p < n (a p x p Gram matrix is smaller than
-X) the hooks use the sufficient statistics: grad = G theta - b and
-loss = max(theta'G theta/2 - b'theta + c, 0), O(p^2) per call whatever n
-is.  The clamp only removes cancellation error, since the loss is >= 0.
-``SquaredError(ridge=lam)`` adds lam/2 ||theta||^2 on either backend, so
-ridge regression runs on G too.
+Evaluation.  A loss implements two hooks: ``_loss_on(theta, data)`` returns
+L(theta; D), and ``bound_grad(data)`` resolves the backend (with its
+statistics) once and returns theta -> grad L(theta; D), which the step loops
+and the certified first-order loop call every step.  ``LossSpec.loss`` and
+``LossSpec.grad`` call through them.  For ``SquaredError`` on data with
+p < n (a p x p Gram matrix is smaller than X) both hooks use the sufficient
+statistics: grad = G theta - b and loss = max(theta'G theta/2 - b'theta + c,
+0), O(p^2) per call whatever n is.  The clamp only removes cancellation
+error, since the loss is >= 0.  ``SquaredError(ridge=lam)`` adds
+lam/2 ||theta||^2 on either backend, so ridge regression runs on G too.
 Its curvature bound reads G as well: v'Gv over the vertices, lambda_max(G)
 on an l2 ball and, on a grouped l1 ball, the largest lambda_max(G_ss) over
 its zero-padded diagonal blocks, in one batched call.  ``Huber``,
@@ -76,7 +74,7 @@ def _read_only(a) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Feature matrix X (n, p), targets y (n,).
+    """Feature matrix X (n, p), targets y (n,); an empty dataset is refused.
 
     Ingestion rejects a record with a NaN or an infinite value.  With
     ``lasso_profile=True`` it validates the sparse-regression domain
@@ -96,6 +94,8 @@ class Dataset:
         X, y = _read_only(self.X), _read_only(self.y)
         if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
             raise ValueError("X must be (n, p) and y (n,) with matching n")
+        if X.shape[0] == 0:
+            raise ValueError("dataset is empty")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "_stats", Memo())
@@ -190,11 +190,6 @@ class Dataset:
         return cls(X=data[:, :-1], y=data[:, -1], lasso_profile=lasso_profile)
 
 
-def _require_nonempty(data: Dataset) -> None:
-    if data.n == 0:
-        raise ValueError("dataset is empty")
-
-
 def require_matching_dimension(body: ConvexBody, data: Dataset) -> None:
     """Reject a body whose dimension is not the data's p, before any work."""
     if body.dimension != data.p:
@@ -205,40 +200,28 @@ def require_matching_dimension(body: ConvexBody, data: Dataset) -> None:
 
 
 class LossSpec:
-    """Convex per-record loss with derived (or declared) solver constants."""
+    """Convex per-record loss with derived (or declared) solver constants.
+
+    A loss implements the evaluation hooks ``_loss_on`` and ``bound_grad``;
+    ``loss`` and ``grad`` call through them and are not overridden."""
 
     strong_convexity: Optional[float] = None
 
     # -- evaluation ---------------------------------------------------------
 
     def loss(self, theta, data: Dataset) -> float:
-        _require_nonempty(data)
         return self._loss_on(np.asarray(theta, dtype=float), data)
 
     def grad(self, theta, data: Dataset) -> np.ndarray:
         return self.bound_grad(data)(np.asarray(theta, dtype=float))
 
-    def bound_grad(self, data: Dataset) -> Callable[[np.ndarray], np.ndarray]:
-        """theta -> grad L(theta; D) for a float vector theta.  The data are
-        checked and the backend (with its statistics) is resolved here,
-        once, not on every call."""
-        _require_nonempty(data)
-        return self._bind_grad(data)
-
-    # Backend hooks: a pass over the rows unless a subclass has a cheaper
-    # route through the dataset's statistics.
-
-    def _loss_on(self, theta, data: Dataset) -> float:
-        return self._loss_full(theta, data.X, data.y)
-
-    def _bind_grad(self, data: Dataset) -> Callable[[np.ndarray], np.ndarray]:
-        X, y, grad_full = data.X, data.y, self._grad_full
-        return lambda theta: grad_full(theta, X, y)
-
-    def _loss_full(self, theta, X, y) -> float:
+    def _loss_on(self, theta: np.ndarray, data: Dataset) -> float:
+        """L(theta; D) for a float vector theta."""
         raise NotImplementedError
 
-    def _grad_full(self, theta, X, y) -> np.ndarray:
+    def bound_grad(self, data: Dataset) -> Callable[[np.ndarray], np.ndarray]:
+        """theta -> grad L(theta; D) for a float vector theta.  The backend
+        (with its statistics) is resolved here, once, not on every call."""
         raise NotImplementedError
 
     # -- constants ------------------------------------------------------------
@@ -255,22 +238,20 @@ class LossSpec:
         raise NotImplementedError
 
 
-def _lipschitz(key: str, body: ConvexBody, data: Dataset,
+def _lipschitz(body: ConvexBody, data: Dataset,
                cap: Optional[float] = None) -> tuple[float, float]:
     """(max_i r_i ||x_i||_inf, max_i r_i ||x_i||_2) with the residual bound
-    r_i = min(dual_norm(x_i) + |y_i|, cap), memoised per (loss key, body)."""
-    _require_nonempty(data)
-
+    r_i = min(dual_norm(x_i) + |y_i|, cap), memoised per (cap, body)."""
     def compute():
         # |<x_i, theta> - y_i| <= dual_norm(x_i) + |y_i| over the body.
         res = _dual_norms(body, data) + np.abs(data.y)
         if cap is not None:
             res = np.minimum(res, cap)
-        L1 = float(np.max(res * data.row_abs_max(), initial=0.0))
-        L2 = float(np.max(res * np.sqrt(data.row_sq_norms()), initial=0.0))
+        L1 = float(np.max(res * data.row_abs_max()))
+        L2 = float(np.max(res * np.sqrt(data.row_sq_norms())))
         return L1, L2
 
-    return memo_by_body(body, ("lipschitz", key), compute, data._memo)
+    return memo_by_body(body, ("lipschitz", cap), compute, data._memo)
 
 
 def _curvature(body: ConvexBody, data: Dataset, ridge: float) -> float:
@@ -299,35 +280,28 @@ class SquaredError(LossSpec):
         self.ridge = float(ridge)
         self.strong_convexity = self.ridge or None
 
-    def _loss_full(self, theta, X, y) -> float:
-        r = X @ theta - y
-        return 0.5 * float(r @ r) / X.shape[0]
-
-    def _grad_full(self, theta, X, y) -> np.ndarray:
-        r = X @ theta - y
-        return (X.T @ r) / X.shape[0]
-
     def _loss_on(self, theta, data) -> float:
         if data.prefers_gram:
             G, b, c = data.gram()
             # The value is >= 0; the clamp removes cancellation error at f* = 0.
             value = max(0.5 * float(theta @ (G @ theta)) - float(b @ theta) + c, 0.0)
         else:
-            value = super()._loss_on(theta, data)
+            r = data.X @ theta - data.y
+            value = 0.5 * float(r @ r) / data.n
         return value + 0.5 * self.ridge * float(theta @ theta) if self.ridge else value
 
-    def _bind_grad(self, data):
-        ridge = self.ridge
+    def bound_grad(self, data):
         if data.prefers_gram:
             G, b, _ = data.gram()
-            if ridge:
-                return lambda theta: G @ theta - b + ridge * theta
-            return lambda theta: G @ theta - b
-        rows = super()._bind_grad(data)
-        return (lambda theta: rows(theta) + ridge * theta) if ridge else rows
+            grad = lambda theta: G @ theta - b
+        else:
+            X, y, n = data.X, data.y, data.n
+            grad = lambda theta: (X.T @ (X @ theta - y)) / n
+        ridge = self.ridge
+        return (lambda theta: grad(theta) + ridge * theta) if ridge else grad
 
     def lipschitz_constants(self, body, data) -> tuple[float, float]:
-        L = _lipschitz("squared_error", body, data)
+        L = _lipschitz(body, data)
         if not self.ridge:
             return L
         # The ridge gradient is ridge * theta.
@@ -338,7 +312,6 @@ class SquaredError(LossSpec):
         return _curvature(body, data, self.ridge)
 
     def hessian_eig_bounds(self, data) -> tuple[float, float]:
-        _require_nonempty(data)
         sq = data.row_sq_norms()
         lam_max = float(sq.max())
         lam_min = float(sq.min()) if data.p == 1 else 0.0
@@ -353,19 +326,19 @@ class Huber(LossSpec):
             raise ValueError(f"Huber delta must be positive and finite, got {delta!r}")
         self.delta = float(delta)
 
-    def _loss_full(self, theta, X, y) -> float:
-        r = X @ theta - y
+    def _loss_on(self, theta, data) -> float:
+        r = data.X @ theta - data.y
         a = np.abs(r)
         d = self.delta
         vals = np.where(a <= d, 0.5 * r * r, d * a - 0.5 * d * d)
-        return float(vals.sum()) / X.shape[0]
+        return float(vals.sum()) / data.n
 
-    def _grad_full(self, theta, X, y) -> np.ndarray:
-        r = np.clip(X @ theta - y, -self.delta, self.delta)
-        return (X.T @ r) / X.shape[0]
+    def bound_grad(self, data):
+        X, y, n, d = data.X, data.y, data.n, self.delta
+        return lambda theta: (X.T @ np.clip(X @ theta - y, -d, d)) / n
 
     def lipschitz_constants(self, body, data) -> tuple[float, float]:
-        return _lipschitz(f"huber:{self.delta!r}", body, data, cap=self.delta)
+        return _lipschitz(body, data, cap=self.delta)
 
     def curvature_bound(self, body, data) -> float:
         # The Huber Hessian is dominated by the quadratic zone's x x^T.
@@ -389,11 +362,12 @@ class CustomLoss(LossSpec):
         self.constants = dict(constants)
         self.strong_convexity = self.constants.get("strong_convexity")
 
-    def _loss_full(self, theta, X, y) -> float:
-        return float(self._loss_hook(theta, X, y))
+    def _loss_on(self, theta, data) -> float:
+        return float(self._loss_hook(theta, data.X, data.y))
 
-    def _grad_full(self, theta, X, y) -> np.ndarray:
-        return np.asarray(self._grad_hook(theta, X, y), dtype=float)
+    def bound_grad(self, data):
+        X, y, hook = data.X, data.y, self._grad_hook
+        return lambda theta: np.asarray(hook(theta, X, y), dtype=float)
 
     def _declared(self, key: str) -> float:
         if key not in self.constants:
@@ -419,7 +393,6 @@ def _quadratic_curvature_bound(body: ConvexBody, data: Dataset, ridge: float) ->
     With ``data.prefers_gram`` the quadratic form reads G = X'X/n:
     ||X v||^2 / n = v'Gv and ||X_s||_2^2 / n = lambda_max(G_ss).
     """
-    _require_nonempty(data)
     X, n = data.X, data.n
     G = data.gram().G if data.prefers_gram else None
 
@@ -455,17 +428,18 @@ def _quadratic_curvature_bound(body: ConvexBody, data: Dataset, ridge: float) ->
     raise ValueError(f"curvature bound not implemented for {type(body).__name__}")
 
 
-def loss_key(loss: LossSpec) -> Optional[str]:
-    """A key that names a built-in loss by its parameters, or None.
+def loss_key(loss: LossSpec) -> str:
+    """A key that names a built-in loss by its parameters, else by identity.
 
-    Only the exact built-in types get one: a subclass or a ``CustomLoss``
-    can compute anything, so it is known only by its identity.
+    Only the exact built-in types are named by parameters: a subclass or a
+    ``CustomLoss`` can compute anything.  A memo under an identity key must
+    keep the loss alive, so that its id is not reused.
     """
     if type(loss) is SquaredError:
         return f"squared_error:ridge={loss.ridge!r}" if loss.ridge else "squared_error"
     if type(loss) is Huber:
         return f"huber:{loss.delta!r}"
-    return None
+    return f"{type(loss).__name__}@{id(loss):x}"
 
 
 def loss_from_dict(doc: dict) -> LossSpec:

@@ -95,11 +95,6 @@ def excess_risk(theta, oracle: OracleSolution, loss: LossSpec, data: Dataset, *,
 # Cache (in the dataset's memo, per body and loss key)
 
 
-def _loss_key(loss: LossSpec) -> str:
-    # Built-in losses by their parameters, any other loss by identity.
-    return loss_key(loss) or f"{type(loss).__name__}@{id(loss):x}"
-
-
 def cached_solve(body: ConvexBody, loss: LossSpec, data: Dataset) -> OracleSolution:
     """``solve_exact``, memoised in the dataset per (body, loss).
 
@@ -110,5 +105,5 @@ def cached_solve(body: ConvexBody, loss: LossSpec, data: Dataset) -> OracleSolut
     custom loss's key cannot be reused.
     """
     require_matching_dimension(body, data)
-    return memo_by_body(body, ("oracle", _loss_key(loss)),
+    return memo_by_body(body, ("oracle", loss_key(loss)),
                         lambda: (loss, solve_exact(body, loss, data)), data._memo)[1]

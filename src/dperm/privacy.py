@@ -39,7 +39,7 @@ class PrivacyBudget:
     @classmethod
     def from_dict(cls, doc: dict) -> "PrivacyBudget":
         """Read a budget document: ``epsilon`` is required and ``delta``
-        defaults to 1e-6.  The string "inf" is the one epsilon of a
+        defaults to the field's.  The string "inf" is the one epsilon of a
         non-private run; an unknown key raises ``ValueError``."""
         check_keys(doc, {"epsilon", "delta"}, "budget")
         eps = doc_field(doc, "epsilon", "budget")
@@ -49,7 +49,8 @@ class PrivacyBudget:
             except ValueError:
                 raise ValueError(
                     f'budget epsilon must be a finite number or "inf", got {eps!r}') from None
-        return cls(epsilon=float(eps), delta=doc_float(doc.get("delta", 1e-6), "budget", "delta"))
+        return cls(epsilon=float(eps),
+                   delta=doc_float(doc.get("delta", cls.delta), "budget", "delta"))
 
 
 @dataclass

@@ -85,7 +85,7 @@ class SolverConfig:
     (``Potential.natural_q`` raises on any other) and the other algorithms
     refuse one; ``strongly_convex_md`` needs a loss with
     ``strong_convexity > 0`` and ``obj_pert`` a C^2 loss (not ``Huber``).
-    All are checked here, once per config.
+    All are checked here, once per config, and the ``natural_q`` body is kept.
     """
 
     algorithm: str
@@ -104,10 +104,13 @@ class SolverConfig:
             raise ValueError("T must be >= 0 (0 = use the default formula)")
         if self.t_cap < 1:
             raise ValueError(f"t_cap must be >= 1, got {self.t_cap}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        self._q_body = None
         if self.algorithm in ("noisy_md", "strongly_convex_md"):
             if self.potential is None:
                 raise ValueError(f"{self.algorithm} requires a potential")
-            self.potential.natural_q(self.body)
+            self._q_body = self.potential.natural_q(self.body)
         elif self.potential is not None:
             raise ValueError(f"{self.algorithm} takes no potential")
         if self.algorithm == "strongly_convex_md" and not (self.loss.strong_convexity or 0) > 0:
@@ -141,9 +144,9 @@ class SolverConfig:
             loss=loss,
             budget=PrivacyBudget.from_dict(doc_field(doc, "budget", "solver config")),
             potential=potential,
-            T=doc_int(doc.get("T", 0), "solver config", "T"),
-            seed=doc_int(doc.get("seed", 0), "solver config", "seed"),
-            t_cap=doc_int(doc.get("t_cap", 10 ** 6), "solver config", "t_cap"),
+            T=doc_int(doc.get("T", cls.T), "solver config", "T"),
+            seed=doc_int(doc.get("seed", cls.seed), "solver config", "seed"),
+            t_cap=doc_int(doc.get("t_cap", cls.t_cap), "solver config", "t_cap"),
         )
 
 
@@ -256,12 +259,9 @@ def _calibrate_noisy_md(cfg: SolverConfig, data: Dataset) -> ResolvedRun:
     L2 = cfg.loss.lipschitz_constants(cfg.body, data)[1]
     plan = NoisePlan(mechanism="gaussian_per_step", steps=0)
     plan.log(f"L2 = {L2:.6g}, n = {n}, eps = {eps}, delta = {delta}")
-    # The potential knows the symmetric body its strong convexity is stated
-    # against; the blanket symmetric hull would mispair e.g. a squared-l2
-    # potential on an l1 ball.  The config requires a potential, so the hull
-    # fallback never runs; perfbench/spans.py still patches it here.
-    q_body = (cfg.potential.natural_q(cfg.body) if cfg.potential is not None
-              else symmetric_hull(cfg.body))
+    # The config keeps the potential's body (the blanket hull would mispair e.g. squared l2
+    # on an l1 ball); the hull fallback never runs, but perfbench/spans.py patches it here.
+    q_body = cfg._q_body if cfg._q_body is not None else symmetric_hull(cfg.body)
     q_diam = q_body.l2_diameter()
     T = _steps(cfg, plan, ("||Q||_2^2 eps^2 n^2", "(L2^2 ln^2(n/delta) G_Q^2)"),
                lambda g_q: (q_diam ** 2 * eps ** 2 * n ** 2,

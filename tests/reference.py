@@ -4,11 +4,12 @@ Each one is written independently of the library path it checks: feasible
 points drawn per body kind, the Minkowski gauge, each potential's value,
 gradient and strong-convexity modulus on the body its iterates live in
 (``body.iterate_space()[0]`` of the run's body), the Bregman divergence, the
-per-record loss gradient, the sampled curvature expression, each
-algorithm's calibration (step count, noise scales and steps) and a
-coordinate-descent LASSO solve.  The sort-based projections and the
-certified first-order loop without gradient reuse are the library's
-earlier forms, kept to check that the leaner ones return the same bits.
+squared loss and its gradient by a pass over the rows, the per-record loss
+gradient, the sampled curvature expression, each algorithm's calibration
+(step count, noise scales and steps) and a coordinate-descent LASSO solve.
+The sort-based projections and the certified first-order loop without
+gradient reuse are the library's earlier forms, kept to check that the
+leaner ones return the same bits.
 """
 
 import math
@@ -152,6 +153,17 @@ def bregman(potential, body, a, b) -> float:
     b = np.asarray(b, dtype=float)
     return (potential_value(potential, body, a) - potential_value(potential, body, b)
             - float(potential_grad(potential, body, b) @ (a - b)))
+
+
+def row_loss(theta, X, y) -> float:
+    """The 1/n-normalized squared loss over the batch, by a pass over the rows."""
+    r = X @ theta - y
+    return 0.5 * float(r @ r) / X.shape[0]
+
+
+def row_grad(theta, X, y) -> np.ndarray:
+    """The gradient of ``row_loss``, by a pass over the rows."""
+    return X.T @ (X @ theta - y) / X.shape[0]
 
 
 def record_grad(loss, theta, x, y: float) -> np.ndarray:

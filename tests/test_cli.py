@@ -1,3 +1,4 @@
+import copy
 import csv
 import json
 import math
@@ -5,10 +6,11 @@ import re
 
 import pytest
 
+import dperm.cli as cli
 import dperm.harness as harness
 from dperm.cli import main
 from dperm.geometry import L1Ball, gaussian_width_mc
-from dperm.harness import generate_lasso
+from dperm.harness import ExperimentSpec, generate_lasso
 from dperm.losses import SquaredError
 from dperm.oracle import cached_solve
 from dperm.solvers import WIDTH_SAMPLES, WIDTH_SEED
@@ -110,6 +112,21 @@ class TestBench:
             rows = list(csv.DictReader(fh))
         assert [(r["n"], r["seed"]) for r in rows] == [("100", "4"), ("200", "4")]
         assert json.loads((tmp_path / "records_summary.json").read_text())["failures"] == []
+
+    def test_a_negative_seed_is_refused_before_the_sweep(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "run_sweep", None)
+        with pytest.raises(ValueError, match=re.escape("every seed must be >= 0, got -3")):
+            main(["bench", self.experiment(tmp_path), "--seed", "-3"])
+
+    def test_non_private_leaves_the_read_documents(self, tmp_path, monkeypatch):
+        spec = ExperimentSpec.from_json(self.experiment(tmp_path))
+        read = copy.deepcopy(spec.solvers)
+        swept = []
+        monkeypatch.setattr(ExperimentSpec, "from_json", lambda path: spec)
+        monkeypatch.setattr(cli, "run_sweep", lambda s: swept.append(s) or ([], []))
+        assert main(["bench", "experiment.json", "--non-private"]) == 0
+        assert spec.solvers == read
+        assert [doc["budget"] for doc in swept[0].solvers] == [{"epsilon": "inf"}]
 
     def test_parallelism_is_not_an_option(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

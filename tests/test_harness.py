@@ -328,6 +328,17 @@ class TestSweepDocument:
             run_sweep(ExperimentSpec(solvers=lasso_configs(6)[:1], n_sweep=[200], seeds=[0],
                                      dataset={}))
 
+    @pytest.mark.parametrize("n_sweep,seeds,message", [
+        ([200, 0], [0], "every n must be >= 1, got 0"),
+        ([-5], [0], "every n must be >= 1, got -5"),
+        ([200], [3, -1], "every seed must be >= 0, got -1"),
+    ])
+    def test_an_n_below_one_or_a_negative_seed_is_refused(self, n_sweep, seeds, message):
+        # When the spec is built, not by numpy in every cell or for the sweep.
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentSpec(solvers=lasso_configs(6)[:1], n_sweep=n_sweep, seeds=seeds,
+                           dataset={"generator": {"p": 6}})
+
     def test_repeated_solver_id_is_rejected(self):
         fw = lasso_configs(6)[0]
         with pytest.raises(ValueError, match="solver config 1 repeats the id 'fw_polytope'"):

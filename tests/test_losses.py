@@ -20,7 +20,8 @@ from dperm.losses import (
 )
 from dperm.oracle import cached_solve, solve_exact
 
-from reference import block_slices, curvature_empirical, record_grad, sample_feasible
+from reference import (block_slices, curvature_empirical, record_grad, row_grad, row_loss,
+                       sample_feasible)
 
 
 def lasso_dataset(rng, n=200, p=5):
@@ -361,31 +362,25 @@ def close(value, ref) -> bool:
     return bool(np.all(np.abs(value - ref) <= REL * (1.0 + np.abs(ref))))
 
 
-def row_loss(theta, X, y):
-    r = X @ theta - y
-    return 0.5 * float(r @ r) / X.shape[0]
-
-
-def row_grad(theta, X, y):
-    return X.T @ (X @ theta - y) / X.shape[0]
-
-
 def row_curvature_vertices(V, X):
     return 4.0 * max(float((X @ v) @ (X @ v)) / X.shape[0] for v in V)
 
 
 class TestGramBackend:
-    def test_loss_and_grad_match_row_pass(self, rng, monkeypatch):
-        # The row pass must not run at all when p < n.
-        monkeypatch.setattr(SquaredError, "_loss_full", None)
-        monkeypatch.setattr(SquaredError, "_grad_full", None)
+    def test_loss_and_grad_match_row_pass(self, rng):
+        # The row pass must not run at all when p < n: once G is built, the
+        # dataset's rows are replaced by NaN, which a row pass would return.
         sq = SquaredError()
         for n, p in [(200, 5), (64, 12), (3, 2), (1000, 40)]:
             data = lasso_dataset(rng, n=n, p=p)
+            X, y = data.X, data.y
+            data.gram()
+            object.__setattr__(data, "X", np.full_like(X, np.nan))
+            object.__setattr__(data, "y", np.full_like(y, np.nan))
             for scale in (0.0, 0.3, 1.0, 5.0):
                 theta = scale * rng.standard_normal(p)
-                assert close(sq.loss(theta, data), row_loss(theta, data.X, data.y))
-                assert close(sq.grad(theta, data), row_grad(theta, data.X, data.y))
+                assert close(sq.loss(theta, data), row_loss(theta, X, y))
+                assert close(sq.grad(theta, data), row_grad(theta, X, y))
 
     def test_p_at_least_n_takes_row_pass(self, rng, monkeypatch):
         def no_gram(self):
@@ -611,11 +606,10 @@ class TestBoundGradient:
             grad(rng.standard_normal(4))
         assert calls == {"gram": 1}
 
-    def test_empty_data_fails_when_bound(self):
-        data = Dataset(X=np.zeros((0, 3)), y=np.zeros(0))
-        for loss in (SquaredError(), SquaredError(ridge=0.1), Huber(0.5)):
-            with pytest.raises(ValueError, match="empty"):
-                loss.bound_grad(data)
+    def test_empty_data_is_refused_before_binding(self):
+        # No loss binds a gradient on empty data: the dataset is refused.
+        with pytest.raises(ValueError, match="dataset is empty"):
+            Dataset(X=np.zeros((0, 3)), y=np.zeros(0))
 
 
 class TestCurvatureMemo:

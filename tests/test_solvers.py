@@ -20,7 +20,7 @@ from dperm.solvers import (
     run_solver,
     sc_step_schedule,
 )
-from reference import curvature_empirical, reference_plan
+from reference import curvature_empirical, reference_plan, row_grad, row_loss
 
 NON_PRIVATE = PrivacyBudget(math.inf)
 SQ = SquaredError()
@@ -410,7 +410,7 @@ class TestObjectivePerturbation:
         dists = []
         for lam_max in [0.0, 1.0, 4.0, 16.0, 64.0]:
             loss = CustomLoss(
-                SQ._loss_full, SQ._grad_full,
+                row_loss, row_grad,
                 constants={"l1_lipschitz": 2.0, "l2_lipschitz": 4.0,
                            "curvature": 4.0, "lambda_min": 0.0,
                            "lambda_max": lam_max})
@@ -432,7 +432,7 @@ class TestObjectivePerturbation:
         data = Dataset(X=X, y=X @ theta_far)
         body = L2Ball(1.0, 12)
         loss = CustomLoss(
-            SQ._loss_full, SQ._grad_full,
+            row_loss, row_grad,
             constants={"l1_lipschitz": 8.0, "l2_lipschitz": 16.0, "curvature": 16.0,
                        "lambda_min": 0.0, "lambda_max": 0.0})
         oracle = solve_exact(body, loss, data)
@@ -638,6 +638,26 @@ class TestReportAndConfig:
                "loss": {"kind": "squared_error"}, "budget": {"epsilon": 1.0}, key: value}
         with pytest.raises(ValueError, match=f"solver config '{key}' must be an integer"):
             SolverConfig.from_dict(doc)
+
+    def test_negative_seed_is_refused(self):
+        # When the config is built, not by the noise generator in every cell.
+        with pytest.raises(ValueError, match=re.escape("seed must be >= 0, got -1")):
+            config_for("fw_polytope", seed=-1)
+
+    def test_q_body_is_built_once_per_config(self, small_lasso, monkeypatch):
+        # The config builds the potential's body and the calibration reads it.
+        calls = []
+        natural_q = PolytopeQNorm.natural_q
+
+        def counting(self, body):
+            calls.append(body)
+            return natural_q(self, body)
+
+        monkeypatch.setattr(PolytopeQNorm, "natural_q", counting)
+        cfg = SolverConfig(algorithm="noisy_md", body=CROSS_12, loss=SQ,
+                           budget=PrivacyBudget(1.0, 1e-6), potential=PolytopeQNorm(), T=5)
+        resolve_defaults(cfg, small_lasso)
+        assert calls == [CROSS_12]
 
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError):
