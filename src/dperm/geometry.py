@@ -59,6 +59,15 @@ def _identity(x):
     return x
 
 
+def _vertex_lmo(body: ConvexBody, direction) -> np.ndarray:
+    """The LMO of a body with vertices: the vertex of least <v_i, direction>,
+    the lowest index i on ties.  Each such class binds it as its own ``lmo``,
+    which ``perfbench/spans.py`` wraps only where a class defines it."""
+    d = _as_vector(direction, body.dimension, "direction")
+    _check_finite(d)
+    return body.vertex(int(body.vertex_scores(d).argmin()))
+
+
 def row_abs_max(G: np.ndarray) -> np.ndarray:
     """max_j |G_ij| for every row i.  |G| is formed one block of rows at a
     time, which needs less memory and, in cache, less time than whole."""
@@ -75,11 +84,13 @@ class ConvexBody:
     the dual norm max over w in C of |<w, g>| (row-batched, as
     ``dual_norms``), the l2 diameter, and (where supported) Euclidean
     projection.  ``max_norm(q)`` is the one source of the body's norm
-    maxima ||C||_q: the largest vertex norm here, a closed form in the
-    bodies without a vertex list.
+    maxima ||C||_q.  The hull of k vertices v_0 .. v_{k-1} has ``n_vertices``
+    = k (0 on other bodies), builds v_i with ``vertex(i)`` and scores all of
+    them with ``vertex_scores(g)``, so no caller needs a dense (k, p) list.
     """
 
     dimension: int
+    n_vertices: int = 0
 
     # -- interface -------------------------------------------------------
 
@@ -104,7 +115,7 @@ class ConvexBody:
 
     def max_norm(self, q) -> float:
         """max over C of ||theta||_q, for q in {1, 2, inf}."""
-        return float(np.linalg.norm(self.vertices(), q, axis=1).max())
+        raise NotImplementedError
 
     def euclidean_project(self, x) -> np.ndarray:
         raise NotImplementedError(
@@ -115,14 +126,13 @@ class ConvexBody:
         """Deterministic starting point: center for balls/boxes, barycenter otherwise."""
         raise NotImplementedError
 
-    def vertices(self) -> np.ndarray:
-        """Explicit vertex list (k, p) for vertex-enumerable bodies."""
+    def vertex(self, i: int) -> np.ndarray:
+        """Vertex v_i as a new array, for 0 <= i < ``n_vertices``."""
         raise ValueError(f"{type(self).__name__} has no finite vertex list")
 
     def vertex_scores(self, g: np.ndarray) -> np.ndarray:
-        """<v, g> for every vertex v, in ``vertices()`` order, for a finite
-        float vector g: ``vertices() @ g``, or its value without the product."""
-        return self.vertices() @ g
+        """<v_i, g> for every i, in index order, for a finite float vector g."""
+        raise ValueError(f"{type(self).__name__} has no finite vertex list")
 
     def iterate_space(self) -> tuple[ConvexBody, Callable, Callable]:
         """(iterate body, point_of, pullback): the projectable body a
@@ -186,10 +196,8 @@ class L2Ball(ConvexBody):
 
 @dataclass(frozen=True, eq=False)
 class L1Ball(ConvexBody):
-    """l1 ball of a given radius; vertex-enumerable (2p signed unit vectors).
-
-    Vertex order is [+r*e_1, ..., +r*e_p, -r*e_1, ..., -r*e_p]; LMO ties
-    are broken by lowest index in this list.
+    """l1 ball of a given radius, the hull of 2p vertices: vertex i < p is
+    +r e_{i+1} and vertex p + i is -r e_{i+1}; LMO ties go to the lowest i.
     """
 
     radius: float
@@ -204,16 +212,7 @@ class L1Ball(ConvexBody):
         v = _as_vector(x, self.dimension)
         return float(np.abs(v).sum()) <= self.radius + FEAS_TOL
 
-    def lmo(self, direction) -> np.ndarray:
-        d = _as_vector(direction, self.dimension, "direction")
-        _check_finite(d)
-        idx = int(self.vertex_scores(d).argmin())
-        out = np.zeros(self.dimension)
-        if idx < self.dimension:
-            out[idx] = self.radius
-        else:
-            out[idx - self.dimension] = -self.radius
-        return out
+    lmo = _vertex_lmo
 
     def dual_norms(self, G: np.ndarray) -> np.ndarray:
         return self.radius * row_abs_max(G)
@@ -236,14 +235,17 @@ class L1Ball(ConvexBody):
     def canonical_point(self) -> np.ndarray:
         return np.zeros(self.dimension)
 
-    def vertices(self) -> np.ndarray:
-        eye = self.radius * np.eye(self.dimension)
-        return np.vstack([eye, -eye])
+    n_vertices = property(lambda self: 2 * self.dimension)
+
+    def vertex(self, i: int) -> np.ndarray:
+        out = np.zeros(self.dimension)
+        out[i % self.dimension] = self._signed_radius[i // self.dimension, 0]
+        return out
 
     def vertex_scores(self, g: np.ndarray) -> np.ndarray:
-        # Rows i and p + i of the vertex list are +r e_i and -r e_i, so the
-        # scores are [r g, -r g]: the rows of (+r, -r)' g, one product per
-        # entry.  (-r) g_i is -(r g_i) exactly.
+        # Vertices i and p + i are +r e_i and -r e_i, so the scores are
+        # [r g, -r g]: the rows of (+r, -r)' g, one product per entry.
+        # (-r) g_i is -(r g_i) exactly.
         return (self._signed_radius * g).ravel()
 
     @cached_property
@@ -256,7 +258,7 @@ class L1Ball(ConvexBody):
 
 @dataclass(frozen=True, eq=False)
 class Simplex(ConvexBody):
-    """Probability simplex {theta >= 0, sum(theta) = 1}; vertices are e_1..e_p."""
+    """Probability simplex {theta >= 0, sum(theta) = 1}; vertex i is e_{i+1}."""
 
     dimension: int
 
@@ -268,12 +270,7 @@ class Simplex(ConvexBody):
         v = _as_vector(x, self.dimension)
         return bool(np.all(v >= -FEAS_TOL) and abs(v.sum() - 1.0) <= FEAS_TOL)
 
-    def lmo(self, direction) -> np.ndarray:
-        d = _as_vector(direction, self.dimension, "direction")
-        _check_finite(d)
-        out = np.zeros(self.dimension)
-        out[int(np.argmin(d))] = 1.0
-        return out
+    lmo = _vertex_lmo
 
     def dual_norms(self, G: np.ndarray) -> np.ndarray:
         return row_abs_max(G)
@@ -291,8 +288,12 @@ class Simplex(ConvexBody):
     def canonical_point(self) -> np.ndarray:
         return np.full(self.dimension, 1.0 / self.dimension)
 
-    def vertices(self) -> np.ndarray:
-        return np.eye(self.dimension)
+    n_vertices = property(lambda self: self.dimension)
+
+    def vertex(self, i: int) -> np.ndarray:
+        out = np.zeros(self.dimension)
+        out[i] = 1.0
+        return out
 
     def vertex_scores(self, g: np.ndarray) -> np.ndarray:
         # The vertices are e_1..e_p, so the scores are g itself.
@@ -322,9 +323,7 @@ class Polytope(ConvexBody):
     def dimension(self) -> int:
         return self.vertex_array.shape[1]
 
-    @property
-    def n_vertices(self) -> int:
-        return self.vertex_array.shape[0]
+    n_vertices = property(lambda self: self.vertex_array.shape[0])
 
     def contains(self, x) -> bool:
         from scipy.optimize import linprog
@@ -347,11 +346,13 @@ class Polytope(ConvexBody):
                       bounds=[(0, None)] * k + [(0, None)], method="highs")
         return bool(res.success) and res.fun <= FEAS_TOL
 
-    def lmo(self, direction) -> np.ndarray:
-        d = _as_vector(direction, self.dimension, "direction")
-        _check_finite(d)
-        scores = self.vertex_array @ d
-        return self.vertex_array[int(np.argmin(scores))].copy()
+    lmo = _vertex_lmo
+
+    def vertex(self, i: int) -> np.ndarray:
+        return self.vertex_array[i].copy()
+
+    def vertex_scores(self, g: np.ndarray) -> np.ndarray:
+        return self.vertex_array @ g
 
     def dual_norms(self, G: np.ndarray) -> np.ndarray:
         return np.abs(G @ self.vertex_array.T).max(axis=1)
@@ -362,11 +363,11 @@ class Polytope(ConvexBody):
         d2 = sq[:, None] + sq[None, :] - 2.0 * (V @ V.T)
         return math.sqrt(max(float(d2.max()), 0.0))
 
+    def max_norm(self, q) -> float:
+        return float(np.linalg.norm(self.vertex_array, q, axis=1).max())
+
     def canonical_point(self) -> np.ndarray:
         return self.vertex_array.mean(axis=0)
-
-    def vertices(self) -> np.ndarray:
-        return self.vertex_array
 
     def iterate_space(self) -> tuple[ConvexBody, Callable, Callable]:
         """The simplex of vertex coefficients a, with a -> V^T a and g -> V g."""

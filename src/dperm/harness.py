@@ -102,8 +102,8 @@ class ExperimentSpec:
     """A sweep: solver config documents x n values x seeds.
 
     The dataset document is a ``path`` (with an optional ``lasso_profile``)
-    or a ``generator``.  An unknown key in either, a missing generator, or
-    a solver id used twice raises ``ValueError``.
+    or a ``generator``.  An unknown key in either, a missing generator, a
+    value out of range or a solver id used twice raises ``ValueError``.
     """
 
     solvers: list[dict]
@@ -128,9 +128,12 @@ class ExperimentSpec:
                 raise ValueError(f"dataset file {self.dataset['path']} does not exist")
         else:
             check_keys(self.dataset, {"generator"}, "dataset")
-            check_keys(doc_field(self.dataset, "generator", "dataset"),
-                       {"p", "sparsity", "noise_level", "data_seed", "l1_norm", "nonneg"},
+            gen = doc_field(self.dataset, "generator", "dataset")
+            check_keys(gen, {"p", "sparsity", "noise_level", "data_seed", "l1_norm", "nonneg"},
                        "generator")
+            for key, low in (("p", 1), ("data_seed", 0)):
+                if key in gen and doc_int(gen[key], "generator", key) < low:
+                    raise ValueError(f"generator {key!r} must be >= {low}, got {gen[key]!r}")
         ids = set()
         for i, doc in enumerate(self.solvers):
             if "id" not in doc:

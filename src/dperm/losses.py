@@ -35,9 +35,9 @@ statistics: grad = G theta - b and loss = max(theta'G theta/2 - b'theta + c,
 0), O(p^2) per call whatever n is.  The clamp only removes cancellation
 error, since the loss is >= 0.  ``SquaredError(ridge=lam)`` adds
 lam/2 ||theta||^2 on either backend, so ridge regression runs on G too.
-Its curvature bound reads G as well: v'Gv over the vertices, lambda_max(G)
-on an l2 ball and, on a grouped l1 ball, the largest lambda_max(G_ss) over
-its zero-padded diagonal blocks, in one batched call.  ``Huber``,
+Its curvature bound reads G as well: max_j G_jj on an l1 ball or a simplex,
+lambda_max(G) on an l2 ball, the largest lambda_max(G_ss) over a grouped l1
+ball's zero-padded diagonal blocks and v'Gv over a polytope's vertices.  ``Huber``,
 ``CustomLoss`` (whose hooks take the whole batch X, y), ``SquaredError``
 with p >= n and the box curvature bound (|X| m) keep the O(n p) row pass.
 """
@@ -51,7 +51,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .geometry import (Box, ConvexBody, GroupedL1Ball, L1Ball, L2Ball, Memo, Simplex,
+from .geometry import (Box, ConvexBody, GroupedL1Ball, L1Ball, L2Ball, Memo, Polytope, Simplex,
                        check_keys, doc_field, doc_float, memo_by_body, row_abs_max)
 
 LASSO_DOMAIN_TOL = 1e-12
@@ -390,8 +390,10 @@ class CustomLoss(LossSpec):
 def _quadratic_curvature_bound(body: ConvexBody, data: Dataset, ridge: float) -> float:
     """4 max over C of (||X theta||^2 / n + ridge ||theta||^2).
 
-    With ``data.prefers_gram`` the quadratic form reads G = X'X/n:
-    ||X v||^2 / n = v'Gv and ||X_s||_2^2 / n = lambda_max(G_ss).
+    On a body of column blocks s it is 4 ||C||_2^2 (max_s ||X_s||_2^2 / n +
+    ridge), the blocks single columns on the l1 ball and the simplex (whose
+    vertices are +-r e_j).  With ``data.prefers_gram`` the quadratic form
+    reads G = X'X/n: ||X v||^2 / n = v'Gv and ||X_s||_2^2 / n = lambda_max(G_ss).
     """
     X, n = data.X, data.n
     G = data.gram().G if data.prefers_gram else None
@@ -405,17 +407,16 @@ def _quadratic_curvature_bound(body: ConvexBody, data: Dataset, ridge: float) ->
         s_max = float(np.linalg.norm(np.moveaxis(blocks(X), -2, 0), 2, axis=(-2, -1)).max())
         return s_max * s_max / n
 
-    try:
-        V = body.vertices()
-    except ValueError:
-        V = None
-    if V is not None:
+    if isinstance(body, Polytope):
+        V = body.vertex_array
         if G is not None:
             xv2 = ((V @ G) * V).sum(axis=1)
         else:
             # One vertex at a time: X @ V.T would hold an n x k matrix.
             xv2 = np.array([float(xv @ xv) / n for xv in (X @ v for v in V)])
         return 4.0 * float((xv2 + ridge * (V * V).sum(axis=1)).max())
+    if isinstance(body, (L1Ball, Simplex)):
+        return 4.0 * body.max_norm(2) ** 2 * (top(lambda A: A[..., :, None]) + ridge)
     if isinstance(body, L2Ball):
         return 4.0 * (body.radius ** 2) * (top(lambda A: A[..., None, :]) + ridge)
     if isinstance(body, GroupedL1Ball):

@@ -84,8 +84,9 @@ class SolverConfig:
     algorithms need a potential that can run on the body
     (``Potential.natural_q`` raises on any other) and the other algorithms
     refuse one; ``strongly_convex_md`` needs a loss with
-    ``strong_convexity > 0`` and ``obj_pert`` a C^2 loss (not ``Huber``).
-    All are checked here, once per config, and the ``natural_q`` body is kept.
+    ``strong_convexity > 0``, ``obj_pert`` a C^2 loss (not ``Huber``) and
+    ``fw_polytope`` a body with vertices (``n_vertices > 0``).  All are
+    checked here, once per config, and the ``natural_q`` body is kept.
     """
 
     algorithm: str
@@ -118,14 +119,9 @@ class SolverConfig:
         if self.algorithm == "obj_pert" and isinstance(self.loss, Huber):
             raise ValueError("objective perturbation needs a twice continuously "
                              "differentiable loss; the Huber loss is not C^2")
-        if self.algorithm == "fw_polytope":
-            try:
-                self.body.vertices()
-            except ValueError as exc:
-                raise ValueError(
-                    "fw_polytope requires a vertex-enumerable body "
-                    "(polytope, l1 ball, or simplex)"
-                ) from exc
+        if self.algorithm == "fw_polytope" and not self.body.n_vertices:
+            raise ValueError("fw_polytope requires a vertex-enumerable body "
+                             "(polytope, l1 ball, or simplex)")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SolverConfig":
@@ -418,17 +414,16 @@ def _frank_wolfe(cfg: SolverConfig, data: Dataset, run: ResolvedRun, rng):
     # at most T-1 selected vertices; that ledger is replayed from the picks.
     mu = run.mu
     if cfg.algorithm == "fw_polytope":
-        V = cfg.body.vertices()
+        k = cfg.body.n_vertices
         noise = _noise_rows(lambda shape: sample_laplace(run.plan.laplace_scale, rng, size=shape),
-                            run.T - 1, V.shape[0])
+                            run.T - 1, k)
         picks: list[int] = []
-        scores = cfg.body.vertex_scores
-        moves = mu * V  # row i: the step mu * v_i toward vertex i
+        scores, vertex = cfg.body.vertex_scores, cfg.body.vertex
 
         def move(g, z):
             idx = report_noisy_min(scores(g), z)
             picks.append(idx)
-            return moves[idx]
+            return mu * vertex(idx)
     else:
         noise = _gaussian_rows(cfg, run, rng)
         lmo = cfg.body.lmo
@@ -448,7 +443,6 @@ def _frank_wolfe(cfg: SolverConfig, data: Dataset, run: ResolvedRun, rng):
 
     # Slot k of the ledger is the start point; the keys are the start, then
     # the vertices in the order they were first picked.
-    k = V.shape[0]
     w = np.zeros(k + 1)
     w[k] = 1.0
     for idx in picks:

@@ -4,9 +4,10 @@ Each one is written independently of the library path it checks: feasible
 points drawn per body kind, the Minkowski gauge, each potential's value,
 gradient and strong-convexity modulus on the body its iterates live in
 (``body.iterate_space()[0]`` of the run's body), the Bregman divergence, the
-squared loss and its gradient by a pass over the rows, the per-record loss
-gradient, the sampled curvature expression, each algorithm's calibration
-(step count, noise scales and steps) and a coordinate-descent LASSO solve.
+dense vertex list of the bodies with vertices, the squared loss and its
+gradient by a pass over the rows, the per-record loss gradient, the sampled
+curvature expression, each algorithm's calibration (step count, noise
+scales and steps) and a coordinate-descent LASSO solve.
 The sort-based projections and the certified first-order loop without
 gradient reuse are the library's earlier forms, kept to check that the
 leaner ones return the same bits.
@@ -29,6 +30,21 @@ def block_slices(dimension: int, group_size: int) -> list[slice]:
     shorter.  Written out here so the grouped references do not share the
     library's padded block layout."""
     return [slice(i, min(i + group_size, dimension)) for i in range(0, dimension, group_size)]
+
+
+def vertex_list(body) -> np.ndarray:
+    """The dense (k, p) vertex list of an l1 ball, a simplex or a polytope,
+    in the documented vertex order: +r e_1 .. +r e_p then -r e_1 .. -r e_p
+    on the l1 ball, e_1 .. e_p on the simplex, the given rows of a
+    polytope."""
+    if isinstance(body, L1Ball):
+        eye = body.radius * np.eye(body.dimension)
+        return np.vstack([eye, -eye])
+    if isinstance(body, Simplex):
+        return np.eye(body.dimension)
+    if isinstance(body, Polytope):
+        return body.vertex_array
+    raise ValueError(f"no vertex list for {type(body).__name__}")
 
 
 def sample_feasible(body, rng: np.random.Generator) -> np.ndarray:

@@ -23,7 +23,8 @@ from dperm.geometry import (
 )
 
 from conftest import random_small_polytope
-from reference import gauge, project_l1_sorted, project_simplex_sorted, sample_feasible
+from reference import (gauge, project_l1_sorted, project_simplex_sorted, sample_feasible,
+                       vertex_list)
 
 TRIANGLE = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
 CROSS = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
@@ -88,7 +89,7 @@ class TestLmo:
         assert np.allclose(out, out)
         assert b.contains(out)
         # Lowest-index vertex of the enumeration wins.
-        assert np.allclose(out, b.vertices()[0])
+        assert np.allclose(out, vertex_list(b)[0])
 
     def test_polytope_tie_lowest_index(self):
         V = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -125,16 +126,18 @@ class TestLmoTies:
     ])
     def test_l1_ball_ties_go_to_the_lowest_vertex_index(self, direction, index):
         body = L1Ball(0.5, 3)
-        V = body.vertices()
+        V = vertex_list(body)
         assert int(np.argmin(V @ np.asarray(direction))) == index
         assert np.array_equal(body.lmo(direction), V[index])
 
 
+VERTEX_BODIES = [L1Ball(1.0, 7), L1Ball(0.3, 7), L1Ball(2.5, 1), Simplex(7), Simplex(1),
+                 Polytope(np.random.default_rng(5).standard_normal((9, 7)))]
+VERTEX_BODY_IDS = ["l1", "l1_small", "l1_p1", "simplex", "simplex_p1", "polytope"]
+
+
 class TestVertexScores:
-    @pytest.mark.parametrize("body", [
-        L1Ball(1.0, 7), L1Ball(0.3, 7), L1Ball(2.5, 1), Simplex(7), Simplex(1),
-        Polytope(np.random.default_rng(5).standard_normal((9, 7))),
-    ], ids=["l1", "l1_small", "l1_p1", "simplex", "simplex_p1", "polytope"])
+    @pytest.mark.parametrize("body", VERTEX_BODIES, ids=VERTEX_BODY_IDS)
     def test_equal_to_the_vertex_product(self, rng, body):
         p = body.dimension
         directions = [rng.standard_normal(p) for _ in range(50)]
@@ -142,8 +145,28 @@ class TestVertexScores:
                        1e300 * rng.standard_normal(p)]
         for g in directions:
             scores = body.vertex_scores(g)
-            assert scores.shape == (body.vertices().shape[0],)
-            assert np.array_equal(scores, body.vertices() @ g)
+            assert scores.shape == (vertex_list(body).shape[0],)
+            assert np.array_equal(scores, vertex_list(body) @ g)
+
+    @pytest.mark.parametrize("body", VERTEX_BODIES, ids=VERTEX_BODY_IDS)
+    def test_each_vertex_is_a_new_row_of_the_vertex_list(self, body):
+        V = vertex_list(body)
+        assert body.n_vertices == V.shape[0]
+        for i in range(body.n_vertices):
+            v = body.vertex(i)
+            assert np.array_equal(v, V[i])
+            v += 1.0  # a new array: the body is unchanged
+            assert np.array_equal(body.vertex(i), V[i])
+
+    @pytest.mark.parametrize("body", [L2Ball(1.0, 3), GroupedL1Ball(1.0, 2, 3),
+                                      Box(lo=-np.ones(3), hi=np.ones(3))],
+                             ids=["l2", "grouped", "box"])
+    def test_bodies_without_a_vertex_list_have_none(self, body):
+        assert body.n_vertices == 0
+        with pytest.raises(ValueError, match="no finite vertex list"):
+            body.vertex(0)
+        with pytest.raises(ValueError, match="no finite vertex list"):
+            body.vertex_scores(np.ones(3))
 
 
 class TestMinkowskiNorm:
@@ -241,7 +264,7 @@ class TestMaxNorm:
                              ids=["l1_ball", "simplex", "triangle", "cross"])
     def test_vertex_bodies_take_the_largest_vertex_norm(self, body):
         for q in NORM_ORDERS:
-            expected = max(float(np.linalg.norm(v, q)) for v in body.vertices())
+            expected = max(float(np.linalg.norm(v, q)) for v in vertex_list(body))
             assert body.max_norm(q) == pytest.approx(expected, rel=1e-15)
 
     def test_random_polytopes(self, rng):

@@ -339,6 +339,14 @@ class TestSweepDocument:
             ExperimentSpec(solvers=lasso_configs(6)[:1], n_sweep=n_sweep, seeds=seeds,
                            dataset={"generator": {"p": 6}})
 
+    @pytest.mark.parametrize("key,value,low", [("data_seed", -2, 0), ("p", 0, 1), ("p", -3, 1)])
+    def test_a_negative_data_seed_or_a_p_below_one_is_refused(self, key, value, low):
+        # When the spec is built, naming the key; numpy's message names neither.
+        with pytest.raises(ValueError,
+                           match=re.escape(f"generator {key!r} must be >= {low}, got {value}")):
+            ExperimentSpec(solvers=lasso_configs(6)[:1], n_sweep=[200], seeds=[0],
+                           dataset={"generator": {"p": 6, key: value}})
+
     def test_repeated_solver_id_is_rejected(self):
         fw = lasso_configs(6)[0]
         with pytest.raises(ValueError, match="solver config 1 repeats the id 'fw_polytope'"):

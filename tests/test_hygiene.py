@@ -3,8 +3,8 @@ every module-level name of the package is named somewhere else (and not
 only by the tests), every class member is read by the package or the
 benchmark, every parameter is read by some implementation, and every name
 the benchmark's tracer patches still exists; the calibration still calls
-the two it times through those names; importing the package loads no
-scipy."""
+the two it times through those names, and every vertex body's LMO is
+traced; importing the package loads no scipy."""
 
 import ast
 import os
@@ -341,6 +341,24 @@ def test_benchmark_tracer_sees_the_calibration(monkeypatch):
     metrics = tracer.layer_metrics()
     assert metrics["solvers.resolve_defaults.s"] > 0
     assert metrics["geometry.gaussian_width_mc.calls"] >= 1
+
+
+def test_benchmark_tracer_sees_each_vertex_lmo():
+    # The tracer wraps ``lmo`` only on the classes that hold it themselves;
+    # an ``lmo`` inherited from a shared base class would leave
+    # ``geometry.lmo.calls`` at 0 without any error.
+    import numpy as np
+
+    from dperm import L1Ball, Polytope, Simplex
+
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        for body in (L1Ball(1.0, 3), Simplex(3), Polytope(np.eye(3))):
+            body.lmo(np.array([0.5, -1.0, 0.25]))
+    finally:
+        tracer.uninstall()
+    assert tracer.layer_metrics()["geometry.lmo.calls"] == 3
 
 
 def test_import_loads_no_scipy():

@@ -21,7 +21,7 @@ from dperm.losses import (
 from dperm.oracle import cached_solve, solve_exact
 
 from reference import (block_slices, curvature_empirical, record_grad, row_grad, row_loss,
-                       sample_feasible)
+                       sample_feasible, vertex_list)
 
 
 def lasso_dataset(rng, n=200, p=5):
@@ -362,8 +362,8 @@ def close(value, ref) -> bool:
     return bool(np.all(np.abs(value - ref) <= REL * (1.0 + np.abs(ref))))
 
 
-def row_curvature_vertices(V, X):
-    return 4.0 * max(float((X @ v) @ (X @ v)) / X.shape[0] for v in V)
+def row_curvature_vertices(V, X, ridge=0.0):
+    return 4.0 * max(float((X @ v) @ (X @ v)) / X.shape[0] + ridge * float(v @ v) for v in V)
 
 
 class TestGramBackend:
@@ -395,7 +395,7 @@ class TestGramBackend:
             assert sq.loss(theta, data) == row_loss(theta, data.X, data.y)
             assert np.array_equal(sq.grad(theta, data), row_grad(theta, data.X, data.y))
             assert close(sq.curvature_bound(L1Ball(1.0, p), data),
-                         row_curvature_vertices(L1Ball(1.0, p).vertices(), data.X))
+                         row_curvature_vertices(vertex_list(L1Ball(1.0, p)), data.X))
             assert close(sq.curvature_bound(L2Ball(2.0, p), data),
                          16.0 * float(np.linalg.norm(data.X, 2)) ** 2 / n)
             # Blocks of p // 2 + 1 columns: the last one is short.
@@ -423,15 +423,21 @@ class TestGramBackend:
         assert sol.optimum_value >= 0.0
 
     @pytest.mark.parametrize("make_body", [
+        lambda p: L1Ball(1.0, p),
         lambda p: L1Ball(1.5, p),
         lambda p: Simplex(p),
         lambda p: Polytope(np.random.default_rng(3).standard_normal((7, p))),
-    ], ids=["l1ball", "simplex", "polytope"])
-    def test_curvature_on_vertices_matches_row_pass(self, rng, make_body):
-        data = lasso_dataset(rng, n=300, p=6)
-        body = make_body(6)
-        assert close(SquaredError().curvature_bound(body, data),
-                     row_curvature_vertices(body.vertices(), data.X))
+    ], ids=["l1ball", "l1ball_r1.5", "simplex", "polytope"])
+    @pytest.mark.parametrize("n,p", [(300, 6), (5, 9)], ids=["gram", "rows"])
+    @pytest.mark.parametrize("ridge", [0.0, 0.4], ids=["no_ridge", "ridge"])
+    def test_curvature_on_vertices_matches_row_pass(self, rng, make_body, n, p, ridge):
+        # The l1 ball and the simplex take the largest column norm, a
+        # polytope its vertex list; the reference scores every vertex.
+        data = lasso_dataset(rng, n=n, p=p)
+        assert data.prefers_gram == (p < n)
+        body = make_body(p)
+        assert close(SquaredError(ridge=ridge).curvature_bound(body, data),
+                     row_curvature_vertices(vertex_list(body), data.X, ridge))
 
     def test_curvature_l2_and_grouped_match_spectral_norms(self, rng):
         data = lasso_dataset(rng, n=300, p=10)

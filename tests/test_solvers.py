@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,7 +21,7 @@ from dperm.solvers import (
     run_solver,
     sc_step_schedule,
 )
-from reference import curvature_empirical, reference_plan, row_grad, row_loss
+from reference import curvature_empirical, reference_plan, row_grad, row_loss, vertex_list
 
 NON_PRIVATE = PrivacyBudget(math.inf)
 SQ = SquaredError()
@@ -109,7 +110,7 @@ def reference_step_loop(cfg, data):
             iterates.append(point_of(x))
         return point_of(acc / run.T), iterates, None
 
-    V = cfg.body.vertices() if cfg.algorithm == "fw_polytope" else None
+    V = vertex_list(cfg.body) if cfg.algorithm == "fw_polytope" else None
     theta = cfg.body.canonical_point()
     iterates = [theta.copy()]
     weights = {"start": 1.0}
@@ -477,7 +478,7 @@ class TestFwPolytope:
         assert vals.sum() == pytest.approx(1.0, abs=1e-12)
         assert rep.extras["support_size"] <= 40 + 1
         # Reconstruct theta from the ledger.
-        V = L1Ball(1.0, 12).vertices()
+        V = vertex_list(L1Ball(1.0, 12))
         theta = sum(w * (np.zeros(12) if k == "start" else V[int(k)])
                     for k, w in weights.items())
         assert np.abs(theta - rep.theta_priv).max() <= 1e-12
@@ -503,6 +504,23 @@ class TestFwPolytope:
         with pytest.raises(ValueError, match="vertex-enumerable"):
             SolverConfig(algorithm="fw_polytope", body=L2Ball(1.0, 12), loss=SQ,
                          budget=NON_PRIVATE, T=5)
+
+    @pytest.mark.parametrize("body", [L1Ball(1.0, 3000), Simplex(3000)], ids=["l1", "simplex"])
+    def test_no_dense_vertex_list_at_large_p(self, body):
+        # A (k, p) vertex list would be 72 MB (simplex) or 144 MB (l1 ball)
+        # here, 30 to 60 times the data; a run and its curvature bound hold
+        # O(n p + k) memory.
+        data = generate_lasso(n=100, p=3000, sparsity=5, noise_level=0.1, seed=5)
+        tracemalloc.start()
+        try:
+            cfg = SolverConfig(algorithm="fw_polytope", body=body, loss=SQ,
+                               budget=PrivacyBudget(1.0, 1e-6), T=5, seed=0)
+            run_solver(cfg, data)
+            SQ.curvature_bound(body, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * data.X.nbytes
 
     def test_reproducible(self, small_lasso):
         def once():
