@@ -1,8 +1,12 @@
 """Convex constraint sets: membership, linear minimization, dual norms, projections.
 
 Every body is closed, convex and bounded.  The operations here are pure
-functions of their inputs and safe to call concurrently; the Monte-Carlo
-width estimator takes its seed explicitly, so an estimate is reproducible.
+functions of their inputs and safe to call concurrently.
+
+The Gaussian width has a closed form on the l1 ball, the simplex and the
+l2 ball (``ConvexBody.closed_form_width``); on every other body it is
+estimated by ``gaussian_width_mc``, which takes its seed explicitly, so an
+estimate is reproducible.  ``solvers.gaussian_width`` picks between them.
 
 A quantity of the public body alone (its Gaussian width) is computed once
 per process by ``memo_by_body``, keyed by ``body_key``, the sorted JSON of
@@ -15,6 +19,7 @@ zero-padded; ``GroupedL1Ball.blocks`` and ``unblock`` own that layout.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -34,8 +39,10 @@ MAX_POLYTOPE_VERTICES = 10_000
 # Rows of |G| formed at a time by ``row_abs_max``.
 ROW_BLOCK = 8192
 
-# Gaussian vectors drawn at a time by ``gaussian_width_mc``.
-WIDTH_BATCH = 4096
+# Gaussian draws of many rows (the width Monte Carlo here, the step noise
+# in ``solvers``) are made in blocks of consecutive rows, each block at most
+# this many bytes, so memory stays flat whatever the number of rows.
+NOISE_BLOCK_BYTES = 1 << 20
 
 
 def _as_vector(x, dim: int, name: str = "x") -> np.ndarray:
@@ -117,6 +124,11 @@ class ConvexBody:
         """max over C of ||theta||_q, for q in {1, 2, inf}."""
         raise NotImplementedError
 
+    def closed_form_width(self) -> Optional[float]:
+        """The Gaussian width E sup_{w in C} |<g, w>| in closed form, or
+        None on a body without one."""
+        return None
+
     def euclidean_project(self, x) -> np.ndarray:
         raise NotImplementedError(
             f"euclidean projection is not supported for {type(self).__name__}"
@@ -180,6 +192,12 @@ class L2Ball(ConvexBody):
     def max_norm(self, q) -> float:
         return self.radius * math.sqrt(self.dimension) if q == 1 else self.radius
 
+    def closed_form_width(self) -> float:
+        # r E||g||_2, the chi mean sqrt(2) Gamma((p+1)/2) / Gamma(p/2).
+        p = self.dimension
+        return self.radius * math.sqrt(2.0) * math.exp(math.lgamma((p + 1) / 2)
+                                                       - math.lgamma(p / 2))
+
     def euclidean_project(self, x) -> np.ndarray:
         v = _as_vector(x, self.dimension)
         nrm = np.linalg.norm(v)
@@ -222,6 +240,9 @@ class L1Ball(ConvexBody):
 
     def max_norm(self, q) -> float:
         return self.radius
+
+    def closed_form_width(self) -> float:
+        return self.radius * _abs_max_gaussian_mean(self.dimension)
 
     def euclidean_project(self, x) -> np.ndarray:
         v = _as_vector(x, self.dimension)
@@ -280,6 +301,10 @@ class Simplex(ConvexBody):
 
     def max_norm(self, q) -> float:
         return 1.0
+
+    def closed_form_width(self) -> float:
+        # sup over the simplex of |<g, w>| is max_i |g_i|, as on the unit l1 ball.
+        return _abs_max_gaussian_mean(self.dimension)
 
     def euclidean_project(self, x) -> np.ndarray:
         v = _as_vector(x, self.dimension)
@@ -616,39 +641,83 @@ def _ranks(m: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WidthEstimate:
-    """Monte-Carlo Gaussian width: mean of sup_{w in C} |<g, w>| over Gaussian g."""
+    """Gaussian width, the mean of sup_{w in C} |<g, w>| over Gaussian g:
+    exact from a closed form (``samples`` = 0, no seed, no error) or the
+    Monte-Carlo mean of ``samples`` draws from ``seed`` with its standard
+    error."""
 
     mean: float
-    std_error: float
-    samples: int
-    seed: int
+    std_error: float = 0.0
+    samples: int = 0
+    seed: Optional[int] = None
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
+        if self.samples < 0:
+            raise ValueError("samples must be >= 0 (0: closed form)")
         if self.mean < 0 or self.std_error < 0:
             raise ValueError("mean and std_error must be nonnegative")
+
+    @property
+    def method(self) -> str:
+        return "Monte Carlo" if self.samples else "closed form"
+
+
+def _normal_tail_point(level: float) -> float:
+    """The t >= 0 with erfc(t / sqrt 2) = P(|g| > t) = ``level`` for a
+    standard Gaussian g, ``level`` in (0, 1], by bisection on [0, 40]."""
+    lo, hi = 0.0, 40.0
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        if math.erfc(mid / math.sqrt(2.0)) > level:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+@functools.cache
+def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The read-only 64 Gauss-Legendre nodes and weights on [-1, 1]."""
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def _abs_max_gaussian_mean(p: int) -> float:
+    """E max_i |g_i| over g ~ N(0, I_p), the Gaussian width of the unit l1
+    ball and of the simplex.
+
+    It is the integral over t >= 0 of P(max_i |g_i| > t) = 1 - (1 - e)^p,
+    e = erfc(t / sqrt 2).  The integrand is 1 in double precision up to a,
+    where p log(1 - e) = -40, and below 1e-18 past b, where p e = 1e-18:
+    [0, a] is taken exactly and [a, b] by a 64-node Gauss-Legendre rule.
+    """
+    a = _normal_tail_point(-math.expm1(-40.0 / p))
+    b = _normal_tail_point(1e-18 / p)
+    nodes, weights = _legendre_rule()
+    half = 0.5 * (b - a)
+    tails = np.array([math.erfc(t / math.sqrt(2.0)) for t in half * nodes + (a + half)])
+    return a + half * float(weights @ -np.expm1(p * np.log1p(-tails)))
 
 
 def gaussian_width_mc(body: ConvexBody, samples: int, seed: int) -> WidthEstimate:
     """Estimate the Gaussian width of a body by Monte Carlo.
 
     Averages the dual norm (the absolute-value form sup |<g, w>|) of i.i.d.
-    standard Gaussian vectors.  Deterministic for a fixed seed.
+    standard Gaussian vectors, drawn in blocks of at most
+    ``NOISE_BLOCK_BYTES``.  Deterministic for a fixed seed.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
+    rows = max(1, NOISE_BLOCK_BYTES // (8 * body.dimension))
     total = 0.0
     total_sq = 0.0
-    remaining = samples
-    while remaining > 0:
-        m = min(WIDTH_BATCH, remaining)
-        G = rng.standard_normal((m, body.dimension))
-        vals = body.dual_norms(G)
+    for start in range(0, samples, rows):
+        vals = body.dual_norms(rng.standard_normal((min(rows, samples - start),
+                                                    body.dimension)))
         total += float(vals.sum())
         total_sq += float((vals * vals).sum())
-        remaining -= m
     mean = total / samples
     if samples > 1:
         var = max(total_sq - samples * mean * mean, 0.0) / (samples - 1)

@@ -42,8 +42,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .firstorder import NotCertifiedError, minimize
-from .geometry import (ConvexBody, body_from_dict, check_keys, doc_field, doc_int,
-                       gaussian_width_mc, memo_by_body, symmetric_hull)
+from .geometry import (NOISE_BLOCK_BYTES, ConvexBody, WidthEstimate, body_from_dict,
+                       check_keys, doc_field, doc_int, gaussian_width_mc, memo_by_body,
+                       symmetric_hull)
 from .losses import Dataset, Huber, LossSpec, loss_from_dict, require_matching_dimension
 from .potentials import Potential, potential_from_dict
 from .privacy import (
@@ -64,13 +65,8 @@ _STREAM_NOISE = 0
 
 OBJPERT_INNER_TOL = 1e-8
 
-# The step loops draw their noise in blocks of consecutive rows, each block at
-# most this many bytes, so memory stays flat whatever T is.  A block holds the
-# same values as the per-step draws it replaces.
-NOISE_BLOCK_BYTES = 1 << 20
-
-# Monte-Carlo samples and public seed of the Gaussian width in a default T,
-# computed once per body, so every seed of one config resolves the same T.
+# Monte-Carlo samples and public seed of the Gaussian width in a default T on
+# a body without a closed-form width (a polytope, a grouped-l1 ball, a box).
 WIDTH_SAMPLES = 20_000
 WIDTH_SEED = 0
 
@@ -206,13 +202,32 @@ def resolve_defaults(cfg: SolverConfig, data: Dataset) -> ResolvedRun:
     return _TABLE[cfg.algorithm][0](cfg, data)
 
 
+def gaussian_width(body: ConvexBody, samples: int = WIDTH_SAMPLES,
+                   seed: int = WIDTH_SEED) -> WidthEstimate:
+    """The Gaussian width of ``body`` that a default T uses: its closed form
+    where the body has one (``ConvexBody.closed_form_width``: the l1 ball,
+    the simplex, the l2 ball), else ``gaussian_width_mc(body, samples,
+    seed)``.  Computed once per body, samples and seed, so every seed of
+    one config resolves the same T."""
+
+    def compute():
+        exact = body.closed_form_width()
+        if exact is not None:
+            return WidthEstimate(exact)
+        return gaussian_width_mc(body, samples, seed)
+
+    return memo_by_body(body, ("gaussian_width", samples, seed), compute)
+
+
 def _steps(cfg: SolverConfig, plan: NoisePlan, text: tuple[str, str],
            ratio: Callable, width: Optional[tuple[str, ConvexBody]] = None) -> int:
     """The step count, also set as ``plan.steps``: the user's T verbatim;
     else the formula num / den, named by the pair ``text``, with (num, den)
-    = ``ratio(w)`` at the Gaussian width w of ``width`` = (label, body)
-    (None without one), floored at 1 and capped at t_cap.  A non-private
-    budget or a zero denominator makes the formula infinite: the cap."""
+    = ``ratio(w)`` at the Gaussian width w = ``gaussian_width(body)`` of
+    ``width`` = (label, body) (None without one), floored at 1 and capped
+    at t_cap.  The trace names how w was found: "closed form", or the
+    Monte-Carlo samples, seed and standard error.  A non-private budget or
+    a zero denominator makes the formula infinite: the cap."""
     if cfg.T > 0:
         plan.log(f"T = {cfg.T} (user-supplied)")
         plan.steps = cfg.T
@@ -220,10 +235,10 @@ def _steps(cfg: SolverConfig, plan: NoisePlan, text: tuple[str, str],
     w = None
     if width is not None:
         label, body = width
-        est = memo_by_body(body, ("gaussian_width",),
-                           lambda: gaussian_width_mc(body, WIDTH_SAMPLES, WIDTH_SEED))
-        plan.log(f"{label} = {est.mean:.6g} (Monte Carlo, {est.samples} samples, "
-                 f"seed {est.seed}, se {est.std_error:.2g})")
+        est = gaussian_width(body)
+        draws = (f", {est.samples} samples, seed {est.seed}, se {est.std_error:.2g}"
+                 if est.samples else "")
+        plan.log(f"{label} = {est.mean:.6g} ({est.method}{draws})")
         w = est.mean
     private = cfg.budget.is_private
     num, den = ratio(w) if private else (math.inf, 1.0)
@@ -353,7 +368,8 @@ def _calibrate_fw_general(cfg: SolverConfig, data: Dataset) -> ResolvedRun:
 
 def _noise_rows(draw: Callable[[tuple], np.ndarray], steps: int, width: int):
     """``steps`` noise rows of ``width`` entries, drawn by ``draw(shape)`` in
-    blocks of at most ``NOISE_BLOCK_BYTES``."""
+    blocks of at most ``NOISE_BLOCK_BYTES``.  A block holds the same values
+    as the per-step draws it replaces."""
     rows = max(1, NOISE_BLOCK_BYTES // (8 * width))
     for start in range(0, steps, rows):
         yield from draw((min(rows, steps - start), width))

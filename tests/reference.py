@@ -6,17 +6,20 @@ gradient and strong-convexity modulus on the body its iterates live in
 (``body.iterate_space()[0]`` of the run's body), the Bregman divergence, the
 dense vertex list of the bodies with vertices, the squared loss and its
 gradient by a pass over the rows, the per-record loss gradient, the sampled
-curvature expression, each algorithm's calibration (step count, noise
-scales and steps) and a coordinate-descent LASSO solve.
+curvature expression, the closed-form Gaussian widths, each algorithm's
+calibration (step count, noise scales and steps) and a coordinate-descent
+LASSO solve.
 The sort-based projections and the certified first-order loop without
 gradient reuse are the library's earlier forms, kept to check that the
 leaner ones return the same bits.
 """
 
+import functools
 import math
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.special import gammaln, ndtr
 
 from dperm.geometry import (Box, GroupedL1Ball, L1Ball, L2Ball, Polytope, Simplex,
                             gaussian_width_mc)
@@ -217,6 +220,35 @@ def curvature_empirical(loss, body, data, trials: int, seed: int = 0) -> float:
     return best
 
 
+@functools.cache
+def abs_max_gaussian_mean(p: int, points: int = 400_001) -> float:
+    """E max_i |g_i| over g ~ N(0, I_p), the integral over t >= 0 of
+    1 - P(|g_1| <= t)^p with P(|g_1| <= t) = 1 - 2 Phi(-t), by Simpson's
+    rule on ``points`` equally spaced points of [0, sqrt(2 ln 2p) + 10]."""
+    t, h = np.linspace(0.0, math.sqrt(2.0 * math.log(2.0 * p)) + 10.0, points, retstep=True)
+    with np.errstate(divide="ignore"):  # log 0 at t = 0, where the integrand is 1
+        f = -np.expm1(p * np.log1p(-2.0 * ndtr(-t)))
+    return h / 3.0 * (f[0] + f[-1] + 4.0 * f[1:-1:2].sum() + 2.0 * f[2:-1:2].sum())
+
+
+def chi_mean(p: int) -> float:
+    """E ||g||_2 over g ~ N(0, I_p): sqrt(2) Gamma((p+1)/2) / Gamma(p/2)."""
+    return math.sqrt(2.0) * math.exp(gammaln((p + 1) / 2.0) - gammaln(p / 2.0))
+
+
+def reference_width(body) -> float:
+    """The Gaussian width a default T uses: r E||g||_inf on the l1 ball of
+    radius r and E||g||_inf on the simplex, r E||g||_2 on the l2 ball, and
+    on any other body the Monte-Carlo estimate at the public seed."""
+    from dperm.solvers import WIDTH_SAMPLES, WIDTH_SEED
+
+    if isinstance(body, (L1Ball, Simplex)):
+        return getattr(body, "radius", 1.0) * abs_max_gaussian_mean(body.dimension)
+    if isinstance(body, L2Ball):
+        return body.radius * chi_mean(body.dimension)
+    return gaussian_width_mc(body, WIDTH_SAMPLES, WIDTH_SEED).mean
+
+
 def reference_plan(cfg, data) -> dict:
     """T, sigma, the Laplace scale, zeta, eta(1), eta(2), eta(5) and mu of
     ``cfg`` on ``data``, from the displays each algorithm states.
@@ -224,11 +256,8 @@ def reference_plan(cfg, data) -> dict:
     The user's T is taken verbatim; else the algorithm's T formula is
     floored and capped at ``t_cap``, a non-private budget or a zero
     denominator giving the cap, and a formula below 1 raises ``ValueError``.
-    The Gaussian widths are the solver's Monte-Carlo estimates at its
-    public seed.
+    The Gaussian widths are those of ``reference_width``.
     """
-    from dperm.solvers import WIDTH_SAMPLES, WIDTH_SEED
-
     alg, body, loss = cfg.algorithm, cfg.body, cfg.loss
     eps, delta, n = cfg.budget.epsilon, cfg.budget.delta, data.n
     private = math.isfinite(eps)
@@ -240,9 +269,6 @@ def reference_plan(cfg, data) -> dict:
             out["sigma"] = L2 * math.sqrt(2.0 * math.log(1.0 / delta)) / (n * eps)
             out["zeta"] = max(2.0 * lam_max / (n * eps) - lam_min, 0.0)
         return out
-
-    def width(b):
-        return gaussian_width_mc(b, WIDTH_SAMPLES, WIDTH_SEED).mean
 
     def steps(numerator, denominator, power):
         if cfg.T > 0:
@@ -258,12 +284,12 @@ def reference_plan(cfg, data) -> dict:
         if alg == "noisy_md":
             q_body = cfg.potential.natural_q(body)
             T = steps(q_body.l2_diameter() * eps * n,
-                      L2 * math.log(n / delta) * width(q_body), 2)
+                      L2 * math.log(n / delta) * reference_width(q_body), 2)
             eta = math.sqrt(cfg.potential.max_over_domain(body)) / (
                 L2 * q_body.l2_diameter() * math.sqrt(T))
             out["eta"] = [eta, eta, eta]
         else:
-            T = steps(body.l2_diameter() * n * eps, width(body), 2)
+            T = steps(body.l2_diameter() * n * eps, reference_width(body), 2)
             out["eta"] = [2.0 / (loss.strong_convexity * t) for t in (1, 2, 5)]
         if private:
             out["sigma"] = math.sqrt(32.0 * T) * L2 * math.log(T / delta) / (eps * n)
@@ -276,7 +302,7 @@ def reference_plan(cfg, data) -> dict:
                 out["laplace_scale"] = (L1 * c_l1 * math.sqrt(8.0 * T * math.log(1.0 / delta))
                                         / (n * eps))
         else:
-            T = steps(gamma * n * eps, L2 * width(body), 2 / 3)
+            T = steps(gamma * n * eps, L2 * reference_width(body), 2 / 3)
             if private:
                 out["sigma"] = math.sqrt(32.0 * L2 * T) * math.log(n / delta) / (n * eps)
         out["mu"] = 1.0 / (T + 2.0)

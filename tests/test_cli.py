@@ -9,15 +9,17 @@ import pytest
 import dperm.cli as cli
 import dperm.harness as harness
 from dperm.cli import main
-from dperm.geometry import L1Ball, gaussian_width_mc
+from dperm.geometry import GroupedL1Ball, L1Ball, body_from_dict, gaussian_width_mc
 from dperm.harness import ExperimentSpec, generate_lasso
 from dperm.losses import SquaredError
 from dperm.oracle import cached_solve
-from dperm.solvers import WIDTH_SAMPLES, WIDTH_SEED
+from dperm.solvers import (WIDTH_SAMPLES, WIDTH_SEED, SolverConfig, gaussian_width,
+                           resolve_defaults)
 
 from conftest import write_data_csv
 
 BODY = {"kind": "l1_ball", "radius": 1.0, "dimension": 5}
+GROUPED = {"kind": "grouped_l1_ball", "radius": 1.0, "group_size": 2, "dimension": 5}
 CONFIG = {"id": "fw", "algorithm": "fw_polytope", "T": 20, "body": BODY,
           "loss": {"kind": "squared_error"}, "budget": {"epsilon": 1.0, "delta": 1e-6}}
 
@@ -35,24 +37,38 @@ def lasso_csv(tmp_path):
 
 class TestWidth:
     def test_matches_the_estimator(self, tmp_path):
-        body = write_json(tmp_path / "body.json", BODY)
+        body = write_json(tmp_path / "body.json", GROUPED)
         out = tmp_path / "width.json"
         assert main(["width", body, "--samples", "500", "--seed", "3",
                      "--output", str(out)]) == 0
         doc = json.loads(out.read_text())
-        est = gaussian_width_mc(L1Ball(1.0, 5), 500, 3)
-        assert doc == {"mean": est.mean, "std_error": est.std_error,
+        est = gaussian_width_mc(GroupedL1Ball(1.0, 2, 5), 500, 3)
+        assert doc == {"mean": est.mean, "method": "Monte Carlo", "std_error": est.std_error,
                        "samples": 500, "seed": 3}
 
-
-    def test_defaults_are_the_solvers_width(self, tmp_path):
-        # Without flags, the estimate the solvers' step count uses.
+    @pytest.mark.parametrize("flags", [[], ["--samples", "500", "--seed", "3"]],
+                             ids=["defaults", "monte_carlo_flags"])
+    def test_closed_form_body_ignores_samples_and_seed(self, tmp_path, flags):
         body = write_json(tmp_path / "body.json", BODY)
         out = tmp_path / "width.json"
+        assert main(["width", body, *flags, "--output", str(out)]) == 0
+        assert json.loads(out.read_text()) == {"mean": L1Ball(1.0, 5).closed_form_width(),
+                                               "method": "closed form"}
+
+    @pytest.mark.parametrize("doc", [BODY, GROUPED], ids=["l1_ball", "grouped_l1_ball"])
+    def test_defaults_are_the_solvers_width(self, tmp_path, doc):
+        # Without flags, the width in the trace of the solvers' default T.
+        body = write_json(tmp_path / "body.json", doc)
+        out = tmp_path / "width.json"
         assert main(["width", body, "--output", str(out)]) == 0
-        est = gaussian_width_mc(L1Ball(1.0, 5), WIDTH_SAMPLES, WIDTH_SEED)
-        assert json.loads(out.read_text()) == {"mean": est.mean, "std_error": est.std_error,
-                                               "samples": WIDTH_SAMPLES, "seed": WIDTH_SEED}
+        width = json.loads(out.read_text())
+        cfg = SolverConfig.from_dict({**CONFIG, "algorithm": "fw_general", "T": 0, "body": doc})
+        run = resolve_defaults(cfg, generate_lasso(200, 5, 2, 0.1, seed=1))
+        how = "closed form" if width["method"] == "closed form" else (
+            f"Monte Carlo, {WIDTH_SAMPLES} samples, seed {WIDTH_SEED}, "
+            f"se {width['std_error']:.2g}")
+        assert f"G_C = {width['mean']:.6g} ({how})" in run.plan.trace
+        assert width["mean"] == gaussian_width(body_from_dict(doc)).mean
 
 
 class TestSolve:

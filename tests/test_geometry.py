@@ -1,12 +1,14 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import gammaln
 
 from dperm.geometry import (
+    NOISE_BLOCK_BYTES,
     ROW_BLOCK,
     Box,
     GroupedL1Ball,
@@ -23,8 +25,8 @@ from dperm.geometry import (
 )
 
 from conftest import random_small_polytope
-from reference import (gauge, project_l1_sorted, project_simplex_sorted, sample_feasible,
-                       vertex_list)
+from reference import (abs_max_gaussian_mean, gauge, project_l1_sorted, project_simplex_sorted,
+                       sample_feasible, vertex_list)
 
 TRIANGLE = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
 CROSS = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
@@ -352,6 +354,56 @@ class TestGaussianWidth:
         small = gaussian_width_mc(L2Ball(1.0, 8), samples=1000, seed=1)
         large = gaussian_width_mc(L2Ball(1.0, 8), samples=100_000, seed=1)
         assert large.std_error < small.std_error
+
+    def test_monte_carlo_memory_is_flat_in_the_samples(self):
+        # Drawn in blocks of NOISE_BLOCK_BYTES: 4096 rows at once took 131 MB
+        # per block at p = 4000.
+        tracemalloc.start()
+        try:
+            gaussian_width_mc(GroupedL1Ball(1.0, 4, 4000), samples=20_000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * NOISE_BLOCK_BYTES
+
+
+CLOSED_FORM_BODIES = [L1Ball(1.0, 20), Simplex(20), L2Ball(1.0, 20)]
+
+
+class TestClosedFormWidth:
+    @pytest.mark.parametrize("cls", [L1Ball, Simplex], ids=["l1_ball", "simplex"])
+    @pytest.mark.parametrize("p,expected", [(1, math.sqrt(2.0 / math.pi)),
+                                            (2, 2.0 / math.sqrt(math.pi))],
+                             ids=["p1", "p2"])
+    def test_small_dimensions(self, cls, p, expected):
+        # E|g| = sqrt(2/pi); E max(|g_1|, |g_2|) = 2/sqrt(pi).
+        body = L1Ball(1.0, p) if cls is L1Ball else Simplex(p)
+        assert body.closed_form_width() == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("p", [50, 5000, 10 ** 6])
+    def test_matches_a_fine_grid(self, p):
+        expected = abs_max_gaussian_mean(p)
+        assert L1Ball(1.0, p).closed_form_width() == pytest.approx(expected, rel=1e-12)
+        assert Simplex(p).closed_form_width() == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [1, 2, 64, 5000])
+    def test_l2_ball_is_the_chi_mean(self, p):
+        expected = math.sqrt(2.0) * math.exp(gammaln((p + 1) / 2) - gammaln(p / 2))
+        assert L2Ball(1.0, p).closed_form_width() == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("body", CLOSED_FORM_BODIES, ids=["l1_ball", "simplex", "l2_ball"])
+    def test_within_three_standard_errors_of_monte_carlo(self, body):
+        est = gaussian_width_mc(body, samples=100_000, seed=11)
+        assert abs(body.closed_form_width() - est.mean) <= 3.0 * est.std_error
+
+    @pytest.mark.parametrize("cls", [L1Ball, L2Ball], ids=["l1_ball", "l2_ball"])
+    def test_scales_with_the_radius(self, cls):
+        base = cls(1.0, 30).closed_form_width()
+        assert cls(2.5, 30).closed_form_width() == pytest.approx(2.5 * base, rel=1e-15)
+
+    def test_other_bodies_have_none(self):
+        for body in (Polytope(CROSS), GroupedL1Ball(1.0, 2, 4), Box([-1.0, 0.0], [1.0, 2.0])):
+            assert body.closed_form_width() is None
 
 
 class TestEuclideanProject:

@@ -397,8 +397,10 @@ class TestSweepData:
 
 class TestWidthMemo:
     def test_width_runs_once_per_body(self, monkeypatch):
-        # fw_general needs the width of the l1 ball and noisy_md that of its
-        # squared-l2 body; 8 seeds of each share the two estimates.
+        # The l1 ball (fw_general's G_C, the entropy step's Q), the l2 ball
+        # (the squared-l2 step's Q) and the simplex take their closed-form
+        # widths; a polytope's G_C and its q-norm hull's G_Q are estimated
+        # once each for all 8 seeds.
         calls = Counter()
         real = solvers.gaussian_width_mc
 
@@ -408,9 +410,32 @@ class TestWidthMemo:
 
         monkeypatch.setattr(solvers, "gaussian_width_mc", counting)
         monkeypatch.setattr(geometry, "_body_memo", geometry.Memo())  # as in a fresh process
-        records, failures = run_sweep(spec_for(8, lasso_configs(8)[1:3], range(8)))
+        p = 8
+        simplex = {"kind": "simplex", "dimension": p}
+        l2 = {"kind": "l2_ball", "radius": 1.0, "dimension": p}
+        closed = [*lasso_configs(p)[1:3],
+                  {"id": "fw_general_l2", "algorithm": "fw_general", "t_cap": 30, "body": l2,
+                   "loss": SQ, "budget": BUDGET},
+                  {"id": "fw_general_simplex", "algorithm": "fw_general", "t_cap": 30,
+                   "body": simplex, "loss": SQ, "budget": BUDGET},
+                  {"id": "entropy", "algorithm": "noisy_md", "t_cap": 30, "body": simplex,
+                   "loss": SQ, "budget": BUDGET, "potential": {"kind": "negative_entropy"}}]
+        records, failures = run_sweep(spec_for(p, closed, range(8)))
+        assert failures == [] and len(records) == 40
+        assert calls == Counter()
+
+        eye = np.eye(p)
+        corners = {"kind": "polytope", "vertices": np.vstack([eye, -0.5 * eye]).tolist()}
+        mc = [{"id": "fw_general_polytope", "algorithm": "fw_general", "t_cap": 30,
+               "body": corners, "loss": SQ, "budget": BUDGET},
+              {"id": "qnorm", "algorithm": "noisy_md", "t_cap": 5, "body": corners,
+               "loss": SQ, "budget": BUDGET, "potential": {"kind": "polytope_q_norm"}}]
+        records, failures = run_sweep(spec_for(p, mc, range(8)))
         assert failures == [] and len(records) == 16
-        assert len(calls) == 2 and set(calls.values()) == {1}, calls
+        hull = {"kind": "polytope", "vertices": np.vstack([eye, -0.5 * eye, -eye,
+                                                           0.5 * eye]).tolist()}
+        assert calls == {body_key(body_from_dict(corners)): 1,
+                         body_key(body_from_dict(hull)): 1}, calls
 
 
 class TestRidgeDocument:

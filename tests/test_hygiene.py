@@ -317,11 +317,15 @@ def test_benchmark_tracer_names_exist():
 def test_benchmark_tracer_sees_the_calibration(monkeypatch):
     # The tracer patches ``resolve_defaults`` and ``gaussian_width_mc`` where
     # ``solvers`` looks them up; a refactor that reaches them another way
-    # would leave their per-layer metrics at 0 without any error.
+    # would leave their per-layer metrics at 0 without any error.  The l1
+    # and l2 balls take closed-form widths, so only the polytope reaches
+    # the Monte Carlo.
+    import numpy as np
+
     import dperm.geometry as geometry
     import dperm.harness as harness
-    from dperm import (L1Ball, L2Ball, PrivacyBudget, SolverConfig, SquaredError, SquaredL2,
-                       generate_lasso)
+    from dperm import (L1Ball, L2Ball, Polytope, PrivacyBudget, SolverConfig, SquaredError,
+                       SquaredL2, generate_lasso)
     from dperm.solvers import ALGORITHMS
 
     monkeypatch.setattr(geometry, "_body_memo", geometry.Memo())  # as in a fresh process
@@ -336,11 +340,15 @@ def test_benchmark_tracer_sees_the_calibration(monkeypatch):
                 loss=SquaredError(ridge=0.5 if sc else 0.0), budget=PrivacyBudget(1.0),
                 potential=SquaredL2() if algorithm.endswith("_md") else None,
                 t_cap=20), data)
+        closed_form = tracer.layer_metrics()
+        harness.run_solver(SolverConfig(
+            algorithm="fw_general", body=Polytope(np.vstack([np.eye(8), -0.5 * np.eye(8)])),
+            loss=SquaredError(), budget=PrivacyBudget(1.0), t_cap=20), data)
     finally:
         tracer.uninstall()
-    metrics = tracer.layer_metrics()
-    assert metrics["solvers.resolve_defaults.s"] > 0
-    assert metrics["geometry.gaussian_width_mc.calls"] >= 1
+    assert closed_form["solvers.resolve_defaults.s"] > 0
+    assert closed_form["geometry.gaussian_width_mc.calls"] == 0
+    assert tracer.layer_metrics()["geometry.gaussian_width_mc.calls"] >= 1
 
 
 def test_benchmark_tracer_sees_each_vertex_lmo():

@@ -138,6 +138,10 @@ def reference_step_loop(cfg, data):
 # ---------------------------------------------------------------------------
 
 
+# Not centrally symmetric: its hull adds the rows -e_i and e_i / 2.
+HALF_CROSS_12 = Polytope(np.vstack([np.eye(12), -0.5 * np.eye(12)]))
+
+
 class TestResolveDefaults:
     def test_fw_polytope_step_count_example(self):
         # Gamma = 4, L1 ||C||_1 = 2, n eps = 1e4 -> floor(2^(2/3) * 1e4^(2/3)) = 736.
@@ -213,7 +217,8 @@ class TestResolveDefaults:
         cfg = SolverConfig(algorithm="fw_general", body=body, loss=SQ,
                            budget=PrivacyBudget(1.0, 1e-6))
         resolve_defaults(cfg, small_lasso)
-        assert list(memo._values) == [("gaussian_width", body_key(body))]
+        assert list(memo._values) == [("gaussian_width", solvers.WIDTH_SAMPLES,
+                                       solvers.WIDTH_SEED, body_key(body))]
 
     @pytest.mark.parametrize("algorithm,product", [
         ("fw_polytope", "(L1 ||C||_1)^(2/3)"), ("fw_general", "(L2 G_C)^(2/3)")],
@@ -312,14 +317,21 @@ class TestNoisyMirrorDescent:
     @pytest.mark.parametrize("body,potential,q_body", [
         (L1Ball(1.0, 12), SquaredL2(), L2Ball(1.0, 12)),
         (Simplex(12), NegativeEntropy(), L1Ball(1.0, 12)),
-    ], ids=["squared_l2", "negative_entropy"])
+        (HALF_CROSS_12, PolytopeQNorm(), Polytope(np.vstack([np.eye(12), -0.5 * np.eye(12),
+                                                              -np.eye(12), 0.5 * np.eye(12)]))),
+    ], ids=["squared_l2", "negative_entropy", "polytope_q_norm"])
     def test_q_width_is_taken_at_the_bodys_dimension(self, small_lasso, body, potential,
                                                      q_body):
+        # Closed form on the l2 and l1 balls, Monte Carlo on the polytope hull.
         cfg = SolverConfig(algorithm="noisy_md", body=body, loss=SQ,
                            budget=PrivacyBudget(1.0, 1e-6), potential=potential)
         run = resolve_defaults(cfg, small_lasso)
-        est = gaussian_width_mc(q_body, solvers.WIDTH_SAMPLES, solvers.WIDTH_SEED)
-        assert f"G_Q = {est.mean:.6g} (Monte Carlo" in "\n".join(run.plan.trace)
+        if isinstance(q_body, Polytope):
+            est = gaussian_width_mc(q_body, solvers.WIDTH_SAMPLES, solvers.WIDTH_SEED)
+            line = f"G_Q = {est.mean:.6g} (Monte Carlo, {solvers.WIDTH_SAMPLES} samples"
+        else:
+            line = f"G_Q = {q_body.closed_form_width():.6g} (closed form)"
+        assert any(entry.startswith(line) for entry in run.plan.trace), run.plan.trace
 
 
 class TestStronglyConvexMd:
