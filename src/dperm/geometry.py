@@ -10,8 +10,10 @@ estimate is reproducible.  ``solvers.gaussian_width`` picks between them.
 
 A quantity of the public body alone (its Gaussian width) is computed once
 per process by ``memo_by_body``, keyed by ``body_key``, the sorted JSON of
-``body.to_dict()``.  The same rule keys the per-dataset statistics of
-``losses`` and ``oracle`` that also depend on a body.
+``body.to_dict()``.  Only the six built-in body types, exactly, have a key:
+any other body, a subclass of a built-in one among them, is computed every
+time.  The same rule keys the per-dataset statistics of ``losses`` and
+``oracle`` that also depend on a body.
 
 A grouped-l1 ball's blocks are one (..., m, g) array, the short last one
 zero-padded; ``GroupedL1Ball.blocks`` and ``unblock`` own that layout.
@@ -193,10 +195,16 @@ class L2Ball(ConvexBody):
         return self.radius * math.sqrt(self.dimension) if q == 1 else self.radius
 
     def closed_form_width(self) -> float:
-        # r E||g||_2, the chi mean sqrt(2) Gamma((p+1)/2) / Gamma(p/2).
-        p = self.dimension
-        return self.radius * math.sqrt(2.0) * math.exp(math.lgamma((p + 1) / 2)
-                                                       - math.lgamma(p / 2))
+        # r E||g||_2, the chi mean sqrt(2) Gamma((p+1)/2) / Gamma(p/2).  Up to
+        # p = 50 from lgamma; above, where that difference cancels (1e-12
+        # relative at p = 5000), from the series of Gamma(a + 1/2) / Gamma(a)
+        # in b = 1/a, a = p/2, within 5e-16 relative.
+        p, b = self.dimension, 2.0 / self.dimension
+        if p <= 50:
+            return self.radius * math.sqrt(2.0) * math.exp(math.lgamma((p + 1) / 2)
+                                                           - math.lgamma(p / 2))
+        return self.radius * math.sqrt(p) * math.exp(
+            b * (-1 / 8 + b * b * (1 / 192 + b * b * (-1 / 640 + b * b * 17 / 14336))))
 
     def euclidean_project(self, x) -> np.ndarray:
         v = _as_vector(x, self.dimension)
@@ -554,11 +562,12 @@ class Box(ConvexBody):
 
 
 def body_key(body: ConvexBody) -> Optional[str]:
-    """The sorted JSON of ``body.to_dict()``, or None for a body without one."""
-    try:
-        return json.dumps(body.to_dict(), sort_keys=True)
-    except NotImplementedError:
+    """The sorted JSON of ``body.to_dict()`` for a body of one of the six
+    built-in types exactly, else None.  A subclass inherits its parent's
+    document but can compute anything, so it gets no key."""
+    if type(body) not in (L2Ball, L1Ball, Simplex, Polytope, GroupedL1Ball, Box):
         return None
+    return json.dumps(body.to_dict(), sort_keys=True)
 
 
 class Memo:

@@ -31,6 +31,16 @@ RECORD_FIELDS = ["solver", "n", "seed", "excess_risk", "optimum", "T",
 RESAMPLE_ATTEMPTS = 100
 
 
+def _check_lasso_params(p: int, sparsity: int, noise_level: float, l1_norm: float) -> None:
+    """Raise ``ValueError`` on a ``generate_lasso`` argument out of range."""
+    if not (1 <= sparsity <= p):
+        raise ValueError(f"need 1 <= sparsity <= p, got sparsity {sparsity} at p = {p}")
+    if noise_level < 0:
+        raise ValueError(f"noise level must be nonnegative, got {noise_level}")
+    if not (0 < l1_norm <= 1):
+        raise ValueError(f"l1_norm must lie in (0, 1], got {l1_norm}")
+
+
 def generate_lasso(n: int, p: int, sparsity: int, noise_level: float, seed: int,
                    l1_norm: float = 0.9, nonneg: bool = False) -> Dataset:
     """Synthetic sparse-regression data on the declared domain.
@@ -40,12 +50,7 @@ def generate_lasso(n: int, p: int, sparsity: int, noise_level: float, seed: int,
     inner products plus Gaussian noise.  Records with |y| > 1 are resampled
     rather than clipped so the domain stays exact.  Deterministic per seed.
     """
-    if not (1 <= sparsity <= p):
-        raise ValueError("need 1 <= sparsity <= p")
-    if noise_level < 0:
-        raise ValueError("noise level must be nonnegative")
-    if not (0 < l1_norm <= 1):
-        raise ValueError("l1_norm must lie in (0, 1]")
+    _check_lasso_params(p, sparsity, noise_level, l1_norm)
     rng = np.random.default_rng(seed)
 
     support = rng.choice(p, size=sparsity, replace=False)
@@ -102,8 +107,10 @@ class ExperimentSpec:
     """A sweep: solver config documents x n values x seeds.
 
     The dataset document is a ``path`` (with an optional ``lasso_profile``)
-    or a ``generator``.  An unknown key in either, a missing generator, a
-    value out of range or a solver id used twice raises ``ValueError``.
+    or a ``generator``; either is read here, once, and a solver document
+    may not carry a ``lasso_profile`` of its own.  An unknown key in any of
+    them, a missing generator, a value out of range or a solver id used
+    twice raises ``ValueError``.
     """
 
     solvers: list[dict]
@@ -121,19 +128,32 @@ class ExperimentSpec:
             raise ValueError(f"every n must be >= 1, got {min(self.n_sweep)}")
         if min(self.seeds) < 0:
             raise ValueError(f"every seed must be >= 0, got {min(self.seeds)}")
-        # The dataset is a file, or the generator with some of its keys.
+        # The dataset is a file, or the generator with some of its keys, read
+        # once: ``_generator`` is None or (data_seed, ``generate_lasso`` keywords).
         if "path" in self.dataset:
             check_keys(self.dataset, {"path", "lasso_profile"}, "dataset")
             if not os.path.exists(self.dataset["path"]):
                 raise ValueError(f"dataset file {self.dataset['path']} does not exist")
+            self._lasso_profile = doc_bool(self.dataset.get("lasso_profile", False), "dataset",
+                                           "lasso_profile")
+            self._generator = None
         else:
             check_keys(self.dataset, {"generator"}, "dataset")
             gen = doc_field(self.dataset, "generator", "dataset")
             check_keys(gen, {"p", "sparsity", "noise_level", "data_seed", "l1_norm", "nonneg"},
                        "generator")
-            for key, low in (("p", 1), ("data_seed", 0)):
-                if key in gen and doc_int(gen[key], "generator", key) < low:
-                    raise ValueError(f"generator {key!r} must be >= {low}, got {gen[key]!r}")
+            p = doc_int(doc_field(gen, "p", "generator"), "generator", "p")
+            data_seed = doc_int(gen.get("data_seed", 0), "generator", "data_seed")
+            for key, value, low in (("p", p, 1), ("data_seed", data_seed, 0)):
+                if value < low:
+                    raise ValueError(f"generator {key!r} must be >= {low}, got {value}")
+            params = dict(p=p, sparsity=doc_int(gen.get("sparsity", 1), "generator", "sparsity"),
+                          noise_level=doc_float(gen.get("noise_level", 0.0), "generator",
+                                                "noise_level"),
+                          l1_norm=doc_float(gen.get("l1_norm", 0.9), "generator", "l1_norm"))
+            _check_lasso_params(**params)
+            params["nonneg"] = doc_bool(gen.get("nonneg", False), "generator", "nonneg")
+            self._generator = (data_seed, params)
         ids = set()
         for i, doc in enumerate(self.solvers):
             if "id" not in doc:
@@ -141,6 +161,9 @@ class ExperimentSpec:
             if doc["id"] in ids:
                 raise ValueError(f"solver config {i} repeats the id {doc['id']!r}")
             ids.add(doc["id"])
+            if "lasso_profile" in doc:
+                raise ValueError(f"solver config {doc['id']!r} has a 'lasso_profile' key; "
+                                 "a sweep reads it from the dataset document")
 
     @classmethod
     def from_json(cls, path) -> "ExperimentSpec":
@@ -160,22 +183,14 @@ class ExperimentSpec:
 def _datasets_for(spec: ExperimentSpec, ns) -> dict[int, Dataset]:
     """The dataset of each n in ``ns``: the first n rows of the file, which
     is read once, or the generator's data at that n."""
-    doc = spec.dataset
-    if "path" in doc:
-        data = Dataset.from_csv(doc["path"], lasso_profile=doc_bool(
-            doc.get("lasso_profile", False), "dataset", "lasso_profile"))
+    if spec._generator is None:
+        data = Dataset.from_csv(spec.dataset["path"], lasso_profile=spec._lasso_profile)
         for n in ns:
             if n > data.n:
                 raise ValueError(f"dataset file has {data.n} rows, cell requests {n}")
         return {n: Dataset(X=data.X[:n], y=data.y[:n], lasso_profile=data.lasso_profile)
                 for n in ns}
-    gen = doc["generator"]
-    data_seed = doc_int(gen.get("data_seed", 0), "generator", "data_seed")
-    params = dict(p=doc_int(doc_field(gen, "p", "generator"), "generator", "p"),
-                  sparsity=doc_int(gen.get("sparsity", 1), "generator", "sparsity"),
-                  noise_level=doc_float(gen.get("noise_level", 0.0), "generator", "noise_level"),
-                  l1_norm=doc_float(gen.get("l1_norm", 0.9), "generator", "l1_norm"),
-                  nonneg=doc_bool(gen.get("nonneg", False), "generator", "nonneg"))
+    data_seed, params = spec._generator
     return {n: generate_lasso(n=n, seed=seed_from(data_seed, n), **params) for n in ns}
 
 

@@ -80,9 +80,10 @@ class SolverConfig:
     algorithms need a potential that can run on the body
     (``Potential.natural_q`` raises on any other) and the other algorithms
     refuse one; ``strongly_convex_md`` needs a loss with
-    ``strong_convexity > 0``, ``obj_pert`` a C^2 loss (not ``Huber``) and
-    ``fw_polytope`` a body with vertices (``n_vertices > 0``).  All are
-    checked here, once per config, and the ``natural_q`` body is kept.
+    ``strong_convexity > 0``, ``obj_pert`` a C^2 loss (not ``Huber``) and no
+    ``T`` and ``fw_polytope`` a body with vertices (``n_vertices > 0``).
+    All are checked here, once per config, and the ``natural_q`` body is
+    kept.
     """
 
     algorithm: str
@@ -110,6 +111,8 @@ class SolverConfig:
             self._q_body = self.potential.natural_q(self.body)
         elif self.potential is not None:
             raise ValueError(f"{self.algorithm} takes no potential")
+        if self.algorithm == "obj_pert" and self.T:
+            raise ValueError("obj_pert takes no T: it makes one minimization, not T steps")
         if self.algorithm == "strongly_convex_md" and not (self.loss.strong_convexity or 0) > 0:
             raise ValueError("strongly_convex_md requires a loss with strong_convexity > 0")
         if self.algorithm == "obj_pert" and isinstance(self.loss, Huber):

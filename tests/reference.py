@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.special import gammaln, ndtr
+from scipy.special import ndtr
 
 from dperm.geometry import (Box, GroupedL1Ball, L1Ball, L2Ball, Polytope, Simplex,
                             gaussian_width_mc)
@@ -232,8 +232,14 @@ def abs_max_gaussian_mean(p: int, points: int = 400_001) -> float:
 
 
 def chi_mean(p: int) -> float:
-    """E ||g||_2 over g ~ N(0, I_p): sqrt(2) Gamma((p+1)/2) / Gamma(p/2)."""
-    return math.sqrt(2.0) * math.exp(gammaln((p + 1) / 2.0) - gammaln(p / 2.0))
+    """E ||g||_2 over g ~ N(0, I_p), sqrt(2) Gamma((p+1)/2) / Gamma(p/2), from
+    exact integers: sqrt(2 pi) m C(2m, m) / 4^m at p = 2m and
+    sqrt(2/pi) 4^m / C(2m, m) at p = 2m + 1, each integer ratio correctly
+    rounded, so the value is within a few ulps at any p."""
+    m, odd = divmod(p, 2)
+    if odd:
+        return math.sqrt(2.0 / math.pi) * (4 ** m / math.comb(2 * m, m))
+    return math.sqrt(2.0 * math.pi) * m * (math.comb(2 * m, m) / 4 ** m)
 
 
 def reference_width(body) -> float:

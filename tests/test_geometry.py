@@ -25,8 +25,8 @@ from dperm.geometry import (
 )
 
 from conftest import random_small_polytope
-from reference import (abs_max_gaussian_mean, gauge, project_l1_sorted, project_simplex_sorted,
-                       sample_feasible, vertex_list)
+from reference import (abs_max_gaussian_mean, chi_mean, gauge, project_l1_sorted,
+                       project_simplex_sorted, sample_feasible, vertex_list)
 
 TRIANGLE = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
 CROSS = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
@@ -386,10 +386,18 @@ class TestClosedFormWidth:
         assert L1Ball(1.0, p).closed_form_width() == pytest.approx(expected, rel=1e-12)
         assert Simplex(p).closed_form_width() == pytest.approx(expected, rel=1e-12)
 
-    @pytest.mark.parametrize("p", [1, 2, 64, 5000])
+    @pytest.mark.parametrize("p", [1, 2, 64, 5000, 35, 50, 51, 100, 20_001])
     def test_l2_ball_is_the_chi_mean(self, p):
-        expected = math.sqrt(2.0) * math.exp(gammaln((p + 1) / 2) - gammaln(p / 2))
-        assert L2Ball(1.0, p).closed_form_width() == pytest.approx(expected, rel=1e-13)
+        # Against exact integers: the lgamma difference, kept up to p = 50, is
+        # within 7.3e-15 there (at p = 35) and was 1.4e-12 off at p = 5000.
+        rel = 1e-14 if p <= 50 else 1e-15
+        assert L2Ball(1.0, p).closed_form_width() == pytest.approx(chi_mean(p), rel=rel, abs=0)
+
+    @pytest.mark.parametrize("p", [1, 20, 50])
+    def test_l2_ball_keeps_the_lgamma_bits_up_to_p_50(self, p):
+        # The benchmark's l2 balls sit at p = 20 and p = 50.
+        expected = math.sqrt(2.0) * math.exp(math.lgamma((p + 1) / 2) - math.lgamma(p / 2))
+        assert L2Ball(1.0, p).closed_form_width() == expected
 
     @pytest.mark.parametrize("body", CLOSED_FORM_BODIES, ids=["l1_ball", "simplex", "l2_ball"])
     def test_within_three_standard_errors_of_monte_carlo(self, body):
@@ -553,6 +561,14 @@ class TestBodyKey:
         assert body_key(L1Ball(1.0, 3)) == body_key(body_from_dict(L1Ball(1.0, 3).to_dict()))
         assert body_key(L1Ball(1.0, 3)) != body_key(L1Ball(2.0, 3))
         assert body_key(Polytope(CROSS)) != body_key(Polytope(-CROSS))
+
+    def test_only_the_exact_built_in_types_have_a_key(self):
+        # A subclass inherits its parent's document but may compute anything.
+        class Derived(L1Ball):
+            pass
+
+        assert body_key(Derived(1.0, 3)) is None
+        assert Derived(1.0, 3).to_dict() == L1Ball(1.0, 3).to_dict()
 
     def test_body_without_a_document_is_not_memoised(self):
         class Bare(L2Ball):

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import math
@@ -78,7 +79,8 @@ class TestDimensionMismatch:
         monkeypatch.setattr(Dataset, "_memo", no_memo)
         for algorithm in ("fw_polytope", "fw_general", "obj_pert"):
             cfg = SolverConfig(algorithm=algorithm, body=L1Ball(1.0, 5), loss=SquaredError(),
-                               budget=PrivacyBudget(1.0, 1e-6), T=5)
+                               budget=PrivacyBudget(1.0, 1e-6),
+                               T=0 if algorithm == "obj_pert" else 5)
             with pytest.raises(ValueError, match=r"body dimension 5 .* p = 6"):
                 run_solver(cfg, data)
 
@@ -346,6 +348,42 @@ class TestSweepDocument:
                            match=re.escape(f"generator {key!r} must be >= {low}, got {value}")):
             ExperimentSpec(solvers=lasso_configs(6)[:1], n_sweep=[200], seeds=[0],
                            dataset={"generator": {"p": 6, key: value}})
+
+    @pytest.mark.parametrize("changes,message", [
+        ({"sparsity": "3"}, "generator 'sparsity' must be an integer, got '3'"),
+        ({"sparsity": 9}, "need 1 <= sparsity <= p, got sparsity 9 at p = 6"),
+        ({"l1_norm": 2.0}, "l1_norm must lie in (0, 1], got 2.0"),
+        ({"nonneg": 1}, "generator 'nonneg' must be a boolean, got 1"),
+        ({"noise_level": -1}, "noise level must be nonnegative, got -1.0"),
+    ], ids=["sparsity-string", "sparsity-above-p", "l1_norm", "nonneg", "noise_level"])
+    def test_generator_is_checked_when_the_spec_is_built(self, tmp_path, changes, message):
+        # Not only inside ``run_sweep``, where these failed before.
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_sweep(tmp_path, with_generator(**changes))
+
+    def test_file_lasso_profile_is_checked_when_the_spec_is_built(self, tmp_path):
+        with pytest.raises(ValueError, match="dataset 'lasso_profile' must be a boolean"):
+            load_sweep(tmp_path, sweep_doc(dataset={"path": write_csv(tmp_path),
+                                                    "lasso_profile": "maybe"}))
+
+    def test_solver_lasso_profile_is_refused(self, tmp_path):
+        # A sweep reads the flag from its dataset document; in a solver
+        # document it was ignored.
+        doc = sweep_doc(solvers=[{**lasso_configs(6)[0], "lasso_profile": "maybe"}])
+        with pytest.raises(ValueError, match=re.escape(
+                "solver config 'fw_polytope' has a 'lasso_profile' key; "
+                "a sweep reads it from the dataset document")):
+            load_sweep(tmp_path, doc)
+
+    def test_replaced_spec_reads_its_own_dataset(self, tmp_path):
+        # ``dperm bench`` replaces fields of a built spec.
+        spec = load_sweep(tmp_path, sweep_doc())
+        path = write_csv(tmp_path)
+        replaced = dataclasses.replace(spec, dataset={"path": path}, seeds=[1])
+        records, failures = run_sweep(replaced)
+        assert failures == [] and [(r.n, r.seed) for r in records] == [(200, 1)]
+        with pytest.raises(ValueError, match="generator 'sparsity'"):
+            dataclasses.replace(spec, dataset=with_generator(sparsity=0.5)["dataset"])
 
     def test_repeated_solver_id_is_rejected(self):
         fw = lasso_configs(6)[0]

@@ -4,7 +4,7 @@ only by the tests), every class member is read by the package or the
 benchmark, every parameter is read by some implementation, and every name
 the benchmark's tracer patches still exists; the calibration still calls
 the two it times through those names, and every vertex body's LMO is
-traced; importing the package loads no scipy."""
+traced; importing any of its modules loads no scipy."""
 
 import ast
 import os
@@ -324,9 +324,12 @@ def test_benchmark_tracer_sees_the_calibration(monkeypatch):
 
     import dperm.geometry as geometry
     import dperm.harness as harness
-    from dperm import (L1Ball, L2Ball, Polytope, PrivacyBudget, SolverConfig, SquaredError,
-                       SquaredL2, generate_lasso)
-    from dperm.solvers import ALGORITHMS
+    from dperm.geometry import L1Ball, L2Ball, Polytope
+    from dperm.harness import generate_lasso
+    from dperm.losses import SquaredError
+    from dperm.potentials import SquaredL2
+    from dperm.privacy import PrivacyBudget
+    from dperm.solvers import ALGORITHMS, SolverConfig
 
     monkeypatch.setattr(geometry, "_body_memo", geometry.Memo())  # as in a fresh process
     data = generate_lasso(n=2000, p=8, sparsity=3, noise_level=0.1, seed=3)
@@ -357,7 +360,7 @@ def test_benchmark_tracer_sees_each_vertex_lmo():
     # ``geometry.lmo.calls`` at 0 without any error.
     import numpy as np
 
-    from dperm import L1Ball, Polytope, Simplex
+    from dperm.geometry import L1Ball, Polytope, Simplex
 
     tracer = load_spans().Tracer()
     tracer.install()
@@ -371,8 +374,12 @@ def test_benchmark_tracer_sees_each_vertex_lmo():
 
 def test_import_loads_no_scipy():
     # ``Polytope.contains`` imports ``linprog`` and the prox steps ``brentq``
-    # when they run, so importing the package does not load scipy.
-    code = "import sys, dperm; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    # when they run, so importing every module loads no scipy.  ``dperm``
+    # itself imports none of its modules.
+    code = ("import importlib, sys\n"
+            f"for name in {[path.stem for path in MODULES]!r}:\n"
+            "    importlib.import_module('dperm.' + name)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)

@@ -224,12 +224,39 @@ class TestCache:
         assert a is not b
         assert a.optimum_value == cached_solve(L1Ball(1.0, 4), SQ, data).optimum_value
 
+    def test_subclass_of_a_built_in_body_is_solved_as_itself(self):
+        # It inherits its parent's document; keyed by it, the half-radius
+        # ball took the unit ball's optimum (0.0050049 against 0.0149804).
+        data = generate_lasso(200, 5, 2, 0.1, seed=1)
+        full = cached_solve(L1Ball(1.0, 5), SQ, data)
+        half = cached_solve(HalfL1Ball(1.0, 5), SQ, data)
+        assert half is not cached_solve(HalfL1Ball(1.0, 5), SQ, data)
+        assert half.optimum_value == pytest.approx(
+            solve_exact(L1Ball(0.5, 5), SQ, data).optimum_value, rel=1e-8)
+        assert half.optimum_value > 2 * full.optimum_value
+
     def test_built_in_losses_share_entries_by_value(self):
         data = generate_lasso(50, 4, 2, 0.1, seed=9)
         body = L1Ball(1.0, 4)
         assert cached_solve(body, SquaredError(), data) is cached_solve(body, SQ, data)
         assert cached_solve(body, Huber(0.5), data) is cached_solve(body, Huber(0.5), data)
         assert cached_solve(body, Huber(0.5), data) is not cached_solve(body, Huber(0.25), data)
+
+
+class HalfL1Ball(L1Ball):
+    """The l1 ball of half the radius, behind the document of the full one."""
+
+    def _half(self) -> L1Ball:
+        return L1Ball(self.radius / 2, self.dimension)
+
+    def contains(self, x) -> bool:
+        return self._half().contains(x)
+
+    def lmo(self, direction) -> np.ndarray:
+        return self._half().lmo(direction)
+
+    def euclidean_project(self, x) -> np.ndarray:
+        return self._half().euclidean_project(x)
 
 
 def shifted_squared_error(shift: float) -> CustomLoss:

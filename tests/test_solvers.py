@@ -621,7 +621,9 @@ class TestReferenceCalibration:
     @pytest.mark.parametrize("T", [0, 17], ids=["default_T", "user_T"])
     @pytest.mark.parametrize("algorithm", solvers.ALGORITHMS)
     def test_resolve_defaults_matches_reference(self, data, algorithm, T, budget):
-        cfg = config_for(algorithm, budget=budget, T=T, t_cap=5000)
+        # obj_pert takes no T: its user_T case runs the default.
+        cfg = config_for(algorithm, budget=budget, T=0 if algorithm == "obj_pert" else T,
+                         t_cap=5000)
         run = resolve_defaults(cfg, data)
         ref = reference_plan(cfg, data)
         assert run.T == run.plan.steps == ref["T"]
@@ -638,7 +640,8 @@ class TestReportAndConfig:
     @pytest.mark.parametrize("algorithm", ["fw_polytope", "fw_general", "noisy_md",
                                            "strongly_convex_md", "obj_pert"])
     def test_report_serializes(self, small_lasso, algorithm):
-        rep = run_solver(config_for(algorithm, T=10, seed=0), small_lasso)
+        rep = run_solver(config_for(algorithm, T=0 if algorithm == "obj_pert" else 10, seed=0),
+                         small_lasso)
         doc = rep.to_dict()
         assert doc["algorithm"] == algorithm
         scale = "laplace_scale" if algorithm == "fw_polytope" else "sigma"
@@ -738,6 +741,13 @@ class TestReportAndConfig:
             SolverConfig(algorithm="noisy_md", body=L1Ball(1.0, 2), loss=SQ,
                          budget=NON_PRIVATE)
 
+    def test_obj_pert_refuses_a_T(self):
+        # Its one minimization never read T: T = 500 ran as plan.steps = 1.
+        with pytest.raises(ValueError, match="obj_pert takes no T"):
+            SolverConfig.from_dict({"algorithm": "obj_pert", "body": L1Ball(1.0, 2).to_dict(),
+                                    "loss": {"kind": "squared_error"},
+                                    "budget": {"epsilon": 1.0}, "T": 500, "t_cap": 3})
+
     def test_run_solver_dispatch(self, small_lasso):
         cfg = SolverConfig(algorithm="obj_pert", body=L1Ball(1.0, 12), loss=SQ,
                            budget=NON_PRIVATE, seed=0)
@@ -747,7 +757,7 @@ class TestReportAndConfig:
     @pytest.mark.parametrize("algorithm", solvers.ALGORITHMS)
     def test_record_iterates_keeps_the_step_iterates(self, small_lasso, algorithm):
         # The loops yield their iterates; the report keeps none of them.
-        cfg = config_for(algorithm, T=7, seed=2)
+        cfg = config_for(algorithm, T=0 if algorithm == "obj_pert" else 7, seed=2)
         iterates, (theta, iterations, _) = drive(cfg, small_lasso)
         assert "iterates" not in run_solver(cfg, small_lasso).extras
         if algorithm == "obj_pert":
