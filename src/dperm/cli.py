@@ -10,7 +10,7 @@ import sys
 from .geometry import body_from_dict, doc_bool
 from .harness import ExperimentSpec, run_sweep, score_cell, summarize
 from .losses import Dataset
-from .solvers import WIDTH_SAMPLES, WIDTH_SEED, SolverConfig, gaussian_width
+from .solvers import SolverConfig, gaussian_width
 
 
 def main(argv=None) -> int:
@@ -18,14 +18,10 @@ def main(argv=None) -> int:
                                      description="Private ERM solvers and benchmarks")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_width = sub.add_parser("width", help="Gaussian width of a body, as the solvers take "
-                                           "it: closed form on the l1 ball, the simplex and "
-                                           "the l2 ball, else Monte Carlo")
+    p_width = sub.add_parser("width", help="Gaussian width of a body, the one a default T "
+                                           "takes: closed form on the l1 ball, the simplex and "
+                                           "the l2 ball, else Monte Carlo at the public seed")
     p_width.add_argument("body_json", help="body description document")
-    p_width.add_argument("--samples", type=int, default=WIDTH_SAMPLES,
-                         help="Monte-Carlo samples (bodies without a closed form)")
-    p_width.add_argument("--seed", type=int, default=WIDTH_SEED,
-                         help="Monte-Carlo seed (bodies without a closed form)")
     p_width.add_argument("--output", default=None)
 
     p_solve = sub.add_parser("solve", help="run one solver config on a dataset")
@@ -63,7 +59,7 @@ def _emit(doc: dict, output) -> None:
 def _cmd_width(args) -> int:
     with open(args.body_json) as fh:
         body = body_from_dict(json.load(fh))
-    est = gaussian_width(body, args.samples, args.seed)
+    est = gaussian_width(body)
     doc = {"mean": est.mean, "method": est.method}
     if est.samples:
         doc.update(std_error=est.std_error, samples=est.samples, seed=est.seed)

@@ -109,8 +109,8 @@ class ExperimentSpec:
     The dataset document is a ``path`` (with an optional ``lasso_profile``)
     or a ``generator``; either is read here, once, and a solver document
     may not carry a ``lasso_profile`` of its own.  An unknown key in any of
-    them, a missing generator, a value out of range or a solver id used
-    twice raises ``ValueError``.
+    them, a missing generator, a value out of range or a solver id, n or
+    seed used twice raises ``ValueError``.
     """
 
     solvers: list[dict]
@@ -124,10 +124,12 @@ class ExperimentSpec:
             raise ValueError("at least one solver config is required")
         if not self.n_sweep or not self.seeds:
             raise ValueError("n_sweep and seeds must be nonempty")
-        if min(self.n_sweep) < 1:
-            raise ValueError(f"every n must be >= 1, got {min(self.n_sweep)}")
-        if min(self.seeds) < 0:
-            raise ValueError(f"every seed must be >= 0, got {min(self.seeds)}")
+        for key, values, low in (("n", self.n_sweep, 1), ("seed", self.seeds, 0)):
+            if min(values) < low:
+                raise ValueError(f"every {key} must be >= {low}, got {min(values)}")
+            again = next((v for i, v in enumerate(values) if v in values[:i]), None)
+            if again is not None:
+                raise ValueError(f"the {key} {again} is listed twice; its cells would run twice")
         # The dataset is a file, or the generator with some of its keys, read
         # once: ``_generator`` is None or (data_seed, ``generate_lasso`` keywords).
         if "path" in self.dataset:

@@ -312,10 +312,8 @@ class SquaredError(LossSpec):
         return _curvature(body, data, self.ridge)
 
     def hessian_eig_bounds(self, data) -> tuple[float, float]:
-        sq = data.row_sq_norms()
-        lam_max = float(sq.max())
-        lam_min = float(sq.min()) if data.p == 1 else 0.0
-        return lam_min + self.ridge, lam_max + self.ridge
+        # lambda_min(x x^T) = 0 at the record x = 0: lambda_min reads no record.
+        return self.ridge, float(data.row_sq_norms().max()) + self.ridge
 
 
 class Huber(LossSpec):

@@ -25,10 +25,10 @@ is the only stochastic element, and the zero-scale samplers leave the
 generator untouched, so a non-private run reproduces its classical
 counterpart's iterate sequence bit for bit.
 
-Step sizes are the ones the source algorithms fix: the constant
-eta = sqrt(max Psi)/(L2 ||Q||_2 sqrt(T)) for ``noisy_md``, the schedule
-eta_t = 2/(Delta t) for ``strongly_convex_md`` and the constant weight
-mu = 1/(T+2) for both Frank-Wolfe loops.
+A run has one step count, ``plan.steps``, and one schedule ``step(t)``:
+the source's eta = sqrt(max Psi)/(L2 ||Q||_2 sqrt(T)) for ``noisy_md`` and
+eta_t = 2/(Delta t) for ``strongly_convex_md``, and the classical weight
+mu_t = 2/(t+2) for both Frank-Wolfe loops.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ class SolverConfig:
     (``Potential.natural_q`` raises on any other) and the other algorithms
     refuse one; ``strongly_convex_md`` needs a loss with
     ``strong_convexity > 0``, ``obj_pert`` a C^2 loss (not ``Huber``) and no
-    ``T`` and ``fw_polytope`` a body with vertices (``n_vertices > 0``).
+    ``T`` or ``t_cap`` and ``fw_polytope`` a body with vertices (``n_vertices > 0``).
     All are checked here, once per config, and the ``natural_q`` body is
     kept.
     """
@@ -111,8 +111,9 @@ class SolverConfig:
             self._q_body = self.potential.natural_q(self.body)
         elif self.potential is not None:
             raise ValueError(f"{self.algorithm} takes no potential")
-        if self.algorithm == "obj_pert" and self.T:
-            raise ValueError("obj_pert takes no T: it makes one minimization, not T steps")
+        if self.algorithm == "obj_pert" and (self.T or self.t_cap != SolverConfig.t_cap):
+            name = "T" if self.T else "t_cap"
+            raise ValueError(f"obj_pert takes no {name}: it makes one minimization, not T steps")
         if self.algorithm == "strongly_convex_md" and not (self.loss.strong_convexity or 0) > 0:
             raise ValueError("strongly_convex_md requires a loss with strong_convexity > 0")
         if self.algorithm == "obj_pert" and isinstance(self.loss, Huber):
@@ -193,10 +194,11 @@ def seed_from(master_seed: int, stream: int) -> int:
 
 @dataclass
 class ResolvedRun:
-    T: int
+    """A calibrated run: its ``plan`` (``plan.steps``, noise scales, trace) and
+    its ``step(t)`` for 1-based t: eta_t, mu_t, or None for ``obj_pert``."""
+
     plan: NoisePlan
-    eta: Optional[Callable[[int], float]] = None  # MD step for index t (1-based)
-    mu: Optional[float] = None  # FW mixing weight, the same at every step
+    step: Optional[Callable[[int], float]] = None
 
 
 def resolve_defaults(cfg: SolverConfig, data: Dataset) -> ResolvedRun:
@@ -205,21 +207,20 @@ def resolve_defaults(cfg: SolverConfig, data: Dataset) -> ResolvedRun:
     return _TABLE[cfg.algorithm][0](cfg, data)
 
 
-def gaussian_width(body: ConvexBody, samples: int = WIDTH_SAMPLES,
-                   seed: int = WIDTH_SEED) -> WidthEstimate:
+def gaussian_width(body: ConvexBody) -> WidthEstimate:
     """The Gaussian width of ``body`` that a default T uses: its closed form
     where the body has one (``ConvexBody.closed_form_width``: the l1 ball,
-    the simplex, the l2 ball), else ``gaussian_width_mc(body, samples,
-    seed)``.  Computed once per body, samples and seed, so every seed of
-    one config resolves the same T."""
+    the simplex, the l2 ball), else ``gaussian_width_mc(body, WIDTH_SAMPLES,
+    WIDTH_SEED)``.  Computed once per body, so every seed of one config
+    resolves the same T."""
 
     def compute():
         exact = body.closed_form_width()
         if exact is not None:
             return WidthEstimate(exact)
-        return gaussian_width_mc(body, samples, seed)
+        return gaussian_width_mc(body, WIDTH_SAMPLES, WIDTH_SEED)
 
-    return memo_by_body(body, ("gaussian_width", samples, seed), compute)
+    return memo_by_body(body, ("gaussian_width",), compute)
 
 
 def _steps(cfg: SolverConfig, plan: NoisePlan, text: tuple[str, str],
@@ -262,10 +263,13 @@ def _steps(cfg: SolverConfig, plan: NoisePlan, text: tuple[str, str],
     return T
 
 
-def _fw_mu(T: int, plan: NoisePlan) -> float:
-    mu = 1.0 / (T + 2.0)
-    plan.log(f"mu = 1/(T+2) = {mu:.6g}")
-    return mu
+def _fw_mu(plan: NoisePlan) -> Callable[[int], float]:
+    """mu_t = 2/(t+2), the classical Frank-Wolfe weight (Jaggi, "Revisiting
+    Frank-Wolfe", ICML 2013), with f(theta_T) - f* <= 2 Gamma/(T+2).  The
+    source's own display could not be checked offline; ``PAPER.md`` holds
+    only its abstract.  Post-processing of the private picks: privacy holds."""
+    plan.log("mu_t = 2/(t+2)")
+    return lambda t: 2.0 / (t + 2.0)
 
 
 def _calibrate_noisy_md(cfg: SolverConfig, data: Dataset) -> ResolvedRun:
@@ -291,7 +295,7 @@ def _calibrate_noisy_md(cfg: SolverConfig, data: Dataset) -> ResolvedRun:
     eta = math.sqrt(max_psi) / (L2 * q_diam * math.sqrt(T))
     plan.log(f"eta = sqrt(max Psi)/(L2 ||Q||_2 sqrt(T)) = {eta:.6g} "
              f"(max Psi = {max_psi:.6g})")
-    return ResolvedRun(T=T, plan=plan, eta=lambda t: eta)
+    return ResolvedRun(plan, lambda t: eta)
 
 
 def _calibrate_strongly_convex_md(cfg: SolverConfig, data: Dataset) -> ResolvedRun:
@@ -306,7 +310,7 @@ def _calibrate_strongly_convex_md(cfg: SolverConfig, data: Dataset) -> ResolvedR
     plan.sigma = md_sigma(L2, T, cfg.budget, n)
     plan.log(f"sigma = sqrt(32 L2^2 T) ln(T/delta)/(eps n) = {plan.sigma:.6g}")
     plan.log(f"eta_t = 2/(Delta t) with Delta = {delta_sc}")
-    return ResolvedRun(T=T, plan=plan, eta=sc_step_schedule(delta_sc))
+    return ResolvedRun(plan, sc_step_schedule(delta_sc))
 
 
 def sc_step_schedule(delta_sc: float) -> Callable[[int], float]:
@@ -324,7 +328,7 @@ def _calibrate_obj_pert(cfg: SolverConfig, data: Dataset) -> ResolvedRun:
              f"n = {n}, eps = {eps}, delta = {delta}")
     plan.log(f"sigma = L2 sqrt(2 ln(1/delta))/(n eps) = {sigma:.6g}")
     plan.log(f"zeta = max(2 lambda_max/(n eps) - lambda_min, 0) = {zeta:.6g}")
-    return ResolvedRun(T=1, plan=plan)
+    return ResolvedRun(plan)
 
 
 def _calibrate_fw_polytope(cfg: SolverConfig, data: Dataset) -> ResolvedRun:
@@ -342,7 +346,7 @@ def _calibrate_fw_polytope(cfg: SolverConfig, data: Dataset) -> ResolvedRun:
              f"{plan.laplace_scale:.6g}")
     plan.log("scores use the 1/n-normalized gradient, paired with the "
              "per-record sensitivity scale above")
-    return ResolvedRun(T=T, plan=plan, mu=_fw_mu(T, plan))
+    return ResolvedRun(plan, _fw_mu(plan))
 
 
 def _calibrate_fw_general(cfg: SolverConfig, data: Dataset) -> ResolvedRun:
@@ -358,7 +362,7 @@ def _calibrate_fw_general(cfg: SolverConfig, data: Dataset) -> ResolvedRun:
     plan.log(f"sigma = sqrt(32 L2 T) ln(n/delta)/(n eps) = {plan.sigma:.6g} "
              "(source display is linear in L2 and logs n/delta, unlike the "
              "mirror-descent scale; implemented verbatim)")
-    return ResolvedRun(T=T, plan=plan, mu=_fw_mu(T, plan))
+    return ResolvedRun(plan, _fw_mu(plan))
 
 
 # ---------------------------------------------------------------------------
@@ -381,25 +385,25 @@ def _noise_rows(draw: Callable[[tuple], np.ndarray], steps: int, width: int):
 def _gaussian_rows(cfg: SolverConfig, run: ResolvedRun, rng):
     # One N(0, sigma^2 I_p) row per step.
     return _noise_rows(lambda shape: sample_gaussian_vec(shape, run.plan.sigma, rng),
-                       run.T - 1, cfg.body.dimension)
+                       run.plan.steps - 1, cfg.body.dimension)
 
 
 def _mirror_descent(cfg: SolverConfig, data: Dataset, run: ResolvedRun, rng):
     # The T-th step of the source loop cannot affect the averaged output and
     # is skipped.
-    pot = cfg.potential
+    pot, T = cfg.potential, run.plan.steps
     it_body, point_of, pullback = cfg.body.iterate_space()
     grad = cfg.loss.bound_grad(data)
     x = it_body.canonical_point()
     acc = x.copy()
-    for t, z in zip(range(1, run.T), _gaussian_rows(cfg, run, rng)):
+    for t, z in zip(range(1, T), _gaussian_rows(cfg, run, rng)):
         theta_t = point_of(x)
         yield theta_t
         g = grad(theta_t) + z
-        x = pot.mirror_step(it_body, x, pullback(g), run.eta(t + 1))
+        x = pot.mirror_step(it_body, x, pullback(g), run.step(t + 1))
         acc += x
     yield point_of(x)
-    return point_of(acc / run.T), run.T, {}
+    return point_of(acc / T), T, {}
 
 
 def _objective_perturbation(cfg: SolverConfig, data: Dataset, run: ResolvedRun, rng):
@@ -428,48 +432,47 @@ def _objective_perturbation(cfg: SolverConfig, data: Dataset, run: ResolvedRun, 
 
 
 def _frank_wolfe(cfg: SolverConfig, data: Dataset, run: ResolvedRun, rng):
-    # theta_T after exactly T-1 steps toward a private target.  For
-    # fw_polytope the output is a convex combination of the start point and
-    # at most T-1 selected vertices; that ledger is replayed from the picks.
-    mu = run.mu
+    # theta_T after exactly T-1 steps, step t moving mu_t toward a private
+    # target.  For fw_polytope the output is a convex combination of the start
+    # point and at most T-1 picked vertices; that ledger is replayed.
+    T, mu = run.plan.steps, run.step
     if cfg.algorithm == "fw_polytope":
         k = cfg.body.n_vertices
         noise = _noise_rows(lambda shape: sample_laplace(run.plan.laplace_scale, rng, size=shape),
-                            run.T - 1, k)
+                            T - 1, k)
         picks: list[int] = []
         scores, vertex = cfg.body.vertex_scores, cfg.body.vertex
 
-        def move(g, z):
+        def target(g, z):
             idx = report_noisy_min(scores(g), z)
             picks.append(idx)
-            return mu * vertex(idx)
+            return vertex(idx)
     else:
         noise = _gaussian_rows(cfg, run, rng)
         lmo = cfg.body.lmo
 
-        def move(g, z):
-            return mu * lmo(g + z)
+        def target(g, z):
+            return lmo(g + z)
 
     grad = cfg.loss.bound_grad(data)
-    keep = 1.0 - mu
     theta = cfg.body.canonical_point()
     yield theta
-    for z in noise:
-        theta = keep * theta + move(grad(theta), z)
+    for t, z in enumerate(noise, 1):
+        theta = (1.0 - mu(t)) * theta + mu(t) * target(grad(theta), z)
         yield theta
     if cfg.algorithm != "fw_polytope":
-        return theta, run.T, {}
+        return theta, T, {}
 
     # Slot k of the ledger is the start point; the keys are the start, then
     # the vertices in the order they were first picked.
     w = np.zeros(k + 1)
     w[k] = 1.0
-    for idx in picks:
-        w *= keep
-        w[idx] += mu
+    for t, idx in enumerate(picks, 1):
+        w *= 1.0 - mu(t)
+        w[idx] += mu(t)
     weights = w.tolist()
     ledger = {"start": weights[k], **{str(i): weights[i] for i in dict.fromkeys(picks)}}
-    return theta, run.T, {
+    return theta, T, {
         "vertex_weights": ledger,
         "support_size": sum(1 for v in ledger.values() if v > 0),
     }

@@ -256,7 +256,7 @@ def reference_width(body) -> float:
 
 
 def reference_plan(cfg, data) -> dict:
-    """T, sigma, the Laplace scale, zeta, eta(1), eta(2), eta(5) and mu of
+    """T, sigma, the Laplace scale, zeta, eta_t and mu_t at t = 1, 2, 5 of
     ``cfg`` on ``data``, from the displays each algorithm states.
 
     The user's T is taken verbatim; else the algorithm's T formula is
@@ -311,7 +311,7 @@ def reference_plan(cfg, data) -> dict:
             T = steps(gamma * n * eps, L2 * reference_width(body), 2 / 3)
             if private:
                 out["sigma"] = math.sqrt(32.0 * L2 * T) * math.log(n / delta) / (n * eps)
-        out["mu"] = 1.0 / (T + 2.0)
+        out["mu"] = [2.0 / (t + 2.0) for t in (1, 2, 5)]
     out["T"] = T
     return out
 

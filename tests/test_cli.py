@@ -37,23 +37,29 @@ def lasso_csv(tmp_path):
 
 class TestWidth:
     def test_matches_the_estimator(self, tmp_path):
+        # A body without a closed form: the solvers' public samples and seed.
         body = write_json(tmp_path / "body.json", GROUPED)
         out = tmp_path / "width.json"
-        assert main(["width", body, "--samples", "500", "--seed", "3",
-                     "--output", str(out)]) == 0
+        assert main(["width", body, "--output", str(out)]) == 0
         doc = json.loads(out.read_text())
-        est = gaussian_width_mc(GroupedL1Ball(1.0, 2, 5), 500, 3)
+        est = gaussian_width_mc(GroupedL1Ball(1.0, 2, 5), WIDTH_SAMPLES, WIDTH_SEED)
         assert doc == {"mean": est.mean, "method": "Monte Carlo", "std_error": est.std_error,
-                       "samples": 500, "seed": 3}
+                       "samples": WIDTH_SAMPLES, "seed": WIDTH_SEED}
 
-    @pytest.mark.parametrize("flags", [[], ["--samples", "500", "--seed", "3"]],
-                             ids=["defaults", "monte_carlo_flags"])
-    def test_closed_form_body_ignores_samples_and_seed(self, tmp_path, flags):
+    def test_closed_form_body_reports_its_closed_form(self, tmp_path):
         body = write_json(tmp_path / "body.json", BODY)
         out = tmp_path / "width.json"
-        assert main(["width", body, *flags, "--output", str(out)]) == 0
+        assert main(["width", body, "--output", str(out)]) == 0
         assert json.loads(out.read_text()) == {"mean": L1Ball(1.0, 5).closed_form_width(),
                                                "method": "closed form"}
+
+    @pytest.mark.parametrize("flag", ["--samples", "--seed"])
+    def test_refuses_monte_carlo_flags(self, tmp_path, flag, capsys):
+        # The width is the one the solvers take, so it has no knobs.
+        body = write_json(tmp_path / "body.json", GROUPED)
+        with pytest.raises(SystemExit):
+            main(["width", body, flag, "3"])
+        assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
 
     @pytest.mark.parametrize("doc", [BODY, GROUPED], ids=["l1_ball", "grouped_l1_ball"])
     def test_defaults_are_the_solvers_width(self, tmp_path, doc):

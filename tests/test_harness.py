@@ -341,6 +341,16 @@ class TestSweepDocument:
             ExperimentSpec(solvers=lasso_configs(6)[:1], n_sweep=n_sweep, seeds=seeds,
                            dataset={"generator": {"p": 6}})
 
+    @pytest.mark.parametrize("n_sweep,seeds,message", [
+        ([200, 400, 200], [0], "the n 200 is listed twice"),
+        ([200], [1, 1], "the seed 1 is listed twice"),
+    ], ids=["n", "seed"])
+    def test_a_repeated_n_or_seed_is_refused(self, n_sweep, seeds, message):
+        # Repeats would run identical cells and count them as more seeds.
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentSpec(solvers=lasso_configs(6)[:1], n_sweep=n_sweep, seeds=seeds,
+                           dataset={"generator": {"p": 6}})
+
     @pytest.mark.parametrize("key,value,low", [("data_seed", -2, 0), ("p", 0, 1), ("p", -3, 1)])
     def test_a_negative_data_seed_or_a_p_below_one_is_refused(self, key, value, low):
         # When the spec is built, naming the key; numpy's message names neither.

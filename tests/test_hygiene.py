@@ -342,7 +342,7 @@ def test_benchmark_tracer_sees_the_calibration(monkeypatch):
                 algorithm=algorithm, body=L2Ball(1.0, 8) if sc else L1Ball(1.0, 8),
                 loss=SquaredError(ridge=0.5 if sc else 0.0), budget=PrivacyBudget(1.0),
                 potential=SquaredL2() if algorithm.endswith("_md") else None,
-                t_cap=20), data)
+                **({} if algorithm == "obj_pert" else {"t_cap": 20})), data)
         closed_form = tracer.layer_metrics()
         harness.run_solver(SolverConfig(
             algorithm="fw_general", body=Polytope(np.vstack([np.eye(8), -0.5 * np.eye(8)])),

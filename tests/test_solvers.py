@@ -89,7 +89,8 @@ def reference_fw(body, loss, data, T, mu_fn):
 
 def reference_step_loop(cfg, data):
     """The noisy_md, fw_general and fw_polytope loops with one sampler call
-    per step and the vertex ledger kept in a dict.
+    per step, the Frank-Wolfe weight mu_t = 2/(t+2) written out and the
+    vertex ledger kept in a dict.
 
     Returns (theta, iterates, vertex_weights); the weights are None except
     for fw_polytope.
@@ -103,20 +104,20 @@ def reference_step_loop(cfg, data):
         x = it_body.canonical_point()
         acc = x.copy()
         iterates = [point_of(x)]
-        for t in range(1, run.T):
+        for t in range(1, run.plan.steps):
             g = cfg.loss.grad(point_of(x), data) + sample_gaussian_vec(p, run.plan.sigma, rng)
-            x = pot.mirror_step(it_body, x, pullback(g), run.eta(t + 1))
+            x = pot.mirror_step(it_body, x, pullback(g), run.step(t + 1))
             acc += x
             iterates.append(point_of(x))
-        return point_of(acc / run.T), iterates, None
+        return point_of(acc / run.plan.steps), iterates, None
 
     V = vertex_list(cfg.body) if cfg.algorithm == "fw_polytope" else None
     theta = cfg.body.canonical_point()
     iterates = [theta.copy()]
     weights = {"start": 1.0}
-    for t in range(1, run.T):
+    for t in range(1, run.plan.steps):
         g = cfg.loss.grad(theta, data)
-        mu = run.mu
+        mu = 2.0 / (t + 2.0)
         if V is not None:
             scores = V @ g
             if run.plan.laplace_scale > 0.0:
@@ -155,23 +156,23 @@ class TestResolveDefaults:
         run = resolve_defaults(cfg, data)
         manual = math.floor(4.0 ** (2 / 3) * (10 ** 4) ** (2 / 3) / 2.0 ** (2 / 3))
         assert manual == 736
-        assert run.T == 736
+        assert run.plan.steps == 736
 
     def test_user_t_wins_verbatim(self, small_lasso):
         cfg = SolverConfig(algorithm="fw_polytope", body=L1Ball(1.0, 12), loss=SQ,
                            budget=PrivacyBudget(1.0, 1e-6), T=17)
-        assert resolve_defaults(cfg, small_lasso).T == 17
+        assert resolve_defaults(cfg, small_lasso).plan.steps == 17
 
     def test_non_private_caps_t_and_zeroes_noise(self, small_lasso):
         cfg = SolverConfig(algorithm="fw_polytope", body=L1Ball(1.0, 12), loss=SQ,
                            budget=NON_PRIVATE, t_cap=500)
         run = resolve_defaults(cfg, small_lasso)
-        assert run.T == 500
+        assert run.plan.steps == 500
         assert run.plan.laplace_scale == 0.0
         cfg_md = SolverConfig(algorithm="noisy_md", body=L1Ball(1.0, 12), loss=SQ,
                               budget=NON_PRIVATE, potential=SquaredL2(), t_cap=300)
         run_md = resolve_defaults(cfg_md, small_lasso)
-        assert run_md.T == 300 and run_md.plan.sigma == 0.0
+        assert run_md.plan.steps == 300 and run_md.plan.sigma == 0.0
 
     def test_seeds_of_one_config_resolve_the_same_t(self):
         # The width depends on the public body alone, so the default T and
@@ -182,8 +183,8 @@ class TestResolveDefaults:
                 algorithm=algorithm, body=L1Ball(1.0, 20), loss=SQ,
                 budget=PrivacyBudget(1.0, 1e-6), potential=potential, seed=seed), data)
                 for seed in range(8)]
-            assert 1 < runs[0].T < 10 ** 6  # the formula, not the floor or the cap
-            assert {run.T for run in runs} == {runs[0].T}
+            assert 1 < runs[0].plan.steps < 10 ** 6  # the formula, not the floor or the cap
+            assert {run.plan.steps for run in runs} == {runs[0].plan.steps}
             assert {run.plan.sigma for run in runs} == {runs[0].plan.sigma}
 
     def test_degenerate_t_raises_with_advice(self):
@@ -217,8 +218,7 @@ class TestResolveDefaults:
         cfg = SolverConfig(algorithm="fw_general", body=body, loss=SQ,
                            budget=PrivacyBudget(1.0, 1e-6))
         resolve_defaults(cfg, small_lasso)
-        assert list(memo._values) == [("gaussian_width", solvers.WIDTH_SAMPLES,
-                                       solvers.WIDTH_SEED, body_key(body))]
+        assert list(memo._values) == [("gaussian_width", body_key(body))]
 
     @pytest.mark.parametrize("algorithm,product", [
         ("fw_polytope", "(L1 ||C||_1)^(2/3)"), ("fw_general", "(L2 G_C)^(2/3)")],
@@ -231,7 +231,7 @@ class TestResolveDefaults:
         cfg = SolverConfig(algorithm=algorithm, body=L1Ball(1.0, 3), loss=SQ,
                            budget=budget, t_cap=1000)
         run = resolve_defaults(cfg, data)
-        assert run.T == 1000
+        assert run.plan.steps == 1000
         why = f": {product} = 0;" if budget.is_private else " in non-private mode;"
         assert f"T formula diverges{why} capped at 1000" in run.plan.trace
 
@@ -241,6 +241,7 @@ class TestResolveDefaults:
         run = resolve_defaults(cfg, small_lasso)
         text = "\n".join(run.plan.trace)
         assert "L1" in text and "eps" in text and "laplace scale" in text
+        assert "mu_t = 2/(t+2)" in run.plan.trace
 
 
 class TestNoisyMirrorDescent:
@@ -256,7 +257,7 @@ class TestNoisyMirrorDescent:
         cfg = SolverConfig(algorithm="noisy_md", body=body, loss=SQ,
                            budget=NON_PRIVATE, potential=SquaredL2(), T=50, seed=9)
         rep = run_solver(cfg, small_lasso)
-        eta = resolve_defaults(cfg, small_lasso).eta(1)
+        eta = resolve_defaults(cfg, small_lasso).step(1)
         ref = reference_pgd_averaged(body, SQ, small_lasso, 50, eta)
         assert np.array_equal(rep.theta_priv, ref)
 
@@ -265,7 +266,7 @@ class TestNoisyMirrorDescent:
         cfg = SolverConfig(algorithm="noisy_md", body=body, loss=SQ,
                            budget=NON_PRIVATE, potential=NegativeEntropy(), T=40, seed=9)
         rep = run_solver(cfg, small_lasso)
-        eta = resolve_defaults(cfg, small_lasso).eta(1)
+        eta = resolve_defaults(cfg, small_lasso).step(1)
         ref = reference_entropy_md_averaged(body, SQ, small_lasso, 40, eta)
         assert np.array_equal(rep.theta_priv, ref)
 
@@ -379,6 +380,20 @@ class TestObjectivePerturbation:
         assert abs(SQ.loss(rep.theta_priv, small_lasso) - oracle.optimum_value) <= 1e-6
         assert rep.extras["inner_converged"]
 
+    def test_one_dimensional_plan_reads_no_single_record(self):
+        # D' is D with x_0 set to 0.  Another record holds the largest |x|,
+        # so only a value read from the least record could tell them apart.
+        X = np.random.default_rng(3).uniform(0.5, 1.0, size=(50, 1))
+        X[1, 0] = 1.0
+        X_prime = X.copy()
+        X_prime[0, 0] = 0.0
+        cfg = SolverConfig(algorithm="obj_pert", body=L1Ball(1.0, 1), loss=SQ,
+                           budget=PrivacyBudget(1.0, 1e-6))
+        plans = [resolve_defaults(cfg, Dataset(X=x, y=np.zeros(50))).plan.to_dict()
+                 for x in (X, X_prime)]
+        assert plans[0] == plans[1]
+        assert plans[0]["zeta"] > 0.0
+
     def test_box_inner_solve_certifies(self):
         # Interior optimum on a box, where the objective stops changing in
         # floating point before the gap target is met.
@@ -477,7 +492,7 @@ class TestFwPolytope:
         cfg = SolverConfig(algorithm="fw_polytope", body=body, loss=SQ,
                            budget=NON_PRIVATE, T=T, seed=2)
         rep = run_solver(cfg, small_lasso)
-        ref = reference_fw(body, SQ, small_lasso, T, lambda t: 1.0 / (T + 2.0))
+        ref = reference_fw(body, SQ, small_lasso, T, lambda t: 2.0 / (t + 2.0))
         assert np.array_equal(rep.theta_priv, ref)
 
     def test_weight_ledger_is_convex_combination(self, small_lasso):
@@ -494,6 +509,14 @@ class TestFwPolytope:
         theta = sum(w * (np.zeros(12) if k == "start" else V[int(k)])
                     for k, w in weights.items())
         assert np.abs(theta - rep.theta_priv).max() <= 1e-12
+
+    def test_start_weight_decays_as_the_classical_rule(self, small_lasso):
+        # prod_{t<T} (1 - 2/(t+2)) = 2/(T(T+1)): the start point fades.
+        T = 40
+        cfg = SolverConfig(algorithm="fw_polytope", body=L1Ball(1.0, 12), loss=SQ,
+                           budget=PrivacyBudget(1.0, 1e-6), T=T, seed=6)
+        start = run_solver(cfg, small_lasso).extras["vertex_weights"]["start"]
+        assert start == pytest.approx(2.0 / (T * (T + 1)), rel=1e-12)
 
     def test_monotone_gap_zero_noise(self, small_lasso):
         body = L1Ball(1.0, 12)
@@ -564,7 +587,7 @@ class TestFwGeneral:
         rng = spawn_rng(42, 0)
         g = SQ.grad(body.canonical_point(), small_lasso) + sample_gaussian_vec(12, run_sigma, rng)
         expected_target = -g / np.linalg.norm(g)
-        mu = 1.0 / (2 + 2.0)
+        mu = 2.0 / (1 + 2.0)  # mu_1
         expected = mu * expected_target
         assert np.allclose(iterates[1], expected, atol=1e-12)
 
@@ -595,6 +618,22 @@ class TestFwGeneral:
         assert rep.feasible
 
 
+class TestFwStepRule:
+    @pytest.fixture(scope="class")
+    def lasso_p50(self):
+        return generate_lasso(n=2000, p=50, sparsity=5, noise_level=0.1, seed=11)
+
+    @pytest.mark.parametrize("algorithm", ["fw_polytope", "fw_general"])
+    def test_non_private_meets_the_classical_bound(self, lasso_p50, algorithm):
+        # mu_t = 2/(t+2) gives f(theta_T) - f* <= 2 Gamma/(T+2), about 7e-4
+        # here; a constant weight 1/(T+2) stalls near 2.5e-3 at any T.
+        body, T = L1Ball(1.0, 50), 4000
+        cfg = SolverConfig(algorithm=algorithm, body=body, loss=SQ, budget=NON_PRIVATE, T=T)
+        rep = run_solver(cfg, lasso_p50)
+        risk = excess_risk(rep.theta_priv, cached_solve(body, SQ, lasso_p50), SQ, lasso_p50)
+        assert risk <= 2.0 * SQ.curvature_bound(body, lasso_p50) / (T + 2.0)
+
+
 def config_for(algorithm: str, budget=PrivacyBudget(1.0, 1e-6), **kw) -> SolverConfig:
     """A config of ``algorithm`` on the 12-dimensional l1 ball, with the
     ridge loss on the l2 ball for ``strongly_convex_md``; private unless
@@ -621,19 +660,19 @@ class TestReferenceCalibration:
     @pytest.mark.parametrize("T", [0, 17], ids=["default_T", "user_T"])
     @pytest.mark.parametrize("algorithm", solvers.ALGORITHMS)
     def test_resolve_defaults_matches_reference(self, data, algorithm, T, budget):
-        # obj_pert takes no T: its user_T case runs the default.
-        cfg = config_for(algorithm, budget=budget, T=0 if algorithm == "obj_pert" else T,
-                         t_cap=5000)
+        # obj_pert takes no T or t_cap: its user_T case runs the default.
+        kw = {} if algorithm == "obj_pert" else {"T": T, "t_cap": 5000}
+        cfg = config_for(algorithm, budget=budget, **kw)
         run = resolve_defaults(cfg, data)
         ref = reference_plan(cfg, data)
-        assert run.T == run.plan.steps == ref["T"]
+        assert run.plan.steps == ref["T"]
         for scale in ("sigma", "laplace_scale", "zeta"):
             assert getattr(run.plan, scale) == pytest.approx(ref[scale], rel=1e-12)
-        assert run.mu == (None if ref["mu"] is None else pytest.approx(ref["mu"], rel=1e-12))
-        if ref["eta"] is None:
-            assert run.eta is None
+        steps = ref["eta"] or ref["mu"]
+        if steps is None:
+            assert run.step is None
         else:
-            assert [run.eta(t) for t in (1, 2, 5)] == pytest.approx(ref["eta"], rel=1e-12)
+            assert [run.step(t) for t in (1, 2, 5)] == pytest.approx(steps, rel=1e-12)
 
 
 class TestReportAndConfig:
@@ -740,6 +779,11 @@ class TestReportAndConfig:
         with pytest.raises(ValueError, match="potential"):
             SolverConfig(algorithm="noisy_md", body=L1Ball(1.0, 2), loss=SQ,
                          budget=NON_PRIVATE)
+
+    def test_obj_pert_refuses_a_t_cap(self):
+        # Its one minimization never read the cap: t_cap = 3 ran as the default.
+        with pytest.raises(ValueError, match="obj_pert takes no t_cap"):
+            config_for("obj_pert", t_cap=3)
 
     def test_obj_pert_refuses_a_T(self):
         # Its one minimization never read T: T = 500 ran as plan.steps = 1.
