@@ -7,6 +7,8 @@ The Gaussian width has a closed form on the l1 ball, the simplex and the
 l2 ball (``ConvexBody.closed_form_width``); on every other body it is
 estimated by ``gaussian_width_mc``, which takes its seed explicitly, so an
 estimate is reproducible.  ``solvers.gaussian_width`` picks between them.
+``noise_blocks`` cuts the draws of many rows, the Monte Carlo's and the
+solvers' step noise, into blocks of at most ``NOISE_BLOCK_BYTES``.
 
 A quantity of the public body alone (its Gaussian width) is computed once
 per process by ``memo_by_body``, keyed by ``body_key``, the sorted JSON of
@@ -25,6 +27,7 @@ import functools
 import json
 import math
 import numbers
+import statistics
 import threading
 from dataclasses import dataclass
 from functools import cached_property
@@ -41,9 +44,8 @@ MAX_POLYTOPE_VERTICES = 10_000
 # Rows of |G| formed at a time by ``row_abs_max``.
 ROW_BLOCK = 8192
 
-# Gaussian draws of many rows (the width Monte Carlo here, the step noise
-# in ``solvers``) are made in blocks of consecutive rows, each block at most
-# this many bytes, so memory stays flat whatever the number of rows.
+# The most bytes in one block of ``noise_blocks``, so memory stays flat
+# whatever the number of rows.
 NOISE_BLOCK_BYTES = 1 << 20
 
 
@@ -532,7 +534,7 @@ class Box(ConvexBody):
         d = _as_vector(direction, self.dimension, "direction")
         _check_finite(d)
         # d_i = 0 ties resolve to the lower corner.
-        return np.where(d > 0, self.lo, np.where(d < 0, self.hi, self.lo))
+        return np.where(d < 0, self.hi, self.lo)
 
     def dual_norms(self, G: np.ndarray) -> np.ndarray:
         # The largest and the smallest <w, g> over the box, per row.
@@ -622,26 +624,12 @@ def _project_simplex(v: np.ndarray, total: float) -> np.ndarray:
     u = u[::-1]
     css = u.cumsum()
     css -= total
-    cond = u > css / _ranks(u.shape[0])
+    cond = u > css / np.arange(1.0, u.shape[0] + 1.0)
     rho = int(cond.nonzero()[0][-1])
     tau = css[rho] / (rho + 1.0)
     out = v - tau
     np.maximum(out, 0.0, out=out)
     return out
-
-
-# The read-only vectors 1..m of ``_ranks``, by m.
-_RANKS: dict[int, np.ndarray] = {}
-
-
-def _ranks(m: int) -> np.ndarray:
-    """The read-only vector 1..m, shared by every projection of length m."""
-    ks = _RANKS.get(m)
-    if ks is None:
-        ks = np.arange(1, m + 1, dtype=float)
-        ks.flags.writeable = False
-        _RANKS[m] = ks
-    return ks
 
 
 # ---------------------------------------------------------------------------
@@ -671,19 +659,6 @@ class WidthEstimate:
         return "Monte Carlo" if self.samples else "closed form"
 
 
-def _normal_tail_point(level: float) -> float:
-    """The t >= 0 with erfc(t / sqrt 2) = P(|g| > t) = ``level`` for a
-    standard Gaussian g, ``level`` in (0, 1], by bisection on [0, 40]."""
-    lo, hi = 0.0, 40.0
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        if math.erfc(mid / math.sqrt(2.0)) > level:
-            lo = mid
-        else:
-            hi = mid
-    return hi
-
-
 @functools.cache
 def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
     """The read-only 64 Gauss-Legendre nodes and weights on [-1, 1]."""
@@ -697,34 +672,43 @@ def _abs_max_gaussian_mean(p: int) -> float:
     ball and of the simplex.
 
     It is the integral over t >= 0 of P(max_i |g_i| > t) = 1 - (1 - e)^p,
-    e = erfc(t / sqrt 2).  The integrand is 1 in double precision up to a,
-    where p log(1 - e) = -40, and below 1e-18 past b, where p e = 1e-18:
+    e = erfc(t / sqrt 2) = P(|g| > t), so t = -Phi^-1(e / 2) by the normal
+    quantile.  The integrand is 1 in double precision up to a, where
+    p log(1 - e) = -40, and below 1e-18 past b, where p e = 1e-18:
     [0, a] is taken exactly and [a, b] by a 64-node Gauss-Legendre rule.
     """
-    a = _normal_tail_point(-math.expm1(-40.0 / p))
-    b = _normal_tail_point(1e-18 / p)
+    quantile = statistics.NormalDist().inv_cdf
+    a = -quantile(-math.expm1(-40.0 / p) / 2)
+    b = -quantile(1e-18 / p / 2)
     nodes, weights = _legendre_rule()
     half = 0.5 * (b - a)
     tails = np.array([math.erfc(t / math.sqrt(2.0)) for t in half * nodes + (a + half)])
     return a + half * float(weights @ -np.expm1(p * np.log1p(-tails)))
 
 
+def noise_blocks(draw: Callable[[tuple], np.ndarray], rows: int, width: int):
+    """``rows`` rows of ``width`` floats, drawn by ``draw(shape)`` in
+    consecutive blocks of at most ``NOISE_BLOCK_BYTES`` (one row at least),
+    with the same values as per-row draws from a numpy generator."""
+    size = max(1, NOISE_BLOCK_BYTES // (8 * width))
+    for start in range(0, rows, size):
+        yield draw((min(size, rows - start), width))
+
+
 def gaussian_width_mc(body: ConvexBody, samples: int, seed: int) -> WidthEstimate:
     """Estimate the Gaussian width of a body by Monte Carlo.
 
     Averages the dual norm (the absolute-value form sup |<g, w>|) of i.i.d.
-    standard Gaussian vectors, drawn in blocks of at most
-    ``NOISE_BLOCK_BYTES``.  Deterministic for a fixed seed.
+    standard Gaussian vectors, drawn by ``noise_blocks``.  Deterministic for
+    a fixed seed.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
-    rows = max(1, NOISE_BLOCK_BYTES // (8 * body.dimension))
     total = 0.0
     total_sq = 0.0
-    for start in range(0, samples, rows):
-        vals = body.dual_norms(rng.standard_normal((min(rows, samples - start),
-                                                    body.dimension)))
+    for G in noise_blocks(rng.standard_normal, samples, body.dimension):
+        vals = body.dual_norms(G)
         total += float(vals.sum())
         total_sq += float((vals * vals).sum())
     mean = total / samples

@@ -108,9 +108,10 @@ class ExperimentSpec:
 
     The dataset document is a ``path`` (with an optional ``lasso_profile``)
     or a ``generator``; either is read here, once, and a solver document
-    may not carry a ``lasso_profile`` of its own.  An unknown key in any of
-    them, a missing generator, a value out of range or a solver id, n or
-    seed used twice raises ``ValueError``.
+    may not carry a ``lasso_profile`` of its own, nor a ``seed`` (each cell
+    runs one of ``seeds``).  An unknown key in any of them, a missing
+    generator, a value out of range or a solver id, n or seed used twice
+    raises ``ValueError``.
     """
 
     solvers: list[dict]
@@ -166,6 +167,9 @@ class ExperimentSpec:
             if "lasso_profile" in doc:
                 raise ValueError(f"solver config {doc['id']!r} has a 'lasso_profile' key; "
                                  "a sweep reads it from the dataset document")
+            if "seed" in doc:
+                raise ValueError(f"solver config {doc['id']!r} has a 'seed' key; "
+                                 "a sweep runs each of its seeds")
 
     @classmethod
     def from_json(cls, path) -> "ExperimentSpec":

@@ -20,7 +20,9 @@ under a lock, and shared by every cell and every thread that reads it:
 - the curvature bound of ``SquaredError`` and ``Huber``, per (ridge, body
   key);
 - the certified optimum of ``oracle.cached_solve``, per (loss key, body
-  key).  A copy of the data, even with equal bytes, solves again.
+  key), for a built-in loss only: a loss without a ``loss_key`` (a
+  ``CustomLoss``, a subclass) is solved on every call.  A copy of the data,
+  even with equal bytes, solves again.
 
 The body-keyed entries go through ``geometry.memo_by_body``, so a body
 without a key gets its constants computed on every call.
@@ -427,18 +429,15 @@ def _quadratic_curvature_bound(body: ConvexBody, data: Dataset, ridge: float) ->
     raise ValueError(f"curvature bound not implemented for {type(body).__name__}")
 
 
-def loss_key(loss: LossSpec) -> str:
-    """A key that names a built-in loss by its parameters, else by identity.
-
-    Only the exact built-in types are named by parameters: a subclass or a
-    ``CustomLoss`` can compute anything.  A memo under an identity key must
-    keep the loss alive, so that its id is not reused.
-    """
+def loss_key(loss: LossSpec) -> Optional[str]:
+    """A key that names a loss of one of the two built-in types exactly by
+    its parameters, else None, as ``geometry.body_key`` does for bodies: a
+    subclass or a ``CustomLoss`` can compute anything, so it gets no key."""
     if type(loss) is SquaredError:
         return f"squared_error:ridge={loss.ridge!r}" if loss.ridge else "squared_error"
     if type(loss) is Huber:
         return f"huber:{loss.delta!r}"
-    return f"{type(loss).__name__}@{id(loss):x}"
+    return None
 
 
 def loss_from_dict(doc: dict) -> LossSpec:

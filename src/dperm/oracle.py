@@ -100,10 +100,12 @@ def cached_solve(body: ConvexBody, loss: LossSpec, data: Dataset) -> OracleSolut
 
     The entry lives in ``data``'s memo next to its other statistics, so it
     is freed with the dataset, and an equal-bytes copy of the data solves
-    again.  The body is keyed by ``memo_by_body``; a body without a key is
-    solved uncached.  Each entry keeps its loss alive, so the id in a
-    custom loss's key cannot be reused.
+    again.  The loss is keyed by ``loss_key`` and the body by
+    ``memo_by_body``; a loss or a body without a key is solved uncached.
     """
     require_matching_dimension(body, data)
-    return memo_by_body(body, ("oracle", loss_key(loss)),
-                        lambda: (loss, solve_exact(body, loss, data)), data._memo)[1]
+    key = loss_key(loss)
+    if key is None:
+        return solve_exact(body, loss, data)
+    return memo_by_body(body, ("oracle", key), lambda: solve_exact(body, loss, data),
+                        data._memo)

@@ -75,7 +75,9 @@ class Potential:
         raise NotImplementedError
 
     def max_over_domain(self, body: ConvexBody) -> float:
-        """Finite upper bound on Psi over the body (tight for the closed forms)."""
+        """The finite bound that sets the ``noisy_md`` step: max Psi over the
+        body for the negative entropy, the q-norm and the grouped potentials;
+        ``SquaredL2`` returns a bound on its divergence instead."""
         raise NotImplementedError
 
 
@@ -96,6 +98,9 @@ class SquaredL2(Potential):
         return L2Ball(radius=1.0, dimension=body.dimension)
 
     def max_over_domain(self, body: ConvexBody) -> float:
+        """0.5 ||C||_2^2 (l2 diameter), a bound on the divergence, not max Psi:
+        4 times max Psi (2 r^2) on a radius-r ball about the origin and twice
+        it (1) on the simplex of dimension > 1."""
         return 0.5 * body.l2_diameter() ** 2
 
 

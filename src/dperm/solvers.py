@@ -37,14 +37,14 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field, fields
+from itertools import chain
 from typing import Callable, Optional
 
 import numpy as np
 
 from .firstorder import NotCertifiedError, minimize
-from .geometry import (NOISE_BLOCK_BYTES, ConvexBody, WidthEstimate, body_from_dict,
-                       check_keys, doc_field, doc_int, gaussian_width_mc, memo_by_body,
-                       symmetric_hull)
+from .geometry import (ConvexBody, WidthEstimate, body_from_dict, check_keys, doc_field,
+                       doc_int, gaussian_width_mc, memo_by_body, noise_blocks, symmetric_hull)
 from .losses import Dataset, Huber, LossSpec, loss_from_dict, require_matching_dimension
 from .potentials import Potential, potential_from_dict
 from .privacy import (
@@ -76,7 +76,8 @@ class SolverConfig:
     """Everything a solver run needs besides the dataset.
 
     ``T = 0`` resolves the step count from the algorithm's own default
-    formula (floored at 1, capped at ``t_cap >= 1``).  The mirror-descent
+    formula (floored at 1, capped at ``t_cap >= 1``, 10^6 when None); a
+    ``t_cap`` next to a given ``T`` is refused.  The mirror-descent
     algorithms need a potential that can run on the body
     (``Potential.natural_q`` raises on any other) and the other algorithms
     refuse one; ``strongly_convex_md`` needs a loss with
@@ -93,14 +94,14 @@ class SolverConfig:
     potential: Optional[Potential] = None
     T: int = 0
     seed: int = 0
-    t_cap: int = 10 ** 6
+    t_cap: Optional[int] = None
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}")
         if self.T < 0:
             raise ValueError("T must be >= 0 (0 = use the default formula)")
-        if self.t_cap < 1:
+        if self.t_cap is not None and self.t_cap < 1:
             raise ValueError(f"t_cap must be >= 1, got {self.t_cap}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
@@ -111,9 +112,12 @@ class SolverConfig:
             self._q_body = self.potential.natural_q(self.body)
         elif self.potential is not None:
             raise ValueError(f"{self.algorithm} takes no potential")
-        if self.algorithm == "obj_pert" and (self.T or self.t_cap != SolverConfig.t_cap):
+        if self.algorithm == "obj_pert" and (self.T or self.t_cap is not None):
             name = "T" if self.T else "t_cap"
             raise ValueError(f"obj_pert takes no {name}: it makes one minimization, not T steps")
+        if self.T and self.t_cap is not None:
+            raise ValueError(f"t_cap caps the default step count; it does not apply "
+                             f"to the given T = {self.T}")
         if self.algorithm == "strongly_convex_md" and not (self.loss.strong_convexity or 0) > 0:
             raise ValueError("strongly_convex_md requires a loss with strong_convexity > 0")
         if self.algorithm == "obj_pert" and isinstance(self.loss, Huber):
@@ -142,7 +146,7 @@ class SolverConfig:
             potential=potential,
             T=doc_int(doc.get("T", cls.T), "solver config", "T"),
             seed=doc_int(doc.get("seed", cls.seed), "solver config", "seed"),
-            t_cap=doc_int(doc.get("t_cap", cls.t_cap), "solver config", "t_cap"),
+            t_cap=doc_int(doc["t_cap"], "solver config", "t_cap") if "t_cap" in doc else None,
         )
 
 
@@ -229,9 +233,10 @@ def _steps(cfg: SolverConfig, plan: NoisePlan, text: tuple[str, str],
     else the formula num / den, named by the pair ``text``, with (num, den)
     = ``ratio(w)`` at the Gaussian width w = ``gaussian_width(body)`` of
     ``width`` = (label, body) (None without one), floored at 1 and capped
-    at t_cap.  The trace names how w was found: "closed form", or the
-    Monte-Carlo samples, seed and standard error.  A non-private budget or
-    a zero denominator makes the formula infinite: the cap."""
+    at t_cap (10^6 when None).  The trace names how w was found: "closed
+    form", or the Monte-Carlo samples, seed and standard error.  A
+    non-private budget or a zero denominator makes the formula infinite:
+    the cap."""
     if cfg.T > 0:
         plan.log(f"T = {cfg.T} (user-supplied)")
         plan.steps = cfg.T
@@ -244,21 +249,22 @@ def _steps(cfg: SolverConfig, plan: NoisePlan, text: tuple[str, str],
                  if est.samples else "")
         plan.log(f"{label} = {est.mean:.6g} ({est.method}{draws})")
         w = est.mean
+    cap = 10 ** 6 if cfg.t_cap is None else cfg.t_cap
     private = cfg.budget.is_private
     num, den = ratio(w) if private else (math.inf, 1.0)
     value = num / den if den > 0 else math.inf
     plan.log(f"T formula: {text[0]} / {text[1]} = {value:.6g}")
     if math.isinf(value):
         why = f": {text[1]} = {den:.6g};" if private else " in non-private mode;"
-        plan.log(f"T formula diverges{why} capped at {cfg.t_cap}")
-        T = cfg.t_cap
+        plan.log(f"T formula diverges{why} capped at {cap}")
+        T = cap
     elif value < 1.0:
         raise ValueError(f"{cfg.algorithm}: default step count resolves to {value:.3g} < 1; "
                          "increase n or epsilon, or supply T explicitly")
     else:
-        T = min(int(value), cfg.t_cap)
+        T = min(int(value), cap)
         if T < value:
-            plan.log(f"T = min(floor({value:.6g}), cap {cfg.t_cap}) = {T}")
+            plan.log(f"T = min(floor({value:.6g}), cap {cap}) = {T}")
     plan.steps = T
     return T
 
@@ -373,19 +379,11 @@ def _calibrate_fw_general(cfg: SolverConfig, data: Dataset) -> ResolvedRun:
 # and the statistics lookups.
 
 
-def _noise_rows(draw: Callable[[tuple], np.ndarray], steps: int, width: int):
-    """``steps`` noise rows of ``width`` entries, drawn by ``draw(shape)`` in
-    blocks of at most ``NOISE_BLOCK_BYTES``.  A block holds the same values
-    as the per-step draws it replaces."""
-    rows = max(1, NOISE_BLOCK_BYTES // (8 * width))
-    for start in range(0, steps, rows):
-        yield from draw((min(rows, steps - start), width))
-
-
 def _gaussian_rows(cfg: SolverConfig, run: ResolvedRun, rng):
-    # One N(0, sigma^2 I_p) row per step.
-    return _noise_rows(lambda shape: sample_gaussian_vec(shape, run.plan.sigma, rng),
-                       run.plan.steps - 1, cfg.body.dimension)
+    # One N(0, sigma^2 I_p) row per step, drawn in ``noise_blocks``.
+    return chain.from_iterable(noise_blocks(
+        lambda shape: sample_gaussian_vec(shape, run.plan.sigma, rng),
+        run.plan.steps - 1, cfg.body.dimension))
 
 
 def _mirror_descent(cfg: SolverConfig, data: Dataset, run: ResolvedRun, rng):
@@ -438,8 +436,8 @@ def _frank_wolfe(cfg: SolverConfig, data: Dataset, run: ResolvedRun, rng):
     T, mu = run.plan.steps, run.step
     if cfg.algorithm == "fw_polytope":
         k = cfg.body.n_vertices
-        noise = _noise_rows(lambda shape: sample_laplace(run.plan.laplace_scale, rng, size=shape),
-                            T - 1, k)
+        noise = chain.from_iterable(noise_blocks(
+            lambda shape: sample_laplace(run.plan.laplace_scale, rng, size=shape), T - 1, k))
         picks: list[int] = []
         scores, vertex = cfg.body.vertex_scores, cfg.body.vertex
 

@@ -260,8 +260,9 @@ def reference_plan(cfg, data) -> dict:
     ``cfg`` on ``data``, from the displays each algorithm states.
 
     The user's T is taken verbatim; else the algorithm's T formula is
-    floored and capped at ``t_cap``, a non-private budget or a zero
-    denominator giving the cap, and a formula below 1 raises ``ValueError``.
+    floored and capped at ``t_cap`` (10^6 when None), a non-private budget
+    or a zero denominator giving the cap, and a formula below 1 raises
+    ``ValueError``.
     The Gaussian widths are those of ``reference_width``.
     """
     alg, body, loss = cfg.algorithm, cfg.body, cfg.loss
@@ -276,15 +277,17 @@ def reference_plan(cfg, data) -> dict:
             out["zeta"] = max(2.0 * lam_max / (n * eps) - lam_min, 0.0)
         return out
 
+    cap = 10 ** 6 if cfg.t_cap is None else cfg.t_cap
+
     def steps(numerator, denominator, power):
         if cfg.T > 0:
             return cfg.T
         if not private or denominator == 0.0:
-            return cfg.t_cap
+            return cap
         value = (numerator / denominator) ** power
         if value < 1.0:
             raise ValueError(f"default T {value} < 1")
-        return min(math.floor(value), cfg.t_cap)
+        return min(math.floor(value), cap)
 
     if alg in ("noisy_md", "strongly_convex_md"):
         if alg == "noisy_md":

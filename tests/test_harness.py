@@ -385,6 +385,15 @@ class TestSweepDocument:
                 "a sweep reads it from the dataset document")):
             load_sweep(tmp_path, doc)
 
+    def test_solver_seed_is_refused(self, tmp_path):
+        # Each cell runs a seed of the sweep's list; a solver's own seed was
+        # overwritten, so seed 5 over seeds [1] ran seed 1.
+        doc = sweep_doc(solvers=[{**lasso_configs(6)[0], "seed": 5}], seeds=[1])
+        with pytest.raises(ValueError, match=re.escape(
+                "solver config 'fw_polytope' has a 'seed' key; "
+                "a sweep runs each of its seeds")):
+            load_sweep(tmp_path, doc)
+
     def test_replaced_spec_reads_its_own_dataset(self, tmp_path):
         # ``dperm bench`` replaces fields of a built spec.
         spec = load_sweep(tmp_path, sweep_doc())
@@ -535,3 +544,40 @@ class TestOneFeasibilityCheckPerCell:
         monkeypatch.setattr(SquaredError, "loss", no_scoring)
         with pytest.raises(ValueError, match="not feasible"):
             harness.score_cell(cfg, data)
+
+
+def record(solver: str, n: int, risk: float, seed: int = 0) -> harness.RiskRecord:
+    return harness.RiskRecord(solver=solver, n=n, seed=seed, excess_risk=risk, optimum=0.0,
+                              T=1, sigma=0.0, laplace_scale=0.0, wall_ms=0.0)
+
+
+class TestRateFit:
+    """The log-log slope is how a sweep checks a rate such as n^(-2/3)."""
+
+    @pytest.mark.parametrize("ns", [[1000, 2000, 4000], [500, 1000, 8000]])
+    def test_power_law_slope_and_intercept(self, ns):
+        c = 3.5
+        fit = harness.fit_loglog_slope(ns, [c * n ** (-2 / 3) for n in ns])
+        assert fit["slope"] == pytest.approx(-2 / 3, abs=1e-12)
+        assert fit["intercept"] == pytest.approx(math.log(c), abs=1e-12)
+        assert 0.0 <= fit["stderr"] <= 1e-12 and fit["points"] == 3
+
+    def test_two_points_have_no_stderr(self):
+        fit = harness.fit_loglog_slope([100, 400], [0.2, 0.05])
+        assert fit["slope"] == pytest.approx(-1.0, abs=1e-12)
+        assert fit["stderr"] == 0.0 and fit["points"] == 2
+
+    def test_summarize_fits_the_positive_cell_means(self):
+        records = [record("a", 1000, 0.3, 0), record("a", 1000, 0.1, 1),
+                   record("a", 8000, 0.05, 0), record("a", 8000, 0.0, 1),
+                   record("a", 64000, -0.2, 0),  # a mean <= 0 leaves the fit
+                   record("b", 1000, 0.1), record("b", 8000, 0.0),  # one positive cell
+                   record("c", 1000, -0.1), record("c", 8000, 0.0)]
+        summary = harness.summarize(records)
+        assert [(c["solver"], c["n"], c["seeds"]) for c in summary["cells"]] == [
+            ("a", 1000, 2), ("a", 8000, 2), ("a", 64000, 1), ("b", 1000, 1),
+            ("b", 8000, 1), ("c", 1000, 1), ("c", 8000, 1)]
+        assert summary["cells"][0]["mean_excess_risk"] == pytest.approx(0.2)
+        assert list(summary["slopes"]) == ["a"]
+        assert summary["slopes"]["a"] == harness.fit_loglog_slope([1000, 8000], [0.2, 0.025])
+        assert summary["slopes"]["a"]["slope"] == pytest.approx(-1.0, abs=1e-12)

@@ -195,23 +195,34 @@ class TestCache:
         c = cached_solve(L2Ball(1.0, 4), SQ, data)
         assert a is not c
 
-    def test_default_named_custom_losses_do_not_share_entries(self, rng):
+    def test_custom_loss_is_solved_uncached(self, rng, monkeypatch):
         # Each custom loss is a squared error against shifted targets; all
         # carry the default name.  Each is built, solved and dropped in
         # turn, so a cache keyed by name or by a reusable id would hand a
-        # later loss an earlier loss's optimum.
+        # later loss an earlier loss's optimum.  A custom loss has no key:
+        # every call solves, and no entry keeps the loss alive.
+        solves = []
+        real = oracle.solve_exact
+
+        def counting(body, loss, data):
+            solves.append(loss)
+            return real(body, loss, data)
+
+        monkeypatch.setattr(oracle, "solve_exact", counting)
         data = Dataset(X=rng.uniform(-1, 1, (40, 3)), y=rng.uniform(-1, 1, 40))
         body = L1Ball(1.0, 3)
         for shift in (0.0, 0.3, -0.6, 0.9):
             loss = shifted_squared_error(shift)
             cached = cached_solve(body, loss, data)
+            assert cached is not cached_solve(body, loss, data)
+            assert solves == [loss, loss]
             fresh = solve_exact(body, loss, data)
             assert cached.optimum_value == pytest.approx(fresh.optimum_value, rel=1e-8)
             alive = weakref.ref(loss)
             del loss, cached, fresh
+            solves.clear()
             gc.collect()
-            # The entry keeps its loss, so no later loss can take its id.
-            assert alive() is not None
+            assert alive() is None
 
     def test_body_without_a_document_is_solved_uncached(self):
         class Bare(L1Ball):

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import dperm.geometry as geometry
 import dperm.solvers as solvers
 from dperm.geometry import Box, L1Ball, L2Ball, Polytope, Simplex, body_key, gaussian_width_mc
 from dperm.harness import generate_lasso
@@ -661,7 +662,8 @@ class TestReferenceCalibration:
     @pytest.mark.parametrize("algorithm", solvers.ALGORITHMS)
     def test_resolve_defaults_matches_reference(self, data, algorithm, T, budget):
         # obj_pert takes no T or t_cap: its user_T case runs the default.
-        kw = {} if algorithm == "obj_pert" else {"T": T, "t_cap": 5000}
+        # A given T takes no t_cap: the default_T case runs under a cap.
+        kw = {} if algorithm == "obj_pert" else {"T": T} if T else {"t_cap": 5000}
         cfg = config_for(algorithm, budget=budget, **kw)
         run = resolve_defaults(cfg, data)
         ref = reference_plan(cfg, data)
@@ -785,6 +787,31 @@ class TestReportAndConfig:
         with pytest.raises(ValueError, match="obj_pert takes no t_cap"):
             config_for("obj_pert", t_cap=3)
 
+    def test_obj_pert_refuses_a_t_cap_of_the_default_value(self):
+        # The default cap was told from a given one by its value alone, so
+        # a given 10**6 was accepted.
+        with pytest.raises(ValueError, match="obj_pert takes no t_cap"):
+            config_for("obj_pert", t_cap=10 ** 6)
+
+    @pytest.mark.parametrize("algorithm", ["fw_polytope", "fw_general", "noisy_md"])
+    def test_t_cap_next_to_a_T_is_refused(self, algorithm):
+        # A given T ran verbatim: T = 50 with t_cap = 10 ran 50 steps.
+        message = "t_cap caps the default step count; it does not apply to the given T = 50"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            config_for(algorithm, T=50, t_cap=10)
+        doc = {"algorithm": algorithm, "body": L1Ball(1.0, 4).to_dict(),
+               "loss": {"kind": "squared_error"}, "budget": {"epsilon": 1.0},
+               "T": 50, "t_cap": 10}
+        if algorithm == "noisy_md":
+            doc["potential"] = {"kind": "squared_l2"}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SolverConfig.from_dict(doc)
+
+    def test_default_cap_is_a_million_steps(self, small_lasso):
+        run = resolve_defaults(config_for("fw_general", budget=NON_PRIVATE), small_lasso)
+        assert run.plan.steps == 10 ** 6
+        assert "T formula diverges in non-private mode; capped at 1000000" in run.plan.trace
+
     def test_obj_pert_refuses_a_T(self):
         # Its one minimization never read T: T = 500 ran as plan.steps = 1.
         with pytest.raises(ValueError, match="obj_pert takes no T"):
@@ -824,7 +851,7 @@ class TestBlockNoise:
         # 500 bytes hold 5 Gaussian rows (p = 12) or 2 Laplace rows (24
         # vertices), so 22 steps cross several blocks and end in a short one.
         if block_bytes is not None:
-            monkeypatch.setattr(solvers, "NOISE_BLOCK_BYTES", block_bytes)
+            monkeypatch.setattr(geometry, "NOISE_BLOCK_BYTES", block_bytes)
         potential = SquaredL2() if algorithm == "noisy_md" else None
         for seed in (0, 1, 2):
             cfg = SolverConfig(algorithm=algorithm, body=L1Ball(1.0, 12), loss=SQ,
