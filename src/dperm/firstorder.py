@@ -29,7 +29,9 @@ improved for ``STALL_CHECKS`` checks, or whose step falls below
 
 The loop steps over the body's iterate space (``ConvexBody.iterate_space``):
 the body itself, or for a ``Polytope`` its projectable simplex of vertex
-coefficients.  f, its gradient and the gap are taken in ambient space.
+coefficients.  f, its gradient and the gap are taken in ambient space.  The
+result carries both the point and the iterate it came from, so a caller can
+check the iterate on the simplex instead of the point on the polytope.
 """
 
 from __future__ import annotations
@@ -48,21 +50,25 @@ MIN_STEP = 1e-18
 
 class Certified(NamedTuple):
     """A certified minimizer: ``gap`` is its Frank-Wolfe gap; ``value`` is
-    f(x) when f's value was given, else None."""
+    f(x) when f's value was given, else None; ``iterate`` is the iterate
+    that x is the point of (x itself, or on a polytope its vertex
+    coefficients)."""
 
     x: np.ndarray
     gap: float
     value: Optional[float]
     iterations: int
+    iterate: np.ndarray
 
 
 class NotCertifiedError(RuntimeError):
-    """A run that could not certify, with its best-gap iterate."""
+    """A run that could not certify, with its best-gap point x and the
+    iterate it is the point of, as in ``Certified``."""
 
     def __init__(self, reason: str, x: np.ndarray, gap: float, target: float,
-                 iterations: int, value: Optional[float]):
+                 iterations: int, value: Optional[float], iterate: np.ndarray):
         self.x, self.gap, self.target = x, gap, target
-        self.iterations, self.value = iterations, value
+        self.iterations, self.value, self.iterate = iterations, value, iterate
         best = "" if value is None else f" (best value {value:.17g})"
         super().__init__(
             f"first-order solve did not certify optimality ({reason}): best gap {gap:.3e} "
@@ -96,7 +102,7 @@ def minimize(body: ConvexBody, fgrad: Callable[[np.ndarray], np.ndarray], tol: f
 
     def not_certified(reason: str) -> NotCertifiedError:
         return NotCertifiedError(reason, point_of(best_x), best_gap, best_target, it,
-                                 best_value)
+                                 best_value, best_x)
 
     z = x.copy()
     gz = None  # grad f(z) once known
@@ -111,7 +117,7 @@ def minimize(body: ConvexBody, fgrad: Callable[[np.ndarray], np.ndarray], tol: f
             fx = None if fval is None else fval(point_of(x))
             target = tol if fx is None else tol * (1.0 + abs(fx))
             if gap <= target:
-                return Certified(point_of(x), gap, fx, it)
+                return Certified(point_of(x), gap, fx, it, x)
             if gap < best_gap:
                 best_x, best_gap, best_target, best_value = x, gap, target, fx
                 stale_checks = 0

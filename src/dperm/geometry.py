@@ -361,6 +361,10 @@ class Polytope(ConvexBody):
     n_vertices = property(lambda self: self.vertex_array.shape[0])
 
     def contains(self, x) -> bool:
+        """Whether x is in the hull, by a linear program (scipy's HiGHS,
+        imported here, the package's one use of scipy).  It is for points
+        from outside a run: a run on a polytope is checked on its vertex
+        coefficients (``solvers.run_solver``)."""
         from scipy.optimize import linprog
 
         x = _as_vector(x, self.dimension)

@@ -13,7 +13,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -109,7 +109,9 @@ class ExperimentSpec:
     The dataset document is a ``path`` (with an optional ``lasso_profile``)
     or a ``generator``; either is read here, once, and a solver document
     may not carry a ``lasso_profile`` of its own, nor a ``seed`` (each cell
-    runs one of ``seeds``).  An unknown key in any of them, a missing
+    runs one of ``seeds``).  Each solver document is built into its
+    ``SolverConfig`` here, once, so a document that cannot run is refused
+    before any data is made.  An unknown key in any of them, a missing
     generator, a value out of range or a solver id, n or seed used twice
     raises ``ValueError``.
     """
@@ -170,6 +172,12 @@ class ExperimentSpec:
             if "seed" in doc:
                 raise ValueError(f"solver config {doc['id']!r} has a 'seed' key; "
                                  "a sweep runs each of its seeds")
+        self._configs = []
+        for doc in self.solvers:
+            try:
+                self._configs.append(SolverConfig.from_dict(doc))
+            except ValueError as exc:
+                raise ValueError(f"solver config {doc['id']!r}: {exc}") from exc
 
     @classmethod
     def from_json(cls, path) -> "ExperimentSpec":
@@ -217,10 +225,10 @@ def score_cell(cfg: SolverConfig, data: Dataset) -> SolverReport:
     return report
 
 
-def _run_cell(doc: dict, data: Dataset, n: int, seed: int) -> RiskRecord:
-    report = score_cell(SolverConfig.from_dict({**doc, "seed": seed}), data)
+def _run_cell(solver: str, cfg: SolverConfig, data: Dataset, n: int, seed: int) -> RiskRecord:
+    report = score_cell(replace(cfg, seed=seed), data)
     return RiskRecord(
-        solver=doc["id"], n=n, seed=seed, excess_risk=report.excess_risk,
+        solver=solver, n=n, seed=seed, excess_risk=report.excess_risk,
         optimum=report.optimum, T=report.iterations,
         sigma=report.noise_plan.sigma,
         laplace_scale=report.noise_plan.laplace_scale,
@@ -237,11 +245,11 @@ def run_sweep(spec: ExperimentSpec) -> tuple[list[RiskRecord], list[dict]]:
     datasets = _datasets_for(spec, sorted(set(spec.n_sweep)))
     records: list[RiskRecord] = []
     failures: list[dict] = []
-    for doc in spec.solvers:
+    for doc, cfg in zip(spec.solvers, spec._configs):
         for n in spec.n_sweep:
             for seed in spec.seeds:
                 try:
-                    records.append(_run_cell(doc, datasets[n], n, seed))
+                    records.append(_run_cell(doc["id"], cfg, datasets[n], n, seed))
                 except Exception as exc:  # noqa: BLE001 - per-cell isolation is the contract
                     failures.append({"solver": doc["id"], "n": n, "seed": seed,
                                      "error": str(exc)})

@@ -12,13 +12,19 @@ polytope's coefficient simplex, any other body itself).
 
 The grouped steps act on the ball's zero-padded blocks (``GroupedL1Ball.blocks``).
 The q-norm and grouped prox steps find their scalar multiplier with
-Brent's method (``scipy.optimize.brentq``, imported on first call) on a
-bracket that holds the root, to ``ROOT_RTOL`` relative precision.
+Brent's method on a bracket that holds the root, to ``ROOT_RTOL`` relative
+precision.  ``_brent`` is that method, step for step as
+``scipy.optimize.brentq`` takes it, in Python: no module here imports
+scipy.  Each evaluation of a multiplier equation reads only its active
+terms: for the q-norm step the prefix of its sorted coefficients below the
+multiplier, for the grouped step the blocks whose norm exceeds it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from typing import Callable
 
 import numpy as np
 
@@ -37,11 +43,65 @@ from .geometry import (
 
 ENTROPY_FLOOR = 1e-12
 
-# brentq's tolerances for the prox multipliers: its own floor on the relative
-# tolerance, and an absolute one below any multiplier scale, so the root is
-# found to relative precision wherever it lies.
-ROOT_RTOL = 4.0 * np.finfo(float).eps
+# Brent's tolerances for the prox multipliers: brentq's own floor on the
+# relative tolerance, and an absolute one below any multiplier scale, so the
+# root is found to relative precision wherever it lies.  Python floats, so
+# that ``_brent`` does its arithmetic on Python floats.
+ROOT_RTOL = 4.0 * sys.float_info.epsilon
 ROOT_XTOL = 1e-300
+# brentq's default iteration limit.
+ROOT_MAXITER = 100
+
+
+def _brent(f: Callable[[float], float], a: float, b: float, fa: float, fb: float) -> float:
+    """A root of f in [a, b] by Brent's method, given fa = f(a) and fb = f(b)
+    of opposite signs; ``ValueError`` if they are not.
+
+    The steps and the stopping rule |step| < (ROOT_XTOL + ROOT_RTOL |x|)/2
+    are those of ``scipy.optimize.brentq`` (its ``brentq.c``), so on the
+    same f and bracket it returns the same float.  ``RuntimeError`` after
+    ``ROOT_MAXITER`` evaluations.
+    """
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    if not (fa < 0.0 < fb or fb < 0.0 < fa):
+        raise ValueError(f"f(a) = {fa!r} and f(b) = {fb!r} do not bracket a root")
+    xpre, xcur, fpre, fcur = a, b, fa, fb
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(ROOT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (ROOT_XTOL + ROOT_RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = f(xcur)
+    raise RuntimeError(f"Brent's method did not converge in {ROOT_MAXITER} evaluations; "
+                       f"last x = {xcur!r}")
 
 
 class Potential:
@@ -115,19 +175,22 @@ class NegativeEntropy(Potential):
 
     def _floored(self, x) -> np.ndarray:
         v = np.asarray(x, dtype=float)
-        if np.any(v < -1e-8):
+        if v.min() < -1e-8:
             raise ValueError("entropy potential requires (near-)nonnegative input")
         return np.maximum(v, ENTROPY_FLOOR)
 
     def mirror_step(self, body: ConvexBody, x_t, g, eta: float) -> np.ndarray:
         x_t, g = self._step_args(x_t, g, eta)
-        x_t = self._floored(x_t)
-        # Multiplicative-weights update, stabilized against overflow.
-        z = np.log(x_t) - eta * g
+        # Multiplicative-weights update, stabilized against overflow, in place.
+        z = self._floored(x_t)
+        np.log(z, out=z)
+        z -= eta * g
         z -= z.max()
-        w = np.exp(z)
-        w = np.maximum(w / w.sum(), ENTROPY_FLOOR)
-        return w / w.sum()
+        np.exp(z, out=z)
+        z /= z.sum()
+        np.maximum(z, ENTROPY_FLOOR, out=z)
+        z /= z.sum()
+        return z
 
     def natural_q(self, body: ConvexBody) -> ConvexBody:
         if not isinstance(body, Simplex):
@@ -170,35 +233,34 @@ class PolytopeQNorm(Potential):
 
         Stationarity gives a_i = K (lam - c_i)_+^(1/(q-1)); the simplex
         multiplier lam solves the scalar equation
-        2(q-1) ||b(lam)||_q^(q-2) sum b(lam) = 1, bracketed and solved by
-        Brent's method to machine precision, after which a = b / sum b.
+        2(q-1) ||b(lam)||_q^(q-2) sum b(lam) = 1, bracketed by doubling and
+        solved by ``_brent`` to machine precision, after which a = b / sum b.
+        c is sorted once, so an evaluation forms b only on the active
+        prefix c_i < lam, and takes ||b||_q^q as b . (lam - c), since
+        b^(q-1) = lam - c there.
         """
-        from scipy.optimize import brentq
-
         x_t, g = self._step_args(x_t, g, eta)
         c = eta * g - self.grad(body, x_t)
         q = default_q_exponent(body.dimension)
-        expo = 1.0 / (q - 1.0)
+        expo, power, factor = 1.0 / (q - 1.0), (q - 2.0) / q, 2.0 * (q - 1.0)
+        cs = np.sort(c)
 
-        def beta(lam: float) -> np.ndarray:
-            return np.maximum(lam - c, 0.0) ** expo
-
-        def gee(lam: float) -> float:
-            b = beta(lam)
-            total = b.sum()
+        def excess(lam: float) -> float:
+            # 2(q-1) (sum b^q)^((q-2)/q) sum b - 1 over the active prefix.
+            d = lam - cs[:cs.searchsorted(lam)]
+            b = d ** expo
+            total = float(b.sum())
             if total == 0.0:
-                return 0.0
-            nq = float(np.sum(b ** q)) ** (1.0 / q)
-            return 2.0 * (q - 1.0) * nq ** (q - 2.0) * total
+                return -1.0
+            return factor * float(b @ d) ** power * total - 1.0
 
-        # gee(min c) = 0; double the bracket until gee reaches 1.
-        lo = float(c.min())
-        span = max(float(c.max() - c.min()), 1.0)
-        hi = lo + span
-        while gee(hi) < 1.0:
+        # The equation reads -1 at lam = min c; double the bracket until it
+        # reaches 0.
+        lo = float(cs[0])
+        hi = lo + max(float(cs[-1] - cs[0]), 1.0)
+        while (f_hi := excess(hi)) < 0.0:
             hi = lo + 2.0 * (hi - lo)
-        b = beta(brentq(lambda lam: gee(lam) - 1.0, lo, hi,
-                        xtol=ROOT_XTOL, rtol=ROOT_RTOL))
+        b = np.maximum(_brent(excess, lo, hi, -1.0, f_hi) - c, 0.0) ** expo
         return b / b.sum()
 
     def natural_q(self, body: ConvexBody) -> ConvexBody:
@@ -233,12 +295,15 @@ class GroupedL1(Potential):
     ``grouped_exponents(ball)``."""
 
     def grad(self, body: GroupedL1Ball, x) -> np.ndarray:
+        return body.unblock(self._grad_blocks(body, body.blocks(x)))
+
+    def _grad_blocks(self, body: GroupedL1Ball, B: np.ndarray) -> np.ndarray:
+        """grad Psi in blocks, from the blocks B of x."""
         M, xi = grouped_exponents(body)
-        B = body.blocks(x)
-        nrm = np.linalg.norm(B, axis=-1)
+        nrm = np.sqrt((B * B).sum(-1))
         # ||x_j||^(M-2) on the nonzero blocks; a zero block's gradient is 0.
         scale = np.power(nrm, M - 2.0, out=np.zeros_like(nrm), where=nrm > 0.0)
-        return body.unblock((scale / xi)[:, None] * B)
+        return (scale / xi)[:, None] * B
 
     def mirror_step(self, body: GroupedL1Ball, x_t, g, eta: float) -> np.ndarray:
         """Exact prox step: the objective is block-separable given block norms.
@@ -246,26 +311,29 @@ class GroupedL1(Potential):
         With c = eta*g - grad Psi(x_t), each block's optimal direction is
         -c_j/||c_j|| and the block norms solve a one-dimensional dual
         problem: t_j(lam) = (xi (||c_j|| - lam)_+)^(1/(M-1)), with lam
-        found by Brent's method so the norms sum to the radius (lam = 0 if
-        already inside).
+        found by ``_brent`` so the norms sum to the radius (lam = 0 if
+        already inside).  c is formed in blocks.  Only the active blocks
+        enter the root's equation, as Python floats: a grouped ball has a
+        handful of blocks.
         """
-        from scipy.optimize import brentq
-
         x_t, g = self._step_args(x_t, g, eta)
-        C = body.blocks(eta * g - self.grad(body, x_t))
-        a = np.linalg.norm(C, axis=-1)
+        C = body.blocks(eta * g) - self._grad_blocks(body, body.blocks(x_t))
+        a = np.sqrt((C * C).sum(-1))
         M, xi = grouped_exponents(body)
         expo = 1.0 / (M - 1.0)
-
-        def norms_at(lam: float) -> np.ndarray:
-            return (xi * np.maximum(a - lam, 0.0)) ** expo
-
         r = body.radius
-        t = norms_at(0.0)
-        if t.sum() > r:
+        t = (xi * a) ** expo
+        total = float(t.sum())
+        if total > r:
+            norms = a.tolist()
+
+            def excess(lam: float) -> float:
+                # sum_j t_j(lam) - r over the active blocks, ||c_j|| > lam.
+                return sum([(xi * (aj - lam)) ** expo for aj in norms if aj > lam]) - r
+
             # The norms vanish at lam = max_j ||c_j||, which brackets the root.
-            t = norms_at(brentq(lambda lam: norms_at(lam).sum() - r, 0.0, float(a.max()),
-                                xtol=ROOT_XTOL, rtol=ROOT_RTOL))
+            lam = _brent(excess, 0.0, max(norms), total - r, -r)
+            t = (xi * np.maximum(a - lam, 0.0)) ** expo
         # t_j > 0 implies ||c_j|| > 0; the other blocks step to 0.
         scale = np.divide(t, a, out=np.zeros_like(a), where=t > 0.0)
         return body.unblock(-scale[:, None] * C)

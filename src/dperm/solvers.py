@@ -5,7 +5,9 @@ calibration and a loop.  The calibration (``resolve_defaults``) reads the
 algorithm's constants, resolves its step count, sets its noise scale and
 its step, and logs each in the ``NoisePlan`` trace.  The loop is a
 generator that yields the iterates it visits and returns (theta_priv,
-iterations, extras):
+iterations, extras, iterate), where ``iterate`` is theta_priv in the
+body's iterate space (``ConvexBody.iterate_space``), or None where the
+loop keeps no such form:
 
 - mirror descent (``noisy_md``, ``strongly_convex_md``): T-1 prox steps on
   Gaussian-noised gradients over the body's iterate space
@@ -19,6 +21,14 @@ iterations, extras):
   target, the vertex with the report-noisy-min score for ``fw_polytope``
   and the LMO of the Gaussian-noised gradient for ``fw_general``, yielding
   theta_1 ... theta_T and returning theta_T.
+
+Feasibility is decided on the iterate: ``run_solver`` checks it on the
+iterate body.  A run on a ``Polytope`` ends at V^T a with a on the
+coefficient simplex (mirror descent's average, objective perturbation's
+minimizer, ``fw_polytope``'s vertex ledger), so its check is the O(k)
+``Simplex.contains(a)``, not the linear program of ``Polytope.contains``.
+Only ``fw_general`` keeps no coefficients (its LMO returns points), and a
+run of it on a polytope is checked by that program.
 
 Every run is deterministic given (config, data, seed): noise injection
 is the only stochastic element, and the zero-scale samplers leave the
@@ -373,7 +383,8 @@ def _calibrate_fw_general(cfg: SolverConfig, data: Dataset) -> ResolvedRun:
 
 # ---------------------------------------------------------------------------
 # Loops: each is a generator that yields the iterates it visits, arrays that
-# no later step writes into, and returns (theta_priv, iterations, extras).
+# no later step writes into, and returns (theta_priv, iterations, extras,
+# iterate): theta_priv in the iterate space, or None.
 # Each binds the loss gradient to the data once (``LossSpec.bound_grad``),
 # so a step pays for the gradient's arithmetic only, not for the data checks
 # and the statistics lookups.
@@ -401,7 +412,8 @@ def _mirror_descent(cfg: SolverConfig, data: Dataset, run: ResolvedRun, rng):
         x = pot.mirror_step(it_body, x, pullback(g), run.step(t + 1))
         acc += x
     yield point_of(x)
-    return point_of(acc / T), T, {}
+    mean = acc / T
+    return point_of(mean), T, {}, mean
 
 
 def _objective_perturbation(cfg: SolverConfig, data: Dataset, run: ResolvedRun, rng):
@@ -417,23 +429,26 @@ def _objective_perturbation(cfg: SolverConfig, data: Dataset, run: ResolvedRun, 
 
     try:
         sol = minimize(cfg.body, fgrad, OBJPERT_INNER_TOL)
-        theta, gap, iters, converged = sol.x, sol.gap, sol.iterations, True
+        theta, iterate, gap, iters, converged = sol.x, sol.iterate, sol.gap, sol.iterations, True
     except NotCertifiedError as exc:
-        theta, gap, iters, converged = exc.x, exc.gap, exc.iterations, False
+        theta, iterate, gap, iters, converged = exc.x, exc.iterate, exc.gap, exc.iterations, False
         warnings.warn(
             f"objective-perturbation inner solve stopped at gap {gap:.3e} "
             f"after {iters} iterations; returning the best iterate",
             stacklevel=4,  # past this loop, ``_drain`` and ``run_solver``
         )
     yield theta
-    return theta, iters, {"inner_converged": converged, "inner_gap": gap}
+    return theta, iters, {"inner_converged": converged, "inner_gap": gap}, iterate
 
 
 def _frank_wolfe(cfg: SolverConfig, data: Dataset, run: ResolvedRun, rng):
     # theta_T after exactly T-1 steps, step t moving mu_t toward a private
     # target.  For fw_polytope the output is a convex combination of the start
-    # point and at most T-1 picked vertices; that ledger is replayed.
+    # point and at most T-1 picked vertices; that ledger is replayed.  On a
+    # polytope the start is the vertex mean, so the ledger gives theta's
+    # vertex coefficients; fw_general keeps none there.
     T, mu = run.plan.steps, run.step
+    on_polytope = cfg.body.iterate_space()[0] is not cfg.body
     if cfg.algorithm == "fw_polytope":
         k = cfg.body.n_vertices
         noise = chain.from_iterable(noise_blocks(
@@ -459,7 +474,7 @@ def _frank_wolfe(cfg: SolverConfig, data: Dataset, run: ResolvedRun, rng):
         theta = (1.0 - mu(t)) * theta + mu(t) * target(grad(theta), z)
         yield theta
     if cfg.algorithm != "fw_polytope":
-        return theta, T, {}
+        return theta, T, {}, None if on_polytope else theta
 
     # Slot k of the ledger is the start point; the keys are the start, then
     # the vertices in the order they were first picked.
@@ -473,7 +488,7 @@ def _frank_wolfe(cfg: SolverConfig, data: Dataset, run: ResolvedRun, rng):
     return theta, T, {
         "vertex_weights": ledger,
         "support_size": sum(1 for v in ledger.values() if v > 0),
-    }
+    }, (w[:k] + w[k] / k) if on_polytope else theta
 
 
 # Each algorithm's calibration and loop.
@@ -500,19 +515,28 @@ def run_solver(cfg: SolverConfig, data: Dataset) -> SolverReport:
     """Run the configured algorithm's loop to its end and report its output.
 
     A body/data dimension mismatch raises ``ValueError`` before any work
-    starts (``resolve_defaults`` checks it first).
+    starts (``resolve_defaults`` checks it first).  ``feasible`` is the
+    iterate body's ``contains`` of the loop's iterate: on a polytope the
+    coefficient simplex's O(k) check of theta's vertex coefficients.  Only
+    a loop that keeps no iterate (``fw_general`` on a polytope) is checked
+    by ``cfg.body.contains(theta)``.
     """
     run = resolve_defaults(cfg, data)
     rng = spawn_rng(cfg.seed, _STREAM_NOISE)
     start = time.perf_counter()
-    theta, iterations, extras = _drain(_TABLE[cfg.algorithm][1](cfg, data, run, rng))
+    theta, iterations, extras, iterate = _drain(_TABLE[cfg.algorithm][1](cfg, data, run, rng))
+    wall_time_s = time.perf_counter() - start
+    if iterate is None:
+        feasible = cfg.body.contains(theta)
+    else:
+        feasible = cfg.body.iterate_space()[0].contains(iterate)
     return SolverReport(
         algorithm=cfg.algorithm,
         theta_priv=theta,
         iterations=iterations,
         noise_plan=run.plan,
         seed=cfg.seed,
-        wall_time_s=time.perf_counter() - start,
-        feasible=cfg.body.contains(theta),
+        wall_time_s=wall_time_s,
+        feasible=feasible,
         extras=extras,
     )

@@ -9,9 +9,9 @@ gradient by a pass over the rows, the per-record loss gradient, the sampled
 curvature expression, the closed-form Gaussian widths, each algorithm's
 calibration (step count, noise scales and steps) and a coordinate-descent
 LASSO solve.
-The sort-based projections and the certified first-order loop without
-gradient reuse are the library's earlier forms, kept to check that the
-leaner ones return the same bits.
+The sort-based projections, the out-of-place entropy step and the certified
+first-order loop without gradient reuse are the library's earlier forms,
+kept to check that the leaner ones return the same bits.
 """
 
 import functools
@@ -114,6 +114,16 @@ def _entropy_floored(x) -> np.ndarray:
     if np.any(v < -1e-8):
         raise ValueError("entropy potential requires (near-)nonnegative input")
     return np.maximum(v, ENTROPY_FLOOR)
+
+
+def entropy_step_out_of_place(x_t, g, eta: float) -> np.ndarray:
+    """The negative-entropy prox step with a new array for every operation,
+    the form ``NegativeEntropy.mirror_step`` had before it worked in place."""
+    z = np.log(_entropy_floored(x_t)) - eta * np.asarray(g, dtype=float)
+    z -= z.max()
+    w = np.exp(z)
+    w = np.maximum(w / w.sum(), ENTROPY_FLOOR)
+    return w / w.sum()
 
 
 def potential_value(pot, body, x) -> float:

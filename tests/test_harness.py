@@ -95,38 +95,46 @@ class TestDimensionMismatch:
 
 
 class TestConfigDocument:
-    def test_unknown_key_fails_its_cells_by_name(self):
+    def test_unknown_key_is_refused_by_name(self):
         q_body = {"kind": "l2_ball", "radius": 1.0, "dimension": 6}
         for key, value in (("gaussian_width", 2.0), ("q_body", q_body),
                            ("step_rule", "theorem"), ("step_size", 0.1)):
             solvers = [{**lasso_configs(6)[1], key: value}]
-            records, failures = run_sweep(spec_for(6, solvers, [0, 1]))
-            assert records == [] and len(failures) == 2
-            assert all(f"unknown solver config key(s) [{key!r}]" in f["error"]
-                       for f in failures)
+            with pytest.raises(ValueError, match=rf"solver config 'fw_general': unknown "
+                                                 rf"solver config key\(s\) \[{key!r}\]"):
+                spec_for(6, solvers, [0, 1])
 
-    def test_missing_keys_fail_by_kind_and_name(self):
+    def test_missing_keys_are_refused_by_kind_and_name(self):
         base = lasso_configs(6)
         body = {k: v for k, v in base[0]["body"].items() if k != "dimension"}
-        solvers = [
-            {**base[0], "body": body},
-            {**base[2], "id": "grouped", "body": {"kind": "grouped_l1_ball", "radius": 1.0,
-                                                  "group_size": 2, "dimension": 6},
-             "potential": {"kind": "grouped_l1"}},
-            *({"id": f"no_{key}", **{k: v for k, v in base[1].items() if k not in (key, "id")}}
+        cases = [
+            ({**base[0], "body": body}, "l1_ball body document has no 'dimension' key"),
+            ({**base[2], "id": "grouped", "body": {"kind": "grouped_l1_ball", "radius": 1.0,
+                                                   "group_size": 2, "dimension": 6},
+              "potential": {"kind": "grouped_l1"}},
+             "grouped_l1 potential document has no 'group_size' key"),
+            *(({"id": f"no_{key}", **{k: v for k, v in base[1].items() if k not in (key, "id")}},
+               f"solver config document has no {key!r} key")
               for key in ("algorithm", "body", "loss", "budget")),
         ]
-        records, failures = run_sweep(spec_for(6, solvers, [0, 1]))
-        assert records == [] and len(failures) == 2 * len(solvers)
-        expected = {
-            "fw_polytope": "l1_ball body document has no 'dimension' key",
-            "grouped": "grouped_l1 potential document has no 'group_size' key",
-            "no_algorithm": "solver config document has no 'algorithm' key",
-            "no_body": "solver config document has no 'body' key",
-            "no_loss": "solver config document has no 'loss' key",
-            "no_budget": "solver config document has no 'budget' key",
-        }
-        assert {(f["solver"], f["error"]) for f in failures} == set(expected.items())
+        for doc, message in cases:
+            with pytest.raises(ValueError) as info:
+                spec_for(6, [base[3], doc], [0, 1])
+            assert str(info.value) == f"solver config {doc['id']!r}: {message}"
+
+    def test_a_config_that_cannot_run_is_refused_before_any_data(self, monkeypatch):
+        # One bad document used to fail each of its cells, after the data of
+        # every n had been generated.
+        def no_data(*args, **kwargs):
+            raise AssertionError("a dataset was generated")
+
+        monkeypatch.setattr(harness, "generate_lasso", no_data)
+        for bad in ({"algorithm": "nosuch"}, {"potential": {"kind": "squared_l2"}},
+                    {"T": 5}):
+            solvers = [lasso_configs(6)[0], {**lasso_configs(6)[3], **bad}]
+            with pytest.raises(ValueError, match=r"^solver config 'obj_pert': "):
+                ExperimentSpec(solvers=solvers, n_sweep=[200, 400], seeds=[0, 1, 2],
+                               dataset={"generator": {"p": 6}})
 
     def test_sweep_and_cli_keys_are_accepted(self):
         doc = {**lasso_configs(6)[0], "lasso_profile": True}

@@ -373,9 +373,9 @@ def test_benchmark_tracer_sees_each_vertex_lmo():
 
 
 def test_import_loads_no_scipy():
-    # ``Polytope.contains`` imports ``linprog`` and the prox steps ``brentq``
-    # when they run, so importing every module loads no scipy.  ``dperm``
-    # itself imports none of its modules.
+    # ``Polytope.contains`` imports ``linprog`` when it runs, and nothing
+    # else in the package imports scipy, so importing every module loads
+    # none.  ``dperm`` itself imports none of its modules.
     code = ("import importlib, sys\n"
             f"for name in {[path.stem for path in MODULES]!r}:\n"
             "    importlib.import_module('dperm.' + name)\n"
@@ -384,3 +384,50 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "[]"
+
+
+# One scored cell of each (algorithm, body kind, potential kind) that the
+# benchmark's workloads run, at the smallest n and the first seed of a sweep
+# that has it; prints the failures and the scipy modules then loaded.
+WORKLOAD_CELLS = """
+import sys, warnings
+sys.path.insert(0, 'perfbench')
+from workloads import WORKLOADS
+from dperm.harness import ExperimentSpec, _dataset_for, score_cell
+from dperm.solvers import SolverConfig
+
+cells = {}
+for make in WORKLOADS.values():
+    for sweep in make(7):
+        for doc in sweep['solvers']:
+            key = (doc['algorithm'], doc['body']['kind'], (doc.get('potential') or {}).get('kind'))
+            n = min(sweep['n_sweep'])
+            if key not in cells or n < cells[key][0]:
+                cells[key] = (n, doc, sweep)
+failed = []
+for key, (n, doc, sweep) in sorted(cells.items(), key=str):
+    spec = ExperimentSpec(solvers=[doc], n_sweep=[n], seeds=sweep['seeds'][:1],
+                          dataset=sweep['dataset'])
+    with warnings.catch_warnings():
+        warnings.simplefilter('ignore')  # the capped box instance warns by design
+        try:
+            score_cell(SolverConfig.from_dict({**doc, 'seed': spec.seeds[0]}),
+                       _dataset_for(spec, n))
+        except Exception as exc:
+            failed.append((key, str(exc)))
+print(len(cells), failed)
+print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
+"""
+
+
+def test_workload_cells_load_no_scipy():
+    # Mirror steps root their multipliers with the package's own Brent, and
+    # a polytope run is checked on its vertex coefficients, not by
+    # ``Polytope.contains``'s linear program: no cell a workload runs
+    # imports scipy.
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", WORKLOAD_CELLS], env=env, cwd=ROOT,
+                         capture_output=True, text=True, check=True)
+    count, modules = out.stdout.strip().splitlines()
+    assert count == "11 []"
+    assert modules == "[]"

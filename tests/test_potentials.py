@@ -13,10 +13,13 @@ from dperm.geometry import (
 )
 from dperm.losses import SquaredError
 from dperm.potentials import (
+    ROOT_RTOL,
+    ROOT_XTOL,
     GroupedL1,
     NegativeEntropy,
     PolytopeQNorm,
     SquaredL2,
+    _brent,
     default_q_exponent,
     grouped_exponents,
     potential_from_dict,
@@ -24,8 +27,8 @@ from dperm.potentials import (
 from dperm.privacy import PrivacyBudget
 from dperm.solvers import SolverConfig
 
-from reference import (block_slices, bregman, gauge, potential_grad, potential_value,
-                       sample_feasible, strong_convexity_modulus)
+from reference import (block_slices, bregman, entropy_step_out_of_place, gauge, potential_grad,
+                       potential_value, sample_feasible, strong_convexity_modulus)
 
 CROSS = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
 
@@ -275,6 +278,84 @@ class TestProxRoot:
                 norms = sum(np.linalg.norm(out[s]) for s in block_slices(p, gs))
                 assert abs(norms - body.radius) <= 1e-12 * body.radius
         assert hit == 200
+
+
+def monotone_panel(rng, count: int):
+    """(f, a, b): seeded monotone functions with a sign change on [a, b],
+    some increasing and some decreasing, smooth, kinked and steep."""
+    panel = []
+    for i in range(count):
+        r = float(rng.uniform(-5.0, 5.0))
+        a = r - float(10.0 ** rng.uniform(-3, 2))
+        b = r + float(10.0 ** rng.uniform(-3, 2))
+        kind = i % 5
+        if kind == 0:
+            c3, c1 = float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.0, 3.0))
+
+            def f(x, r=r, c3=c3, c1=c1):
+                return c3 * (x - r) ** 3 + c1 * (x - r)
+        elif kind == 1:
+            k = float(10.0 ** rng.uniform(-1, 1)) / (b - a)  # exp stays below e^10
+
+            def f(x, r=r, k=k):
+                return math.exp(k * (x - r)) - 1.0
+        elif kind == 2:
+            # The shape of the prox multipliers: a sum of powers of (x - c)_+.
+            cs = np.sort(rng.uniform(a, r, size=int(rng.integers(1, 9))))
+            e = float(rng.uniform(0.3, 3.0))
+            level = float(np.sum((r - cs) ** e))
+
+            def f(x, cs=cs, e=e, level=level):
+                return float(np.sum(np.maximum(x - cs, 0.0) ** e)) - level
+        elif kind == 3:
+            k = float(10.0 ** rng.uniform(-1, 2))
+
+            def f(x, r=r, k=k):
+                return -math.atan(k * (x - r))
+        else:
+            s = float(rng.uniform(0.1, 2.0))
+
+            def f(x, r=r, s=s):
+                return math.copysign(abs(x - r) ** s, r - x) + 1e-3 * (r - x)
+        panel.append((f, a, b))
+    return panel
+
+
+class TestBrent:
+    """``_brent`` is scipy's ``brentq`` in Python: the same float on the same
+    function and bracket.  The tests import scipy; the library does not."""
+
+    def test_same_root_as_scipy_brentq(self, rng):
+        from scipy.optimize import brentq
+
+        for f, a, b in monotone_panel(rng, 3000):
+            ours = _brent(f, a, b, f(a), f(b))
+            theirs = brentq(f, a, b, xtol=ROOT_XTOL, rtol=ROOT_RTOL)
+            assert ours == theirs, (a, b, ours, theirs)
+
+    def test_bracket_ends_that_are_roots(self):
+        def f(x):
+            return x - 1.0
+
+        assert _brent(f, 1.0, 3.0, 0.0, 2.0) == 1.0
+        assert _brent(f, -1.0, 1.0, -2.0, 0.0) == 1.0
+
+    @pytest.mark.parametrize("fa, fb", [(1.0, 2.0), (-1.0, -0.5), (math.nan, 1.0)])
+    def test_bracket_without_sign_change_raises(self, fa, fb):
+        with pytest.raises(ValueError, match="do not bracket a root"):
+            _brent(lambda x: x, 0.0, 1.0, fa, fb)
+
+
+class TestEntropyStep:
+    def test_in_place_step_gives_the_out_of_place_bits(self, rng):
+        for _ in range(500):
+            p = int(rng.integers(1, 40))
+            x = rng.dirichlet(np.full(p, float(rng.uniform(0.05, 2.0))))
+            x[rng.random(p) < 0.2] = 0.0  # the floor
+            g = rng.standard_normal(p) * 10.0 ** rng.uniform(-2, 3)
+            eta = float(10.0 ** rng.uniform(-3, 1))
+            out = NegativeEntropy().mirror_step(Simplex(p), x, g, eta)
+            assert np.array_equal(out, entropy_step_out_of_place(x, g, eta))
 
 
 class TestMaxOverDomain:
