@@ -362,9 +362,9 @@ class Polytope(ConvexBody):
 
     def contains(self, x) -> bool:
         """Whether x is in the hull, by a linear program (scipy's HiGHS,
-        imported here, the package's one use of scipy).  It is for points
-        from outside a run: a run on a polytope is checked on its vertex
-        coefficients (``solvers.run_solver``)."""
+        imported here, the package's one use of scipy).  It serves only
+        points from outside a run: every run on a polytope is checked on its
+        vertex coefficients (``solvers.run_solver``)."""
         from scipy.optimize import linprog
 
         x = _as_vector(x, self.dimension)

@@ -4,31 +4,26 @@
 calibration and a loop.  The calibration (``resolve_defaults``) reads the
 algorithm's constants, resolves its step count, sets its noise scale and
 its step, and logs each in the ``NoisePlan`` trace.  The loop is a
-generator that yields the iterates it visits and returns (theta_priv,
-iterations, extras, iterate), where ``iterate`` is theta_priv in the
-body's iterate space (``ConvexBody.iterate_space``), or None where the
-loop keeps no such form:
+generator over the body's iterate space (``ConvexBody.iterate_space``: a
+polytope's simplex of vertex coefficients, any other body itself).  It
+yields the points theta_t of the iterates it visits and returns (iterate,
+iterations, extras), where ``iterate`` is the output in the iterate space:
 
 - mirror descent (``noisy_md``, ``strongly_convex_md``): T-1 prox steps on
-  Gaussian-noised gradients over the body's iterate space
-  (``ConvexBody.iterate_space``: a polytope's simplex of vertex
-  coefficients, any other body itself), yielding theta_1 ... theta_T and
-  returning their average;
+  Gaussian-noised gradients, yielding theta_1 ... theta_T and returning
+  the average of their iterates;
 - objective perturbation (``obj_pert``): one certified minimization of
   L + (zeta/2)||theta - theta0||^2 + <b, theta> with Gaussian b, yielding
   its one output;
 - Frank-Wolfe (``fw_polytope``, ``fw_general``): T-1 steps toward a private
   target, the vertex with the report-noisy-min score for ``fw_polytope``
   and the LMO of the Gaussian-noised gradient for ``fw_general``, yielding
-  theta_1 ... theta_T and returning theta_T.
+  theta_1 ... theta_T and returning the iterate of theta_T.
 
-Feasibility is decided on the iterate: ``run_solver`` checks it on the
-iterate body.  A run on a ``Polytope`` ends at V^T a with a on the
-coefficient simplex (mirror descent's average, objective perturbation's
-minimizer, ``fw_polytope``'s vertex ledger), so its check is the O(k)
-``Simplex.contains(a)``, not the linear program of ``Polytope.contains``.
-Only ``fw_general`` keeps no coefficients (its LMO returns points), and a
-run of it on a polytope is checked by that program.
+``run_solver`` maps the iterate to theta_priv and checks feasibility on the
+iterate body, for every algorithm: on a ``Polytope`` that is the O(k)
+``Simplex.contains`` of the vertex coefficients, never the linear program
+of ``Polytope.contains``.
 
 Every run is deterministic given (config, data, seed): noise injection
 is the only stochastic element, and the zero-scale samplers leave the
@@ -382,9 +377,9 @@ def _calibrate_fw_general(cfg: SolverConfig, data: Dataset) -> ResolvedRun:
 
 
 # ---------------------------------------------------------------------------
-# Loops: each is a generator that yields the iterates it visits, arrays that
-# no later step writes into, and returns (theta_priv, iterations, extras,
-# iterate): theta_priv in the iterate space, or None.
+# Loops: each is a generator that yields the points of the iterates it
+# visits, arrays that no later step writes into, and returns (iterate,
+# iterations, extras) with the output in the iterate space.
 # Each binds the loss gradient to the data once (``LossSpec.bound_grad``),
 # so a step pays for the gradient's arithmetic only, not for the data checks
 # and the statistics lookups.
@@ -412,8 +407,7 @@ def _mirror_descent(cfg: SolverConfig, data: Dataset, run: ResolvedRun, rng):
         x = pot.mirror_step(it_body, x, pullback(g), run.step(t + 1))
         acc += x
     yield point_of(x)
-    mean = acc / T
-    return point_of(mean), T, {}, mean
+    return acc / T, T, {}
 
 
 def _objective_perturbation(cfg: SolverConfig, data: Dataset, run: ResolvedRun, rng):
@@ -438,43 +432,44 @@ def _objective_perturbation(cfg: SolverConfig, data: Dataset, run: ResolvedRun, 
             stacklevel=4,  # past this loop, ``_drain`` and ``run_solver``
         )
     yield theta
-    return theta, iters, {"inner_converged": converged, "inner_gap": gap}, iterate
+    return iterate, iters, {"inner_converged": converged, "inner_gap": gap}
 
 
 def _frank_wolfe(cfg: SolverConfig, data: Dataset, run: ResolvedRun, rng):
-    # theta_T after exactly T-1 steps, step t moving mu_t toward a private
-    # target.  For fw_polytope the output is a convex combination of the start
-    # point and at most T-1 picked vertices; that ledger is replayed.  On a
-    # polytope the start is the vertex mean, so the ledger gives theta's
-    # vertex coefficients; fw_general keeps none there.
+    # x_T after exactly T-1 steps over the iterate space, step t moving mu_t
+    # toward a private target.  For fw_polytope x_T is a convex combination of
+    # the start point and at most T-1 picked vertices; that ledger is replayed
+    # for the extras.
     T, mu = run.plan.steps, run.step
-    on_polytope = cfg.body.iterate_space()[0] is not cfg.body
+    it_body, point_of, pullback = cfg.body.iterate_space()
     if cfg.algorithm == "fw_polytope":
-        k = cfg.body.n_vertices
+        k = it_body.n_vertices
         noise = chain.from_iterable(noise_blocks(
             lambda shape: sample_laplace(run.plan.laplace_scale, rng, size=shape), T - 1, k))
         picks: list[int] = []
-        scores, vertex = cfg.body.vertex_scores, cfg.body.vertex
+        scores, vertex = it_body.vertex_scores, it_body.vertex
 
         def target(g, z):
-            idx = report_noisy_min(scores(g), z)
+            idx = report_noisy_min(scores(pullback(g)), z)
             picks.append(idx)
             return vertex(idx)
     else:
         noise = _gaussian_rows(cfg, run, rng)
-        lmo = cfg.body.lmo
+        lmo = it_body.lmo
 
         def target(g, z):
-            return lmo(g + z)
+            return lmo(pullback(g + z))
 
     grad = cfg.loss.bound_grad(data)
-    theta = cfg.body.canonical_point()
+    x = it_body.canonical_point()
+    theta = point_of(x)
     yield theta
     for t, z in enumerate(noise, 1):
-        theta = (1.0 - mu(t)) * theta + mu(t) * target(grad(theta), z)
+        x = (1.0 - mu(t)) * x + mu(t) * target(grad(theta), z)
+        theta = point_of(x)
         yield theta
     if cfg.algorithm != "fw_polytope":
-        return theta, T, {}, None if on_polytope else theta
+        return x, T, {}
 
     # Slot k of the ledger is the start point; the keys are the start, then
     # the vertices in the order they were first picked.
@@ -485,10 +480,10 @@ def _frank_wolfe(cfg: SolverConfig, data: Dataset, run: ResolvedRun, rng):
         w[idx] += mu(t)
     weights = w.tolist()
     ledger = {"start": weights[k], **{str(i): weights[i] for i in dict.fromkeys(picks)}}
-    return theta, T, {
+    return x, T, {
         "vertex_weights": ledger,
         "support_size": sum(1 for v in ledger.values() if v > 0),
-    }, (w[:k] + w[k] / k) if on_polytope else theta
+    }
 
 
 # Each algorithm's calibration and loop.
@@ -515,28 +510,23 @@ def run_solver(cfg: SolverConfig, data: Dataset) -> SolverReport:
     """Run the configured algorithm's loop to its end and report its output.
 
     A body/data dimension mismatch raises ``ValueError`` before any work
-    starts (``resolve_defaults`` checks it first).  ``feasible`` is the
-    iterate body's ``contains`` of the loop's iterate: on a polytope the
-    coefficient simplex's O(k) check of theta's vertex coefficients.  Only
-    a loop that keeps no iterate (``fw_general`` on a polytope) is checked
-    by ``cfg.body.contains(theta)``.
+    starts (``resolve_defaults`` checks it first).  ``theta_priv`` is the
+    point of the loop's iterate and ``feasible`` the iterate body's
+    ``contains`` of it: on a polytope the coefficient simplex's O(k) check.
     """
     run = resolve_defaults(cfg, data)
     rng = spawn_rng(cfg.seed, _STREAM_NOISE)
     start = time.perf_counter()
-    theta, iterations, extras, iterate = _drain(_TABLE[cfg.algorithm][1](cfg, data, run, rng))
+    iterate, iterations, extras = _drain(_TABLE[cfg.algorithm][1](cfg, data, run, rng))
     wall_time_s = time.perf_counter() - start
-    if iterate is None:
-        feasible = cfg.body.contains(theta)
-    else:
-        feasible = cfg.body.iterate_space()[0].contains(iterate)
+    it_body, point_of, _ = cfg.body.iterate_space()
     return SolverReport(
         algorithm=cfg.algorithm,
-        theta_priv=theta,
+        theta_priv=point_of(iterate),
         iterations=iterations,
         noise_plan=run.plan,
         seed=cfg.seed,
         wall_time_s=wall_time_s,
-        feasible=feasible,
+        feasible=it_body.contains(iterate),
         extras=extras,
     )

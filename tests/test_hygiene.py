@@ -373,9 +373,9 @@ def test_benchmark_tracer_sees_each_vertex_lmo():
 
 
 def test_import_loads_no_scipy():
-    # ``Polytope.contains`` imports ``linprog`` when it runs, and nothing
-    # else in the package imports scipy, so importing every module loads
-    # none.  ``dperm`` itself imports none of its modules.
+    # Only ``Polytope.contains`` imports scipy, its ``linprog``, when it runs
+    # on a point from outside a run (no run calls it), so importing every
+    # module loads none.  ``dperm`` itself imports none of its modules.
     code = ("import importlib, sys\n"
             f"for name in {[path.stem for path in MODULES]!r}:\n"
             "    importlib.import_module('dperm.' + name)\n"
@@ -388,13 +388,14 @@ def test_import_loads_no_scipy():
 
 # One scored cell of each (algorithm, body kind, potential kind) that the
 # benchmark's workloads run, at the smallest n and the first seed of a sweep
-# that has it; prints the failures and the scipy modules then loaded.
+# that has it, and of every other valid one over six bodies at p = 6; prints
+# the cell count, the failures and the scipy modules then loaded.
 WORKLOAD_CELLS = """
 import sys, warnings
 sys.path.insert(0, 'perfbench')
 from workloads import WORKLOADS
 from dperm.harness import ExperimentSpec, _dataset_for, score_cell
-from dperm.solvers import SolverConfig
+from dperm.solvers import ALGORITHMS, SolverConfig
 
 cells = {}
 for make in WORKLOADS.values():
@@ -404,6 +405,32 @@ for make in WORKLOADS.values():
             n = min(sweep['n_sweep'])
             if key not in cells or n < cells[key][0]:
                 cells[key] = (n, doc, sweep)
+p = 6
+eye = [[float(i == j) for j in range(p)] for i in range(p)]
+bodies = [{'kind': 'l2_ball', 'radius': 1.0, 'dimension': p},
+          {'kind': 'l1_ball', 'radius': 1.0, 'dimension': p},
+          {'kind': 'simplex', 'dimension': p},
+          {'kind': 'polytope', 'vertices': eye + [[-v for v in row] for row in eye]},
+          {'kind': 'grouped_l1_ball', 'radius': 1.0, 'group_size': 2, 'dimension': p},
+          {'kind': 'box', 'lo': [-1.0] * p, 'hi': [1.0] * p}]
+potentials = [{'kind': 'squared_l2'}, {'kind': 'negative_entropy'},
+              {'kind': 'polytope_q_norm'}, {'kind': 'grouped_l1', 'group_size': 2}]
+small = {'seeds': [0],
+         'dataset': {'generator': {'p': p, 'sparsity': 2, 'noise_level': 0.1, 'nonneg': True}}}
+for algorithm in ALGORITHMS:
+    for body in bodies:
+        for potential in potentials if algorithm.endswith('_md') else [None]:
+            key = (algorithm, body['kind'], (potential or {}).get('kind'))
+            ridge = 0.5 if algorithm == 'strongly_convex_md' else 0.0
+            doc = {'id': '_'.join(map(str, key)), 'algorithm': algorithm, 'body': body,
+                   'potential': potential, 'loss': {'kind': 'squared_error', 'ridge': ridge},
+                   'budget': {'epsilon': 1.0, 'delta': 1e-6},
+                   **({} if algorithm == 'obj_pert' else {'T': 30})}
+            try:
+                SolverConfig.from_dict(doc)
+            except ValueError:
+                continue  # not a valid pair
+            cells.setdefault(key, (200, doc, small))
 failed = []
 for key, (n, doc, sweep) in sorted(cells.items(), key=str):
     spec = ExperimentSpec(solvers=[doc], n_sweep=[n], seeds=sweep['seeds'][:1],
@@ -422,12 +449,12 @@ print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
 
 def test_workload_cells_load_no_scipy():
     # Mirror steps root their multipliers with the package's own Brent, and
-    # a polytope run is checked on its vertex coefficients, not by
-    # ``Polytope.contains``'s linear program: no cell a workload runs
-    # imports scipy.
+    # every run on a polytope, of any algorithm, is checked on its vertex
+    # coefficients, not by ``Polytope.contains``'s linear program: no valid
+    # cell imports scipy.
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     out = subprocess.run([sys.executable, "-c", WORKLOAD_CELLS], env=env, cwd=ROOT,
                          capture_output=True, text=True, check=True)
     count, modules = out.stdout.strip().splitlines()
-    assert count == "11 []"
+    assert count == "31 []"
     assert modules == "[]"

@@ -43,7 +43,8 @@ def step_loop(cfg, data, run=None):
 
 def drive(cfg, data, run=None):
     """Run ``step_loop(cfg, data, run)`` to its end.  Returns the iterates it
-    yielded and what it returned, (theta_priv, iterations, extras, iterate)."""
+    yielded and what it returned, (iterate, iterations, extras): on a body
+    other than a polytope the iterate is theta itself."""
     loop = step_loop(cfg, data, run)
     iterates = []
     while True:
@@ -275,7 +276,7 @@ class TestNoisyMirrorDescent:
         cfg = SolverConfig(algorithm="noisy_md", body=L1Ball(1.0, 12), loss=SQ,
                            budget=PrivacyBudget(1.0, 1e-6), potential=SquaredL2(),
                            T=25, seed=4)
-        iterates, (theta, _, _, _) = drive(cfg, small_lasso)
+        iterates, (theta, _, _) = drive(cfg, small_lasso)
         iterates = np.array(iterates)
         assert iterates.shape[0] == 25
         assert np.abs(np.mean(iterates, axis=0) - theta).max() <= 1e-12
@@ -285,7 +286,7 @@ class TestNoisyMirrorDescent:
         cfg = SolverConfig(algorithm="noisy_md", body=body, loss=SQ,
                            budget=PrivacyBudget(1.0, 1e-6),
                            potential=NegativeEntropy(), T=30, seed=8)
-        iterates, (theta_priv, _, _, _) = drive(cfg, small_lasso)
+        iterates, (theta_priv, _, _) = drive(cfg, small_lasso)
         for theta in iterates:
             assert body.contains(theta)
         assert body.contains(theta_priv)
@@ -829,7 +830,7 @@ class TestReportAndConfig:
     def test_record_iterates_keeps_the_step_iterates(self, small_lasso, algorithm):
         # The loops yield their iterates; the report keeps none of them.
         cfg = config_for(algorithm, T=0 if algorithm == "obj_pert" else 7, seed=2)
-        iterates, (theta, iterations, _, _) = drive(cfg, small_lasso)
+        iterates, (theta, iterations, _) = drive(cfg, small_lasso)
         assert "iterates" not in run_solver(cfg, small_lasso).extras
         if algorithm == "obj_pert":
             assert len(iterates) == 1 and iterates[0] is theta
@@ -856,7 +857,7 @@ class TestBlockNoise:
         for seed in (0, 1, 2):
             cfg = SolverConfig(algorithm=algorithm, body=L1Ball(1.0, 12), loss=SQ,
                                budget=budget, potential=potential, T=23, seed=seed)
-            got, (theta_priv, _, extras, _) = drive(cfg, small_lasso)
+            got, (theta_priv, _, extras) = drive(cfg, small_lasso)
             theta, iterates, weights = reference_step_loop(cfg, small_lasso)
             assert np.array_equal(theta_priv, theta)
             assert np.array_equal(run_solver(cfg, small_lasso).theta_priv, theta)
@@ -914,21 +915,23 @@ class TestStatisticsBoundOncePerRun:
 
         monkeypatch.setattr(Dataset, "gram", counting_gram)
         monkeypatch.setattr(Dataset, "_memo", counting_memo)
-        _, (theta, iterations, _, _) = drive(cfg, small_lasso, run)
+        _, (theta, iterations, _) = drive(cfg, small_lasso, run)
         assert iterations == 40
         assert calls["gram"] <= 1 and calls["memo"] <= 1, calls
         assert np.array_equal(theta, run_solver(cfg, small_lasso).theta_priv)
 
 
 class TestPolytopeCertificate:
-    """A run on a polytope ends at V^T a with a on the coefficient simplex,
-    and ``run_solver`` checks a there, in O(k), instead of solving
-    ``Polytope.contains``'s linear program for theta."""
+    """Every loop on a polytope returns its vertex coefficients a on the
+    coefficient simplex; ``run_solver`` reports theta = V^T a and checks a
+    there, in O(k), and no run solves ``Polytope.contains``'s linear
+    program."""
 
     BODY = HALF_CROSS_12
     RUNS = {
         "noisy_md": {"potential": PolytopeQNorm(), "T": 30},
         "fw_polytope": {"T": 30},
+        "fw_general": {"T": 30},
         "obj_pert": {},
     }
 
@@ -959,9 +962,10 @@ class TestPolytopeCertificate:
 
     @pytest.mark.parametrize("algorithm", sorted(RUNS))
     def test_coefficients_give_the_output(self, small_lasso, algorithm):
-        theta, _, _, a = drive(self.config(algorithm), small_lasso)[1]
+        a = drive(self.config(algorithm), small_lasso)[1][0]
+        theta = run_solver(self.config(algorithm), small_lasso).theta_priv
         assert Simplex(self.BODY.n_vertices).contains(a)
-        assert np.abs(self.BODY.vertex_array.T @ a - theta).max() <= 1e-12
+        assert np.array_equal(self.BODY.vertex_array.T @ a, theta)
 
     @pytest.mark.parametrize("algorithm", sorted(RUNS))
     def test_coefficients_off_the_simplex_read_infeasible(self, small_lasso, monkeypatch,
@@ -969,16 +973,8 @@ class TestPolytopeCertificate:
         calibrate, loop = solvers._TABLE[algorithm]
 
         def pushed(*args):
-            theta, iterations, extras, a = yield from loop(*args)
-            return theta, iterations, extras, a + 1e-6  # sums to 1 + 2.4e-5
+            a, iterations, extras = yield from loop(*args)
+            return a + 1e-6, iterations, extras  # sums to 1 + 2.4e-5
 
         monkeypatch.setitem(solvers._TABLE, algorithm, (calibrate, pushed))
         assert run_solver(self.config(algorithm), small_lasso).feasible is False
-
-    def test_fw_general_keeps_the_linear_program(self, small_lasso, linprog_calls):
-        # Its LMO returns points, not vertex indices, so it has no coefficients.
-        cfg = SolverConfig(algorithm="fw_general", body=self.BODY, loss=SQ,
-                           budget=PrivacyBudget(1.0, 1e-6), T=30, seed=2)
-        assert drive(cfg, small_lasso)[1][3] is None
-        assert run_solver(cfg, small_lasso).feasible is True
-        assert len(linprog_calls) == 1
