@@ -98,7 +98,7 @@ def minimize(body: ConvexBody, fgrad: Callable[[np.ndarray], np.ndarray], tol: f
         # is rounding at an optimum on the boundary.
         pt = point_of(u)
         g = fgrad(pt)
-        return max(float(g @ (pt - body.lmo(g))), 0.0)
+        return max(float(g.dot(pt - body.lmo(g))), 0.0)
 
     def not_certified(reason: str) -> NotCertifiedError:
         return NotCertifiedError(reason, point_of(best_x), best_gap, best_target, it,
@@ -132,18 +132,21 @@ def minimize(body: ConvexBody, fgrad: Callable[[np.ndarray], np.ndarray], tol: f
             x_new = run_body.euclidean_project(z - step * gz)
             diff = x_new - z
             g_new = run_grad(x_new)
-            if float((g_new - gz) @ diff) <= float(diff @ diff) / (2 * step):
+            if float((g_new - gz).dot(diff)) <= float(diff.dot(diff)) / (2 * step):
                 break
             step *= 0.5
             if step < MIN_STEP:
                 raise not_certified("step search underflow")
-        if float((z - x_new) @ (x_new - x)) > 0:  # gradient restart
+        dx = x_new - x
+        # (z - x+) . dx > 0, as (x+ - z) . dx < 0: the factor's sign flips
+        # the exact dot product, so the test keeps its bits.
+        if float(diff.dot(dx)) < 0:  # gradient restart
             z, gz = x_new, g_new
             t_mom = 1.0
         else:
             t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_mom * t_mom))
             # Projected so that gradients are only taken at feasible points.
-            z = run_body.euclidean_project(x_new + ((t_mom - 1.0) / t_new) * (x_new - x))
+            z = run_body.euclidean_project(x_new + ((t_mom - 1.0) / t_new) * dx)
             gz = None
             t_mom = t_new
         x = x_new

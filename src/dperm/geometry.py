@@ -12,7 +12,9 @@ solvers' step noise, into blocks of at most ``NOISE_BLOCK_BYTES``.
 
 A quantity of the public body alone (its Gaussian width) is computed once
 per process by ``memo_by_body``, keyed by ``body_key``, the sorted JSON of
-``body.to_dict()``.  Only the six built-in body types, exactly, have a key:
+``body.to_dict()``, built once per body: a built-in body cannot change, as
+the arrays of a ``Box`` and a ``Polytope`` are read-only copies of the
+arrays given.  Only the six built-in body types, exactly, have a key:
 any other body, a subclass of a built-in one among them, is computed every
 time.  The same rule keys the per-dataset statistics of ``losses`` and
 ``oracle`` that also depend on a body.
@@ -70,13 +72,19 @@ def _identity(x):
     return x
 
 
-def _vertex_lmo(body: ConvexBody, direction) -> np.ndarray:
-    """The LMO of a body with vertices: the vertex of least <v_i, direction>,
-    the lowest index i on ties.  Each such class binds it as its own ``lmo``,
-    which ``perfbench/spans.py`` wraps only where a class defines it."""
+def vertex_argmin(body: ConvexBody, direction) -> int:
+    """The index i of the vertex of least <v_i, direction>, the lowest on
+    ties, for a finite direction; a non-finite one raises ``ValueError``."""
     d = _as_vector(direction, body.dimension, "direction")
     _check_finite(d)
-    return body.vertex(int(body.vertex_scores(d).argmin()))
+    return int(body.vertex_scores(d).argmin())
+
+
+def _vertex_lmo(body: ConvexBody, direction) -> np.ndarray:
+    """The LMO of a body with vertices: the vertex ``vertex_argmin`` picks.
+    Each such class binds it as its own ``lmo``, which
+    ``perfbench/spans.py`` wraps only where a class defines it."""
+    return body.vertex(vertex_argmin(body, direction))
 
 
 def row_abs_max(G: np.ndarray) -> np.ndarray:
@@ -98,6 +106,12 @@ class ConvexBody:
     maxima ||C||_q.  The hull of k vertices v_0 .. v_{k-1} has ``n_vertices``
     = k (0 on other bodies), builds v_i with ``vertex(i)`` and scores all of
     them with ``vertex_scores(g)``, so no caller needs a dense (k, p) list.
+    Where every vertex has one nonzero coordinate (the l1 ball's +-r e_j,
+    the simplex's e_j, so also a polytope's coefficient simplex),
+    ``vertex_entry(i)`` gives it as the pair (j, value) and ``vertex(i)`` is
+    built from that pair.  A Frank-Wolfe step toward such a vertex is then
+    x <- (1 - mu) x followed by x_j += mu value: one scaling and one
+    coordinate, with the same bits as the dense (1 - mu) x + mu v_i.
     """
 
     dimension: int
@@ -144,7 +158,15 @@ class ConvexBody:
 
     def vertex(self, i: int) -> np.ndarray:
         """Vertex v_i as a new array, for 0 <= i < ``n_vertices``."""
-        raise ValueError(f"{type(self).__name__} has no finite vertex list")
+        j, value = self.vertex_entry(i)
+        out = np.zeros(self.dimension)
+        out[j] = value
+        return out
+
+    def vertex_entry(self, i: int) -> tuple[int, float]:
+        """(j, value) of a vertex v_i = value e_j with one nonzero coordinate."""
+        raise ValueError(f"{type(self).__name__} has no finite vertex list "
+                         "of one-coordinate vertices")
 
     def vertex_scores(self, g: np.ndarray) -> np.ndarray:
         """<v_i, g> for every i, in index order, for a finite float vector g."""
@@ -156,6 +178,10 @@ class ConvexBody:
         this body and the map of gradients at those points back to it.
         The body itself with identity maps; ``Polytope`` overrides it."""
         return self, _identity, _identity
+
+    @cached_property
+    def _doc_key(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True)
 
     # -- serialization ----------------------------------------------------
 
@@ -268,10 +294,9 @@ class L1Ball(ConvexBody):
 
     n_vertices = property(lambda self: 2 * self.dimension)
 
-    def vertex(self, i: int) -> np.ndarray:
-        out = np.zeros(self.dimension)
-        out[i % self.dimension] = self._signed_radius[i // self.dimension, 0]
-        return out
+    def vertex_entry(self, i: int) -> tuple[int, float]:
+        p = self.dimension
+        return (i, self.radius) if i < p else (i - p, -self.radius)
 
     def vertex_scores(self, g: np.ndarray) -> np.ndarray:
         # Vertices i and p + i are +r e_i and -r e_i, so the scores are
@@ -325,10 +350,8 @@ class Simplex(ConvexBody):
 
     n_vertices = property(lambda self: self.dimension)
 
-    def vertex(self, i: int) -> np.ndarray:
-        out = np.zeros(self.dimension)
-        out[i] = 1.0
-        return out
+    def vertex_entry(self, i: int) -> tuple[int, float]:
+        return i, 1.0
 
     def vertex_scores(self, g: np.ndarray) -> np.ndarray:
         # The vertices are e_1..e_p, so the scores are g itself.
@@ -340,18 +363,20 @@ class Simplex(ConvexBody):
 
 @dataclass(frozen=True, eq=False)
 class Polytope(ConvexBody):
-    """Convex hull of an explicit vertex list (V-representation only)."""
+    """Convex hull of an explicit vertex list (V-representation only), kept
+    as a read-only copy."""
 
     vertex_array: np.ndarray
 
     def __post_init__(self):
-        V = np.asarray(self.vertex_array, dtype=float)
+        V = np.array(self.vertex_array, dtype=float)
         if V.ndim != 2 or V.shape[0] < 1:
             raise ValueError("vertex list must be a (k, p) array with k >= 1")
         _check_finite(V, "vertex list")
         if V.shape[0] > MAX_POLYTOPE_VERTICES:
             raise ValueError(f"polytope has {V.shape[0]} vertices; "
                              f"more than {MAX_POLYTOPE_VERTICES} is rejected")
+        V.flags.writeable = False
         object.__setattr__(self, "vertex_array", V)
 
     @property
@@ -391,7 +416,7 @@ class Polytope(ConvexBody):
         return self.vertex_array[i].copy()
 
     def vertex_scores(self, g: np.ndarray) -> np.ndarray:
-        return self.vertex_array @ g
+        return self.vertex_array.dot(g)
 
     def dual_norms(self, G: np.ndarray) -> np.ndarray:
         return np.abs(G @ self.vertex_array.T).max(axis=1)
@@ -413,10 +438,10 @@ class Polytope(ConvexBody):
         V = self.vertex_array
 
         def point_of(a):
-            return V.T @ a
+            return V.T.dot(a)
 
         def pullback(g):
-            return V @ g
+            return V.dot(g)
 
         return Simplex(dimension=self.n_vertices), point_of, pullback
 
@@ -501,20 +526,21 @@ class GroupedL1Ball(ConvexBody):
 
 @dataclass(frozen=True, eq=False)
 class Box(ConvexBody):
-    """Axis-aligned box [lo, hi]."""
+    """Axis-aligned box [lo, hi], both kept as read-only copies."""
 
     lo: np.ndarray
     hi: np.ndarray
 
     def __post_init__(self):
-        lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
+        lo = np.atleast_1d(np.array(self.lo, dtype=float))
+        hi = np.atleast_1d(np.array(self.hi, dtype=float))
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError("lo and hi must be vectors of the same dimension")
         _check_finite(lo, "lo")
         _check_finite(hi, "hi")
         if np.any(lo > hi):
             raise ValueError("need lo <= hi componentwise")
+        lo.flags.writeable = hi.flags.writeable = False
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
@@ -569,11 +595,12 @@ class Box(ConvexBody):
 
 def body_key(body: ConvexBody) -> Optional[str]:
     """The sorted JSON of ``body.to_dict()`` for a body of one of the six
-    built-in types exactly, else None.  A subclass inherits its parent's
-    document but can compute anything, so it gets no key."""
+    built-in types exactly, else None, built on the body's first lookup.
+    A subclass inherits its parent's document but can compute anything, so
+    it gets no key."""
     if type(body) not in (L2Ball, L1Ball, Simplex, Polytope, GroupedL1Ball, Box):
         return None
-    return json.dumps(body.to_dict(), sort_keys=True)
+    return body._doc_key
 
 
 class Memo:

@@ -286,16 +286,16 @@ class SquaredError(LossSpec):
         if data.prefers_gram:
             G, b, c = data.gram()
             # The value is >= 0; the clamp removes cancellation error at f* = 0.
-            value = max(0.5 * float(theta @ (G @ theta)) - float(b @ theta) + c, 0.0)
+            value = max(0.5 * float(theta.dot(G.dot(theta))) - float(b.dot(theta)) + c, 0.0)
         else:
             r = data.X @ theta - data.y
-            value = 0.5 * float(r @ r) / data.n
-        return value + 0.5 * self.ridge * float(theta @ theta) if self.ridge else value
+            value = 0.5 * float(r.dot(r)) / data.n
+        return value + 0.5 * self.ridge * float(theta.dot(theta)) if self.ridge else value
 
     def bound_grad(self, data):
         if data.prefers_gram:
             G, b, _ = data.gram()
-            grad = lambda theta: G @ theta - b
+            grad = lambda theta: G.dot(theta) - b
         else:
             X, y, n = data.X, data.y, data.n
             grad = lambda theta: (X.T @ (X @ theta - y)) / n

@@ -252,7 +252,7 @@ class PolytopeQNorm(Potential):
             total = float(b.sum())
             if total == 0.0:
                 return -1.0
-            return factor * float(b @ d) ** power * total - 1.0
+            return factor * float(b.dot(d)) ** power * total - 1.0
 
         # The equation reads -1 at lam = min c; double the bracket until it
         # reaches 0.

@@ -18,7 +18,12 @@ iterations, extras), where ``iterate`` is the output in the iterate space:
 - Frank-Wolfe (``fw_polytope``, ``fw_general``): T-1 steps toward a private
   target, the vertex with the report-noisy-min score for ``fw_polytope``
   and the LMO of the Gaussian-noised gradient for ``fw_general``, yielding
-  theta_1 ... theta_T and returning the iterate of theta_T.
+  theta_1 ... theta_T and returning the iterate of theta_T.  Every vertex
+  of an iterate body with vertices (the l1 ball, the simplex, a polytope's
+  coefficient simplex) is value e_j (``ConvexBody.vertex_entry``), so both
+  pick a vertex index and step one coordinate: x <- (1 - mu_t) x, then
+  x_j += mu_t value.  On a body without vertices ``fw_general`` steps
+  toward the dense LMO point.
 
 ``run_solver`` maps the iterate to theta_priv and checks feasibility on the
 iterate body, for every algorithm: on a ``Polytope`` that is the O(k)
@@ -49,7 +54,8 @@ import numpy as np
 
 from .firstorder import NotCertifiedError, minimize
 from .geometry import (ConvexBody, WidthEstimate, body_from_dict, check_keys, doc_field,
-                       doc_int, gaussian_width_mc, memo_by_body, noise_blocks, symmetric_hull)
+                       doc_int, gaussian_width_mc, memo_by_body, noise_blocks, symmetric_hull,
+                       vertex_argmin)
 from .losses import Dataset, Huber, LossSpec, loss_from_dict, require_matching_dimension
 from .potentials import Potential, potential_from_dict
 from .privacy import (
@@ -437,50 +443,60 @@ def _objective_perturbation(cfg: SolverConfig, data: Dataset, run: ResolvedRun, 
 
 def _frank_wolfe(cfg: SolverConfig, data: Dataset, run: ResolvedRun, rng):
     # x_T after exactly T-1 steps over the iterate space, step t moving mu_t
-    # toward a private target.  For fw_polytope x_T is a convex combination of
-    # the start point and at most T-1 picked vertices; that ledger is replayed
-    # for the extras.
+    # toward a private target: the vertex with the least noisy score
+    # (fw_polytope) or the vertex of least <v, noisy gradient> (fw_general).
+    # Every vertex of an iterate body with vertices is value e_j, so the state
+    # s = [x (p), ledger (k vertex weights, then the start's)] takes one
+    # scaling and two entries per step.  A fresh s each step keeps every
+    # yielded iterate, a view of its s, unwritten.
     T, mu = run.plan.steps, run.step
     it_body, point_of, pullback = cfg.body.iterate_space()
+    grad = cfg.loss.bound_grad(data)
+    p, k = it_body.dimension, it_body.n_vertices
     if cfg.algorithm == "fw_polytope":
-        k = it_body.n_vertices
         noise = chain.from_iterable(noise_blocks(
             lambda shape: sample_laplace(run.plan.laplace_scale, rng, size=shape), T - 1, k))
         picks: list[int] = []
-        scores, vertex = it_body.vertex_scores, it_body.vertex
+        scores = it_body.vertex_scores
 
-        def target(g, z):
+        def pick(g, z):
             idx = report_noisy_min(scores(pullback(g)), z)
             picks.append(idx)
-            return vertex(idx)
+            return idx
     else:
         noise = _gaussian_rows(cfg, run, rng)
-        lmo = it_body.lmo
 
-        def target(g, z):
-            return lmo(pullback(g + z))
+        def pick(g, z):
+            return vertex_argmin(it_body, pullback(g + z))
 
-    grad = cfg.loss.bound_grad(data)
     x = it_body.canonical_point()
     theta = point_of(x)
     yield theta
-    for t, z in enumerate(noise, 1):
-        x = (1.0 - mu(t)) * x + mu(t) * target(grad(theta), z)
-        theta = point_of(x)
-        yield theta
-    if cfg.algorithm != "fw_polytope":
+    if not k:  # fw_general on a body without vertices: the dense LMO step
+        lmo = it_body.lmo
+        for t, z in enumerate(noise, 1):
+            x = (1.0 - mu(t)) * x + mu(t) * lmo(pullback(grad(theta) + z))
+            theta = point_of(x)
+            yield theta
         return x, T, {}
 
-    # Slot k of the ledger is the start point; the keys are the start, then
-    # the vertices in the order they were first picked.
-    w = np.zeros(k + 1)
-    w[k] = 1.0
-    for t, idx in enumerate(picks, 1):
-        w *= 1.0 - mu(t)
-        w[idx] += mu(t)
-    weights = w.tolist()
-    ledger = {"start": weights[k], **{str(i): weights[i] for i in dict.fromkeys(picks)}}
-    return x, T, {
+    entry = it_body.vertex_entry
+    s = np.concatenate((x, np.zeros(k), [1.0]))
+    for t, z in enumerate(noise, 1):
+        idx = pick(grad(theta), z)
+        j, value = entry(idx)
+        m = mu(t)
+        s = (1.0 - m) * s
+        s[j] += m * value
+        s[p + idx] += m
+        theta = point_of(s[:p])
+        yield theta
+    if cfg.algorithm != "fw_polytope":
+        return s[:p], T, {}
+    # The keys are the start, then the vertices in the order first picked.
+    w = s[p:].tolist()
+    ledger = {"start": w[k], **{str(i): w[i] for i in dict.fromkeys(picks)}}
+    return s[:p], T, {
         "vertex_weights": ledger,
         "support_size": sum(1 for v in ledger.values() if v > 0),
     }

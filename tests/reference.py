@@ -9,9 +9,10 @@ gradient by a pass over the rows, the per-record loss gradient, the sampled
 curvature expression, the closed-form Gaussian widths, each algorithm's
 calibration (step count, noise scales and steps) and a coordinate-descent
 LASSO solve.
-The sort-based projections, the out-of-place entropy step and the certified
-first-order loop without gradient reuse are the library's earlier forms,
-kept to check that the leaner ones return the same bits.
+The sort-based projections, the out-of-place entropy step, the certified
+first-order loop without gradient reuse and the Frank-Wolfe loop with dense
+vertices and a replayed ledger are the library's earlier forms, kept to
+check that the leaner ones return the same bits.
 """
 
 import functools
@@ -464,3 +465,56 @@ def minimize_without_reuse(body, fgrad, tol: float):
             t_mom = t_new
         x = x_new
         step *= 1.1
+
+
+def dense_frank_wolfe(cfg, data, run, rng):
+    """The Frank-Wolfe loop over the iterate space with a dense target: each
+    step is x <- (1 - mu_t) x + mu_t v, v a row of ``vertex_list`` of the
+    iterate body (the LMO of the noisy gradient on a body without one), and
+    the fw_polytope vertex ledger is replayed from the picks after the loop.
+
+    A generator like the library's loop: it yields theta_1 .. theta_T and
+    returns (iterate, T, extras).
+    """
+    from dperm.geometry import noise_blocks
+    from dperm.privacy import report_noisy_min, sample_gaussian_vec, sample_laplace
+
+    T, mu = run.plan.steps, run.step
+    it_body, point_of, pullback = cfg.body.iterate_space()
+    V = vertex_list(it_body) if it_body.n_vertices else None
+    if cfg.algorithm == "fw_polytope":
+        k = len(V)
+        noise = [row for block in noise_blocks(
+            lambda shape: sample_laplace(run.plan.laplace_scale, rng, size=shape), T - 1, k)
+            for row in block]
+    else:
+        noise = [row for block in noise_blocks(
+            lambda shape: sample_gaussian_vec(shape, run.plan.sigma, rng),
+            T - 1, cfg.body.dimension) for row in block]
+    picks = []
+    x = it_body.canonical_point()
+    theta = point_of(x)
+    yield theta
+    for t, z in enumerate(noise, 1):
+        g = cfg.loss.grad(theta, data)
+        if cfg.algorithm == "fw_polytope":
+            idx = report_noisy_min(V @ pullback(g), z)
+            picks.append(idx)
+            target = V[idx]
+        elif V is not None:
+            target = V[int(np.argmin(V @ pullback(g + z)))]
+        else:
+            target = it_body.lmo(pullback(g + z))
+        x = (1.0 - mu(t)) * x + mu(t) * target
+        theta = point_of(x)
+        yield theta
+    if cfg.algorithm != "fw_polytope":
+        return x, T, {}
+    w = np.zeros(k + 1)
+    w[k] = 1.0
+    for t, idx in enumerate(picks, 1):
+        w *= 1.0 - mu(t)
+        w[idx] += mu(t)
+    ledger = {"start": float(w[k]), **{str(i): float(w[i]) for i in dict.fromkeys(picks)}}
+    return x, T, {"vertex_weights": ledger,
+                  "support_size": sum(1 for v in ledger.values() if v > 0)}

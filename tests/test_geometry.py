@@ -22,6 +22,7 @@ from dperm.geometry import (
     memo_by_body,
     row_abs_max,
     symmetric_hull,
+    vertex_argmin,
 )
 
 from conftest import random_small_polytope
@@ -159,6 +160,27 @@ class TestVertexScores:
             assert np.array_equal(v, V[i])
             v += 1.0  # a new array: the body is unchanged
             assert np.array_equal(body.vertex(i), V[i])
+
+    @pytest.mark.parametrize("body", VERTEX_BODIES[:5], ids=VERTEX_BODY_IDS[:5])
+    def test_each_vertex_entry_is_the_one_nonzero_of_its_vertex(self, body):
+        V = vertex_list(body)
+        for i in range(body.n_vertices):
+            j, value = body.vertex_entry(i)
+            assert np.flatnonzero(V[i]).tolist() == [j] and V[i, j] == value
+
+    def test_a_polytope_has_no_vertex_entries(self):
+        with pytest.raises(ValueError, match="one-coordinate vertices"):
+            VERTEX_BODIES[-1].vertex_entry(0)
+
+    @pytest.mark.parametrize("body", VERTEX_BODIES, ids=VERTEX_BODY_IDS)
+    def test_vertex_argmin_refuses_a_non_finite_direction(self, body):
+        for bad in (math.nan, math.inf, -math.inf):
+            d = np.ones(body.dimension)
+            d[-1] = bad
+            with pytest.raises(ValueError, match="direction must be finite"):
+                vertex_argmin(body, d)
+        d = np.arange(body.dimension, dtype=float)
+        assert vertex_argmin(body, d) == int(np.argmin(vertex_list(body) @ d))
 
     @pytest.mark.parametrize("body", [L2Ball(1.0, 3), GroupedL1Ball(1.0, 2, 3),
                                       Box(lo=-np.ones(3), hi=np.ones(3))],
@@ -556,7 +578,45 @@ class TestSymmetricHull:
         assert lp_calls == []
 
 
+class TestBodiesOwnTheirArrays:
+    """A box and a polytope keep read-only copies of the arrays they are
+    given, so neither the caller nor a user of the body can change it."""
+
+    def test_a_box_ignores_writes_to_the_callers_arrays(self):
+        lo, hi = -np.ones(2), np.ones(2)
+        box = Box(lo, hi)
+        hi[0] = 5.0
+        lo[1] = -5.0
+        assert not box.contains([4.0, 0.0]) and not box.contains([0.0, -4.0])
+        assert box.corner.tolist() == [1.0, 1.0]
+        assert box.to_dict() == {"kind": "box", "lo": [-1.0, -1.0], "hi": [1.0, 1.0]}
+
+    def test_a_polytope_ignores_writes_to_the_callers_array(self):
+        V = CROSS.copy()
+        poly = Polytope(V)
+        key = body_key(poly)
+        V[0] = [9.0, 9.0]
+        assert poly.vertex_array.tolist() == CROSS.tolist()
+        assert body_key(Polytope(CROSS)) == key
+
+    @pytest.mark.parametrize("body,name", [
+        (Box(-np.ones(2), np.ones(2)), "lo"), (Box(-np.ones(2), np.ones(2)), "hi"),
+        (Polytope(CROSS), "vertex_array")])
+    def test_the_bodys_arrays_are_read_only(self, body, name):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(body, name)[0] = 0.5
+
+
 class TestBodyKey:
+    def test_the_key_is_built_once_per_body(self, monkeypatch):
+        calls = []
+        to_dict = Polytope.to_dict
+        monkeypatch.setattr(Polytope, "to_dict", lambda self: calls.append(1) or to_dict(self))
+        poly = Polytope(CROSS)
+        assert body_key(poly) is body_key(poly)
+        assert body_key(poly) == json.dumps(to_dict(poly), sort_keys=True)
+        assert len(calls) == 1
+
     def test_equal_bodies_share_a_key(self):
         assert body_key(L1Ball(1.0, 3)) == body_key(body_from_dict(L1Ball(1.0, 3).to_dict()))
         assert body_key(L1Ball(1.0, 3)) != body_key(L1Ball(2.0, 3))

@@ -22,7 +22,8 @@ from dperm.solvers import (
     run_solver,
     sc_step_schedule,
 )
-from reference import curvature_empirical, reference_plan, row_grad, row_loss, vertex_list
+from reference import (curvature_empirical, dense_frank_wolfe, reference_plan, row_grad, row_loss,
+                       vertex_list)
 
 NON_PRIVATE = PrivacyBudget(math.inf)
 SQ = SquaredError()
@@ -45,7 +46,11 @@ def drive(cfg, data, run=None):
     """Run ``step_loop(cfg, data, run)`` to its end.  Returns the iterates it
     yielded and what it returned, (iterate, iterations, extras): on a body
     other than a polytope the iterate is theta itself."""
-    loop = step_loop(cfg, data, run)
+    return collect(step_loop(cfg, data, run))
+
+
+def collect(loop):
+    """The iterates a loop generator yields and what it returns."""
     iterates = []
     while True:
         try:
@@ -840,8 +845,8 @@ class TestReportAndConfig:
 
 
 class TestBlockNoise:
-    """The step loops draw their noise in blocks and replay the vertex
-    ledger in an array, with the same bits as per-step draws and a dict."""
+    """The step loops draw their noise in blocks and keep the vertex ledger
+    in an array, with the same bits as per-step draws and a dict."""
 
     @pytest.mark.parametrize("algorithm", ["noisy_md", "fw_general", "fw_polytope"])
     @pytest.mark.parametrize("budget", [PrivacyBudget(1.0, 1e-6), NON_PRIVATE],
@@ -870,6 +875,69 @@ class TestBlockNoise:
 
 
 CROSS_12 = Polytope(np.vstack([np.eye(12), -np.eye(12)]))
+
+
+class TestOneCoordinateStep:
+    """Both Frank-Wolfe loops step one coordinate of their state and keep the
+    vertex ledger in it, with the bits of ``reference.dense_frank_wolfe``:
+    dense vertices and a ledger replayed after the loop."""
+
+    @pytest.mark.parametrize("body", [L1Ball(1.0, 12), Simplex(12), CROSS_12, HALF_CROSS_12],
+                             ids=["l1", "simplex", "cross", "half_cross"])
+    @pytest.mark.parametrize("algorithm", ["fw_polytope", "fw_general"])
+    @pytest.mark.parametrize("budget", [PrivacyBudget(1.0, 1e-6), NON_PRIVATE],
+                             ids=["private", "non_private"])
+    def test_matches_the_dense_loop(self, small_lasso, body, algorithm, budget):
+        cfg = SolverConfig(algorithm=algorithm, body=body, loss=SQ, budget=budget, T=40, seed=4)
+        run = resolve_defaults(cfg, small_lasso)
+        got, (x, iterations, extras) = drive(cfg, small_lasso, run)
+        want, (x_ref, _, extras_ref) = collect(dense_frank_wolfe(
+            cfg, small_lasso, run, spawn_rng(cfg.seed, solvers._STREAM_NOISE)))
+        assert np.array_equal(x, x_ref) and iterations == 40
+        assert len(got) == len(want) == 40
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert extras == extras_ref
+        assert list(extras.get("vertex_weights", {})) == list(extras_ref.get("vertex_weights", {}))
+        assert ("vertex_weights" in extras) == (algorithm == "fw_polytope")
+        point_of = body.iterate_space()[1]
+        assert np.array_equal(run_solver(cfg, small_lasso).theta_priv, point_of(x_ref))
+
+    @pytest.mark.parametrize("body", [L1Ball(1.0, 12), CROSS_12], ids=["l1", "cross"])
+    def test_fw_general_refuses_a_non_finite_direction(self, small_lasso, monkeypatch, body):
+        monkeypatch.setattr(solvers, "sample_gaussian_vec",
+                            lambda shape, sigma, rng: np.full(shape, np.nan))
+        cfg = SolverConfig(algorithm="fw_general", body=body, loss=SQ,
+                           budget=PrivacyBudget(1.0, 1e-6), T=5, seed=0)
+        with pytest.raises(ValueError, match="direction must be finite"):
+            run_solver(cfg, small_lasso)
+
+
+class TestDotDispatch:
+    """The loops take their dense products with ``ndarray.dot``, not ``@``;
+    both must make the same bits on the loops' shapes, on every numpy the
+    package supports."""
+
+    @pytest.mark.parametrize("p", [1, 3, 12, 50, 129])
+    def test_dot_and_matmul_agree_bitwise(self, p):
+        rng = np.random.default_rng(p)
+        X = rng.standard_normal((3 * p, p))
+        G = X.T @ X / (3 * p)  # a Gram matrix, C-ordered and symmetric
+        theta, g = rng.standard_normal(p), rng.standard_normal(p)
+        V = rng.standard_normal((2 * p + 1, p))  # a vertex list
+        a = rng.dirichlet(np.ones(2 * p + 1))  # its coefficients
+        state = rng.standard_normal(p + 2 * p + 2)
+        pairs = [
+            (G.dot(theta), G @ theta),
+            (G.dot(state[:p]), G @ state[:p]),  # the iterate part of a longer state
+            (V.dot(g), V @ g),
+            (V.T.dot(a), V.T @ a),
+            (V.T.dot(state[:2 * p + 1]), V.T @ state[:2 * p + 1]),
+            (theta.dot(g), theta @ g),
+            (state[:p].dot(g), state[:p] @ g),
+            (theta.dot(G.dot(theta)), theta @ (G @ theta)),
+        ]
+        for dot, matmul in pairs:
+            assert np.asarray(dot).tobytes() == np.asarray(matmul).tobytes()
 
 
 class TestYieldedIterates:
