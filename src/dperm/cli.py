@@ -7,9 +7,10 @@ import dataclasses
 import json
 import sys
 
-from .geometry import body_from_dict, doc_bool
+from .geometry import body_from_dict
 from .harness import ExperimentSpec, run_sweep, score_cell, summarize
 from .losses import Dataset
+from .privacy import PrivacyBudget
 from .solvers import SolverConfig, gaussian_width
 
 
@@ -70,13 +71,14 @@ def _cmd_width(args) -> int:
 def _cmd_solve(args) -> int:
     with open(args.config_json) as fh:
         doc = json.load(fh)
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    if args.non_private:
-        doc["budget"] = {"epsilon": "inf"}
+    # The whole document is read, the lasso_profile flag too, before the
+    # options replace fields of the config.
     cfg = SolverConfig.from_dict(doc)
-    data = Dataset.from_csv(args.data_csv, lasso_profile=doc_bool(
-        doc.get("lasso_profile", False), "solver config", "lasso_profile"))
+    if args.seed is not None:
+        cfg = dataclasses.replace(cfg, seed=args.seed)
+    if args.non_private:
+        cfg = dataclasses.replace(cfg, budget=PrivacyBudget.from_dict({"epsilon": "inf"}))
+    data = Dataset.from_csv(args.data_csv, lasso_profile=doc.get("lasso_profile", False))
     _emit(score_cell(cfg, data).to_dict(), args.output)
     return 0
 

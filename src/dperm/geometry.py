@@ -7,8 +7,8 @@ The Gaussian width has a closed form on the l1 ball, the simplex and the
 l2 ball (``ConvexBody.closed_form_width``); on every other body it is
 estimated by ``gaussian_width_mc``, which takes its seed explicitly, so an
 estimate is reproducible.  ``solvers.gaussian_width`` picks between them.
-``noise_blocks`` cuts the draws of many rows, the Monte Carlo's and the
-solvers' step noise, into blocks of at most ``NOISE_BLOCK_BYTES``.
+``row_blocks`` cuts a pass over many rows, ``row_abs_max`` or the draws of
+``noise_blocks``, into blocks of at most ``NOISE_BLOCK_BYTES``.
 
 A quantity of the public body alone (its Gaussian width) is computed once
 per process by ``memo_by_body``, keyed by ``body_key``, the sorted JSON of
@@ -43,11 +43,8 @@ FEAS_TOL = 1e-9
 # Longer vertex lists are rejected: ``Polytope.l2_diameter`` forms a k x k matrix.
 MAX_POLYTOPE_VERTICES = 10_000
 
-# Rows of |G| formed at a time by ``row_abs_max``.
-ROW_BLOCK = 8192
-
-# The most bytes in one block of ``noise_blocks``, so memory stays flat
-# whatever the number of rows.
+# The most bytes in one block of rows, of ``noise_blocks`` and of
+# ``row_abs_max``, so memory stays flat whatever the number of rows.
 NOISE_BLOCK_BYTES = 1 << 20
 
 
@@ -87,12 +84,19 @@ def _vertex_lmo(body: ConvexBody, direction) -> np.ndarray:
     return body.vertex(vertex_argmin(body, direction))
 
 
+def row_blocks(rows: int, width: int):
+    """Consecutive slices of ``rows`` rows of ``width`` floats, each of at
+    most ``NOISE_BLOCK_BYTES`` (one row at least)."""
+    size = max(1, NOISE_BLOCK_BYTES // (8 * width))
+    return (slice(i, min(i + size, rows)) for i in range(0, rows, size))
+
+
 def row_abs_max(G: np.ndarray) -> np.ndarray:
     """max_j |G_ij| for every row i.  |G| is formed one block of rows at a
     time, which needs less memory and, in cache, less time than whole."""
     out = np.empty(G.shape[0])
-    for i in range(0, G.shape[0], ROW_BLOCK):
-        np.abs(G[i:i + ROW_BLOCK]).max(axis=1, out=out[i:i + ROW_BLOCK])
+    for block in row_blocks(*G.shape):
+        np.abs(G[block]).max(axis=1, out=out[block])
     return out
 
 
@@ -719,11 +723,10 @@ def _abs_max_gaussian_mean(p: int) -> float:
 
 def noise_blocks(draw: Callable[[tuple], np.ndarray], rows: int, width: int):
     """``rows`` rows of ``width`` floats, drawn by ``draw(shape)`` in
-    consecutive blocks of at most ``NOISE_BLOCK_BYTES`` (one row at least),
-    with the same values as per-row draws from a numpy generator."""
-    size = max(1, NOISE_BLOCK_BYTES // (8 * width))
-    for start in range(0, rows, size):
-        yield draw((min(size, rows - start), width))
+    the consecutive blocks of ``row_blocks``, with the same values as
+    per-row draws from a numpy generator."""
+    for block in row_blocks(rows, width):
+        yield draw((block.stop - block.start, width))
 
 
 def gaussian_width_mc(body: ConvexBody, samples: int, seed: int) -> WidthEstimate:
@@ -782,42 +785,74 @@ def symmetric_hull(body: ConvexBody) -> ConvexBody:
     return body
 
 
-# Each kind's document keys besides "kind", and its builder, which takes
-# them as keyword arguments, each read by its ``_KEY_READERS`` entry.
-_KIND_TAGS = {
-    "l2_ball": (("radius", "dimension"), L2Ball),
-    "l1_ball": (("radius", "dimension"), L1Ball),
-    "simplex": (("dimension",), Simplex),
-    "polytope": (("vertices",), lambda vertices: Polytope(vertices)),
-    "grouped_l1_ball": (("radius", "group_size", "dimension"), GroupedL1Ball),
-    "box": (("lo", "hi"), Box),
-}
+def doc_object(doc, kind: str) -> None:
+    """Raise ``ValueError`` naming ``kind`` unless ``doc`` is an object (a dict)."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{kind} document must be an object, got {doc!r}")
 
 
-def doc_field(doc: dict, key: str, kind: str):
-    """``doc[key]``; a missing key raises ``ValueError`` naming ``kind`` and the key."""
-    if key not in doc:
-        raise ValueError(f"{kind} document has no {key!r} key")
-    return doc[key]
+def read_doc(doc, kind: str, fields: dict) -> dict:
+    """The values of a ``kind`` document by key.  ``fields`` maps each key to
+    its ``reader(value, kind, key)`` (None keeps the value for its owner to
+    read), or to ``(reader, default)`` when the key is optional.  A document
+    that is not an object, an unknown or missing key and a value that its
+    reader refuses raise ``ValueError``."""
+    doc_object(doc, kind)
+    unknown = sorted(set(doc) - set(fields))
+    if unknown:
+        raise ValueError(f"unknown {kind} key(s) {unknown}; expected some of {sorted(fields)}")
+    out = {}
+    for key, entry in fields.items():
+        reader, *default = entry if isinstance(entry, tuple) else (entry,)
+        if key in doc:
+            out[key] = doc[key] if reader is None else reader(doc[key], kind, key)
+        elif default:
+            out[key] = default[0]
+        else:
+            raise ValueError(f"{kind} document has no {key!r} key")
+    return out
 
 
-def doc_int(value, kind: str, key: str) -> int:
-    """``value`` of the ``key`` field of a ``kind`` document, as an integer;
-    any other value, a float or a bool among them, raises ``ValueError``
-    instead of being truncated."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{kind} {key!r} must be an integer, got {value!r}")
-    return int(value)
+def build_kind(doc, what: str, table: dict) -> tuple[object, dict]:
+    """What a ``what`` document builds, and the values of its keys besides
+    ``kind``, a string key of ``table``, which maps each kind to its constructor
+    and the ``read_doc`` fields the constructor takes as keyword arguments."""
+    doc_object(doc, what)
+    kind = doc.get("kind")
+    if not isinstance(kind, str) or kind not in table:
+        raise ValueError(f"unknown {what} kind {kind!r}; expected one of {sorted(table)}")
+    build, fields = table[kind]
+    values = read_doc({k: v for k, v in doc.items() if k != "kind"}, f"{kind} {what}", fields)
+    return build(**values), values
 
 
-def doc_float(value, kind: str, key: str) -> float:
-    """``value`` of the ``key`` field of a ``kind`` document, as a float;
-    anything but a finite real number, a bool or a string among them,
-    raises ``ValueError`` instead of being converted."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-            or not math.isfinite(value):
-        raise ValueError(f"{kind} {key!r} must be a finite number, got {value!r}")
-    return float(value)
+def doc_nested(build: Callable) -> Callable:
+    """The reader of a nested document, ``build(value)``; its errors name it."""
+    return lambda value, kind, key: build(value)
+
+
+def doc_value(what: str, accepts: Callable, convert: Callable = _identity) -> Callable:
+    """A reader of the values that ``accepts`` takes, as ``convert`` gives
+    them; any other value raises ``ValueError``: it must be ``what``."""
+    def read(value, kind, key):
+        if not accepts(value):
+            raise ValueError(f"{kind} {key!r} must be {what}, got {value!r}")
+        return convert(value)
+    return read
+
+
+def is_finite_real(value) -> bool:
+    """Whether ``value`` is a finite real number, and not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+# The readers of one value.  Each refuses what it would convert: a float to
+# a count, a bool or a string to a number, or a flag by its truthiness.
+doc_int = doc_value("an integer", lambda v: isinstance(v, numbers.Integral)
+                    and not isinstance(v, bool), int)
+doc_float = doc_value("a finite number", is_finite_real, float)
+doc_bool = doc_value("a boolean", lambda v: isinstance(v, bool))
+doc_str = doc_value("a string", lambda v: isinstance(v, str))
 
 
 def doc_floats(value, kind: str, key: str) -> np.ndarray:
@@ -837,33 +872,17 @@ def doc_floats(value, kind: str, key: str) -> np.ndarray:
     return out
 
 
-def doc_bool(value, kind: str, key: str) -> bool:
-    """``value`` of the ``key`` field of a ``kind`` document, as a boolean;
-    any other value, a string or an integer among them, raises
-    ``ValueError`` instead of being read by its truthiness."""
-    if not isinstance(value, bool):
-        raise ValueError(f"{kind} {key!r} must be a boolean, got {value!r}")
-    return value
-
-
-def check_keys(doc: dict, allowed, kind: str) -> None:
-    """Raise ``ValueError`` naming ``kind`` and every key of ``doc`` outside ``allowed``."""
-    unknown = sorted(set(doc) - set(allowed))
-    if unknown:
-        raise ValueError(f"unknown {kind} key(s) {unknown}; expected some of {sorted(allowed)}")
-
-
-# How each body document key is read.
-_KEY_READERS = {"radius": doc_float, "dimension": doc_int, "group_size": doc_int,
-                "lo": doc_floats, "hi": doc_floats, "vertices": doc_floats}
+# Each body kind's constructor and how each key of its document is read.
+_KIND_TAGS = {
+    "l2_ball": (L2Ball, {"radius": doc_float, "dimension": doc_int}),
+    "l1_ball": (L1Ball, {"radius": doc_float, "dimension": doc_int}),
+    "simplex": (Simplex, {"dimension": doc_int}),
+    "polytope": (lambda vertices: Polytope(vertices), {"vertices": doc_floats}),
+    "grouped_l1_ball": (GroupedL1Ball, {"radius": doc_float, "group_size": doc_int,
+                                        "dimension": doc_int}),
+    "box": (Box, {"lo": doc_floats, "hi": doc_floats}),
+}
 
 
 def body_from_dict(doc: dict) -> ConvexBody:
-    kind = doc.get("kind")
-    if kind not in _KIND_TAGS:
-        raise ValueError(f"unknown body kind {kind!r}; expected one of {sorted(_KIND_TAGS)}")
-    keys, build = _KIND_TAGS[kind]
-    label = f"{kind} body"
-    check_keys(doc, {"kind", *keys}, label)
-    return build(**{key: _KEY_READERS[key](doc_field(doc, key, label), label, key)
-                    for key in keys})
+    return build_kind(doc, "body", _KIND_TAGS)[0]

@@ -18,7 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import check_keys, doc_bool, doc_field, doc_float, doc_int
+from .geometry import (doc_bool, doc_float, doc_int, doc_nested, doc_object, doc_str, doc_value,
+                       read_doc)
 from .losses import Dataset
 from .oracle import cached_solve, excess_risk
 from .solvers import SolverConfig, SolverReport, run_solver, seed_from
@@ -102,18 +103,57 @@ class RiskRecord:
                 repr(float(self.laplace_scale)), repr(float(self.wall_ms))]
 
 
+# How each key of a generator document, ``data_seed`` and the
+# ``generate_lasso`` keywords, is read, with its default when optional.
+_GENERATOR_FIELDS = {"p": doc_int, "sparsity": (doc_int, 1), "noise_level": (doc_float, 0.0),
+                     "l1_norm": (doc_float, 0.9), "nonneg": (doc_bool, False),
+                     "data_seed": (doc_int, 0)}
+
+
+def _read_generator(doc) -> tuple[int, dict]:
+    """(data_seed, ``generate_lasso`` keywords) of a generator document."""
+    params = read_doc(doc, "generator", _GENERATOR_FIELDS)
+    for key, low in (("p", 1), ("data_seed", 0)):
+        if params[key] < low:
+            raise ValueError(f"generator {key!r} must be >= {low}, got {params[key]}")
+    _check_lasso_params(*(params[key] for key in ("p", "sparsity", "noise_level", "l1_norm")))
+    return params.pop("data_seed"), params
+
+
+# The two forms of a dataset document, a data file and the generator.
+_FILE_FIELDS = {"path": doc_value("the path of a file", lambda v: isinstance(v, str)
+                                  and os.path.isfile(v)),
+                "lasso_profile": (doc_bool, False)}
+_GENERATED_FIELDS = {"generator": doc_nested(_read_generator)}
+
+# The keys of a sweep document: ``name`` labels the sweep and is not read;
+# the others are the ``ExperimentSpec`` fields, read when it is built.
+_SWEEP_FIELDS = {"name": (None, None), "solvers": None, "n_sweep": None, "seeds": None,
+                 "dataset": None, "output": (None, None)}
+
+
+def _read_counts(values, key: str, name: str, low: int) -> list[int]:
+    """The integers of the sweep's ``key``, each ``name`` >= ``low`` and none twice."""
+    if not isinstance(values, (list, tuple)) or not values:
+        raise ValueError(f"sweep {key!r} must be a nonempty list of integers, got {values!r}")
+    values = [doc_int(v, "sweep", key) for v in values]
+    if min(values) < low:
+        raise ValueError(f"every {name} must be >= {low}, got {min(values)}")
+    again = next((v for i, v in enumerate(values) if v in values[:i]), None)
+    if again is not None:
+        raise ValueError(f"the {name} {again} is listed twice; its cells would run twice")
+    return values
+
+
 @dataclass
 class ExperimentSpec:
     """A sweep: solver config documents x n values x seeds.
 
-    The dataset document is a ``path`` (with an optional ``lasso_profile``)
-    or a ``generator``; either is read here, once, and a solver document
-    may not carry a ``lasso_profile`` of its own, nor a ``seed`` (each cell
-    runs one of ``seeds``).  Each solver document is built into its
-    ``SolverConfig`` here, once, so a document that cannot run is refused
-    before any data is made.  An unknown key in any of them, a missing
-    generator, a value out of range or a solver id, n or seed used twice
-    raises ``ValueError``.
+    Every field is read here, once, so a sweep that cannot run is refused
+    before any data is made.  The dataset document is a ``path`` (with an
+    optional ``lasso_profile``) or a ``generator``.  Each solver document
+    has a string ``id`` that no other has, and no ``lasso_profile`` or
+    ``seed`` (each cell runs one of ``seeds``).
     """
 
     solvers: list[dict]
@@ -125,86 +165,49 @@ class ExperimentSpec:
     def __post_init__(self):
         if not self.solvers:
             raise ValueError("at least one solver config is required")
-        if not self.n_sweep or not self.seeds:
-            raise ValueError("n_sweep and seeds must be nonempty")
-        for key, values, low in (("n", self.n_sweep, 1), ("seed", self.seeds, 0)):
-            if min(values) < low:
-                raise ValueError(f"every {key} must be >= {low}, got {min(values)}")
-            again = next((v for i, v in enumerate(values) if v in values[:i]), None)
-            if again is not None:
-                raise ValueError(f"the {key} {again} is listed twice; its cells would run twice")
-        # The dataset is a file, or the generator with some of its keys, read
-        # once: ``_generator`` is None or (data_seed, ``generate_lasso`` keywords).
-        if "path" in self.dataset:
-            check_keys(self.dataset, {"path", "lasso_profile"}, "dataset")
-            if not os.path.exists(self.dataset["path"]):
-                raise ValueError(f"dataset file {self.dataset['path']} does not exist")
-            self._lasso_profile = doc_bool(self.dataset.get("lasso_profile", False), "dataset",
-                                           "lasso_profile")
-            self._generator = None
-        else:
-            check_keys(self.dataset, {"generator"}, "dataset")
-            gen = doc_field(self.dataset, "generator", "dataset")
-            check_keys(gen, {"p", "sparsity", "noise_level", "data_seed", "l1_norm", "nonneg"},
-                       "generator")
-            p = doc_int(doc_field(gen, "p", "generator"), "generator", "p")
-            data_seed = doc_int(gen.get("data_seed", 0), "generator", "data_seed")
-            for key, value, low in (("p", p, 1), ("data_seed", data_seed, 0)):
-                if value < low:
-                    raise ValueError(f"generator {key!r} must be >= {low}, got {value}")
-            params = dict(p=p, sparsity=doc_int(gen.get("sparsity", 1), "generator", "sparsity"),
-                          noise_level=doc_float(gen.get("noise_level", 0.0), "generator",
-                                                "noise_level"),
-                          l1_norm=doc_float(gen.get("l1_norm", 0.9), "generator", "l1_norm"))
-            _check_lasso_params(**params)
-            params["nonneg"] = doc_bool(gen.get("nonneg", False), "generator", "nonneg")
-            self._generator = (data_seed, params)
-        ids = set()
+        self.n_sweep = _read_counts(self.n_sweep, "n_sweep", "n", 1)
+        self.seeds = _read_counts(self.seeds, "seeds", "seed", 0)
+        if self.output is not None:
+            doc_str(self.output, "sweep", "output")
+        in_file = isinstance(self.dataset, dict) and "path" in self.dataset
+        self._data = read_doc(self.dataset, "dataset", _FILE_FIELDS if in_file else
+                              _GENERATED_FIELDS)
+        self._configs = []
         for i, doc in enumerate(self.solvers):
-            if "id" not in doc:
-                raise ValueError(f"solver config {i} is missing an 'id'")
-            if doc["id"] in ids:
-                raise ValueError(f"solver config {i} repeats the id {doc['id']!r}")
-            ids.add(doc["id"])
+            doc_object(doc, f"solver config {i}")
+            sid = doc_str(doc.get("id"), f"solver config {i}", "id")
+            if sid in [earlier["id"] for earlier in self.solvers[:i]]:
+                raise ValueError(f"solver config {i} repeats the id {sid!r}")
             if "lasso_profile" in doc:
-                raise ValueError(f"solver config {doc['id']!r} has a 'lasso_profile' key; "
+                raise ValueError(f"solver config {sid!r} has a 'lasso_profile' key; "
                                  "a sweep reads it from the dataset document")
             if "seed" in doc:
-                raise ValueError(f"solver config {doc['id']!r} has a 'seed' key; "
+                raise ValueError(f"solver config {sid!r} has a 'seed' key; "
                                  "a sweep runs each of its seeds")
-        self._configs = []
-        for doc in self.solvers:
             try:
                 self._configs.append(SolverConfig.from_dict(doc))
             except ValueError as exc:
-                raise ValueError(f"solver config {doc['id']!r}: {exc}") from exc
+                raise ValueError(f"solver config {sid!r}: {exc}") from exc
 
     @classmethod
     def from_json(cls, path) -> "ExperimentSpec":
-        """Read a sweep document; an unknown or missing key, or an n or a
-        seed that is not an integer, raises ``ValueError``.  ``name`` labels
-        the sweep and is not read."""
+        """Read a sweep document, with the keys of ``_SWEEP_FIELDS``."""
         with open(path) as fh:
-            doc = json.load(fh)
-        check_keys(doc, {"name", "solvers", "n_sweep", "seeds", "dataset", "output"}, "sweep")
-        return cls(solvers=doc_field(doc, "solvers", "sweep"),
-                   n_sweep=[doc_int(v, "sweep", "n_sweep")
-                            for v in doc_field(doc, "n_sweep", "sweep")],
-                   seeds=[doc_int(v, "sweep", "seeds") for v in doc_field(doc, "seeds", "sweep")],
-                   dataset=doc_field(doc, "dataset", "sweep"), output=doc.get("output"))
+            doc = read_doc(json.load(fh), "sweep", _SWEEP_FIELDS)
+        return cls(**{key: value for key, value in doc.items() if key != "name"})
 
 
 def _datasets_for(spec: ExperimentSpec, ns) -> dict[int, Dataset]:
     """The dataset of each n in ``ns``: the first n rows of the file, which
     is read once, or the generator's data at that n."""
-    if spec._generator is None:
-        data = Dataset.from_csv(spec.dataset["path"], lasso_profile=spec._lasso_profile)
+    if "path" in spec._data:
+        data = Dataset.from_csv(spec._data["path"], lasso_profile=spec._data["lasso_profile"])
         for n in ns:
             if n > data.n:
                 raise ValueError(f"dataset file has {data.n} rows, cell requests {n}")
         return {n: Dataset(X=data.X[:n], y=data.y[:n], lasso_profile=data.lasso_profile)
                 for n in ns}
-    data_seed, params = spec._generator
+    data_seed, params = spec._data["generator"]
     return {n: generate_lasso(n=n, seed=seed_from(data_seed, n), **params) for n in ns}
 
 

@@ -54,7 +54,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .geometry import (Box, ConvexBody, GroupedL1Ball, L1Ball, L2Ball, Memo, Polytope, Simplex,
-                       check_keys, doc_field, doc_float, memo_by_body, row_abs_max)
+                       build_kind, doc_float, memo_by_body, row_abs_max)
 
 LASSO_DOMAIN_TOL = 1e-12
 
@@ -440,16 +440,11 @@ def loss_key(loss: LossSpec) -> Optional[str]:
     return None
 
 
+# Each built-in loss kind's constructor and how each key of its document is read.
+_KINDS = {"squared_error": (SquaredError, {"ridge": (doc_float, 0.0)}),
+          "huber": (Huber, {"delta": doc_float})}
+
+
 def loss_from_dict(doc: dict) -> LossSpec:
-    """Build a built-in loss from its document: ``squared_error`` with an
-    optional ``ridge``, or ``huber`` with its ``delta``.  Any other key
-    raises ``ValueError``."""
-    kind = doc.get("kind")
-    label = f"{kind} loss"
-    if kind == "squared_error":
-        check_keys(doc, {"kind", "ridge"}, label)
-        return SquaredError(ridge=doc_float(doc.get("ridge", 0.0), label, "ridge"))
-    if kind == "huber":
-        check_keys(doc, {"kind", "delta"}, label)
-        return Huber(delta=doc_float(doc_field(doc, "delta", label), label, "delta"))
-    raise ValueError(f"unknown loss kind {kind!r} (custom losses are built in code)")
+    """Build a built-in loss from its document (custom losses are built in code)."""
+    return build_kind(doc, "loss", _KINDS)[0]

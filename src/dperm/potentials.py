@@ -35,8 +35,7 @@ from .geometry import (
     L2Ball,
     Polytope,
     Simplex,
-    check_keys,
-    doc_field,
+    build_kind,
     doc_int,
     symmetric_hull,
 )
@@ -350,32 +349,23 @@ class GroupedL1(Potential):
         return body.radius ** M / (M * xi)
 
 
-_KINDS = {
-    "squared_l2": SquaredL2,
-    "negative_entropy": NegativeEntropy,
-    "polytope_q_norm": PolytopeQNorm,
-    "grouped_l1": GroupedL1,
-}
+# Each potential kind's constructor and how each key of its document is read; a
+# grouped-l1 potential takes its ``group_size`` from the body it runs on.
+_KINDS = {"squared_l2": (SquaredL2, {}), "negative_entropy": (NegativeEntropy, {}),
+          "polytope_q_norm": (PolytopeQNorm, {}),
+          "grouped_l1": (lambda group_size: GroupedL1(), {"group_size": doc_int})}
 
 
 def potential_from_dict(doc: dict, body: ConvexBody) -> Potential:
     """Build a potential from its config document, for a run on ``body``.
 
     Only ``grouped_l1`` takes a key besides ``kind``: ``group_size``, which
-    must equal the grouped-l1 ball's own.  Any other key raises
-    ``ValueError``.  Whether the potential can run on the body at all is
-    ``SolverConfig``'s check (``Potential.natural_q``).
+    must equal the grouped-l1 ball's own.  Whether the potential can run on
+    the body at all is ``SolverConfig``'s check (``Potential.natural_q``).
     """
-    kind = doc.get("kind")
-    if kind not in _KINDS:
-        raise ValueError(f"unknown potential kind {kind!r}")
-    label = f"{kind} potential"
-    if kind == "grouped_l1":
-        check_keys(doc, {"kind", "group_size"}, label)
-        group_size = doc_int(doc_field(doc, "group_size", label), label, "group_size")
-        if isinstance(body, GroupedL1Ball) and group_size != body.group_size:
-            raise ValueError(f"{label} 'group_size' must equal the grouped-l1 ball's "
-                             f"group_size {body.group_size}, got {group_size}")
-    else:
-        check_keys(doc, {"kind"}, label)
-    return _KINDS[kind]()
+    potential, values = build_kind(doc, "potential", _KINDS)
+    group_size = values.get("group_size")
+    if isinstance(body, GroupedL1Ball) and group_size not in (None, body.group_size):
+        raise ValueError(f"{doc['kind']} potential 'group_size' must equal the grouped-l1 "
+                         f"ball's group_size {body.group_size}, got {group_size}")
+    return potential

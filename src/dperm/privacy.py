@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import check_keys, doc_field, doc_float
+from .geometry import doc_float, doc_value, is_finite_real, read_doc
 
 
 @dataclass(frozen=True)
@@ -40,17 +40,13 @@ class PrivacyBudget:
     def from_dict(cls, doc: dict) -> "PrivacyBudget":
         """Read a budget document: ``epsilon`` is required and ``delta``
         defaults to the field's.  The string "inf" is the one epsilon of a
-        non-private run; an unknown key raises ``ValueError``."""
-        check_keys(doc, {"epsilon", "delta"}, "budget")
-        eps = doc_field(doc, "epsilon", "budget")
-        if eps != "inf":
-            try:
-                eps = doc_float(eps, "budget", "epsilon")
-            except ValueError:
-                raise ValueError(
-                    f'budget epsilon must be a finite number or "inf", got {eps!r}') from None
-        return cls(epsilon=float(eps),
-                   delta=doc_float(doc.get("delta", cls.delta), "budget", "delta"))
+        non-private run."""
+        return cls(**read_doc(doc, "budget", {"epsilon": _doc_epsilon,
+                                              "delta": (doc_float, cls.delta)}))
+
+
+_doc_epsilon = doc_value('a finite number or "inf"',
+                         lambda v: v == "inf" or is_finite_real(v), float)
 
 
 @dataclass

@@ -53,9 +53,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .firstorder import NotCertifiedError, minimize
-from .geometry import (ConvexBody, WidthEstimate, body_from_dict, check_keys, doc_field,
-                       doc_int, gaussian_width_mc, memo_by_body, noise_blocks, symmetric_hull,
-                       vertex_argmin)
+from .geometry import (ConvexBody, WidthEstimate, body_from_dict, doc_bool, doc_int, doc_nested,
+                       doc_str, gaussian_width_mc, memo_by_body, noise_blocks, read_doc,
+                       symmetric_hull, vertex_argmin)
 from .losses import Dataset, Huber, LossSpec, loss_from_dict, require_matching_dimension
 from .potentials import Potential, potential_from_dict
 from .privacy import (
@@ -140,30 +140,22 @@ class SolverConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SolverConfig":
-        """Build a config from its document; an unknown or missing key raises
-        ``ValueError``.  ``algorithm``, ``body``, ``loss`` and ``budget`` are
-        required."""
-        check_keys(doc, _DOC_KEYS, "solver config")
-        body = body_from_dict(doc_field(doc, "body", "solver config"))
-        loss = loss_from_dict(doc_field(doc, "loss", "solver config"))
-        potential = None
-        if doc.get("potential") is not None:
-            potential = potential_from_dict(doc["potential"], body)
-        return cls(
-            algorithm=doc_field(doc, "algorithm", "solver config"),
-            body=body,
-            loss=loss,
-            budget=PrivacyBudget.from_dict(doc_field(doc, "budget", "solver config")),
-            potential=potential,
-            T=doc_int(doc.get("T", cls.T), "solver config", "T"),
-            seed=doc_int(doc.get("seed", cls.seed), "solver config", "seed"),
-            t_cap=doc_int(doc["t_cap"], "solver config", "t_cap") if "t_cap" in doc else None,
-        )
+        """Build a config from its document, each key read as ``_DOC_FIELDS`` says."""
+        read = read_doc(doc, "solver config", _DOC_FIELDS)
+        if read["potential"] is not None:
+            read["potential"] = potential_from_dict(read["potential"], read["body"])
+        return cls(**{f.name: read[f.name] for f in fields(cls)})
 
 
-# The keys of a config document: the fields ``from_dict`` reads, the sweep's
-# solver ``id`` and the ``lasso_profile`` that ``dperm solve`` reads.
-_DOC_KEYS = frozenset({f.name for f in fields(SolverConfig)} | {"id", "lasso_profile"})
+# How each key of a config document is read, with its default when optional:
+# the ``SolverConfig`` fields, a sweep's ``id`` and ``dperm solve``'s flag.
+_DOC_FIELDS = {
+    "algorithm": doc_str, "body": doc_nested(body_from_dict), "loss": doc_nested(loss_from_dict),
+    "budget": doc_nested(PrivacyBudget.from_dict), "potential": (None, SolverConfig.potential),
+    "T": (doc_int, SolverConfig.T), "seed": (doc_int, SolverConfig.seed),
+    "t_cap": (doc_int, SolverConfig.t_cap), "id": (doc_str, None),
+    "lasso_profile": (doc_bool, False),
+}
 
 
 @dataclass

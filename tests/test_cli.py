@@ -99,6 +99,19 @@ class TestSolve:
                 f"solver config 'lasso_profile' must be a boolean, got {flag!r}")):
             main(["solve", config, path, "--output", str(tmp_path / "report.json")])
 
+    @pytest.mark.parametrize("flags,changes,message", [
+        (["--non-private"], {"budget": [1]}, "budget document must be an object, got [1]"),
+        (["--seed", "2"], {"seed": "x"}, "solver config 'seed' must be an integer, got 'x'"),
+    ], ids=["non-private", "seed"])
+    def test_options_do_not_skip_the_document(self, tmp_path, lasso_csv, flags, changes,
+                                             message):
+        # The options used to replace the budget or the seed in the document
+        # before it was read, so a malformed one ran.
+        path, _ = lasso_csv
+        config = write_json(tmp_path / "config.json", {**CONFIG, **changes})
+        with pytest.raises(ValueError, match=re.escape(message)):
+            main(["solve", config, path, *flags, "--output", str(tmp_path / "report.json")])
+
     def test_scores_through_the_harness(self, tmp_path, lasso_csv, monkeypatch):
         # The tracer patches the scoring steps where the harness looks them up.
         path, _ = lasso_csv

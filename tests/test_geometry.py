@@ -9,7 +9,6 @@ from scipy.special import gammaln
 
 from dperm.geometry import (
     NOISE_BLOCK_BYTES,
-    ROW_BLOCK,
     Box,
     GroupedL1Ball,
     L1Ball,
@@ -21,6 +20,7 @@ from dperm.geometry import (
     gaussian_width_mc,
     memo_by_body,
     row_abs_max,
+    row_blocks,
     symmetric_hull,
     vertex_argmin,
 )
@@ -643,8 +643,9 @@ class TestBodyKey:
         assert len(calls) == 2
 
     def test_row_abs_max_matches_abs_max(self, rng):
-        # Three blocks of rows, the last one short.
-        G = rng.standard_normal((2 * ROW_BLOCK + 5, 3))
+        # Three blocks of NOISE_BLOCK_BYTES of rows, the last one short.
+        G = rng.standard_normal((2 * (NOISE_BLOCK_BYTES // (8 * 3)) + 5, 3))
+        assert [b.stop - b.start for b in row_blocks(*G.shape)][2:] == [5]
         G[3] = 0.0
         G[-1] = -2.0
         assert np.array_equal(row_abs_max(G), np.abs(G).max(axis=1))

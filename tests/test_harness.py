@@ -3,6 +3,7 @@ import gc
 import json
 import math
 import re
+import tracemalloc
 import types
 import weakref
 from collections import Counter
@@ -190,6 +191,15 @@ class TestDocumentKeys:
         with pytest.raises(ValueError, match=re.escape(f"unknown {label} key(s) {stray}")):
             build({**doc, **dict.fromkeys(stray, 0.3)})
 
+    @pytest.mark.parametrize("label,doc,build", DOCUMENT_BUILDS)
+    def test_a_kind_that_is_not_a_string_is_rejected(self, label, doc, build):
+        # A list raised TypeError (unhashable) where it was looked up.
+        what = label.split()[-1]
+        for kind in ([doc["kind"]], 3, None):
+            with pytest.raises(ValueError, match=re.escape(f"unknown {what} kind {kind!r}; "
+                                                           "expected one of")):
+                build({**doc, "kind": kind})
+
     def test_missing_huber_delta_names_the_key(self):
         with pytest.raises(ValueError, match="huber loss document has no 'delta' key"):
             loss_from_dict({"kind": "huber"})
@@ -226,6 +236,11 @@ INTEGER_CASES = [
      lambda v, tmp: run_sweep(load_sweep(tmp, with_generator(sparsity=v)))),
     ("generator", "data_seed", 1.5,
      lambda v, tmp: run_sweep(load_sweep(tmp, with_generator(data_seed=v)))),
+    # A spec built directly, as the benchmark builds its own, reads the same.
+    pytest.param("sweep", "n_sweep", 10.5,
+                 lambda v, tmp: spec_for(6, lasso_configs(6)[:1], [0], n=v), id="spec-n_sweep"),
+    pytest.param("sweep", "seeds", 0.5,
+                 lambda v, tmp: spec_for(6, lasso_configs(6)[:1], [v]), id="spec-seeds"),
 ]
 
 # (kind, key, value, build) as above, for the boolean flags.
@@ -274,9 +289,37 @@ NUMBER_CASES = [
 ]
 
 
+# (kind, key, value, build) as above, for the strings.
+STRING_CASES = [
+    ("solver config 0", "id", [1], lambda v, tmp: load_sweep(
+        tmp, sweep_doc(solvers=[{**lasso_configs(6)[0], "id": v}]))),
+    # With ids of both types, every cell ran and then the sort of the records failed.
+    ("solver config 1", "id", 1, lambda v, tmp: load_sweep(
+        tmp, sweep_doc(solvers=[{**lasso_configs(6)[0], "id": "a"},
+                                {**lasso_configs(6)[1], "id": v}]))),
+    # Taken as a file descriptor, once every cell had run.
+    ("sweep", "output", 7, lambda v, tmp: load_sweep(tmp, sweep_doc(output=v))),
+]
+
+# (kind, build): ``build(value, tmp_path)`` puts the value where a document
+# of that kind belongs.
+OBJECT_CASES = [
+    ("body", lambda v, tmp: SolverConfig.from_dict({**lasso_configs(6)[0], "body": v})),
+    ("loss", lambda v, tmp: SolverConfig.from_dict({**lasso_configs(6)[0], "loss": v})),
+    ("potential", lambda v, tmp: SolverConfig.from_dict({**lasso_configs(6)[2],
+                                                         "potential": v})),
+    ("budget", lambda v, tmp: SolverConfig.from_dict({**lasso_configs(6)[0], "budget": v})),
+    ("generator", lambda v, tmp: load_sweep(tmp, sweep_doc(dataset={"generator": v}))),
+    ("dataset", lambda v, tmp: load_sweep(tmp, sweep_doc(dataset=v))),
+    ("solver config 0", lambda v, tmp: load_sweep(tmp, sweep_doc(solvers=[v]))),
+    ("sweep", lambda v, tmp: load_sweep(tmp, v)),
+]
+
+
 class TestSweepDocument:
     @pytest.mark.parametrize("kind,key,value,build", INTEGER_CASES,
-                             ids=[f"{kind}-{key}" for kind, key, *_ in INTEGER_CASES])
+                             ids=[getattr(case, "id", None) or f"{case[0]}-{case[1]}"
+                                  for case in INTEGER_CASES])
     def test_a_count_that_is_not_an_integer_is_rejected(self, tmp_path, kind, key, value,
                                                         build):
         # Truncating it would run another sweep than the one written.
@@ -302,6 +345,31 @@ class TestSweepDocument:
         # radius would fail only deep inside a run.
         with pytest.raises(ValueError, match=re.escape(
                 f"{kind} {key!r} must be a finite number, got {value!r}")):
+            build(value, tmp_path)
+
+    @pytest.mark.parametrize("kind,key,value,build", STRING_CASES,
+                             ids=[f"{kind}-{key}-{value!r}" for kind, key, value, _ in
+                                  STRING_CASES])
+    def test_a_name_that_is_not_a_string_is_rejected(self, tmp_path, kind, key, value, build):
+        # When the spec is built, before any data or cell.
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{kind} {key!r} must be a string, got {value!r}")):
+            build(value, tmp_path)
+
+    @pytest.mark.parametrize("path", [5, "missing.csv"], ids=["integer", "missing"])
+    def test_a_path_that_names_no_file_is_rejected(self, tmp_path, path):
+        # ``os.path.exists`` and ``open`` took an integer as a file descriptor.
+        path = path if isinstance(path, int) else str(tmp_path / path)
+        with pytest.raises(ValueError, match=re.escape(
+                f"dataset 'path' must be the path of a file, got {path!r}")):
+            load_sweep(tmp_path, sweep_doc(dataset={"path": path}))
+
+    @pytest.mark.parametrize("value", [[1, 2], "squared_error"], ids=["list", "string"])
+    @pytest.mark.parametrize("kind,build", OBJECT_CASES, ids=[kind for kind, _ in OBJECT_CASES])
+    def test_a_document_that_is_not_an_object_is_rejected(self, tmp_path, kind, build, value):
+        # Nested ones raised AttributeError on their first ``get``.
+        with pytest.raises(ValueError, match=re.escape(
+                f"{kind} document must be an object, got {value!r}")):
             build(value, tmp_path)
 
     def test_ragged_vertex_rows_are_named_as_such(self):
@@ -435,6 +503,17 @@ class TestSweepData:
         records, failures = run_sweep(spec)
         assert failures == [] and [r.n for r in records] == [100, 200, 300]
         assert reads == [path]
+
+    def test_generator_peak_is_the_data_and_one_block(self):
+        # The lasso-domain check takes |x| one block of rows at a time; with
+        # 8 192-row blocks it formed all of |X| at n = 2 000, twice X's bytes.
+        tracemalloc.start()
+        try:
+            data = generate_lasso(n=2000, p=1000, sparsity=5, noise_level=0.1, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < data.X.nbytes + 4 * 2 ** 20
 
     def test_data_file_shorter_than_an_n_is_rejected(self, tmp_path):
         spec = ExperimentSpec(solvers=lasso_configs(6)[:1], n_sweep=[100, 400, 500], seeds=[0],
